@@ -34,6 +34,7 @@ from . import permgroup
 from .covers import (
     CoverSearchExhaustedError,
     HypothesisNotSatisfiedError,
+    _is_prime,
     build_separating_cover,
     word_action,
 )
@@ -60,6 +61,10 @@ class ProblemFormatError(ValueError):
 
 _WORD_TERM_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?$")
 
+# Longest word a problem file may spell, counted after exponents expand;
+# checked before expanding, so "x1^1000000000" is refused up front.
+MAX_WORD_LENGTH = 100_000
+
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
     text = text.strip()
@@ -77,6 +82,9 @@ def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
         limit = rank if factor == "x" else num_ygens
         if not 1 <= index <= limit:
             raise ProblemFormatError(f"unknown generator {factor}{index}", line, column)
+        if len(letters) + abs(exponent) > MAX_WORD_LENGTH:
+            raise ProblemFormatError(
+                f"word longer than {MAX_WORD_LENGTH} letters", line, column)
         sign = 1 if exponent > 0 else -1
         base = x_letter(index, sign) if factor == "x" else y_letter(index, sign)
         letters.extend([base] * abs(exponent))
@@ -266,7 +274,7 @@ def _certificate(spec, built, result) -> dict:
     positions = _certificate_positions(graph)
     base_point = positions[result.cover.embedding[built.graph.base]]
 
-    if not _is_prime_certificate(plan.degree):
+    if not _is_prime(plan.degree):
         raise AssertionError("cover degree is not prime")
     order = permgroup.bsgs_order(list(result.images.values()), plan.degree)
     expected = math.factorial(plan.degree)
@@ -324,12 +332,6 @@ def _certificate(spec, built, result) -> dict:
             "transitive": transitive,
         },
     }
-
-
-def _is_prime_certificate(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def _check_cover_certificates(spec, graph: LabeledGraph):

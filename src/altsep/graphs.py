@@ -154,11 +154,18 @@ class _UnionFind:
 
 def fold(graph: LabeledGraph):
     """Fold to an immersion: identify same-source same-letter edges until
-    none remain.  Returns (folded graph, total vertex map)."""
+    none remain.  Returns (folded graph, total vertex map).
+
+    Cost: O((|V| + |E|) * alpha) union-find work plus one replay per edge
+    slot of each merged-away vertex.  The edge pairs are consumed in set
+    order: the folded quotient is unique and every class is named by its
+    least vertex (``_UnionFind.union`` keeps the smaller id), so neither
+    the result nor the vertex map depends on that order.
+    """
     uf = _UnionFind(graph.vertices)
     out = {v: {} for v in graph.vertices}
     work = deque()
-    for u, w, letter in sorted(graph.pairs, key=_pair_key):
+    for u, w, letter in graph.pairs:
         work.append((u, w, letter))
         work.append((w, u, letter.inverse()))
     while work:
@@ -281,26 +288,30 @@ def components(graph: LabeledGraph, factor: str, include_singletons: bool = Fals
     graph's base point when it belongs to the component, else the smallest
     vertex).  Vertices with no edge of the factor appear as degenerate
     singleton components only when ``include_singletons`` is set.
+
+    Cost: one union-find pass over the factor's pairs, one pass bucketing
+    vertices and pairs by root, and a sort of the component roots, so
+    O((|V| + |E|) * alpha + C log C) for C components.
     """
     uf = _UnionFind(graph.vertices)
-    touched = set()
-    for u, w, letter in graph.pairs:
-        if letter.factor == factor:
-            uf.union(u, w)
-            touched.add(u)
-            touched.add(w)
+    own = [pair for pair in graph.pairs if pair[2].factor == factor]
+    for u, w, _letter in own:
+        uf.union(u, w)
+    # every root is the least vertex of its class; a class without pairs
+    # is a vertex with no edge of the factor
+    bucketed = {}
+    for pair in own:
+        bucketed.setdefault(uf.find(pair[0]), []).append(pair)
     groups = {}
-    for v in sorted(graph.vertices):
-        if v in touched or include_singletons:
-            groups.setdefault(uf.find(v), []).append(v)
+    for v in graph.vertices:
+        root = uf.find(v)
+        if include_singletons or root in bucketed:
+            groups.setdefault(root, []).append(v)
     out = []
     for root in sorted(groups):
         members = frozenset(groups[root])
-        pairs = frozenset(
-            pair for pair in graph.pairs
-            if pair[2].factor == factor and pair[0] in members
-        )
-        anchor = graph.base if graph.base in members else min(members)
+        pairs = frozenset(bucketed.get(root, ()))
+        anchor = graph.base if graph.base in members else root
         out.append((LabeledGraph(members, pairs, anchor, graph.folded), anchor))
     return out
 

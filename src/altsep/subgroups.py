@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from .factors import FiniteGroupTable, component_cosets
 from .graphs import (
     LabeledGraph,
+    canonical_pair,
     components,
     fold,
     identify_vertices,
@@ -90,16 +91,10 @@ def _wedge(base, words, open_words):
         ends.append(current)
     graph = make_graph(
         vertices,
-        {(*_canonical(u, w, letter),) for u, w, letter in pairs},
+        {canonical_pair(u, w, letter) for u, w, letter in pairs},
         base,
     )
     return graph, tuple(ends)
-
-
-def _canonical(u, w, letter):
-    if letter.sign < 0:
-        return (w, u, letter.inverse())
-    return (u, w, letter)
 
 
 def based_fixpoint(graph, table, tracked=(), dirty=None):
@@ -185,7 +180,7 @@ class MembershipTester:
             next_id += 1
             vertices.add(target)
             fresh.append(target)
-            pairs.add(_canonical(current, target, letter))
+            pairs.add(canonical_pair(current, target, letter))
             current = target
         raw = LabeledGraph(frozenset(vertices), frozenset(pairs), self.graph.base, False)
         _stable, tracked = based_fixpoint(

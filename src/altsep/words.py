@@ -31,7 +31,9 @@ class Letter:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     def inverse(self) -> "Letter":
-        return Letter(self.factor, self.index, -self.sign)
+        key = (self.factor, self.index, -self.sign)
+        letter = _INTERNED.get(key)
+        return letter if letter is not None else _intern(*key)
 
     def positive(self) -> "Letter":
         return self if self.sign > 0 else self.inverse()
@@ -46,12 +48,25 @@ class Letter:
         return name if self.sign > 0 else name + "^-1"
 
 
+# One shared Letter per (factor, index, sign).  Letters are immutable and
+# compare by value, so sharing is invisible to callers; it spares the hot
+# graph loops a construction and a validation on every inverse().
+_INTERNED: dict = {}
+
+
+def _intern(factor: str, index: int, sign: int) -> Letter:
+    letter = _INTERNED.get((factor, index, sign))
+    if letter is None:
+        letter = _INTERNED[factor, index, sign] = Letter(factor, index, sign)
+    return letter
+
+
 def x_letter(index: int, sign: int = 1) -> Letter:
-    return Letter("x", index, sign)
+    return _intern("x", index, sign)
 
 
 def y_letter(index: int, sign: int = 1) -> Letter:
-    return Letter("y", index, sign)
+    return _intern("y", index, sign)
 
 
 def x_alphabet(rank: int) -> tuple[Letter, ...]:

@@ -3,8 +3,9 @@
 Everything here decides questions by brute force, without going through
 the code paths under test: permutation groups by exhaustive closure,
 folding by exhaustive or random fold-order search, subgroup membership by
-breadth-first enumeration over normal forms, and kernel generating sets by
-the Schreier transversal construction.
+breadth-first enumeration over normal forms, monochromatic components by
+plain breadth-first search, and kernel generating sets by the Schreier
+transversal construction.
 """
 
 from __future__ import annotations
@@ -96,6 +97,38 @@ def all_fold_results(graph: LabeledGraph, limit=200000):
                 raise RuntimeError("fold search exploded")
             stack.append(fold_step(current, violation))
     return results
+
+
+# -- components ------------------------------------------------------------------
+
+
+def bfs_components(graph: LabeledGraph, factor, include_singletons=False):
+    """Monochromatic components by breadth-first search from each unvisited
+    vertex in ascending order; returns (members, pairs, anchor) triples in
+    the order ``graphs.components`` promises."""
+    own = [pair for pair in graph.pairs if pair[2].factor == factor]
+    neighbours = {v: [] for v in graph.vertices}
+    for u, w, _letter in own:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    seen = set()
+    out = []
+    for start in sorted(graph.vertices):
+        if start in seen or not (neighbours[start] or include_singletons):
+            continue
+        seen.add(start)
+        members = {start}
+        queue = deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    members.add(w)
+                    queue.append(w)
+        pairs = frozenset(pair for pair in own if pair[0] in members)
+        anchor = graph.base if graph.base in members else start
+        out.append((frozenset(members), pairs, anchor))
+    return out
 
 
 # -- ambient group arithmetic ---------------------------------------------------

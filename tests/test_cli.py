@@ -3,6 +3,7 @@ import json
 import pytest
 
 from altsep.cli import (
+    MAX_WORD_LENGTH,
     ProblemFormatError,
     export_dot,
     main,
@@ -61,6 +62,17 @@ def test_parse_word_errors_carry_position():
         parse_word("x3", 2, 1, 1)
     with pytest.raises(ProblemFormatError):
         parse_word("y2", 2, 1, 1)
+
+
+def test_parse_word_rejects_oversized_words_before_expanding():
+    assert len(parse_word(f"x1^-{MAX_WORD_LENGTH}", 2, 1, 1)) == MAX_WORD_LENGTH
+    with pytest.raises(ProblemFormatError) as err:
+        parse_word("x1^1000000000", 2, 1, 5)
+    assert err.value.line == 5 and err.value.column == 1
+    # the cap counts the whole word, not one term
+    with pytest.raises(ProblemFormatError) as err:
+        parse_word(f"x2 x1^{MAX_WORD_LENGTH}", 2, 1, 3)
+    assert err.value.line == 3 and err.value.column == 4
 
 
 def test_word_round_trip_canonical_spelling():
@@ -216,6 +228,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["separate", closed]) == 3
     bad = write(tmp_path, "bad.txt", "[free] rank = banana\n")
     assert main(["separate", bad]) == 1
+    huge = write(tmp_path, "huge.txt", DEMO.replace("g1 = y2", "g1 = x1^1000000000"))
+    assert main(["separate", huge]) == 1
+    assert "line 6, column 1: word longer than" in capsys.readouterr().err
     assert main(["separate", str(tmp_path / "missing.txt")]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()

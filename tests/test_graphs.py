@@ -3,6 +3,7 @@ import random
 import pytest
 
 from altsep.graphs import (
+    LabeledGraph,
     amalgamate,
     build_graph,
     canonical_form,
@@ -15,7 +16,7 @@ from altsep.graphs import (
 )
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
 
-from oracles import all_fold_results, random_fold
+from oracles import all_fold_results, bfs_components, random_fold
 
 
 def wedge_w4():
@@ -200,6 +201,46 @@ def test_components_degenerate_singletons_on_request():
     assert components(g, "x") == []
     singles = components(g, "x", include_singletons=True)
     assert [sorted(c.vertices) for c, _ in singles] == [[0], [1]]
+
+
+def random_graph(rng):
+    """Unfolded graph on sparse vertex ids: random pairs (loops and
+    parallel edges included) over two x-letters and two y-letters, with
+    some isolated vertices."""
+    vertices = rng.sample(range(120), rng.randint(1, 40))
+    alphabet = [x(1), x(2), y(1), y(2)]
+    pairs = {
+        (rng.choice(vertices), rng.choice(vertices), rng.choice(alphabet))
+        for _ in range(rng.randint(0, 2 * len(vertices)))
+    }
+    return build_graph(vertices, pairs, rng.choice(vertices))
+
+
+def test_components_match_bfs_oracle_on_random_graphs():
+    rng = random.Random(2026)
+    for _ in range(200):
+        g = random_graph(rng)
+        for factor in ("x", "y"):
+            for singles in (False, True):
+                comps = components(g, factor, include_singletons=singles)
+                got = [(sub.vertices, sub.pairs, anchor) for sub, anchor in comps]
+                assert got == bfs_components(g, factor, include_singletons=singles)
+                assert all(sub.base == anchor and sub.folded == g.folded
+                           for sub, anchor in comps)
+
+
+def test_fold_independent_of_pair_order():
+    """fold consumes pairs in whatever order the graph yields them; any
+    order, including the sorted one, gives the same graph and vertex map."""
+    rng = random.Random(99)
+    for _ in range(100):
+        g = random_graph(rng) if rng.random() < 0.5 else random_wedge(rng)
+        ordered = sorted(g.pairs, key=lambda p: (p[0], p[2].sort_key, p[1]))
+        reference = fold(LabeledGraph(g.vertices, tuple(ordered), g.base, g.folded))
+        for _ in range(4):
+            rng.shuffle(ordered)
+            assert fold(LabeledGraph(g.vertices, tuple(ordered), g.base, g.folded)) == reference
+        assert fold(g) == reference
 
 
 # -- saturation -----------------------------------------------------------------------

@@ -22,6 +22,15 @@ def test_letter_inverse_is_an_involution():
         assert letter.inverse().sign == -letter.sign
 
 
+def test_letters_are_shared_but_compare_by_value():
+    assert x(1) is x(1) and x(1).inverse() is x(1, -1) and y(2, -1).inverse() is y(2)
+    direct = Letter("x", 1, -1)
+    assert direct == x(1, -1) and hash(direct) == hash(x(1, -1))
+    assert direct.inverse() is x(1)
+    with pytest.raises(ValueError):
+        x(0)
+
+
 def test_letter_validation():
     with pytest.raises(ValueError):
         Letter("z", 1)
