@@ -39,7 +39,7 @@ from .covers import (
     word_action,
 )
 from .factors import embed_Y_component, enumerate_group
-from .graphs import LabeledGraph, components, is_connected, saturation_defects
+from .graphs import LabeledGraph, _pair_key, components, is_connected, saturation_defects
 from .kurosh import kurosh_decompose, verify_intersection
 from .subgroups import (
     FreeFactor,
@@ -209,8 +209,7 @@ def export_dot(graph: LabeledGraph, name: str) -> str:
     for v in sorted(graph.vertices):
         shape = " [shape=doublecircle]" if v == graph.base else ""
         lines.append(f"  {v}{shape};")
-    arcs = sorted(graph.pairs, key=lambda p: (p[0], p[2].sort_key, p[1]))
-    for u, w, letter in arcs:
+    for u, w, letter in sorted(graph.pairs, key=_pair_key):
         lines.append(f'  {u} -> {w} [label="{letter}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -221,11 +220,6 @@ class RunOutcome:
     exit_code: int
     document: dict
     stages: dict
-
-
-def _certificate_positions(graph: LabeledGraph):
-    order = sorted(graph.vertices)
-    return {v: i for i, v in enumerate(order)}
 
 
 def run_separate(
@@ -271,7 +265,7 @@ def run_separate(
 def _certificate(spec, built, result) -> dict:
     graph = result.cover.graph
     plan = result.plan
-    positions = _certificate_positions(graph)
+    positions = {v: i for i, v in enumerate(sorted(graph.vertices))}
     base_point = positions[result.cover.embedding[built.graph.base]]
 
     if not _is_prime(plan.degree):
@@ -418,6 +412,8 @@ def main(argv=None) -> int:
         return 1
     try:
         spec = parse_problem(text)
+        if not spec.separate_words:
+            raise ValueError("nothing to separate: no [separate] words")
         signs = _parse_sign_vector(args.sign_vector) if args.sign_vector else None
         if signs is not None and len(signs) != spec.free.rank:
             raise ValueError(

@@ -224,26 +224,16 @@ class SeparatingCover:
     move_support: int
 
 
-def _defects_at(graph: LabeledGraph, vertices, rank: int):
-    """x-saturation gaps over a vertex subset, sorted (vertex, letter)."""
-    out = []
-    for v in sorted(vertices):
-        for letter in x_alphabet(rank):
-            if not graph.has_out(v, letter):
-                out.append((v, letter))
-    return out
-
-
 def _pick_attachment(defects):
     """First defect fixes the connect letter; its partner of the opposite
     sign is the lowest-id vertex, preferring one distinct from the first.
 
     Returns (connect index, needs_out vertex a, needs_in vertex b): a is
     missing the outgoing connect letter, b the outgoing inverse."""
-    first_vertex, first_letter = defects[0]
+    first_vertex, first_letter = defects[0].vertex, defects[0].missing
     connect = first_letter.index
-    positive = [v for v, l in defects if l == x_letter(connect)]
-    negative = [v for v, l in defects if l == x_letter(connect, -1)]
+    positive = [d.vertex for d in defects if d.missing == x_letter(connect)]
+    negative = [d.vertex for d in defects if d.missing == x_letter(connect, -1)]
     if first_letter.sign > 0:
         a = first_vertex
         others = [v for v in negative if v != a]
@@ -309,7 +299,9 @@ def build_separating_cover(
     host_vertices = (
         {base_map[v] for v in host.vertices} if host is not None else {base_map[graph.base]}
     )
-    defects = _defects_at(glued, host_vertices, rank)
+    defects = [
+        d for d in saturation_defects(glued, x_alphabet(rank)) if d.vertex in host_vertices
+    ]
     if not defects:
         raise AssertionError("host component has no saturation gap to attach to")
     connect, a, b = _pick_attachment(defects)

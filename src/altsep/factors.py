@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 
 from . import permgroup
-from .graphs import LabeledGraph, breadth_first_tree, canonical_pair, make_graph
-from .words import Word, x_letter, y_letter
+from .graphs import LabeledGraph, canonical_pair, make_graph, spanning_tree
+from .words import Word, x_letter, y_alphabet, y_letter
 
 
 class NotGBasedError(ValueError):
@@ -67,10 +67,7 @@ class FiniteGroupTable:
         order y1, y1^-1, y2, ...; ties break toward earlier letters."""
         if self._geodesics is not None:
             return self._geodesics
-        letters = []
-        for j in range(1, self.num_generators + 1):
-            letters.append(y_letter(j))
-            letters.append(y_letter(j, -1))
+        letters = y_alphabet(self.num_generators)
         words = {self.identity: ()}
         queue = deque([self.identity])
         while queue:
@@ -87,9 +84,6 @@ class FiniteGroupTable:
 
     def element_word(self, element: int) -> Word:
         return self._geodesic_words()[element]
-
-    def element_length(self, element: int) -> int:
-        return len(self._geodesic_words()[element])
 
     def word_element(self, word) -> int:
         """Evaluate a y-word in the table."""
@@ -132,27 +126,6 @@ def enumerate_group(degree: int, generators) -> FiniteGroupTable:
     return FiniteGroupTable(degree, elements, tuple(index[g] for g in gens))
 
 
-def group_from_multiplication_table(rows, generators) -> FiniteGroupTable:
-    """Convert a multiplication table into the internal permutation form.
-
-    ``rows[a][b]`` is the product a*b over elements 0..m-1 with 0 the
-    identity; ``generators`` picks the elements the letters y1..yq name.
-    Each generator becomes its right-multiplication permutation, and the
-    group is re-enumerated from those, so all tables share one internal
-    representation."""
-    size = len(rows)
-    for a, row in enumerate(rows):
-        if len(row) != size or sorted(row) != list(range(size)):
-            raise ValueError(f"row {a} is not a permutation of the elements")
-        if rows[a][0] != a or rows[0][a] != a:
-            raise ValueError("element 0 must be a two-sided identity")
-    perms = [tuple(rows[a][g] for a in range(size)) for g in generators]
-    table = enumerate_group(size, perms)
-    if table.order != size:
-        raise ValueError("the chosen generators do not generate the table")
-    return table
-
-
 def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
     """Smallest subgroup of the table containing the seed elements."""
     members = {table.identity}
@@ -169,71 +142,61 @@ def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
 
 
 def _coset_enumeration(table: FiniteGroupTable, subgroup):
-    """BFS over right cosets Kg.  Returns (number of cosets, element_to_coset
-    list, edges) with coset 0 = K itself and edges (coset, generator index,
-    image coset)."""
+    """BFS over right cosets Kg.  Returns (coset graph, element_to_coset
+    list) with coset 0 = K itself and one edge Kg --y--> Kgy per coset and
+    generator."""
     subgroup = frozenset(subgroup)
     if not table.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
     element_to_coset = [None] * table.order
-    first = frozenset(subgroup)
-    for e in first:
+    for e in subgroup:
         element_to_coset[e] = 0
-    cosets = [first]
+    cosets = [subgroup]
     queue = deque([0])
-    edges = []
+    pairs = set()
     while queue:
         cid = queue.popleft()
         for j in range(1, table.num_generators + 1):
             gen = table.generator_element(j)
             image = frozenset(table.multiply(e, gen) for e in cosets[cid])
-            witness = min(image)
-            target = element_to_coset[witness]
+            target = element_to_coset[min(image)]
             if target is None:
                 target = len(cosets)
                 cosets.append(image)
                 for e in image:
                     element_to_coset[e] = target
                 queue.append(target)
-            edges.append((cid, j, target))
-    return len(cosets), element_to_coset, edges
+            pairs.add(canonical_pair(cid, target, y_letter(j)))
+    graph = make_graph(range(len(cosets)), pairs, 0)
+    if not graph.folded:
+        raise AssertionError("coset graph must be folded")
+    return graph, element_to_coset
 
 
 def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
     """Coset graph of the finite factor relative to a subgroup K: vertices
     are the right cosets Kg, base K*1, one y-edge Kg --y--> Kgy per
     generator.  Folded, connected, saturated for all y-letters."""
-    count, _, edges = _coset_enumeration(table, subgroup)
-    pairs = set()
-    for cid, j, target in edges:
-        pairs.add(canonical_pair(cid, target, y_letter(j)))
-    graph = make_graph(range(count), pairs, 0)
-    if not graph.folded:
-        raise AssertionError("coset graph must be folded")
-    return graph
+    return _coset_enumeration(table, subgroup)[0]
 
 
 def _component_elements(table: FiniteGroupTable, component: LabeledGraph):
     """Spanning-tree element per vertex of a y-monochromatic component,
-    relative to its base, plus the loop elements of the non-tree edges."""
-    order, parent = breadth_first_tree(component, component.base)
-    if len(order) != len(component.vertices):
-        raise ValueError("component must be connected")
+    relative to its base, and the subgroup generated by the loop elements
+    of the non-tree edges."""
+    order, parent, tree = spanning_tree(component)
     reach = {component.base: table.identity}
     for v in order[1:]:
         u, letter = parent[v]
         reach[v] = table.multiply(reach[u], table.letter_element(letter))
-    tree_pairs = set()
-    for v, (u, letter) in parent.items():
-        tree_pairs.add(canonical_pair(u, v, letter))
-    loops = []
-    for u, w, letter in sorted(component.pairs - tree_pairs, key=lambda p: (p[0], p[2].sort_key, p[1])):
-        element = table.multiply(
+    loops = [
+        table.multiply(
             table.multiply(reach[u], table.letter_element(letter)),
             table.inverse(reach[w]),
         )
-        loops.append(element)
-    return reach, loops
+        for u, w, letter in component.pairs - tree
+    ]
+    return reach, subgroup_closure(table, loops)
 
 
 def component_cosets(table: FiniteGroupTable, component: LabeledGraph):
@@ -241,8 +204,7 @@ def component_cosets(table: FiniteGroupTable, component: LabeledGraph):
     vertex lands on in the coset graph of K (key = smallest element of the
     coset).  Vertices sharing a key have a non-closed identity-label path
     between them."""
-    reach, loops = _component_elements(table, component)
-    subgroup = subgroup_closure(table, loops)
+    reach, subgroup = _component_elements(table, component)
     assignment = {
         v: min(table.multiply(k, g) for k in subgroup) for v, g in reach.items()
     }
@@ -256,13 +218,8 @@ def embed_Y_component(table: FiniteGroupTable, component: LabeledGraph):
     Returns (cover, embedding).  Raises NotGBasedError when two vertices
     land on the same coset, i.e. some identity-label path is not closed.
     """
-    reach, loops = _component_elements(table, component)
-    subgroup = subgroup_closure(table, loops)
-    count, element_to_coset, edges = _coset_enumeration(table, subgroup)
-    pairs = set()
-    for cid, j, target in edges:
-        pairs.add(canonical_pair(cid, target, y_letter(j)))
-    cover = make_graph(range(count), pairs, 0)
+    reach, subgroup = _component_elements(table, component)
+    cover, element_to_coset = _coset_enumeration(table, subgroup)
     embedding = {v: element_to_coset[g] for v, g in reach.items()}
     if len(set(embedding.values())) != len(embedding):
         raise NotGBasedError(

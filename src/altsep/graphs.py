@@ -28,6 +28,8 @@ def canonical_pair(source: int, target: int, letter: Letter):
 
 
 def _pair_key(pair):
+    """Edge-pair order: source, letter, target.  Private, so that a tracer
+    wrapping the public functions records no span per comparison."""
     u, w, letter = pair
     return (u, letter.sort_key, w)
 
@@ -63,9 +65,6 @@ class LabeledGraph:
 
     def letters_at(self, vertex: int):
         return sorted(self.out[vertex], key=lambda l: l.sort_key)
-
-    def num_pairs(self) -> int:
-        return len(self.pairs)
 
     def __repr__(self):
         return (f"LabeledGraph({len(self.vertices)} vertices, "
@@ -351,6 +350,20 @@ def breadth_first_tree(graph: LabeledGraph, root: int):
                 order.append(w)
                 queue.append(w)
     return order, parent
+
+
+def spanning_tree(graph: LabeledGraph):
+    """Breadth-first spanning tree at the base point.
+
+    Returns (discovery order, parent, tree pairs): order and parent as from
+    ``breadth_first_tree``, and the tree edges as canonical pairs.  Raises
+    ValueError when the graph is not connected.
+    """
+    order, parent = breadth_first_tree(graph, graph.base)
+    if len(order) != len(graph.vertices):
+        raise ValueError("graph must be connected")
+    tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
+    return order, parent, tree
 
 
 def tree_path_word(parent, vertex):

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 from .factors import FiniteGroupTable, NotGBasedError, component_cosets
 from .graphs import (
     LabeledGraph,
-    breadth_first_tree,
-    canonical_pair,
+    _pair_key,
     components,
     is_tree,
+    spanning_tree,
     trace,
     tree_path_word,
 )
 from .subgroups import MembershipTester
-from .words import Word, free_reduce, normal_form, word_inverse, x_letter
+from .words import Word, free_reduce, normal_form, word_inverse, x_alphabet
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,6 @@ class KuroshDecomposition:
     delta: LabeledGraph
 
 
-def _spanning_tree_pairs(graph: LabeledGraph):
-    order, parent = breadth_first_tree(graph, graph.base)
-    if len(order) != len(graph.vertices):
-        raise ValueError("graph must be connected")
-    tree = set()
-    for v, (u, letter) in parent.items():
-        tree.add(canonical_pair(u, v, letter))
-    return order, parent, tree
-
-
 def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDecomposition:
     """Factor list, free rank, and the pruned graph ``delta``.
 
@@ -67,7 +57,7 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
     """
-    order, parent, _ = _spanning_tree_pairs(graph)
+    order, parent, _ = spanning_tree(graph)
     discovery = {v: i for i, v in enumerate(order)}
 
     cyclic = []
@@ -85,12 +75,10 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
             component.vertices, component.pairs, anchor, component.folded
         )
         approach = tree_path_word(parent, anchor)
-        corder, cparent, ctree = _spanning_tree_pairs(anchored)
+        corder, cparent, ctree = spanning_tree(anchored)
         reach = {v: tree_path_word(cparent, v) for v in corder}
         loop_words = []
-        for u, w, letter in sorted(
-            anchored.pairs - ctree, key=lambda p: (p[0], p[2].sort_key, p[1])
-        ):
+        for u, w, letter in sorted(anchored.pairs - ctree, key=_pair_key):
             loop_words.append(reach[u] + (letter,) + word_inverse(reach[w]))
             removed.add((u, w, letter))
         subgroup = None
@@ -103,9 +91,10 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     delta = LabeledGraph(
         graph.vertices, graph.pairs - frozenset(removed), graph.base, graph.folded
     )
-    dorder, _dparent, dtree = _spanning_tree_pairs(delta)
-    if len(dorder) != len(delta.vertices):
-        raise AssertionError("pruned graph must stay connected")
+    try:
+        _dorder, _dparent, dtree = spanning_tree(delta)
+    except ValueError as err:
+        raise AssertionError("pruned graph must stay connected") from err
     free_rank = len(delta.pairs) - len(dtree)
     return KuroshDecomposition(tuple(factors), free_rank, delta)
 
@@ -216,10 +205,7 @@ class IntersectionReport:
 
 def _reduced_x_words(rank: int, max_len: int):
     """All freely reduced x-words of length 1..max_len."""
-    alphabet = []
-    for i in range(1, rank + 1):
-        alphabet.append(x_letter(i))
-        alphabet.append(x_letter(i, -1))
+    alphabet = x_alphabet(rank)
     words = [(letter,) for letter in alphabet]
     yield from words
     for _ in range(max_len - 1):

@@ -35,9 +35,6 @@ class Letter:
         letter = _INTERNED.get(key)
         return letter if letter is not None else _intern(*key)
 
-    def positive(self) -> "Letter":
-        return self if self.sign > 0 else self.inverse()
-
     @property
     def sort_key(self):
         # x before y, ascending index, positive sign first
@@ -71,20 +68,12 @@ def y_letter(index: int, sign: int = 1) -> Letter:
 
 def x_alphabet(rank: int) -> tuple[Letter, ...]:
     """All signed x-letters x1, x1^-1, ..., xr, xr^-1."""
-    out = []
-    for i in range(1, rank + 1):
-        out.append(x_letter(i))
-        out.append(x_letter(i, -1))
-    return tuple(out)
+    return tuple(_intern("x", i, sign) for i in range(1, rank + 1) for sign in (1, -1))
 
 
 def y_alphabet(count: int) -> tuple[Letter, ...]:
     """All signed y-letters y1, y1^-1, ..., yq, yq^-1."""
-    out = []
-    for j in range(1, count + 1):
-        out.append(y_letter(j))
-        out.append(y_letter(j, -1))
-    return tuple(out)
+    return tuple(_intern("y", j, sign) for j in range(1, count + 1) for sign in (1, -1))
 
 
 Word = tuple  # tuple[Letter, ...]
@@ -178,15 +167,3 @@ def spell(form, table) -> Word:
         else:
             letters.extend(table.element_word(value))
     return tuple(letters)
-
-
-def form_length(form, table) -> int:
-    """Letter length of a normal form, spelling finite-factor syllables
-    geodesically."""
-    total = 0
-    for tag, value in form:
-        if tag == "x":
-            total += len(value)
-        else:
-            total += table.element_length(value)
-    return total

@@ -19,7 +19,6 @@ from altsep.words import (
     free_reduce,
     normal_form,
     spell,
-    form_length,
     word_inverse,
     x_letter,
     y_letter,
@@ -168,7 +167,7 @@ def iter_ball(rank, table, max_len):
         x_by_len.setdefault(len(word), []).append(("x", word))
     y_by_len = {}
     for element in range(1, table.order):
-        length = table.element_length(element)
+        length = len(table.element_word(element))
         if length <= max_len:
             y_by_len.setdefault(length, []).append(("y", element))
 
@@ -203,7 +202,7 @@ def subgroup_ball(table, generator_words, max_len, hard_cap=60):
     for word in generator_words:
         gens.append(normal_form(word, table))
         gens.append(normal_form(word_inverse(word), table))
-    base = max([max_len] + [form_length(g, table) for g in gens])
+    base = max([max_len] + [len(spell(g, table)) for g in gens])
     cap = base + 2
     previous = None
     while True:
@@ -213,10 +212,10 @@ def subgroup_ball(table, generator_words, max_len, hard_cap=60):
             current = queue.popleft()
             for g in gens:
                 nxt = nf_mul(current, g, table)
-                if nxt not in seen and form_length(nxt, table) <= cap:
+                if nxt not in seen and len(spell(nxt, table)) <= cap:
                     seen[nxt] = None
                     queue.append(nxt)
-        answer = frozenset(f for f in seen if form_length(f, table) <= max_len)
+        answer = frozenset(f for f in seen if len(spell(f, table)) <= max_len)
         if answer == previous:
             return answer
         previous = answer

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import altsep
 from altsep.cli import (
     MAX_WORD_LENGTH,
     ProblemFormatError,
@@ -234,6 +239,23 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["separate", str(tmp_path / "missing.txt")]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+
+
+def test_main_rejects_a_file_with_nothing_to_separate(tmp_path):
+    path = write(
+        tmp_path,
+        "nosep.txt",
+        "[free] rank = 2\n[finite] degree = 3 ; gens = y1: (1 2 3)\n"
+        "[subgroup] h1 = x1 x2\n",
+    )
+    src = Path(altsep.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", "from altsep.cli import entry; entry()", "separate", path],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "altsep: error: nothing to separate: no [separate] words\n"
 
 
 def test_main_flags(tmp_path, capsys):

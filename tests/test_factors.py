@@ -42,39 +42,12 @@ def test_enumerate_rejects_non_bijection():
         enumerate_group(3, [(0, 0, 2)])
 
 
-def test_group_from_multiplication_table(s3):
-    from altsep.factors import group_from_multiplication_table
-
-    rows = [[s3.multiply(a, b) for b in range(6)] for a in range(6)]
-    rebuilt = group_from_multiplication_table(rows, [s3.generator_element(1), s3.generator_element(2)])
-    assert rebuilt.order == 6
-    r, f = rebuilt.generator_element(1), rebuilt.generator_element(2)
-    assert rebuilt.multiply(f, f) == rebuilt.identity
-    assert rebuilt.multiply(r, rebuilt.multiply(r, r)) == rebuilt.identity
-    rf = rebuilt.multiply(r, f)
-    assert rebuilt.multiply(rf, rf) == rebuilt.identity
-
-
-def test_group_from_multiplication_table_validates():
-    from altsep.factors import group_from_multiplication_table
-
-    with pytest.raises(ValueError):
-        group_from_multiplication_table([[0, 1], [1, 1]], [1])
-    with pytest.raises(ValueError):
-        group_from_multiplication_table([[1, 0], [0, 1]], [1])
-    # generators must span the table
-    rows = [[(a + b) % 4 for b in range(4)] for a in range(4)]
-    with pytest.raises(ValueError):
-        group_from_multiplication_table(rows, [2])
-
-
 def test_element_words_are_geodesic(s3):
     for element in range(s3.order):
         word = s3.element_word(element)
         assert s3.word_element(word) == element
-        assert len(word) == s3.element_length(element)
-    lengths = sorted(s3.element_length(e) for e in range(s3.order))
-    assert lengths[0] == 0 and max(lengths) <= 3
+    lengths = sorted(len(s3.element_word(e)) for e in range(s3.order))
+    assert lengths == [0, 1, 1, 1, 2, 2]
 
 
 # -- subgroup closure --------------------------------------------------------------

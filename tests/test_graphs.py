@@ -5,13 +5,16 @@ import pytest
 from altsep.graphs import (
     LabeledGraph,
     amalgamate,
+    breadth_first_tree,
     build_graph,
     canonical_form,
     components,
     fold,
     is_connected,
     is_tree,
+    make_graph,
     saturation_defects,
+    spanning_tree,
     trace,
 )
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
@@ -297,6 +300,26 @@ def test_tree_and_connectivity_helpers():
     assert is_tree(path) and is_connected(path)
     loop = build_graph([0], [(0, 0, x(1))], 0)
     assert not is_tree(loop)
+
+
+def test_spanning_tree_on_random_connected_graphs():
+    rng = random.Random(4242)
+    for _ in range(100):
+        g, _vmap = fold(random_wedge(rng))
+        order, parent, tree = spanning_tree(g)
+        assert (order, parent) == breadth_first_tree(g, g.base)
+        assert len(tree) == len(g.vertices) - 1
+        assert tree <= g.pairs
+        assert is_connected(make_graph(g.vertices, tree, g.base))
+
+
+def test_spanning_tree_rejects_disconnected_graphs():
+    rng = random.Random(4243)
+    for _ in range(20):
+        g, _vmap = fold(random_wedge(rng))
+        stray = max(g.vertices) + 1
+        with pytest.raises(ValueError):
+            spanning_tree(make_graph(g.vertices | {stray}, g.pairs, g.base))
 
 
 def test_canonical_form_detects_isomorphism():

@@ -1,7 +1,8 @@
 import pytest
 
 from altsep.factors import NotGBasedError
-from altsep.graphs import build_graph, trace
+from altsep import kurosh
+from altsep.graphs import _pair_key, build_graph, trace
 from altsep.kurosh import kurosh_decompose, project_loop, verify_intersection
 from altsep.subgroups import build_subgroup_graph
 from altsep.words import word_str, x_letter as x, y_letter as y
@@ -109,6 +110,23 @@ def test_pendant_tree_changes_nothing(z2):
     assert [f.loop_words for f in pendant.factors] == [
         f.loop_words for f in decomposition.factors
     ]
+
+
+def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
+    """A component that misreports a tree edge as a non-tree edge makes the
+    pruned graph fall apart; that is a broken invariant, not bad input."""
+    real = kurosh.spanning_tree
+
+    def losing_one_tree_edge(graph):
+        order, parent, tree = real(graph)
+        if tree:
+            tree = tree - {min(tree, key=_pair_key)}
+        return order, parent, tree
+
+    monkeypatch.setattr(kurosh, "spanning_tree", losing_one_tree_edge)
+    graph = build_graph([0, 1], [(0, 1, x(1)), (0, 1, x(2))], 0)
+    with pytest.raises(AssertionError, match="pruned graph must stay connected"):
+        kurosh_decompose(graph, z2)
 
 
 # -- loop projection ------------------------------------------------------------------

@@ -3,7 +3,6 @@ from altsep.words import (
     free_reduce,
     normal_form,
     spell,
-    form_length,
     word_inverse,
     word_str,
     x_alphabet,
@@ -97,9 +96,3 @@ def test_normal_form_is_idempotent_under_spelling(s3):
     for word in words:
         form = normal_form(word, s3)
         assert normal_form(spell(form, s3), s3) == form
-
-
-def test_form_length_counts_geodesic_letters(s3):
-    form = normal_form((x(1), x(1), y(1), y(1)), s3)
-    # x1^2 plus the element (y1)^2, which is reachable in one letter as y1^-1
-    assert form_length(form, s3) == 3
