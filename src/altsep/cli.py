@@ -65,6 +65,10 @@ _WORD_TERM_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?$")
 # checked before expanding, so "x1^1000000000" is refused up front.
 MAX_WORD_LENGTH = 100_000
 
+# Largest degree of the finite factor's permutations; checked before any
+# cycle is parsed, so "degree = 1000000000" allocates nothing.
+MAX_FINITE_DEGREE = 100
+
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
     text = text.strip()
@@ -106,6 +110,7 @@ def parse_problem(text: str) -> ProblemSpec:
     section = None
     rank = None
     degree = None
+    degree_line = None
     raw_gens = {}
     raw_words = {"subgroup": {}, "separate": {}}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -135,6 +140,10 @@ def parse_problem(text: str) -> ProblemSpec:
                 keyed = _KEYED_RE.match(chunk)
                 if keyed and keyed.group(1) == "degree":
                     degree = _parse_int(keyed.group(2), lineno)
+                    degree_line = lineno
+                    if degree > MAX_FINITE_DEGREE:
+                        raise ProblemFormatError(
+                            f"finite-factor degree above {MAX_FINITE_DEGREE}", lineno)
                     continue
                 if keyed and keyed.group(1) == "gens":
                     chunk = keyed.group(2).strip()
@@ -178,7 +187,10 @@ def parse_problem(text: str) -> ProblemSpec:
             perms.append(permgroup.parse_cycles(cycles_text, degree))
         except ValueError as err:
             raise ProblemFormatError(str(err), lineno) from err
-    table = enumerate_group(degree, perms)
+    try:
+        table = enumerate_group(degree, perms)
+    except ValueError as err:
+        raise ProblemFormatError(str(err), degree_line) from err
 
     def collect(section: str):
         out = []

@@ -103,8 +103,14 @@ class FiniteGroupTable:
         )
 
 
+# Largest finite factor that is enumerated into a table: |S_8|, about
+# 0.15 s.  The closure stops as soon as it passes this order.
+MAX_GROUP_ORDER = 40_320
+
+
 def enumerate_group(degree: int, generators) -> FiniteGroupTable:
-    """Close permutation generators into a full group table."""
+    """Close permutation generators into a full group table.  Raises
+    ValueError once the closure passes MAX_GROUP_ORDER elements."""
     gens = []
     for perm in generators:
         perm = tuple(perm)
@@ -123,6 +129,8 @@ def enumerate_group(degree: int, generators) -> FiniteGroupTable:
                 index[product] = len(elements)
                 elements.append(product)
                 queue.append(product)
+        if len(elements) > MAX_GROUP_ORDER:
+            raise ValueError(f"finite factor has more than {MAX_GROUP_ORDER} elements")
     return FiniteGroupTable(degree, elements, tuple(index[g] for g in gens))
 
 

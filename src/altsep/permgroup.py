@@ -199,23 +199,21 @@ class StrongGeneratingSet:
         queue = deque()
         for point in level.orbit:
             for g in new_gens:
-                image = g[point]
-                if image not in level.transversal:
-                    level.transversal[image] = compose(self._rep(level, point), g)
-                    level.orbit.append(image)
-                    queue.append(image)
-                    for gi in range(len(level.gens)):
-                        level.pending.append((image, gi))
+                self._reach(level, point, g, queue)
         while queue:
             point = queue.popleft()
             for g in level.gens:
-                image = g[point]
-                if image not in level.transversal:
-                    level.transversal[image] = compose(self._rep(level, point), g)
-                    level.orbit.append(image)
-                    queue.append(image)
-                    for gi in range(len(level.gens)):
-                        level.pending.append((image, gi))
+                self._reach(level, point, g, queue)
+
+    def _reach(self, level: _Level, point: int, g, queue):
+        """Add the image of an orbit point under g to the orbit if new."""
+        image = g[point]
+        if image not in level.transversal:
+            level.transversal[image] = compose(self._rep(level, point), g)
+            level.orbit.append(image)
+            queue.append(image)
+            for gi in range(len(level.gens)):
+                level.pending.append((image, gi))
 
     def _schreier_generator(self, level: _Level, point: int, gen):
         u = self._rep(level, point)
@@ -250,13 +248,6 @@ class StrongGeneratingSet:
 
     def order(self) -> int:
         return math.prod(len(level.orbit) for level in self.levels)
-
-    def base(self):
-        return tuple(level.point for level in self.levels)
-
-    def contains(self, perm) -> bool:
-        residue, _ = self._sift(tuple(perm), 0)
-        return is_identity(residue)
 
 
 def bsgs_order(gens, degree: int) -> int:

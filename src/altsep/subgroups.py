@@ -16,6 +16,7 @@ vertex count, so the loop terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .factors import FiniteGroupTable, component_cosets
 from .graphs import (
@@ -29,7 +30,7 @@ from .graphs import (
     saturation_defects,
     trace,
 )
-from .words import x_alphabet
+from .words import normal_form, x_alphabet
 
 
 @dataclass(frozen=True)
@@ -97,29 +98,16 @@ def _wedge(base, words, open_words):
     return graph, tuple(ends)
 
 
-def based_fixpoint(graph, table, tracked=(), dirty=None):
+def based_fixpoint(graph, table, tracked=()):
     """Fold and coset-identify to a fixed point; returns the stable graph
-    and the images of the tracked vertices.
-
-    ``dirty`` optionally names vertices whose neighborhoods may have
-    changed; only y-components meeting a dirty vertex are re-examined
-    (an untouched component was already stable).  None means everything.
-    """
+    and the images of the tracked vertices."""
     tracked = list(tracked)
     while True:
         before = len(graph.vertices)
         graph, vmap = fold(graph)
         tracked = [vmap[v] for v in tracked]
-        if dirty is not None:
-            merged = {}
-            for v in vmap.values():
-                merged[v] = merged.get(v, 0) + 1
-            dirty = {vmap[v] for v in dirty if v in vmap}
-            dirty |= {v for v, n in merged.items() if n > 1}
         groups = []
         for component, _anchor in components(graph, "y"):
-            if dirty is not None and not (component.vertices & dirty):
-                continue
             _subgroup, assignment = component_cosets(table, component)
             buckets = {}
             for v in sorted(component.vertices):
@@ -131,8 +119,6 @@ def based_fixpoint(graph, table, tracked=(), dirty=None):
             return graph, tuple(tracked)
         graph, vmap = identify_vertices(graph, groups)
         tracked = [vmap[v] for v in tracked]
-        if dirty is not None:
-            dirty = {vmap[v] for v in dirty} | {vmap[g[0]] for g in groups}
         if len(graph.vertices) >= before:
             raise AssertionError("identification round failed to shrink the graph")
 
@@ -154,10 +140,11 @@ def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
 class MembershipTester:
     """Membership queries against a fixed based graph.
 
-    Gluing an open path for the query word onto the base point and
-    re-stabilizing never merges two old vertices (the old graph is already
-    stable), so the word lies in the subgroup exactly when the path's end
-    lands back on the base point.
+    A word lies in the subgroup exactly when reading its normal form from
+    the base point closes (Kapovich, Weidmann and Miasnikov, IJAC 2005).
+    An x-syllable follows edges.  A y-syllable g moves a vertex on the
+    coset K*a of its y-component, K the subgroup of the component's loops,
+    to the vertex on K*a*g.  A missing edge or vertex means a non-member.
     """
 
     def __init__(self, graph: LabeledGraph, table: FiniteGroupTable):
@@ -165,28 +152,38 @@ class MembershipTester:
             raise ValueError("membership needs a folded graph")
         self.graph = graph
         self.table = table
-        self._next_id = max(graph.vertices) + 1
+
+    @cached_property
+    def _cosets(self):
+        """Vertex with a y-edge -> (K, its coset key, key -> vertex) of its
+        y-component; built on the first y-syllable read."""
+        cosets = {}
+        for component, _anchor in components(self.graph, "y"):
+            subgroup, assignment = component_cosets(self.table, component)
+            at_key = {key: v for v, key in assignment.items()}
+            if len(at_key) != len(assignment):
+                raise ValueError("membership needs a based graph: two vertices "
+                                 "of a y-component lie on one coset")
+            for v, key in assignment.items():
+                cosets[v] = (subgroup, key, at_key)
+        return cosets
 
     def contains(self, word) -> bool:
-        if not word:
-            return True
-        vertices = set(self.graph.vertices)
-        pairs = set(self.graph.pairs)
+        table = self.table
         current = self.graph.base
-        fresh = []
-        next_id = self._next_id
-        for letter in word:
-            target = next_id
-            next_id += 1
-            vertices.add(target)
-            fresh.append(target)
-            pairs.add(canonical_pair(current, target, letter))
-            current = target
-        raw = LabeledGraph(frozenset(vertices), frozenset(pairs), self.graph.base, False)
-        _stable, tracked = based_fixpoint(
-            raw, self.table, (self.graph.base, current), dirty=set(fresh)
-        )
-        return tracked[0] == tracked[1]
+        for tag, syllable in normal_form(word, table):
+            if tag == "x":
+                result = trace(self.graph, current, syllable)
+                current = None if result.status == "stuck" else result.vertex
+            elif current in self._cosets:
+                subgroup, key, at_key = self._cosets[current]
+                moved = table.multiply(key, syllable)
+                current = at_key.get(min(table.multiply(k, moved) for k in subgroup))
+            else:
+                return False
+            if current is None:
+                return False
+        return current == self.graph.base
 
 
 def membership(spec: ProblemSpec, word) -> bool:

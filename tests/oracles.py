@@ -3,7 +3,8 @@
 Everything here decides questions by brute force, without going through
 the code paths under test: permutation groups by exhaustive closure,
 folding by exhaustive or random fold-order search, subgroup membership by
-breadth-first enumeration over normal forms, monochromatic components by
+breadth-first enumeration over normal forms or by re-running the graph
+fixpoint on a glued query path, monochromatic components by
 plain breadth-first search, and kernel generating sets by the Schreier
 transversal construction.
 """
@@ -14,7 +15,8 @@ from collections import deque
 from itertools import product
 
 from altsep import permgroup
-from altsep.graphs import LabeledGraph, canonical_form, identify_vertices
+from altsep.graphs import LabeledGraph, canonical_form, canonical_pair, identify_vertices
+from altsep.subgroups import based_fixpoint
 from altsep.words import (
     free_reduce,
     normal_form,
@@ -224,7 +226,7 @@ def subgroup_ball(table, generator_words, max_len, hard_cap=60):
             raise RuntimeError("subgroup ball failed to stabilize")
 
 
-def random_raw_word(rng, rank, num_ygens, max_len):
+def random_raw_word(rng, rank, num_ygens, max_len, min_len=0):
     alphabet = []
     for i in range(1, rank + 1):
         alphabet.append(x_letter(i))
@@ -232,7 +234,29 @@ def random_raw_word(rng, rank, num_ygens, max_len):
     for j in range(1, num_ygens + 1):
         alphabet.append(y_letter(j))
         alphabet.append(y_letter(j, -1))
-    return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(min_len, max_len)))
+
+
+# -- membership by re-stabilisation ---------------------------------------------
+
+
+def fixpoint_contains(graph: LabeledGraph, table, word):
+    """Membership by re-stabilising: glue an open path for the word onto
+    the base point and run the full fold/identify fixpoint.  The stable
+    graph never has two of its own vertices merged, so the word lies in
+    the subgroup exactly when the path's end lands on the base point."""
+    vertices = set(graph.vertices)
+    pairs = set(graph.pairs)
+    current = graph.base
+    next_id = max(graph.vertices) + 1
+    for letter in word:
+        vertices.add(next_id)
+        pairs.add(canonical_pair(current, next_id, letter))
+        current = next_id
+        next_id += 1
+    raw = LabeledGraph(frozenset(vertices), frozenset(pairs), graph.base, False)
+    _stable, (base, end) = based_fixpoint(raw, table, (graph.base, current))
+    return base == end
 
 
 # -- kernels of homomorphisms onto finite groups --------------------------------

@@ -7,6 +7,8 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +31,12 @@ from altsep.subgroups import (
     build_subgroup_graph,
     hypothesis_check,
 )
-from altsep.words import spell, x_letter as x, y_letter as y
+from altsep.words import spell, word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
     exhaustive_closure,
+    fixpoint_contains,
     iter_ball,
     random_fold,
     random_raw_word,
@@ -275,6 +278,37 @@ def test_criterion_5_membership_oracle_equivalence():
                 discrepancies += 1
     report("5 (membership vs exhaustive enumeration, 10 fixtures, length 6)",
            discrepancies == 0)
+
+
+PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
+
+
+def test_membership_reader_matches_fixpoint_oracle():
+    """The normal-form reader agrees with gluing the query onto the graph
+    and re-running the full fixpoint, on the criterion-5 fixtures and the
+    problem files, for raw words longer than criterion 5's ball."""
+    specs = membership_fixtures(tables())
+    specs += [parse_problem(path.read_text()) for path in PROBLEM_FILES]
+    assert len(PROBLEM_FILES) == 3
+    rng = random.Random(7)
+    for spec in specs:
+        table = spec.finite
+        graph = build_subgroup_graph(replace(spec, separate_words=())).graph
+        tester = MembershipTester(graph, table)
+        words = [(), *spec.separate_words]
+        words += [
+            random_raw_word(rng, spec.free.rank, table.num_generators, 20, min_len=7)
+            for _ in range(200)
+        ]
+        # products of generators and their inverses, all members
+        generators = [*spec.subgroup_words, *map(word_inverse, spec.subgroup_words)]
+        products = [
+            sum((rng.choice(generators) for _ in range(rng.randint(1, 4))), ())
+            for _ in range(50 if generators else 0)
+        ]
+        for word in words + products:
+            assert tester.contains(word) == fixpoint_contains(graph, table, word), word
+        assert all(tester.contains(word) for word in products)
 
 
 # -- 6: decomposition soundness -------------------------------------------------------------

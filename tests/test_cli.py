@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,26 @@ def test_main_rejects_a_file_with_nothing_to_separate(tmp_path):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "altsep: error: nothing to separate: no [separate] words\n"
+
+
+@pytest.mark.parametrize("finite, message", [
+    ("degree = 1000000000 ; gens = y1: (1 2)",
+     "line 2, column 1: finite-factor degree above 100"),
+    ("degree = 9 ; gens = y1: (1 2); y2: (1 2 3 4 5 6 7 8 9)",
+     "line 2, column 1: finite factor has more than 40320 elements"),
+], ids=["degree", "order"])
+def test_main_rejects_a_hostile_finite_factor_quickly(tmp_path, capsys, finite, message):
+    path = write(
+        tmp_path,
+        "hostile.txt",
+        f"[free] rank = 2\n[finite] {finite}\n[subgroup]\n[separate] g1 = x1\n",
+    )
+    started = time.monotonic()
+    assert main(["separate", path]) == 1
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {message}\n"
 
 
 def test_main_flags(tmp_path, capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from altsep.factors import (
+    MAX_GROUP_ORDER,
     NotGBasedError,
     complete_X_cover,
     component_cosets,
@@ -40,6 +41,15 @@ def test_enumerate_identity_generator():
 def test_enumerate_rejects_non_bijection():
     with pytest.raises(ValueError):
         enumerate_group(3, [(0, 0, 2)])
+
+
+def test_enumerate_stops_past_the_order_bound():
+    def symmetric(n):  # (1 2) and (1 2 ... n) generate S_n
+        return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+
+    assert enumerate_group(8, symmetric(8)).order == MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match=f"more than {MAX_GROUP_ORDER} elements"):
+        enumerate_group(9, symmetric(9))
 
 
 def test_element_words_are_geodesic(s3):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from altsep.graphs import canonical_form, components, is_tree, trace
+from altsep.graphs import build_graph, canonical_form, components, is_tree, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -18,7 +18,13 @@ from altsep.subgroups import (
 from altsep.words import normal_form, spell, x_letter as x, y_letter as y
 
 from conftest import make_spec
-from oracles import iter_ball, random_raw_word, reidemeister_schreier, subgroup_ball
+from oracles import (
+    fixpoint_contains,
+    iter_ball,
+    random_raw_word,
+    reidemeister_schreier,
+    subgroup_ball,
+)
 
 
 # -- construction -------------------------------------------------------------------
@@ -136,6 +142,58 @@ def test_membership_is_constant_on_elements(s3):
         word = random_raw_word(rng, 2, s3.num_generators, 6)
         reduced = spell(normal_form(word, s3), s3)
         assert tester.contains(word) == tester.contains(reduced)
+
+
+def test_membership_y_syllable_onto_an_absent_coset(s3):
+    # base --x1--> a --y1--> b --y2--> c --x2--> base and b --x1--> base:
+    # the y-component {a, b, c} is a tree, so its loop subgroup is trivial
+    # and it holds the cosets 1, y1, y1*y2 of the six
+    spec = make_spec(s3, subgroup_words=[(x(1), y(1), y(2), x(2)), (x(1), y(1), x(1))])
+    graph = build_subgroup_graph(spec).graph
+    a = graph.step(graph.base, x(1))
+    [component] = [c for c, _ in components(graph, "y") if a in c.vertices]
+    assert len(component.vertices) == 3 and is_tree(component)
+    tester = MembershipTester(graph, s3)
+    cases = {
+        (x(1), y(1), y(2), x(2)): True,
+        (x(1), y(1), y(2), y(2), x(1)): True,
+        # at b, y2 acts on the right: y1*y2 is present, y2*y1 is not
+        (x(1, -1), y(2), x(2)): True,
+        (x(1), y(2), x(2)): False,
+        (x(1), y(1), y(1), x(2)): False,
+    }
+    for word, member in cases.items():
+        assert tester.contains(word) is member
+        assert fixpoint_contains(graph, s3, word) is member
+
+
+def test_membership_y_syllable_at_a_y_bare_base(z2):
+    spec = make_spec(z2, subgroup_words=[(x(1), x(1))])
+    graph = build_subgroup_graph(spec).graph
+    assert all(letter.factor == "x" for letter in graph.letters_at(graph.base))
+    tester = MembershipTester(graph, z2)
+    cases = {
+        (y(1),): False,
+        (y(1), x(1), x(1), y(1)): False,
+        (x(1), y(1), x(1, -1)): False,
+        (x(1), x(1), y(1), y(1)): True,
+        (y(1), y(1)): True,
+        (): True,
+    }
+    for word, member in cases.items():
+        assert tester.contains(word) is member
+        assert fixpoint_contains(graph, z2, word) is member
+
+
+def test_membership_refuses_a_graph_that_is_not_based(z2):
+    # a y1-path of length 2 in Z2: both ends lie on the coset K*1 of the
+    # trivial loop subgroup K, so the graph is folded but not based
+    graph = build_graph([0, 1, 2], [(0, 1, y(1)), (1, 2, y(1))], 0)
+    assert graph.folded
+    tester = MembershipTester(graph, z2)
+    assert tester.contains((x(1),)) is False
+    with pytest.raises(ValueError, match="based graph"):
+        tester.contains((y(1),))
 
 
 # -- hypothesis check -------------------------------------------------------------------
