@@ -17,7 +17,10 @@ is alternating or symmetric, one record per separated word, and pipeline
 statistics.  Rejections print a machine-readable reason and exit 2 when
 the eligibility check fails (HypothesisNotSatisfied) or 3 when a word to
 separate already lies in the subgroup (GammaClosed).  Input errors exit 1.
-Identical inputs produce byte-identical certificates and DOT files.
+A failed internal self-check (an AssertionError) prints
+``altsep: internal error: ...`` and exits 4, so a broken invariant never
+looks like an input error.  Identical inputs produce byte-identical
+certificates and DOT files.
 """
 
 from __future__ import annotations
@@ -444,6 +447,9 @@ def main(argv=None) -> int:
     except CoverSearchExhaustedError as err:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
+    except AssertionError as err:
+        print(f"altsep: internal error: {err}", file=sys.stderr)
+        return 4
 
     if args.emit_dot:
         directory = Path(args.emit_dot)

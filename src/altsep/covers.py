@@ -203,11 +203,17 @@ def permutation_rep(graph: LabeledGraph, rank: int, num_ygens: int):
 
 
 def word_action(images, word, point: int) -> int:
-    """Image of a point under a word, through the generator actions."""
+    """Image of a point under a word, through the generator actions.  Each
+    generator is inverted at most once per call."""
+    inverses = {}
     for letter in word:
-        perm = images[f"{letter.factor}{letter.index}"]
-        if letter.sign < 0:
-            perm = permgroup.inverse(perm)
+        name = f"{letter.factor}{letter.index}"
+        if letter.sign > 0:
+            perm = images[name]
+        else:
+            perm = inverses.get(name)
+            if perm is None:
+                perm = inverses[name] = permgroup.inverse(images[name])
         point = perm[point]
     return point
 

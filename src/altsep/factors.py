@@ -152,10 +152,8 @@ def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
 def _coset_enumeration(table: FiniteGroupTable, subgroup):
     """BFS over right cosets Kg.  Returns (coset graph, element_to_coset
     list) with coset 0 = K itself and one edge Kg --y--> Kgy per coset and
-    generator."""
+    generator.  The caller guarantees that ``subgroup`` is a subgroup."""
     subgroup = frozenset(subgroup)
-    if not table.is_subgroup(subgroup):
-        raise ValueError("not a subgroup")
     element_to_coset = [None] * table.order
     for e in subgroup:
         element_to_coset[e] = 0
@@ -184,7 +182,10 @@ def _coset_enumeration(table: FiniteGroupTable, subgroup):
 def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
     """Coset graph of the finite factor relative to a subgroup K: vertices
     are the right cosets Kg, base K*1, one y-edge Kg --y--> Kgy per
-    generator.  Folded, connected, saturated for all y-letters."""
+    generator.  Folded, connected, saturated for all y-letters.  Raises
+    ValueError when ``subgroup`` is not a subgroup."""
+    if not table.is_subgroup(subgroup):
+        raise ValueError("not a subgroup")
     return _coset_enumeration(table, subgroup)[0]
 
 

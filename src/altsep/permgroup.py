@@ -6,19 +6,25 @@ q", matching path tracing (the image of a vertex under a word is the
 endpoint of the word's path).  Cycle notation at the text boundary is
 1-based, e.g. "(1 2 3)(4 5)"; the identity prints as "()".
 
-Group orders come from a deterministic base-and-strong-generating-set
-construction (no randomization): base points are the smallest not-yet-fixed
-points, transversals extend in BFS order, and a full sifting pass over all
-Schreier generators re-verifies the strong generating set before an order
-is reported.  Orders are exact Python integers, so comparisons against
-factorials are exact at any degree.
+Group orders come from a base-and-strong-generating-set construction
+that is deterministic: a random walk with a fixed seed fills the chain
+first, base points are the smallest not-yet-fixed points, and transversals
+extend in BFS order.  The product of the orbit lengths is a lower bound on
+the order; once it reaches n!/2 the group is A_n or S_n, and the order is
+read off generator parity without completing the chain.  Every other
+chain is completed and re-verified by a full sifting pass over all
+Schreier generators before its order is reported.  Orders are exact Python
+integers, so comparisons against factorials are exact at any degree.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import deque
+from itertools import repeat
+from operator import itemgetter
 
 
 def identity_perm(degree: int):
@@ -26,14 +32,16 @@ def identity_perm(degree: int):
 
 
 def is_identity(perm) -> bool:
-    return all(i == j for i, j in enumerate(perm))
+    return tuple(perm) == identity_perm(len(perm))
 
 
 def compose(p, q):
     """Apply p, then q."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[i] for i in p)
+    if len(p) < 2:  # itemgetter of one index returns a bare item
+        return tuple(q)
+    return itemgetter(*p)(q)
 
 
 def inverse(p):
@@ -134,31 +142,67 @@ def orbit_transitive(gens, degree: int):
 class _Level:
     __slots__ = ("point", "orbit", "transversal", "gens", "pending")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, identity):
         self.point = point
         self.orbit = [point]
-        self.transversal = {point: None}  # None stands for the identity
+        # orbit point -> (u, u^-1), u a group element taking self.point there
+        self.transversal = {point: (identity, identity)}
         self.gens = []
+        # (orbit point, generator index) pairs whose Schreier generator is
+        # still to sift
         self.pending = deque()
 
 
+class _ContainsAlternating(Exception):
+    """The orbit lengths of a partial chain have reached n!/2."""
+
+
 class StrongGeneratingSet:
-    """Stabilizer chain with strong generators, built deterministically."""
+    """Stabilizer chain with strong generators, built deterministically.
+
+    A fixed-seed random walk over the generators and their inverses is
+    sifted into the chain first, without Schreier completion.  After every
+    new strong generator the product of the orbit lengths, a lower bound on
+    the order, is compared with n!/2.  Once it gets there the group has
+    index at most 2 in S_n, so it is A_n or S_n, told apart by generator
+    parity, and the build stops.  Otherwise the original generators are
+    sifted in, every level is completed bottom-up, and a full sifting pass
+    verifies the chain before its order is reported."""
 
     def __init__(self, gens, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._identity = identity_perm(degree)
+        self._half = math.factorial(degree) // 2
+        gens = [tuple(g) for g in gens]
         for g in gens:
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
-            self._ingest(tuple(g))
+        try:
+            self._random_fill(gens)
+            for g in gens:
+                self._add(g)
+            for i in range(len(self.levels) - 1, -1, -1):
+                self._complete(i)
+        except _ContainsAlternating:
+            odd = any(parity(g) == "odd" for g in gens)
+            self._order = 2 * self._half if odd else self._half
+            return
         self._verify()
+        self._order = math.prod(len(level.orbit) for level in self.levels)
 
     # -- construction ---------------------------------------------------
 
-    def _rep(self, level: _Level, point: int):
-        u = level.transversal[point]
-        return u if u is not None else identity_perm(self.degree)
+    def _random_fill(self, gens):
+        """Sift 20*degree steps of a random walk (seed 0) into the chain."""
+        steps = gens + [inverse(g) for g in gens]
+        if not steps:
+            return
+        rng = random.Random(0)
+        walk = self._identity
+        for _ in range(20 * self.degree):
+            walk = compose(walk, rng.choice(steps))
+            self._add(walk)
 
     def _sift(self, perm, start: int):
         """Reduce perm through levels >= start; returns (residue, level at
@@ -168,57 +212,55 @@ class StrongGeneratingSet:
             image = perm[level.point]
             if image == level.point:
                 continue
-            if image not in level.transversal:
+            entry = level.transversal.get(image)
+            if entry is None:
                 return perm, i
-            perm = compose(perm, inverse(self._rep(level, image)))
+            perm = compose(perm, entry[1])
         return perm, len(self.levels)
 
-    def _ingest(self, perm):
+    def _add(self, perm):
         residue, at = self._sift(perm, 0)
-        if is_identity(residue):
-            return
-        self._place(residue, at)
-        for i in range(min(at, len(self.levels) - 1), -1, -1):
-            self._complete(i)
+        if not is_identity(residue):
+            self._place(residue, at)
 
     def _place(self, perm, at: int):
         if at == len(self.levels):
-            point = min(support(perm))
-            self.levels.append(_Level(point))
+            self.levels.append(_Level(min(support(perm)), self._identity))
         for i in range(at + 1):
             self._add_generator(self.levels[i], perm)
+        if math.prod(len(level.orbit) for level in self.levels) >= self._half:
+            raise _ContainsAlternating
 
     def _add_generator(self, level: _Level, perm):
-        gen_index = len(level.gens)
+        level.pending.extend(zip(level.orbit, repeat(len(level.gens))))
         level.gens.append(perm)
-        for point in list(level.orbit):
-            level.pending.append((point, gen_index))
-        self._extend_orbit(level, [perm])
+        self._extend_orbit(level, perm)
 
-    def _extend_orbit(self, level: _Level, new_gens):
+    def _extend_orbit(self, level: _Level, perm):
+        """Close the orbit under the level's generators, perm the newest."""
+        transversal = level.transversal
         queue = deque()
         for point in level.orbit:
-            for g in new_gens:
-                self._reach(level, point, g, queue)
+            if perm[point] not in transversal:
+                self._reach(level, point, perm, queue)
         while queue:
             point = queue.popleft()
             for g in level.gens:
-                self._reach(level, point, g, queue)
+                if g[point] not in transversal:
+                    self._reach(level, point, g, queue)
 
     def _reach(self, level: _Level, point: int, g, queue):
-        """Add the image of an orbit point under g to the orbit if new."""
+        """Add the image of an orbit point under g, new to the orbit."""
         image = g[point]
-        if image not in level.transversal:
-            level.transversal[image] = compose(self._rep(level, point), g)
-            level.orbit.append(image)
-            queue.append(image)
-            for gi in range(len(level.gens)):
-                level.pending.append((image, gi))
+        u = compose(level.transversal[point][0], g)
+        level.transversal[image] = (u, inverse(u))
+        level.orbit.append(image)
+        queue.append(image)
+        level.pending.extend(zip(repeat(image), range(len(level.gens))))
 
     def _schreier_generator(self, level: _Level, point: int, gen):
-        u = self._rep(level, point)
-        ug = compose(u, gen)
-        return compose(ug, inverse(self._rep(level, gen[point])))
+        ug = compose(level.transversal[point][0], gen)
+        return compose(ug, level.transversal[gen[point]][1])
 
     def _complete(self, i: int):
         level = self.levels[i]
@@ -247,7 +289,7 @@ class StrongGeneratingSet:
     # -- queries ----------------------------------------------------------
 
     def order(self) -> int:
-        return math.prod(len(level.orbit) for level in self.levels)
+        return self._order
 
 
 def bsgs_order(gens, degree: int) -> int:

@@ -38,7 +38,7 @@ def exhaustive_closure(gens, degree):
     while queue:
         current = queue.popleft()
         for g in gens:
-            nxt = permgroup.compose(current, g)
+            nxt = tuple(g[i] for i in current)  # current, then g
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

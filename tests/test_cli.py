@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import altsep
+from altsep import permgroup
 from altsep.cli import (
     MAX_WORD_LENGTH,
     ProblemFormatError,
@@ -277,6 +278,25 @@ def test_main_rejects_a_hostile_finite_factor_quickly(tmp_path, capsys, finite, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"altsep: error: {message}\n"
+
+
+def test_main_reports_a_failed_self_check_as_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    real = permgroup.recognize_alt_sym
+    flipped = {permgroup.ALTERNATING: permgroup.SYMMETRIC,
+               permgroup.SYMMETRIC: permgroup.ALTERNATING}
+
+    def wrong(gens, degree):
+        kind = real(gens, degree)
+        return flipped.get(kind, kind)
+
+    monkeypatch.setattr(permgroup, "recognize_alt_sym", wrong)
+    path = write(tmp_path, "demo.txt", DEMO)
+    assert main(["separate", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "altsep: internal error: image order does not match its classification\n")
 
 
 def test_main_flags(tmp_path, capsys):

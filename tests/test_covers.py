@@ -151,6 +151,33 @@ def test_permutation_rep_requires_saturation(z2):
         permutation_rep(g, 2, 1)
 
 
+def test_word_action_inverts_each_generator_once(monkeypatch):
+    images = {
+        "x1": permgroup.parse_cycles("(1 2 3 4 5)", 5),
+        "x2": permgroup.parse_cycles("(1 3)(2 5)", 5),
+        "y1": permgroup.parse_cycles("(2 4 5)", 5),
+    }
+    word = (x(1, -1), y(1), x(1, -1), x(2), y(1, -1), x(1, -1), y(1, -1), x(2, -1))
+    expected = []
+    for point in range(5):
+        for letter in word:
+            perm = images[f"{letter.factor}{letter.index}"]
+            point = perm[point] if letter.sign > 0 else perm.index(point)
+        expected.append(point)
+    inverted = []
+    original = permgroup.inverse
+
+    def counting(perm):
+        inverted.append(perm)
+        return original(perm)
+
+    monkeypatch.setattr(permgroup, "inverse", counting)
+    for point in range(5):
+        inverted.clear()
+        assert word_action(images, word, point) == expected[point]
+        assert sorted(inverted) == sorted(images.values())
+
+
 # -- full pipeline ----------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -29,6 +30,11 @@ def test_compose_with_inverse_is_identity():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         pg.compose((0, 1), (0, 1, 2))
+
+
+def test_compose_at_degrees_zero_and_one():
+    assert pg.compose((), ()) == ()
+    assert pg.compose((0,), (0,)) == (0,)
 
 
 def test_parity():
@@ -106,6 +112,116 @@ def test_bsgs_order_random_generator_sets():
             rng.shuffle(images)
             gens.append(tuple(images))
         assert pg.bsgs_order(gens, degree) == len(exhaustive_closure(gens, degree))
+
+
+def _random_perm(rng, points, degree):
+    """Random permutation of ``points``, fixing every other point."""
+    images = list(range(degree))
+    shuffled = list(points)
+    rng.shuffle(shuffled)
+    for a, b in zip(points, shuffled):
+        images[a] = b
+    return tuple(images)
+
+
+def _random_generator_set(rng, degree):
+    """Generators of a group that is, by kind, most likely A_n or S_n, or
+    certainly not: cyclic, intransitive, or preserving the blocks {0, 1},
+    {2, 3}, ... (an odd last point stays fixed)."""
+    kind = rng.choice(["full", "full", "cyclic", "intransitive", "blocks"])
+    points = range(degree)
+    if kind == "full":
+        return [_random_perm(rng, points, degree) for _ in range(2)]
+    if kind == "cyclic":
+        return [_random_perm(rng, points, degree)]
+    if kind == "intransitive":
+        cut = rng.randint(1, degree - 1)
+        return [_random_perm(rng, range(cut), degree),
+                _random_perm(rng, range(cut, degree), degree),
+                _random_perm(rng, range(cut), degree)]
+    # permute the blocks {2i, 2i+1} and swap inside some of them
+    gens = []
+    for _ in range(2):
+        blocks = list(range(degree // 2))
+        rng.shuffle(blocks)
+        images = []
+        for b in blocks:
+            pair = [2 * b, 2 * b + 1]
+            if rng.random() < 0.5:
+                pair.reverse()
+            images.extend(pair)
+        gens.append(tuple(images + list(range(len(images), degree))))
+    return gens
+
+
+@pytest.mark.parametrize("degree", [7, 8])
+def test_bsgs_order_matches_closure_on_both_paths(degree):
+    """Orders from the n!/2 bound (the group contains A_n) and from the
+    full, verified build both match a plain closure."""
+    rng = random.Random(degree)
+    full = math.factorial(degree)
+    early = 0
+    for _ in range(12):
+        gens = _random_generator_set(rng, degree)
+        order = pg.bsgs_order(gens, degree)
+        assert order == len(exhaustive_closure(gens, degree))
+        early += order >= full // 2
+    assert 0 < early < 12
+
+
+@pytest.mark.parametrize("degree", [7, 8])
+def test_completion_alone_matches_closure(monkeypatch, degree):
+    """Without the random walk, Schreier completion from the generators
+    alone must build the chain, and reach the n!/2 bound, by itself."""
+    monkeypatch.setattr(pg.StrongGeneratingSet, "_random_fill", lambda self, gens: None)
+    rng = random.Random(degree)
+    for _ in range(12):
+        gens = _random_generator_set(rng, degree)
+        assert pg.bsgs_order(gens, degree) == len(exhaustive_closure(gens, degree))
+
+
+def test_order_bound_stops_before_verification(monkeypatch):
+    verified = []
+    original = pg.StrongGeneratingSet._verify
+
+    def counting(self):
+        verified.append(self.degree)
+        original(self)
+
+    monkeypatch.setattr(pg.StrongGeneratingSet, "_verify", counting)
+    s9 = [from_cycles("(1 2)", 9), from_cycles("(1 2 3 4 5 6 7 8 9)", 9)]
+    a9 = [from_cycles("(1 2 3)", 9), from_cycles("(1 2 3 4 5 6 7 8 9)", 9)]
+    assert pg.bsgs_order(s9, 9) == math.factorial(9)
+    assert pg.bsgs_order(a9, 9) == math.factorial(9) // 2
+    assert verified == []
+    assert pg.bsgs_order([from_cycles("(1 2 3 4 5 6 7 8 9)", 9)], 9) == 9
+    assert verified == [9]
+
+
+def _long_cycle(degree):
+    return "(" + " ".join(str(i) for i in range(1, degree + 1)) + ")"
+
+
+_M11 = [_long_cycle(11), "(3 7 11 8)(4 10 5 6)"]
+_M23 = [_long_cycle(23),
+        "(3 17 10 7 9)(4 13 14 19 5)(8 18 11 12 23)(15 20 22 21 16)"]
+# x -> 2x on Z/13, 2 a primitive root; point i + 1 stands for i
+_TIMES_TWO_MOD_13 = "(" + " ".join(str(pow(2, k, 13) + 1) for k in range(12)) + ")"
+
+
+@pytest.mark.parametrize("gens, degree, order", [
+    (_M11, 11, 7_920),
+    (_M11 + ["(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"], 12, 95_040),
+    (_M23, 23, 10_200_960),
+    (_M23 + ["(1 24)(2 23)(3 12)(4 16)(5 18)(6 10)(7 20)(8 14)(9 21)(11 17)(13 22)(15 19)"],
+     24, 244_823_040),
+    ([_long_cycle(13), _TIMES_TWO_MOD_13], 13, 156),
+], ids=["M11", "M12", "M23", "M24", "AGL1_13"])
+def test_known_orders_of_groups_below_alternating(gens, degree, order):
+    perms = [from_cycles(g, degree) for g in gens]
+    assert pg.orbit_transitive(perms, degree)[1]
+    assert pg.bsgs_order(perms, degree) == order
+    assert pg.recognize_alt_sym(perms, degree) == pg.OTHER
 
 
 # -- recognition -------------------------------------------------------------------

@@ -1,0 +1,58 @@
+"""End-to-end runs past the toy problem files, each under a time bound.
+
+The bounds are generous, about ten times the runs' times on two cores of
+a shared x86-64 host (S_5 0.1 s, S_6 1.5 s, degree 61 0.15 s), so that
+they catch a hang rather than a small slowdown.  While recognition built
+two full Schreier-Sims chains per certificate, the degree-61 run alone
+took over a minute.
+"""
+
+import json
+import time
+
+import pytest
+
+from altsep.cli import main
+
+
+def symmetric_factor_problem(n):
+    """G = S_n from an n-cycle and a transposition; H is generated by G
+    and one conjugate of the n-cycle; x2 is separated."""
+    cycle = " ".join(str(i) for i in range(1, n + 1))
+    return (
+        "[free]      rank = 2\n"
+        f"[finite]    degree = {n} ; gens = y1: ({cycle}); y2: (1 2)\n"
+        "[subgroup]  h1 = y1\n"
+        "            h2 = y2\n"
+        "            h3 = x1 y1 x1^-1\n"
+        "[separate]  g1 = x2\n"
+    )
+
+
+# F_2 * S_3 with two seeded random subgroup words of length 18 over x1,
+# x1^-1, y1, y2 and a separator ending in x2: a degree-61 cover.
+DEGREE_61 = """\
+[free]      rank = 2
+[finite]    degree = 3 ; gens = y1: (1 2 3); y2: (1 2)
+[subgroup]  h1 = y1 y2 y2 y1 x1 y1 y1 x1 x1 y2 x1 x1 y1 x1 y1 x1 x1 x1^-1
+            h2 = y1 x1^-1 x1^-1 y2 x1 y2 x1^-1 x1 x1 x1^-1 y1 y1 y1 y1 x1 y2 x1 x1
+[separate]  g1 = y1 y1 y2 x2
+"""
+
+
+@pytest.mark.parametrize("text, degree, bound_s", [
+    (symmetric_factor_problem(5), 31, 10),
+    (symmetric_factor_problem(6), 127, 15),
+    (DEGREE_61, 61, 10),
+], ids=["S5", "S6", "degree61"])
+def test_certificate_within_time_bound(tmp_path, capsys, text, degree, bound_s):
+    path = tmp_path / "problem.txt"
+    path.write_text(text)
+    started = time.monotonic()
+    assert main(["separate", str(path)]) == 0
+    elapsed = time.monotonic() - started
+    document = json.loads(capsys.readouterr().out)
+    assert document["degree"] == degree
+    assert document["image_type"] in ("alternating", "symmetric")
+    assert all(s["separated"] for s in document["separations"])
+    assert elapsed < bound_s, f"took {elapsed:.1f} s, bound {bound_s} s"
