@@ -72,15 +72,18 @@ MAX_WORD_LENGTH = 100_000
 # cycle is parsed, so "degree = 1000000000" allocates nothing.
 MAX_FINITE_DEGREE = 100
 
+# Largest rank of the free factor; checked where it is parsed, so
+# "rank = 1000000000" never builds a two-billion-letter alphabet.
+MAX_FREE_RANK = 1_000
+
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
     text = text.strip()
     if text == "1":
         return ()
     letters = []
-    column = 1
-    for token in text.split():
-        column = text.find(token, column - 1) + 1
+    for term in re.finditer(r"\S+", text):
+        token, column = term.group(), term.start() + 1
         match = _WORD_TERM_RE.match(token)
         if not match:
             raise ProblemFormatError(f"bad word term {token!r}", line, column)
@@ -139,6 +142,8 @@ def parse_problem(text: str) -> ProblemSpec:
                 if not keyed or keyed.group(1) != "rank":
                     raise ProblemFormatError(f"expected 'rank = <int>', got {chunk!r}", lineno)
                 rank = _parse_int(keyed.group(2), lineno)
+                if rank > MAX_FREE_RANK:
+                    raise ProblemFormatError(f"free rank above {MAX_FREE_RANK}", lineno)
             elif section == "finite":
                 keyed = _KEYED_RE.match(chunk)
                 if keyed and keyed.group(1) == "degree":

@@ -250,10 +250,9 @@ def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
     new_pairs = set(graph.pairs)
     for i in range(1, rank + 1):
         letter = x_letter(i)
-        sources = sorted(v for v in graph.vertices if not graph.has_out(v, letter))
-        targets = sorted(
-            v for v in graph.vertices if not graph.has_out(v, letter.inverse())
-        )
+        sources = sorted(v for v in graph.vertices if letter not in graph.out[v])
+        inverse = letter.inverse()
+        targets = sorted(v for v in graph.vertices if inverse not in graph.out[v])
         if len(sources) != len(targets):
             raise AssertionError("partial injection is unbalanced")
         for s, t in zip(sources, targets):

@@ -43,25 +43,20 @@ class LabeledGraph:
 
     @cached_property
     def out(self):
-        """Outgoing edges: vertex -> {letter -> sorted tuple of targets}."""
+        """Adjacency of a folded graph: vertex -> {letter -> target}.
+        Raises ValueError on an unfolded graph, where a letter may have
+        two targets."""
+        if not self.folded:
+            raise ValueError("adjacency requires a folded graph")
         table = {v: {} for v in self.vertices}
         for u, w, letter in self.pairs:
-            table[u].setdefault(letter, []).append(w)
-            table[w].setdefault(letter.inverse(), []).append(u)
-        return {
-            v: {letter: tuple(sorted(ts)) for letter, ts in d.items()}
-            for v, d in table.items()
-        }
+            table[u][letter] = w
+            table[w][letter.inverse()] = u
+        return table
 
     def step(self, vertex: int, letter: Letter):
         """Unique out-neighbor along ``letter``, or None.  Requires folded."""
-        if not self.folded:
-            raise ValueError("step requires a folded graph")
-        targets = self.out[vertex].get(letter)
-        return targets[0] if targets else None
-
-    def has_out(self, vertex: int, letter: Letter) -> bool:
-        return letter in self.out[vertex]
+        return self.out[vertex].get(letter)
 
     def letters_at(self, vertex: int):
         return sorted(self.out[vertex], key=lambda l: l.sort_key)
@@ -151,17 +146,26 @@ class _UnionFind:
         return keep
 
 
-def fold(graph: LabeledGraph):
-    """Fold to an immersion: identify same-source same-letter edges until
-    none remain.  Returns (folded graph, total vertex map).
+def fold(graph: LabeledGraph, merge=()):
+    """Least folded quotient in which each group (a sequence of vertices)
+    in ``merge`` is one vertex: merge the groups, then identify
+    same-source same-letter edges until none remain.  Returns (folded
+    graph, total vertex map).  Raises ValueError for a group naming an
+    unknown vertex.
 
-    Cost: O((|V| + |E|) * alpha) union-find work plus one replay per edge
-    slot of each merged-away vertex.  The edge pairs are consumed in set
-    order: the folded quotient is unique and every class is named by its
-    least vertex (``_UnionFind.union`` keeps the smaller id), so neither
-    the result nor the vertex map depends on that order.
+    Cost: O((|V| + |E| + |merge|) * alpha) union-find work plus one replay
+    per edge slot of each vertex merged away while folding.  The groups
+    and edge pairs are consumed in the order given: the quotient is unique
+    and every class is named by its least vertex (``_UnionFind.union``
+    keeps the smaller id), so neither the result nor the vertex map
+    depends on that order.
     """
     uf = _UnionFind(graph.vertices)
+    for group in merge:
+        for v in group:
+            if v not in graph.vertices:
+                raise ValueError(f"unknown vertex {v!r}")
+            uf.union(group[0], v)
     out = {v: {} for v in graph.vertices}
     work = deque()
     for u, w, letter in graph.pairs:
@@ -193,27 +197,6 @@ def fold(graph: LabeledGraph):
             pairs.add(canonical_pair(uf.find(source), uf.find(target), letter))
     result = LabeledGraph(vertices, frozenset(pairs), vmap[graph.base], True)
     return result, vmap
-
-
-def identify_vertices(graph: LabeledGraph, groups):
-    """Quotient by merging each group of vertices to one (the smallest id).
-
-    The result is not folded in general.  Returns (graph, vertex map).
-    """
-    uf = _UnionFind(graph.vertices)
-    for group in groups:
-        group = sorted(group)
-        for v in group:
-            if v not in graph.vertices:
-                raise ValueError(f"unknown vertex {v!r}")
-        for v in group[1:]:
-            uf.union(group[0], v)
-    vmap = {v: uf.find(v) for v in graph.vertices}
-    pairs = frozenset(
-        canonical_pair(vmap[u], vmap[w], letter) for u, w, letter in graph.pairs
-    )
-    vertices = frozenset(vmap.values())
-    return LabeledGraph(vertices, pairs, vmap[graph.base], _is_folded(vertices, pairs)), vmap
 
 
 def trace(graph: LabeledGraph, start: int, word) -> TraceResult:
@@ -269,24 +252,22 @@ def amalgamate(base_graph: LabeledGraph, pieces):
             merge_groups.append((shared_v, offset + piece_v))
         offset += max(piece.vertices) + 1 if piece.vertices else 0
     union = LabeledGraph(frozenset(vertices), frozenset(pairs), base_graph.base, False)
-    glued, m1 = identify_vertices(union, merge_groups)
-    folded, m2 = fold(glued)
-    base_map = {v: m2[m1[v]] for v in base_graph.vertices}
+    folded, vmap = fold(union, merge_groups)
+    base_map = {v: vmap[v] for v in base_graph.vertices}
     piece_maps = [
-        {v: m2[m1[off + v]] for v in piece.vertices}
+        {v: vmap[off + v] for v in piece.vertices}
         for off, (_, piece, _) in zip(offsets, pieces)
     ]
     return folded, base_map, piece_maps
 
 
-def components(graph: LabeledGraph, factor: str, include_singletons: bool = False):
+def components(graph: LabeledGraph, factor: str):
     """Maximal connected monochromatic subgraphs for one factor.
 
     Returns a list of (subgraph, anchor) sorted by smallest vertex id.  The
     subgraph keeps the original vertex ids and is based at the anchor (the
     graph's base point when it belongs to the component, else the smallest
-    vertex).  Vertices with no edge of the factor appear as degenerate
-    singleton components only when ``include_singletons`` is set.
+    vertex).  Vertices with no edge of the factor belong to no component.
 
     Cost: one union-find pass over the factor's pairs, one pass bucketing
     vertices and pairs by root, and a sort of the component roots, so
@@ -304,12 +285,12 @@ def components(graph: LabeledGraph, factor: str, include_singletons: bool = Fals
     groups = {}
     for v in graph.vertices:
         root = uf.find(v)
-        if include_singletons or root in bucketed:
+        if root in bucketed:
             groups.setdefault(root, []).append(v)
     out = []
     for root in sorted(groups):
         members = frozenset(groups[root])
-        pairs = frozenset(bucketed.get(root, ()))
+        pairs = frozenset(bucketed[root])
         anchor = graph.base if graph.base in members else root
         out.append((LabeledGraph(members, pairs, anchor, graph.folded), anchor))
     return out
@@ -318,13 +299,12 @@ def components(graph: LabeledGraph, factor: str, include_singletons: bool = Fals
 def saturation_defects(graph: LabeledGraph, alphabet):
     """All (vertex, letter) gaps: letters of the alphabet with no outgoing
     edge at a vertex.  Requires a folded graph."""
-    if not graph.folded:
-        raise ValueError("saturation_defects requires a folded graph")
     letters = sorted(alphabet, key=lambda l: l.sort_key)
     defects = []
     for v in sorted(graph.vertices):
+        slots = graph.out[v]
         for letter in letters:
-            if not graph.has_out(v, letter):
+            if letter not in slots:
                 defects.append(SaturationDefect(v, letter))
     return defects
 
@@ -333,9 +313,8 @@ def breadth_first_tree(graph: LabeledGraph, root: int):
     """Deterministic BFS: letters sorted x-first, ascending index, positive
     sign first.  Returns (discovery order, parent) where parent maps each
     non-root reached vertex to (parent vertex, letter of the edge parent->v).
+    Requires a folded graph.
     """
-    if not graph.folded:
-        raise ValueError("breadth_first_tree requires a folded graph")
     order = [root]
     parent = {}
     seen = {root}

@@ -7,10 +7,10 @@ over the free product, so it embeds in the coset graph of the subgroup in
 the ambient group; in particular a path from the base point closes exactly
 when its label lies in the subgroup, which decides membership.
 
-The quotient is computed as a fixed point: fold, then identify vertices of
-a y-component that land on the same coset of the subgroup its loops
-generate, and repeat.  Each identification round strictly decreases the
-vertex count, so the loop terminates.
+The quotient is computed as a fixed point: fold, group the vertices of a
+y-component that land on the same coset of the subgroup its loops
+generate, and fold again with those groups merged.  Each such round
+strictly decreases the vertex count, so the loop terminates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .graphs import (
     canonical_pair,
     components,
     fold,
-    identify_vertices,
     is_tree,
     make_graph,
     saturation_defects,
@@ -99,28 +98,25 @@ def _wedge(base, words, open_words):
 
 
 def based_fixpoint(graph, table, tracked=()):
-    """Fold and coset-identify to a fixed point; returns the stable graph
-    and the images of the tracked vertices."""
+    """Fold, merging the previous round's coset groups, to a fixed point;
+    returns the stable graph and the images of the tracked vertices."""
     tracked = list(tracked)
+    groups = ()
     while True:
         before = len(graph.vertices)
-        graph, vmap = fold(graph)
+        graph, vmap = fold(graph, groups)
         tracked = [vmap[v] for v in tracked]
+        if groups and len(graph.vertices) >= before:
+            raise AssertionError("identification round failed to shrink the graph")
         groups = []
         for component, _anchor in components(graph, "y"):
             _subgroup, assignment = component_cosets(table, component)
             buckets = {}
-            for v in sorted(component.vertices):
-                buckets.setdefault(assignment[v], []).append(v)
-            for key in sorted(buckets):
-                if len(buckets[key]) > 1:
-                    groups.append(buckets[key])
+            for v, key in assignment.items():
+                buckets.setdefault(key, []).append(v)
+            groups.extend(group for group in buckets.values() if len(group) > 1)
         if not groups:
             return graph, tuple(tracked)
-        graph, vmap = identify_vertices(graph, groups)
-        tracked = [vmap[v] for v in tracked]
-        if len(graph.vertices) >= before:
-            raise AssertionError("identification round failed to shrink the graph")
 
 
 def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:

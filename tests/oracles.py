@@ -15,7 +15,7 @@ from collections import deque
 from itertools import product
 
 from altsep import permgroup
-from altsep.graphs import LabeledGraph, canonical_form, canonical_pair, identify_vertices
+from altsep.graphs import LabeledGraph, canonical_form, canonical_pair, make_graph
 from altsep.subgroups import based_fixpoint
 from altsep.words import (
     free_reduce,
@@ -62,12 +62,24 @@ def fold_violations(graph: LabeledGraph):
     ]
 
 
+def merge_vertices(graph: LabeledGraph, groups):
+    """Quotient by merging each group of vertices, naming every class by
+    its least vertex, with explicit class sets; the result is not folded
+    in general."""
+    classes = {v: frozenset([v]) for v in graph.vertices}
+    for group in groups:
+        merged = frozenset().union(*(classes[v] for v in group))
+        for v in merged:
+            classes[v] = merged
+    name = {v: min(members) for v, members in classes.items()}
+    pairs = {canonical_pair(name[u], name[w], letter) for u, w, letter in graph.pairs}
+    return make_graph(name.values(), pairs, name[graph.base])
+
+
 def fold_step(graph: LabeledGraph, violation):
     """Perform one fold: merge two targets of a violating slot."""
     _s, _lab, targets = violation
-    distinct = sorted(set(targets))
-    merged, _vmap = identify_vertices(graph, [distinct[:2]])
-    return merged
+    return merge_vertices(graph, [sorted(set(targets))[:2]])
 
 
 def random_fold(graph: LabeledGraph, rng):
@@ -103,7 +115,7 @@ def all_fold_results(graph: LabeledGraph, limit=200000):
 # -- components ------------------------------------------------------------------
 
 
-def bfs_components(graph: LabeledGraph, factor, include_singletons=False):
+def bfs_components(graph: LabeledGraph, factor):
     """Monochromatic components by breadth-first search from each unvisited
     vertex in ascending order; returns (members, pairs, anchor) triples in
     the order ``graphs.components`` promises."""
@@ -115,7 +127,7 @@ def bfs_components(graph: LabeledGraph, factor, include_singletons=False):
     seen = set()
     out = []
     for start in sorted(graph.vertices):
-        if start in seen or not (neighbours[start] or include_singletons):
+        if start in seen or not neighbours[start]:
             continue
         seen.add(start)
         members = {start}

@@ -10,6 +10,7 @@ import pytest
 import altsep
 from altsep import permgroup
 from altsep.cli import (
+    MAX_FREE_RANK,
     MAX_WORD_LENGTH,
     ProblemFormatError,
     export_dot,
@@ -80,6 +81,10 @@ def test_parse_word_rejects_oversized_words_before_expanding():
     with pytest.raises(ProblemFormatError) as err:
         parse_word(f"x2 x1^{MAX_WORD_LENGTH}", 2, 1, 3)
     assert err.value.line == 3 and err.value.column == 4
+    # a repeated term is located after the previous one, not at it
+    with pytest.raises(ProblemFormatError) as err:
+        parse_word("x1^60000 x1^60000", 2, 1, 7)
+    assert err.value.line == 7 and err.value.column == 10
 
 
 def test_word_round_trip_canonical_spelling():
@@ -278,6 +283,21 @@ def test_main_rejects_a_hostile_finite_factor_quickly(tmp_path, capsys, finite, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"altsep: error: {message}\n"
+
+
+def test_main_rejects_a_hostile_free_rank_quickly(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "hostile.txt",
+        "[free] rank = 1000000000\n[finite] degree = 2 ; gens = y1: (1 2)\n"
+        "[subgroup]\n[separate] g1 = x1\n",
+    )
+    started = time.monotonic()
+    assert main(["separate", path]) == 1
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: line 1, column 1: free rank above {MAX_FREE_RANK}\n"
 
 
 def test_main_reports_a_failed_self_check_as_an_internal_error(

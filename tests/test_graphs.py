@@ -8,6 +8,7 @@ from altsep.graphs import (
     breadth_first_tree,
     build_graph,
     canonical_form,
+    canonical_pair,
     components,
     fold,
     is_connected,
@@ -19,7 +20,7 @@ from altsep.graphs import (
 )
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
 
-from oracles import all_fold_results, bfs_components, random_fold
+from oracles import all_fold_results, bfs_components, merge_vertices, random_fold
 
 
 def wedge_w4():
@@ -199,11 +200,10 @@ def test_components_w4_single_x_component():
     assert components(g, "y") == []
 
 
-def test_components_degenerate_singletons_on_request():
-    g = build_graph([0, 1], [(0, 1, y(1))], 0)
+def test_components_skip_vertices_without_factor_edges():
+    g = build_graph([0, 1, 2], [(0, 1, y(1))], 0)
     assert components(g, "x") == []
-    singles = components(g, "x", include_singletons=True)
-    assert [sorted(c.vertices) for c, _ in singles] == [[0], [1]]
+    assert [sorted(c.vertices) for c, _ in components(g, "y")] == [[0, 1]]
 
 
 def random_graph(rng):
@@ -224,12 +224,11 @@ def test_components_match_bfs_oracle_on_random_graphs():
     for _ in range(200):
         g = random_graph(rng)
         for factor in ("x", "y"):
-            for singles in (False, True):
-                comps = components(g, factor, include_singletons=singles)
-                got = [(sub.vertices, sub.pairs, anchor) for sub, anchor in comps]
-                assert got == bfs_components(g, factor, include_singletons=singles)
-                assert all(sub.base == anchor and sub.folded == g.folded
-                           for sub, anchor in comps)
+            comps = components(g, factor)
+            got = [(sub.vertices, sub.pairs, anchor) for sub, anchor in comps]
+            assert got == bfs_components(g, factor)
+            assert all(sub.base == anchor and sub.folded == g.folded
+                       for sub, anchor in comps)
 
 
 def test_fold_independent_of_pair_order():
@@ -244,6 +243,55 @@ def test_fold_independent_of_pair_order():
             rng.shuffle(ordered)
             assert fold(LabeledGraph(g.vertices, tuple(ordered), g.base, g.folded)) == reference
         assert fold(g) == reference
+
+
+def test_fold_merge_groups_cascade_into_folds():
+    edges = [(0, 1, x(1)), (1, 3, x(2)), (0, 2, x(2)), (2, 4, x(2))]
+    g = build_graph(range(5), edges, 0)
+    folded, vmap = fold(g, [(2, 1)])
+    assert vmap == {0: 0, 1: 1, 2: 1, 3: 3, 4: 3}
+    assert folded.pairs == {(0, 1, x(1)), (0, 1, x(2)), (1, 3, x(2))}
+    assert folded.folded and folded.base == 0
+
+
+def test_fold_with_merge_groups_matches_merge_then_random_fold():
+    """fold(g, merge) is the graph the oracle reaches by merging the groups
+    and then folding in random order, and its vertex map is a graph map
+    naming every class by its least vertex."""
+    rng = random.Random(7)
+    for _ in range(100):
+        g = random_graph(rng)
+        vertices = sorted(g.vertices)
+        merge = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
+                 for _ in range(rng.randint(0, 3))]
+        folded, vmap = fold(g, merge)
+        expected = random_fold(merge_vertices(g, merge), rng)
+        assert folded.folded
+        assert (folded.vertices, folded.pairs, folded.base) == (
+            expected.vertices, expected.pairs, expected.base)
+        for v in g.vertices:
+            assert vmap[v] == min(u for u in g.vertices if vmap[u] == vmap[v])
+        assert all(len({vmap[v] for v in group}) == 1 for group in merge)
+        assert {canonical_pair(vmap[u], vmap[w], letter)
+                for u, w, letter in g.pairs} == folded.pairs
+
+
+def test_fold_rejects_a_merge_group_naming_an_unknown_vertex():
+    g = build_graph([0, 1], [(0, 1, x(1))], 0)
+    with pytest.raises(ValueError, match="unknown vertex 5"):
+        fold(g, [(0, 5)])
+
+
+def test_adjacency_requires_a_folded_graph():
+    g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, x(1))], 0)
+    assert not g.folded
+    with pytest.raises(ValueError, match="folded"):
+        g.out
+    with pytest.raises(ValueError, match="folded"):
+        g.step(0, x(1))
+    folded, _ = fold(g)
+    assert folded.out == {0: {x(1): 1}, 1: {x(1, -1): 0}}
+    assert folded.step(0, x(1)) == 1 and folded.step(0, x(2)) is None
 
 
 # -- saturation -----------------------------------------------------------------------
