@@ -11,9 +11,10 @@ injection to a permutation of the vertices.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from . import permgroup
-from .graphs import LabeledGraph, canonical_pair, make_graph, spanning_tree
+from .graphs import LabeledGraph, canonical_pair, make_graph
 from .words import Word, x_letter, y_alphabet, y_letter
 
 
@@ -189,35 +190,66 @@ def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
     return _coset_enumeration(table, subgroup)[0]
 
 
-def _component_elements(table: FiniteGroupTable, component: LabeledGraph):
-    """Spanning-tree element per vertex of a y-monochromatic component,
-    relative to its base, and the subgroup generated by the loop elements
-    of the non-tree edges."""
-    order, parent, tree = spanning_tree(component)
-    reach = {component.base: table.identity}
-    for v in order[1:]:
-        u, letter = parent[v]
-        reach[v] = table.multiply(reach[u], table.letter_element(letter))
-    loops = [
-        table.multiply(
-            table.multiply(reach[u], table.letter_element(letter)),
-            table.inverse(reach[w]),
-        )
-        for u, w, letter in component.pairs - tree
-    ]
-    return reach, subgroup_closure(table, loops)
+def component_cosets(table: FiniteGroupTable, graph: LabeledGraph):
+    """Loop subgroup K and coset keys of every y-component of a folded
+    graph, from one breadth-first pass over its y-edges.
 
+    Returns one (K, {vertex: key}) per y-component.  A component's pass
+    starts at the base point when the component holds it, else at a fixed
+    vertex of it, and records reach[w] = reach[v]*letter along first
+    visits; each edge that closes a cycle adds the loop element
+    reach[v]*letter*reach[w]^-1.  K is generated by the loop elements, and
+    the key of v is the smallest element of its coset K*reach[v], so
+    vertices sharing a key have a non-closed identity-label path between
+    them.  Vertices with no y-edge belong to no component.
 
-def component_cosets(table: FiniteGroupTable, component: LabeledGraph):
-    """Subgroup K read off a y-component's loops, and the coset key each
-    vertex lands on in the coset graph of K (key = smallest element of the
-    coset).  Vertices sharing a key have a non-closed identity-label path
-    between them."""
-    reach, subgroup = _component_elements(table, component)
-    assignment = {
-        v: min(table.multiply(k, g) for k in subgroup) for v, g in reach.items()
+    Cost: O(|V| + |E|) table products, plus one subgroup closure and |K|
+    products per vertex for each component with a nontrivial loop
+    subgroup.
+    """
+    out = graph.out
+    multiply = table.multiply
+    identity = table.identity
+    trivial = frozenset((identity,))
+    elements = {
+        letter: table.letter_element(letter)
+        for letter in y_alphabet(table.num_generators)
     }
-    return subgroup, assignment
+    reach = {}
+    result = []
+    for start in chain((graph.base,), out):
+        if start in reach:
+            continue
+        reach[start] = identity
+        members = [start]
+        loops = []
+        slots = 0
+        for v in members:  # grows while it is read: breadth-first order
+            here = reach[v]
+            for letter, w in out[v].items():
+                element = elements.get(letter)
+                if element is None:
+                    continue
+                slots += 1
+                moved = multiply(here, element)
+                there = reach.get(w)
+                if there is None:
+                    reach[w] = moved
+                    members.append(w)
+                elif there != moved:
+                    loops.append(multiply(moved, table.inverse(there)))
+        if not slots:
+            continue
+        if loops:
+            subgroup = subgroup_closure(table, loops)
+            keys = {
+                v: min(multiply(k, reach[v]) for k in subgroup) for v in members
+            }
+        else:
+            subgroup = trivial
+            keys = {v: reach[v] for v in members}
+        result.append((subgroup, keys))
+    return result
 
 
 def embed_Y_component(table: FiniteGroupTable, component: LabeledGraph):
@@ -225,11 +257,17 @@ def embed_Y_component(table: FiniteGroupTable, component: LabeledGraph):
     subgroup generated by its loop labels.
 
     Returns (cover, embedding).  Raises NotGBasedError when two vertices
-    land on the same coset, i.e. some identity-label path is not closed.
+    land on the same coset, i.e. some identity-label path is not closed,
+    and ValueError when the component is not connected.
     """
-    reach, subgroup = _component_elements(table, component)
+    found = component_cosets(table, component) or [
+        (frozenset((table.identity,)), {component.base: table.identity})
+    ]
+    if len(found) != 1 or len(found[0][1]) != len(component.vertices):
+        raise ValueError("component must be connected")
+    subgroup, keys = found[0]
     cover, element_to_coset = _coset_enumeration(table, subgroup)
-    embedding = {v: element_to_coset[g] for v, g in reach.items()}
+    embedding = {v: element_to_coset[key] for v, key in keys.items()}
     if len(set(embedding.values())) != len(embedding):
         raise NotGBasedError(
             "two vertices of the component land on the same coset; "

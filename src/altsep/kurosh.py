@@ -83,7 +83,7 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
             removed.add((u, w, letter))
         subgroup = None
         if factor == "y":
-            subgroup, _assignment = component_cosets(table, anchored)
+            [(subgroup, _keys)] = component_cosets(table, anchored)
         factors.append(
             KuroshFactor(approach, anchored, factor, tuple(loop_words), subgroup)
         )

@@ -9,8 +9,10 @@ when its label lies in the subgroup, which decides membership.
 
 The quotient is computed as a fixed point: fold, group the vertices of a
 y-component that land on the same coset of the subgroup its loops
-generate, and fold again with those groups merged.  Each such round
-strictly decreases the vertex count, so the loop terminates.
+generate, and fold again with those groups merged.  One breadth-first
+pass over the y-edges of the whole graph (``factors.component_cosets``)
+finds every round's groups.  Each such round strictly decreases the
+vertex count, so the loop terminates.
 """
 
 from __future__ import annotations
@@ -109,10 +111,11 @@ def based_fixpoint(graph, table, tracked=()):
         if groups and len(graph.vertices) >= before:
             raise AssertionError("identification round failed to shrink the graph")
         groups = []
-        for component, _anchor in components(graph, "y"):
-            _subgroup, assignment = component_cosets(table, component)
+        for _subgroup, keys in component_cosets(table, graph):
+            if len(set(keys.values())) == len(keys):
+                continue
             buckets = {}
-            for v, key in assignment.items():
+            for v, key in keys.items():
                 buckets.setdefault(key, []).append(v)
             groups.extend(group for group in buckets.values() if len(group) > 1)
         if not groups:
@@ -154,13 +157,12 @@ class MembershipTester:
         """Vertex with a y-edge -> (K, its coset key, key -> vertex) of its
         y-component; built on the first y-syllable read."""
         cosets = {}
-        for component, _anchor in components(self.graph, "y"):
-            subgroup, assignment = component_cosets(self.table, component)
-            at_key = {key: v for v, key in assignment.items()}
-            if len(at_key) != len(assignment):
+        for subgroup, keys in component_cosets(self.table, self.graph):
+            at_key = {key: v for v, key in keys.items()}
+            if len(at_key) != len(keys):
                 raise ValueError("membership needs a based graph: two vertices "
                                  "of a y-component lie on one coset")
-            for v, key in assignment.items():
+            for v, key in keys.items():
                 cosets[v] = (subgroup, key, at_key)
         return cosets
 

@@ -24,6 +24,12 @@ def s3():
     return enumerate_group(3, [(1, 2, 0), (1, 0, 2)])
 
 
+@pytest.fixture(scope="session")
+def d4():
+    """Dihedral group of order 8 on the corners of a square."""
+    return enumerate_group(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
+
+
 def make_spec(table, subgroup_words=(), separate_words=(), rank=2):
     return ProblemSpec(
         free=FreeFactor(rank),

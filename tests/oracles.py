@@ -5,7 +5,8 @@ the code paths under test: permutation groups by exhaustive closure,
 folding by exhaustive or random fold-order search, subgroup membership by
 breadth-first enumeration over normal forms or by re-running the graph
 fixpoint on a glued query path, monochromatic components by
-plain breadth-first search, and kernel generating sets by the Schreier
+plain breadth-first search, coset keys and the based fixpoint one
+component subgraph at a time, and kernel generating sets by the Schreier
 transversal construction.
 """
 
@@ -15,7 +16,16 @@ from collections import deque
 from itertools import product
 
 from altsep import permgroup
-from altsep.graphs import LabeledGraph, canonical_form, canonical_pair, make_graph
+from altsep.factors import subgroup_closure
+from altsep.graphs import (
+    LabeledGraph,
+    canonical_form,
+    canonical_pair,
+    components,
+    fold,
+    make_graph,
+    spanning_tree,
+)
 from altsep.subgroups import based_fixpoint
 from altsep.words import (
     free_reduce,
@@ -142,6 +152,51 @@ def bfs_components(graph: LabeledGraph, factor):
         anchor = graph.base if graph.base in members else start
         out.append((frozenset(members), pairs, anchor))
     return out
+
+
+# -- coset keys and the based fixpoint, one component at a time ----------------
+
+
+def component_cosets_oracle(table, component: LabeledGraph):
+    """Loop subgroup K of one y-component, read at its base point from a
+    spanning tree, and the coset key min(K*g) of each vertex, g the label
+    of its tree path."""
+    order, parent, tree = spanning_tree(component)
+    reach = {component.base: table.identity}
+    for v in order[1:]:
+        u, letter = parent[v]
+        reach[v] = table.multiply(reach[u], table.letter_element(letter))
+    loops = [
+        table.multiply(
+            table.multiply(reach[u], table.letter_element(letter)),
+            table.inverse(reach[w]),
+        )
+        for u, w, letter in component.pairs - tree
+    ]
+    subgroup = subgroup_closure(table, loops)
+    assignment = {
+        v: min(table.multiply(k, g) for k in subgroup) for v, g in reach.items()
+    }
+    return subgroup, assignment
+
+
+def based_fixpoint_oracle(graph, table, tracked=()):
+    """``subgroups.based_fixpoint`` with its coset groups found one
+    y-component subgraph at a time."""
+    tracked = list(tracked)
+    groups = ()
+    while True:
+        graph, vmap = fold(graph, groups)
+        tracked = [vmap[v] for v in tracked]
+        groups = []
+        for component, _anchor in components(graph, "y"):
+            _subgroup, assignment = component_cosets_oracle(table, component)
+            buckets = {}
+            for v, key in assignment.items():
+                buckets.setdefault(key, []).append(v)
+            groups.extend(group for group in buckets.values() if len(group) > 1)
+        if not groups:
+            return graph, tuple(tracked)
 
 
 # -- ambient group arithmetic ---------------------------------------------------

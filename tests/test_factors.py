@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -12,10 +13,17 @@ from altsep.factors import (
     enumerate_group,
     subgroup_closure,
 )
-from altsep.graphs import build_graph, components, saturation_defects, trace
+from altsep.graphs import (
+    LabeledGraph,
+    build_graph,
+    components,
+    fold,
+    saturation_defects,
+    trace,
+)
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
-from oracles import exhaustive_closure
+from oracles import component_cosets_oracle, exhaustive_closure
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -184,10 +192,63 @@ def test_embed_detects_non_based_component(z2):
 
 
 def test_component_cosets_partition(z2):
-    comp = build_graph([0, 1, 2], [(0, 1, y(1)), (1, 2, y(1))], 0)
-    subgroup, assignment = component_cosets(z2, comp)
-    assert subgroup == frozenset({z2.identity})
-    assert assignment[0] == assignment[2] != assignment[1]
+    # two y-components joined by an x-edge, and a vertex with no y-edge
+    g = build_graph(
+        [0, 1, 2, 3, 4],
+        [(0, 1, y(1)), (1, 2, y(1)), (2, 3, x(1)), (3, 3, y(1)), (4, 0, x(2))],
+        0,
+    )
+    found = sorted(component_cosets(z2, g), key=lambda item: min(item[1]))
+    assert [sorted(keys) for _subgroup, keys in found] == [[0, 1, 2], [3]]
+    (trivial, path), (whole, loop) = found
+    assert trivial == frozenset({z2.identity})
+    assert path[0] == z2.identity  # the pass starts at the base point
+    assert path[0] == path[2] != path[1]
+    assert whole == frozenset(range(z2.order))
+    assert loop == {3: z2.identity}
+
+
+def random_folded_graph(rng, table):
+    """Fold of a random multigraph on up to 12 vertices with x- and
+    y-edges, based at vertex 0."""
+    letters = list(x_alphabet(2)) + list(y_alphabet(table.num_generators))
+    size = rng.randint(1, 12)
+    pairs = set()
+    for _ in range(rng.randint(1, size + 3)):
+        letter = rng.choice(letters)
+        u, w = rng.randrange(size), rng.randrange(size)
+        pairs.add((u, w, letter) if letter.sign > 0 else (w, u, letter.inverse()))
+    graph = LabeledGraph(frozenset(range(size)), frozenset(pairs), 0, False)
+    return fold(graph)[0]
+
+
+def coset_partition(keys):
+    classes = {}
+    for v, key in keys.items():
+        classes.setdefault(key, set()).add(v)
+    return frozenset(frozenset(c) for c in classes.values())
+
+
+def test_component_cosets_match_the_per_component_oracle(z2, s3, d4):
+    rng = random.Random(8)
+    nontrivial = 0
+    for table in (z2, s3, d4):
+        for _ in range(120):
+            graph = random_folded_graph(rng, table)
+            found = {frozenset(keys): (subgroup, keys)
+                     for subgroup, keys in component_cosets(table, graph)}
+            expected = components(graph, "y")
+            assert set(found) == {c.vertices for c, _anchor in expected}
+            for component, anchor in expected:
+                subgroup, keys = found[component.vertices]
+                oracle_subgroup, assignment = component_cosets_oracle(table, component)
+                assert coset_partition(keys) == coset_partition(assignment)
+                if anchor == graph.base:
+                    assert subgroup == oracle_subgroup
+                    assert keys == assignment
+                    nontrivial += 1 < len(subgroup) < table.order
+    # proper nontrivial loop subgroups, which no decompose benchmark input has
+    assert nontrivial >= 20
 
 
 # -- free-side completion ----------------------------------------------------------------

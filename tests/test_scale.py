@@ -1,18 +1,25 @@
-"""End-to-end runs past the toy problem files, each under a time bound.
+"""Runs past the toy problem files, each under a time bound.
 
 The bounds are generous, about ten times the runs' times on two cores of
 a shared x86-64 host (S_5 0.1 s, S_6 1.5 s, degree 61 0.15 s), so that
 they catch a hang rather than a small slowdown.  While recognition built
 two full Schreier-Sims chains per certificate, the degree-61 run alone
-took over a minute.
+took over a minute.  The decompose-sized subgroup graph (about 950
+vertices, 0.05 s) has a bound of 5 s.
 """
 
 import json
+import random
 import time
 
 import pytest
 
 from altsep.cli import main
+from altsep.kurosh import kurosh_decompose
+from altsep.subgroups import build_subgroup_graph, hypothesis_check
+
+from conftest import make_spec
+from oracles import random_raw_word
 
 
 def symmetric_factor_problem(n):
@@ -56,3 +63,19 @@ def test_certificate_within_time_bound(tmp_path, capsys, text, degree, bound_s):
     assert document["image_type"] in ("alternating", "symmetric")
     assert all(s["separated"] for s in document["separations"])
     assert elapsed < bound_s, f"took {elapsed:.1f} s, bound {bound_s} s"
+
+
+def test_decompose_sized_subgroup_within_time_bound(s3):
+    """Subgroup graph, verdict and Kurosh decomposition of six seeded
+    200-letter subgroup words of F_2 * S_3."""
+    rng = random.Random(1)
+    words = [random_raw_word(rng, 2, s3.num_generators, 200, 200) for _ in range(6)]
+    started = time.monotonic()
+    built = build_subgroup_graph(make_spec(s3, words))
+    verdict = hypothesis_check(built.graph, 2)
+    decomposition = kurosh_decompose(built.graph, s3)
+    elapsed = time.monotonic() - started
+    assert len(built.graph.vertices) > 800
+    assert verdict.kind
+    assert decomposition.factors
+    assert elapsed < 5, f"took {elapsed:.1f} s, bound 5 s"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from altsep.graphs import build_graph, canonical_form, components, is_tree, trace
+from altsep.graphs import build_graph, canonical_form, components, fold, is_tree, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -10,6 +10,7 @@ from altsep.subgroups import (
     FreeFactor,
     MembershipTester,
     ProblemSpec,
+    _wedge,
     based_fixpoint,
     build_subgroup_graph,
     hypothesis_check,
@@ -19,6 +20,7 @@ from altsep.words import normal_form, spell, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    based_fixpoint_oracle,
     fixpoint_contains,
     iter_ball,
     random_raw_word,
@@ -79,6 +81,27 @@ def test_fixpoint_is_stable(s3):
     again, tracked = based_fixpoint(built.graph, s3, (built.graph.base,))
     assert again.pairs == built.graph.pairs
     assert tracked == (built.graph.base,)
+
+
+def test_fixpoint_matches_the_per_component_oracle(z2, s3, d4):
+    rng = random.Random(9)
+    identified = 0
+    for table in (z2, s3, d4):
+        for _ in range(40):
+            words = [random_raw_word(rng, 2, table.num_generators, 10, 1)
+                     for _ in range(rng.randint(1, 3))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
+                          for _ in range(rng.randint(1, 2))]
+            built = build_subgroup_graph(make_spec(table, words, separators))
+            wedge, ends = _wedge(0, words, separators)
+            graph, tracked = based_fixpoint_oracle(wedge, table, (0, *ends))
+            assert built.graph.vertices == graph.vertices
+            assert built.graph.pairs == graph.pairs
+            assert built.graph.base == graph.base == tracked[0]
+            assert built.separator_ends == tracked[1:]
+            identified += len(fold(wedge)[0].vertices) > len(graph.vertices)
+    # coset identification, not folding alone, shrank many of the graphs
+    assert identified >= 20
 
 
 def test_letters_validated_against_declared_generators(z2):
