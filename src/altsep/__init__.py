@@ -17,7 +17,6 @@ from .graphs import (
     build_graph,
     fold,
     trace,
-    amalgamate,
     components,
     saturation_defects,
 )
@@ -41,7 +40,6 @@ from .subgroups import (
 )
 from .kurosh import KuroshDecomposition, kurosh_decompose, project_loop, verify_intersection
 from .covers import (
-    Cover,
     CoverPlan,
     GadgetParams,
     SeparatingCover,

@@ -141,14 +141,20 @@ def parse_problem(text: str) -> ProblemSpec:
                 keyed = _KEYED_RE.match(chunk)
                 if not keyed or keyed.group(1) != "rank":
                     raise ProblemFormatError(f"expected 'rank = <int>', got {chunk!r}", lineno)
+                if rank is not None:
+                    raise ProblemFormatError("rank defined twice", lineno)
                 rank = _parse_int(keyed.group(2), lineno)
                 if rank > MAX_FREE_RANK:
                     raise ProblemFormatError(f"free rank above {MAX_FREE_RANK}", lineno)
             elif section == "finite":
                 keyed = _KEYED_RE.match(chunk)
                 if keyed and keyed.group(1) == "degree":
+                    if degree is not None:
+                        raise ProblemFormatError("degree defined twice", lineno)
                     degree = _parse_int(keyed.group(2), lineno)
                     degree_line = lineno
+                    if degree < 1:
+                        raise ProblemFormatError("finite-factor degree below 1", lineno)
                     if degree > MAX_FINITE_DEGREE:
                         raise ProblemFormatError(
                             f"finite-factor degree above {MAX_FINITE_DEGREE}", lineno)
@@ -283,10 +289,10 @@ def run_separate(
 
 
 def _certificate(spec, built, result) -> dict:
-    graph = result.cover.graph
+    graph = result.cover
     plan = result.plan
     positions = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    base_point = positions[result.cover.embedding[built.graph.base]]
+    base_point = positions[built.graph.base]
 
     if not _is_prime(plan.degree):
         raise AssertionError("cover degree is not prime")
@@ -304,8 +310,7 @@ def _certificate(spec, built, result) -> dict:
     separations = []
     for j, word in enumerate(spec.separate_words, start=1):
         moved = word_action(result.images, word, base_point)
-        end_vertex = result.cover.embedding[built.separator_ends[j - 1]]
-        if moved != positions[end_vertex]:
+        if moved != positions[built.separator_ends[j - 1]]:
             raise AssertionError("separator action disagrees with its traced path")
         if moved == base_point:
             raise AssertionError("separator image fixes the base point")
@@ -458,11 +463,15 @@ def main(argv=None) -> int:
 
     if args.emit_dot:
         directory = Path(args.emit_dot)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in STAGE_NAMES:
-            if name in outcome.stages:
-                path = directory / f"{name}.dot"
-                path.write_text(export_dot(outcome.stages[name], name))
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            for name in STAGE_NAMES:
+                if name in outcome.stages:
+                    path = directory / f"{name}.dot"
+                    path.write_text(export_dot(outcome.stages[name], name))
+        except OSError as err:
+            print(f"altsep: error: {err}", file=sys.stderr)
+            return 1
 
     print(json.dumps(outcome.document, indent=2))
     return outcome.exit_code

@@ -12,15 +12,16 @@ candidate primes are tried in ascending order until recognition succeeds.
 The pipeline:
 
 1. pick the host component (a deficient cyclic x-component, else any tree
-   x-component, else the bare base vertex); embed every y-component into
-   its coset graph, and complete every other x-component in place;
-2. glue those covers onto the based graph (a pushout that only merges each
-   component with its image, checked by vertex/edge counts);
+   x-component, else the bare base vertex);
+2. embed every y-component into its coset graph and glue that on by
+   renaming: the embedding is injective, so every based-graph vertex keeps
+   its id, the cosets it misses get fresh ids, and no vertex is merged;
+   complete every other x-component in place;
 3. pick a prime p >= |V| + 5, bridge the host's missing connect-letter
    slots through a chain gadget of length p - |V| - 4 and a four-vertex
    mover gadget, and complete the connect component's x-structure;
-4. give every y-bare vertex the one-vertex coset graph's loops and finish
-   the remaining x-saturation, all without adding vertices.
+4. give every vertex with no edge of a factor that factor's one-vertex
+   cover, a loop per generator, without adding vertices.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from .factors import complete_X_cover, embed_Y_component
 from .graphs import (
     LabeledGraph,
-    amalgamate,
     canonical_pair,
     components,
     is_connected,
@@ -85,12 +85,6 @@ class CoverPlan:
             raise ValueError("chain length must be positive")
         if not _is_prime(self.degree):
             raise ValueError(f"{self.degree} is not prime")
-
-
-@dataclass(frozen=True)
-class Cover:
-    graph: LabeledGraph
-    embedding: dict  # based-graph vertex -> cover vertex
 
 
 def _is_prime(n: int) -> bool:
@@ -220,7 +214,7 @@ def word_action(images, word, point: int) -> int:
 
 @dataclass
 class SeparatingCover:
-    cover: Cover
+    cover: LabeledGraph  # the based graph's vertices keep their ids
     plan: CoverPlan
     params: GadgetParams
     images: dict
@@ -270,7 +264,7 @@ def build_separating_cover(
     if len(signs) != rank:
         raise ValueError(f"sign vector must have length {rank}")
 
-    # Step 1: host component and per-component covers.
+    # Step 1: host component.
     xcomps = components(graph, "x")
     ycomps = components(graph, "y")
     if verdict.kind == VERDICT_DEFICIENT:
@@ -278,33 +272,29 @@ def build_separating_cover(
     else:
         trees = [c for c, _anchor in xcomps if is_tree(c)]
         host = trees[0] if trees else None  # None: bare base vertex
-    pieces = []
+
+    # Step 2: component covers, glued on by renaming.  Every based-graph
+    # vertex keeps its id; coset c of a y-component's cover is the vertex
+    # the injective embedding sends onto it, else the fresh id offset + c.
+    vertices = set(graph.vertices)
+    pairs = set(graph.pairs)
+    offset = max(graph.vertices) + 1
     for component, _anchor in ycomps:
         cover, embedding = embed_Y_component(table, component)
-        pieces.append((component, cover, embedding))
+        name = {c: offset + c for c in cover.vertices}
+        name.update((c, v) for v, c in embedding.items())
+        vertices.update(name.values())
+        pairs.update((name[u], name[w], letter) for u, w, letter in cover.pairs)
+        offset += len(cover.vertices)
     for component, _anchor in xcomps:
-        if host is not None and component.vertices == host.vertices:
-            continue
-        completed = complete_X_cover(component, rank)
-        pieces.append((component, completed, {v: v for v in component.vertices}))
-
-    # Step 2: glue the covers on.  Only duplicated shared edges may fold.
-    glued, base_map, _piece_maps = amalgamate(graph, pieces)
-    expected_vertices = len(graph.vertices) + sum(
-        len(piece.vertices) - len(shared.vertices) for shared, piece, _ in pieces
-    )
-    expected_pairs = len(graph.pairs) + sum(
-        len(piece.pairs) - len(shared.pairs) for shared, piece, _ in pieces
-    )
-    if len(glued.vertices) != expected_vertices or len(glued.pairs) != expected_pairs:
-        raise AssertionError("gluing folded across distinct component covers")
-    if len(set(base_map.values())) != len(base_map):
-        raise AssertionError("based graph no longer embeds after gluing")
+        if host is None or component.vertices != host.vertices:
+            pairs.update(complete_X_cover(component, rank).pairs)
+    glued = make_graph(vertices, pairs, graph.base)
+    if not glued.folded:
+        raise AssertionError("gluing broke the immersion condition")
     k = len(glued.vertices)
 
-    host_vertices = (
-        {base_map[v] for v in host.vertices} if host is not None else {base_map[graph.base]}
-    )
+    host_vertices = host.vertices if host is not None else {graph.base}
     defects = [
         d for d in saturation_defects(glued, x_alphabet(rank)) if d.vertex in host_vertices
     ]
@@ -319,17 +309,17 @@ def build_separating_cover(
             raise CoverSearchExhaustedError(
                 f"no recognized cover with prime degree <= {max_prime}")
         params = GadgetParams(plan.chain_length, signs, connect, move)
-        result = _attempt(spec, graph, glued, base_map, plan, params, a, b)
+        result = _attempt(spec, graph, glued, plan, params, a, b)
         if result is not None:
             cover, precover, images, image_type, move_support = result
-            stages = {"component_covers": glued, "precover": precover, "cover": cover.graph}
+            stages = {"component_covers": glued, "precover": precover, "cover": cover}
             return SeparatingCover(
                 cover, plan, params, images, image_type, retries, stages, move_support
             )
         retries += 1
 
 
-def _attempt(spec, graph, glued, base_map, plan, params, a, b):
+def _attempt(spec, graph, glued, plan, params, a, b):
     """Steps 3 and 4 for one prime, then recognition.  Returns None when
     the image is neither alternating nor symmetric."""
     table = spec.finite
@@ -367,19 +357,16 @@ def _attempt(spec, graph, glued, base_map, plan, params, a, b):
         if saturation_defects(component, x_alphabet(rank)):
             raise AssertionError("an x-component of the precover is not a cover")
 
-    # Step 4: loops of the one-vertex coset graph at y-bare vertices, then
-    # the remaining x-saturation; no new vertices.
+    # Step 4: a vertex with no edge of a factor gets that factor's
+    # one-vertex cover, a loop per generator; no new vertices.
     pairs = set(precover.pairs)
-    ybare = [
-        v for v in sorted(precover.vertices)
-        if not any(l.factor == "y" for l in precover.out[v])
-    ]
-    for v in ybare:
-        for j in range(1, table.num_generators + 1):
-            pairs.add((v, v, y_letter(j)))
-    saturated = complete_X_cover(
-        make_graph(precover.vertices, pairs, precover.base), rank
-    )
+    for v, slots in precover.out.items():
+        for factor, letter, count in (
+            ("x", x_letter, rank), ("y", y_letter, table.num_generators)
+        ):
+            if not any(l.factor == factor for l in slots):
+                pairs.update((v, v, letter(j)) for j in range(1, count + 1))
+    saturated = make_graph(precover.vertices, pairs, precover.base)
 
     if len(saturated.vertices) != plan.degree:
         raise AssertionError("final cover has the wrong number of vertices")
@@ -389,10 +376,8 @@ def _attempt(spec, graph, glued, base_map, plan, params, a, b):
         raise AssertionError("final graph is not saturated")
     if not is_connected(saturated):
         raise AssertionError("final cover is not connected")
-    embedding = dict(base_map)
-    for u, w, letter in graph.pairs:
-        if canonical_pair(embedding[u], embedding[w], letter) not in saturated.pairs:
-            raise AssertionError("based graph does not embed in the final cover")
+    if not graph.pairs <= saturated.pairs:
+        raise AssertionError("based graph does not embed in the final cover")
 
     images = permutation_rep(saturated, rank, table.num_generators)
     _orbits, transitive = permgroup.orbit_transitive(
@@ -407,4 +392,4 @@ def _attempt(spec, graph, glued, base_map, plan, params, a, b):
     image_type = permgroup.recognize_alt_sym(list(images.values()), plan.degree)
     if image_type == permgroup.OTHER:
         return None
-    return Cover(saturated, embedding), precover, images, image_type, move_support
+    return saturated, precover, images, image_type, move_support

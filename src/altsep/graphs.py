@@ -1,10 +1,11 @@
-"""Finite labeled graphs with involutive edges, folding, and amalgamation.
+"""Finite labeled graphs with involutive edges, and folding.
 
 A labeled graph stores each edge/inverse-edge pair once, in the canonical
 orientation whose letter has positive sign: the stored pair (u, w, x1)
 represents the edge u --x1--> w together with its involution partner
-w --x1^-1--> u.  Graphs are immutable; every operation returns a new graph,
-and operations that can merge vertices also return the induced vertex map.
+w --x1^-1--> u.  Graphs are immutable; every operation returns a new graph.
+``fold`` is the only operation that merges vertices, and it also returns
+the induced vertex map.
 
 A graph is *folded* when no vertex has two distinct outgoing edges with the
 same letter.  Folding is confluent, so ``fold`` picks its own order; the
@@ -212,53 +213,6 @@ def trace(graph: LabeledGraph, start: int, word) -> TraceResult:
             return TraceResult("stuck", current, position)
         current = target
     return TraceResult("closed" if current == start else "open", current)
-
-
-def amalgamate(base_graph: LabeledGraph, pieces):
-    """Pushout: glue each piece onto the base graph along a shared subgraph.
-
-    ``pieces`` is a list of (shared, piece, mapping) triples where ``shared``
-    is a subgraph of the base graph, ``piece`` is the graph being glued, and
-    ``mapping`` sends shared vertices to piece vertices.  Each mapping must
-    be injective and label-preserving on the shared subgraph.  The glued
-    union is folded; the base's base point is kept.
-
-    Returns (result, base_map, piece_maps) with total vertex maps into the
-    result for the base graph and for each piece.
-    """
-    vertices = set(base_graph.vertices)
-    pairs = set(base_graph.pairs)
-    offset = max(base_graph.vertices) + 1 if base_graph.vertices else 0
-    offsets = []
-    merge_groups = []
-    for shared, piece, mapping in pieces:
-        if not shared.vertices <= base_graph.vertices or not shared.pairs <= base_graph.pairs:
-            raise ValueError("shared graph is not a subgraph of the base graph")
-        if set(mapping) != set(shared.vertices):
-            raise ValueError("mapping domain must be the shared vertex set")
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("injection is not injective on the shared subgraph")
-        for u, w, letter in shared.pairs:
-            if canonical_pair(mapping[u], mapping[w], letter) not in piece.pairs:
-                raise ValueError(
-                    f"injection is not label-preserving: shared edge "
-                    f"{u} --{letter}--> {w} has no image in the piece")
-        offsets.append(offset)
-        for v in piece.vertices:
-            vertices.add(offset + v)
-        for u, w, letter in piece.pairs:
-            pairs.add((offset + u, offset + w, letter))
-        for shared_v, piece_v in mapping.items():
-            merge_groups.append((shared_v, offset + piece_v))
-        offset += max(piece.vertices) + 1 if piece.vertices else 0
-    union = LabeledGraph(frozenset(vertices), frozenset(pairs), base_graph.base, False)
-    folded, vmap = fold(union, merge_groups)
-    base_map = {v: vmap[v] for v in base_graph.vertices}
-    piece_maps = [
-        {v: vmap[off + v] for v in piece.vertices}
-        for off, (_, piece, _) in zip(offsets, pieces)
-    ]
-    return folded, base_map, piece_maps
 
 
 def components(graph: LabeledGraph, factor: str):

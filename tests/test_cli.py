@@ -270,7 +270,9 @@ def test_main_rejects_a_file_with_nothing_to_separate(tmp_path):
      "line 2, column 1: finite-factor degree above 100"),
     ("degree = 9 ; gens = y1: (1 2); y2: (1 2 3 4 5 6 7 8 9)",
      "line 2, column 1: finite factor has more than 40320 elements"),
-], ids=["degree", "order"])
+    ("degree = -2 ; gens = y1: ()", "line 2, column 1: finite-factor degree below 1"),
+    ("degree = 0 ; gens = y1: ()", "line 2, column 1: finite-factor degree below 1"),
+], ids=["degree", "order", "negative-degree", "zero-degree"])
 def test_main_rejects_a_hostile_finite_factor_quickly(tmp_path, capsys, finite, message):
     path = write(
         tmp_path,
@@ -283,6 +285,31 @@ def test_main_rejects_a_hostile_finite_factor_quickly(tmp_path, capsys, finite, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"altsep: error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[free] rank = 2\n[free] rank = 3\n[finite] degree = 2 ; gens = y1: (1 2)\n"
+     "[subgroup]\n[separate] g1 = x3\n", "line 2, column 1: rank defined twice"),
+    ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n[finite] degree = 3\n"
+     "[subgroup]\n[separate] g1 = x1\n", "line 3, column 1: degree defined twice"),
+], ids=["rank", "degree"])
+def test_main_rejects_a_key_defined_twice(tmp_path, capsys, text, message):
+    path = write(tmp_path, "twice.txt", text)
+    assert main(["separate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {message}\n"
+
+
+def test_main_reports_an_unwritable_dot_directory(tmp_path, capsys):
+    path = write(tmp_path, "demo.txt", DEMO)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["separate", path, "--emit-dot", str(blocker / "dots")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("altsep: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_main_rejects_a_hostile_free_rank_quickly(tmp_path, capsys):

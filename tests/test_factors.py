@@ -13,17 +13,21 @@ from altsep.factors import (
     enumerate_group,
     subgroup_closure,
 )
+from altsep.covers import build_separating_cover
 from altsep.graphs import (
     LabeledGraph,
+    breadth_first_tree,
     build_graph,
     components,
     fold,
     saturation_defects,
     trace,
 )
+from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
-from oracles import component_cosets_oracle, exhaustive_closure
+from conftest import make_spec
+from oracles import component_cosets_oracle, exhaustive_closure, random_raw_word
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -300,22 +304,42 @@ def test_components_of_monochromatic_cover(s3):
     assert components(g, "x") == []
 
 
-def test_gluing_a_component_cover_grows_by_the_difference(s3):
-    # ambient graph with a y-component whose cover is strictly larger
-    from altsep.graphs import amalgamate
-
-    ambient = build_graph(
-        [0, 1, 2], [(0, 1, y(1)), (0, 2, x(1)), (2, 2, x(2))], 0
-    )
-    component = components(ambient, "y")[0][0]
-    cover, embedding = embed_Y_component(s3, component)
-    glued, base_map, piece_maps = amalgamate(ambient, [(component, cover, embedding)])
-    grown = len(cover.vertices) - len(component.vertices)
-    assert len(glued.vertices) == len(ambient.vertices) + grown
-    assert len(set(base_map.values())) == len(base_map)
-    # the whole cover sits inside the glued graph
-    from altsep.graphs import canonical_pair
-
-    cover_map = piece_maps[0]
-    for u, w, letter in cover.pairs:
-        assert canonical_pair(cover_map[u], cover_map[w], letter) in glued.pairs
+def test_gluing_a_component_cover_grows_by_the_difference(s3, d4):
+    # each y-component's coset graph is glued on along its embedding: the
+    # based graph keeps its ids, and the glued graph gains exactly the
+    # cosets that the components miss
+    rng = random.Random(41)
+    glued_runs = proper = 0
+    for table in (s3, d4):
+        for _ in range(12):
+            words = [random_raw_word(rng, 2, table.num_generators, 8, 1)
+                     for _ in range(rng.randint(1, 3))]
+            separator = random_raw_word(rng, 2, table.num_generators, 6, 1)
+            spec = make_spec(table, words, [separator])
+            built = build_subgroup_graph(spec)
+            graph = built.graph
+            verdict = hypothesis_check(graph, 2)
+            if verdict.kind == VERDICT_NOT_APPLICABLE or graph.base in built.separator_ends:
+                continue
+            glued = build_separating_cover(spec, graph, verdict).stages["component_covers"]
+            glued_runs += 1
+            assert glued.base == graph.base
+            assert graph.vertices <= glued.vertices and graph.pairs <= glued.pairs
+            grown = 0
+            for component, anchor in components(graph, "y"):
+                cover, embedding = embed_Y_component(table, component)
+                # follow the cover's tree edges from the anchor's coset
+                order, parent = breadth_first_tree(cover, embedding[anchor])
+                place = {embedding[anchor]: anchor}
+                for c in order[1:]:
+                    source, letter = parent[c]
+                    place[c] = glued.step(place[source], letter)
+                assert len(set(place.values())) == len(cover.vertices)
+                assert all(place[embedding[v]] == v for v in component.vertices)
+                for u, w, letter in cover.pairs:
+                    assert (place[u], place[w], letter) in glued.pairs
+                grown += len(cover.vertices) - len(component.vertices)
+                proper += 1 < len(cover.vertices) < table.order
+            assert len(glued.vertices) == len(graph.vertices) + grown
+    assert glued_runs >= 15
+    assert proper >= 5

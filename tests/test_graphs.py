@@ -4,7 +4,6 @@ import pytest
 
 from altsep.graphs import (
     LabeledGraph,
-    amalgamate,
     breadth_first_tree,
     build_graph,
     canonical_form,
@@ -145,41 +144,6 @@ def test_trace_deterministic():
     g = wedge_w4()
     first = trace(g, 0, (x(1), x(2), x(1)))
     assert all(trace(g, 0, (x(1), x(2), x(1))) == first for _ in range(3))
-
-
-# -- amalgamate --------------------------------------------------------------------
-
-
-def test_amalgamate_point_pushout_gives_wedge():
-    loop = build_graph([0], [(0, 0, x(1))], 0)
-    other = build_graph([0], [(0, 0, x(2))], 0)
-    point = build_graph([0], [], 0)
-    glued, base_map, piece_maps = amalgamate(loop, [(point, other, {0: 0})])
-    assert len(glued.vertices) == 1 and len(glued.pairs) == 2
-    assert base_map[0] == glued.base
-
-
-def test_amalgamate_disjoint_images_adds_edge_counts():
-    base = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, y(1))], 0)
-    piece_a = build_graph([0, 1, 5], [(0, 1, x(1)), (1, 5, x(2))], 0)
-    shared_a = build_graph([0, 1], [(0, 1, x(1))], 0)
-    piece_b = build_graph([0, 7], [(0, 7, y(1)), (7, 0, y(1))], 0)
-    shared_b = build_graph([0, 2], [(0, 2, y(1))], 0)
-    glued, base_map, _ = amalgamate(
-        base,
-        [(shared_a, piece_a, {0: 0, 1: 1}), (shared_b, piece_b, {0: 0, 2: 7})],
-    )
-    assert len(glued.pairs) == 2 + (2 - 1) + (2 - 1)
-    assert len(glued.vertices) == 3 + 1 + 0
-    assert len(set(base_map.values())) == 3
-
-
-def test_amalgamate_rejects_label_violation():
-    base = build_graph([0, 1], [(0, 1, x(1))], 0)
-    shared = build_graph([0, 1], [(0, 1, x(1))], 0)
-    piece = build_graph([0, 1], [(0, 1, x(2))], 0)
-    with pytest.raises(ValueError):
-        amalgamate(base, [(shared, piece, {0: 0, 1: 1})])
 
 
 # -- components ---------------------------------------------------------------------
