@@ -33,7 +33,6 @@ from .graphs import (
     LabeledGraph,
     canonical_pair,
     components,
-    is_connected,
     is_tree,
     make_graph,
     saturation_defects,
@@ -58,18 +57,9 @@ class CoverSearchExhaustedError(Exception):
 
 @dataclass(frozen=True)
 class GadgetParams:
-    chain_length: int
     signs: tuple
     connect_letter: int
     move_letter: int
-
-    def __post_init__(self):
-        if self.connect_letter == self.move_letter:
-            raise ValueError("connect and move letters must differ")
-        if self.chain_length < 1:
-            raise ValueError("chain length must be positive")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -303,12 +293,11 @@ def build_separating_cover(
     connect, a, b = _pick_attachment(defects)
     move = min(i for i in range(1, rank + 1) if i != connect)
 
-    retries = 0
-    for plan in choose_prime(k):
+    params = GadgetParams(signs, connect, move)
+    for retries, plan in enumerate(choose_prime(k)):
         if plan.degree > max_prime:
             raise CoverSearchExhaustedError(
                 f"no recognized cover with prime degree <= {max_prime}")
-        params = GadgetParams(plan.chain_length, signs, connect, move)
         result = _attempt(spec, graph, glued, plan, params, a, b)
         if result is not None:
             cover, precover, images, image_type, move_support = result
@@ -316,7 +305,6 @@ def build_separating_cover(
             return SeparatingCover(
                 cover, plan, params, images, image_type, retries, stages, move_support
             )
-        retries += 1
 
 
 def _attempt(spec, graph, glued, plan, params, a, b):
@@ -353,9 +341,6 @@ def _attempt(spec, graph, glued, plan, params, a, b):
     precover = make_graph(
         bridged.vertices, set(bridged.pairs) | set(completed.pairs), bridged.base
     )
-    for component, _anchor in components(precover, "x"):
-        if saturation_defects(component, x_alphabet(rank)):
-            raise AssertionError("an x-component of the precover is not a cover")
 
     # Step 4: a vertex with no edge of a factor gets that factor's
     # one-vertex cover, a loop per generator; no new vertices.
@@ -374,8 +359,6 @@ def _attempt(spec, graph, glued, plan, params, a, b):
         saturated, y_alphabet(table.num_generators)
     ):
         raise AssertionError("final graph is not saturated")
-    if not is_connected(saturated):
-        raise AssertionError("final cover is not connected")
     if not graph.pairs <= saturated.pairs:
         raise AssertionError("based graph does not embed in the final cover")
 
@@ -384,7 +367,7 @@ def _attempt(spec, graph, glued, plan, params, a, b):
         list(images.values()), plan.degree
     )
     if not transitive:
-        raise AssertionError("action on a connected cover must be transitive")
+        raise AssertionError("final cover is not connected")
     move_image = images[f"x{move}"]
     move_support = len(permgroup.support(move_image))
     if move_support >= plan.base_size + 5:

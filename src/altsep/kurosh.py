@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factors import FiniteGroupTable, NotGBasedError, component_cosets
+from .factors import FiniteGroupTable, NotGBasedError, subgroup_closure
 from .graphs import (
     LabeledGraph,
     _pair_key,
@@ -83,7 +83,7 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
             removed.add((u, w, letter))
         subgroup = None
         if factor == "y":
-            [(subgroup, _keys)] = component_cosets(table, anchored)
+            subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
         factors.append(
             KuroshFactor(approach, anchored, factor, tuple(loop_words), subgroup)
         )

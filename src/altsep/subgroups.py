@@ -126,14 +126,11 @@ def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     """Canonical based graph for the subgroup, with one open path per
     separator word; returns the graph and each path's end vertex."""
     wedge, ends = _wedge(0, spec.subgroup_words, spec.separate_words)
-    graph, tracked = based_fixpoint(wedge, spec.finite, (0, *ends))
-    base = tracked[0]
-    if base != graph.base:
-        raise AssertionError("base point lost during stabilization")
+    graph, ends = based_fixpoint(wedge, spec.finite, ends)
     for word in spec.subgroup_words:
         if not trace(graph, graph.base, word).closed:
             raise AssertionError("generator loop failed to close")
-    return SubgroupGraph(graph, tracked[1:])
+    return SubgroupGraph(graph, ends)
 
 
 class MembershipTester:

@@ -127,7 +127,7 @@ def normal_form(word, table) -> tuple:
     with x-syllables freely reduced, y-syllables nonidentity elements of
     the finite group, and no two adjacent syllables from the same factor.
     The empty tuple denotes the identity.  ``table`` is a FiniteGroupTable
-    (only its multiply/inverse/generator_element methods are used).
+    (only its letter_element and multiply methods and its identity are used).
     """
     stack = []  # mutable entries ["x", [letters]] or ["y", element]
     for letter in word:
@@ -143,9 +143,7 @@ def normal_form(word, table) -> tuple:
             else:
                 stack.append(["x", [letter]])
         else:
-            element = table.generator_element(letter.index)
-            if letter.sign < 0:
-                element = table.inverse(element)
+            element = table.letter_element(letter)
             if stack and stack[-1][0] == "y":
                 product = table.multiply(stack[-1][1], element)
                 if product == table.identity:

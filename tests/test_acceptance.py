@@ -284,7 +284,7 @@ def test_membership_reader_matches_fixpoint_oracle():
     problem files, for raw words longer than criterion 5's ball."""
     specs = membership_fixtures(tables())
     specs += [parse_problem(path.read_text()) for path in PROBLEM_FILES]
-    assert len(PROBLEM_FILES) == 3
+    assert len(PROBLEM_FILES) == 4
     rng = random.Random(7)
     for spec in specs:
         table = spec.finite

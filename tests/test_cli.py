@@ -19,6 +19,7 @@ from altsep.cli import (
     parse_word,
     run_separate,
 )
+from altsep.covers import CoverSearchExhaustedError
 from altsep.graphs import build_graph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
@@ -242,7 +243,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["separate", bad]) == 1
     huge = write(tmp_path, "huge.txt", DEMO.replace("g1 = y2", "g1 = x1^1000000000"))
     assert main(["separate", huge]) == 1
-    assert "line 6, column 1: word longer than" in capsys.readouterr().err
+    assert "line 6, column 18: word longer than" in capsys.readouterr().err
     assert main(["separate", str(tmp_path / "missing.txt")]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()
@@ -301,6 +302,38 @@ def test_main_rejects_a_key_defined_twice(tmp_path, capsys, text, message):
     assert captured.err == f"altsep: error: {message}\n"
 
 
+@pytest.mark.parametrize("words, message", [
+    ("[subgroup] h1 = x1\n[separate] g2 = x2 ; g7 = x1 x1\n",
+     "line 4, column 1: g2 is out of sequence: separate words must be g1..gm with no gaps"),
+    ("[subgroup] h1 = x1 ; h3 = x2\n[separate] g1 = x2\n",
+     "line 3, column 1: h3 is out of sequence: subgroup words must be h1..hm with no gaps"),
+    ("[subgroup] h0 = x1\n[separate] g1 = x2\n",
+     "line 3, column 1: h0 is out of sequence: subgroup words must be h1..hm with no gaps"),
+], ids=["separate", "subgroup", "zero"])
+def test_main_rejects_word_numbering_with_gaps(tmp_path, capsys, words, message):
+    # With g2 and g7, a GammaClosed record would name g2 for the word g7.
+    path = write(tmp_path, "gaps.txt",
+                 "[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n" + words)
+    assert main(["separate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {message}\n"
+
+
+@pytest.mark.parametrize("line, column", [
+    ("[subgroup] h1 = x1 x9", 20),
+    ("[subgroup]   h1 = x2 ;   h2 =  x1  x9", 36),
+    ("  h1 = x9   # in a section opened on an earlier line", 8),
+], ids=["header", "second-chunk", "continuation"])
+def test_word_errors_count_columns_from_the_line_start(line, column):
+    text = ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n[subgroup]\n"
+            f"{line}\n[separate] g1 = x1\n")
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.column) == (4, column)
+    assert str(err.value).endswith(": unknown generator x9")
+
+
 def test_main_reports_an_unwritable_dot_directory(tmp_path, capsys):
     path = write(tmp_path, "demo.txt", DEMO)
     blocker = tmp_path / "file"
@@ -344,6 +377,28 @@ def test_main_reports_a_failed_self_check_as_an_internal_error(
     assert captured.out == ""
     assert captured.err == (
         "altsep: internal error: image order does not match its classification\n")
+
+
+def test_an_unrecognized_image_retries_at_the_next_prime(monkeypatch):
+    real = permgroup.recognize_alt_sym
+    calls = []
+
+    def other_first(gens, degree):
+        calls.append(degree)
+        return permgroup.OTHER if len(calls) == 1 else real(gens, degree)
+
+    monkeypatch.setattr(permgroup, "recognize_alt_sym", other_first)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    spec = parse_problem(problem.read_text())
+    document = run_separate(spec).document
+    assert calls == [13, 17]
+    assert document["degree"] == 17
+    assert document["pipeline_stats"]["retries"] == 1
+
+    calls.clear()
+    with pytest.raises(CoverSearchExhaustedError):
+        run_separate(spec, max_prime=13)
+    assert calls == [13]
 
 
 def test_main_flags(tmp_path, capsys):
