@@ -191,9 +191,11 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ProblemFormatError("missing degree in [finite] section", 1)
     if not raw_gens:
         raise ProblemFormatError("missing generators in [finite] section", 1)
-    if sorted(raw_gens) != list(range(1, len(raw_gens) + 1)):
-        raise ProblemFormatError(
-            "finite-factor generators must be y1..yq with no gaps", 1)
+    for position, index in enumerate(sorted(raw_gens), start=1):
+        if index != position:
+            raise ProblemFormatError(
+                f"y{index} is out of sequence: finite-factor generators must be "
+                "y1..yq with no gaps", raw_gens[index][1])
 
     perms = []
     for index in range(1, len(raw_gens) + 1):

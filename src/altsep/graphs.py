@@ -45,8 +45,10 @@ class LabeledGraph:
     @cached_property
     def out(self):
         """Adjacency of a folded graph: vertex -> {letter -> target}.
-        Raises ValueError on an unfolded graph, where a letter may have
-        two targets."""
+        Built from the pairs on first use, except for a graph ``fold``
+        returns, which carries the adjacency ``fold`` built; treat it as
+        read-only.  Raises ValueError on an unfolded graph, where a letter
+        may have two targets."""
         if not self.folded:
             raise ValueError("adjacency requires a folded graph")
         table = {v: {} for v in self.vertices}
@@ -58,9 +60,6 @@ class LabeledGraph:
     def step(self, vertex: int, letter: Letter):
         """Unique out-neighbor along ``letter``, or None.  Requires folded."""
         return self.out[vertex].get(letter)
-
-    def letters_at(self, vertex: int):
-        return sorted(self.out[vertex], key=lambda l: l.sort_key)
 
     def __repr__(self):
         return (f"LabeledGraph({len(self.vertices)} vertices, "
@@ -154,49 +153,66 @@ def fold(graph: LabeledGraph, merge=()):
     graph, total vertex map).  Raises ValueError for a group naming an
     unknown vertex.
 
-    Cost: O((|V| + |E| + |merge|) * alpha) union-find work plus one replay
-    per edge slot of each vertex merged away while folding.  The groups
-    and edge pairs are consumed in the order given: the quotient is unique
-    and every class is named by its least vertex (``_UnionFind.union``
-    keeps the smaller id), so neither the result nor the vertex map
-    depends on that order.
+    A folded input starts from a copy of its adjacency; an unfolded one
+    starts empty, with every edge orientation queued.  Merging two classes
+    is the same step for a merge group and for two edges that collide:
+    union them and replay only the dropped class's slots onto the
+    survivor.  The result carries the adjacency built here, every target
+    resolved, as its ``out``.
+
+    Cost: O((|V| + |E| + |merge|) * alpha) union-find work on unfolded
+    input, and on folded input O(|V| + |E|) to copy and resolve the
+    adjacency plus the union-find work of the merges and the folds they
+    cause; in both, one replay per edge slot of each vertex merged away.
+    The groups and edge pairs are consumed in the order given: the
+    quotient is unique and every class is named by its least vertex
+    (``_UnionFind.union`` keeps the smaller id), so neither the result nor
+    the vertex map depends on that order.
     """
     uf = _UnionFind(graph.vertices)
+    find = uf.find
+    work = deque()
+    if graph.folded:
+        out = {v: dict(slots) for v, slots in graph.out.items()}
+    else:
+        out = {v: {} for v in graph.vertices}
+        for u, w, letter in graph.pairs:
+            work.append((u, w, letter))
+            work.append((w, u, letter.inverse()))
+
+    def identify(a, b):
+        """Union the classes of a and b; the dropped class's slots are
+        replayed from the survivor, and stale targets resolve through
+        find() on their next visit."""
+        a, b = find(a), find(b)
+        if a != b:
+            keep = uf.union(a, b)
+            for letter, target in out.pop(b if keep == a else a).items():
+                work.append((keep, target, letter))
+
     for group in merge:
         for v in group:
             if v not in graph.vertices:
                 raise ValueError(f"unknown vertex {v!r}")
-            uf.union(group[0], v)
-    out = {v: {} for v in graph.vertices}
-    work = deque()
-    for u, w, letter in graph.pairs:
-        work.append((u, w, letter))
-        work.append((w, u, letter.inverse()))
+            identify(group[0], v)
     while work:
         source, target, letter = work.popleft()
-        source, target = uf.find(source), uf.find(target)
+        source, target = find(source), find(target)
         slots = out[source]
         existing = slots.get(letter)
         if existing is None:
             slots[letter] = target
-            continue
-        existing = uf.find(existing)
-        slots[letter] = existing
-        if existing == target:
-            continue
-        keep = uf.union(existing, target)
-        drop = target if keep == existing else existing
-        # the dropped class's slots are replayed from the survivor; stale
-        # targets resolve through find() on their next visit
-        for l2, t2 in out.pop(drop).items():
-            work.append((keep, t2, l2))
-    vmap = {v: uf.find(v) for v in graph.vertices}
-    vertices = frozenset(vmap.values())
+        else:
+            identify(existing, target)
+    vmap = {v: find(v) for v in graph.vertices}
     pairs = set()
     for source, slots in out.items():
         for letter, target in slots.items():
-            pairs.add(canonical_pair(uf.find(source), uf.find(target), letter))
-    result = LabeledGraph(vertices, frozenset(pairs), vmap[graph.base], True)
+            target = slots[letter] = vmap[target]
+            if letter.sign > 0:
+                pairs.add((source, target, letter))
+    result = LabeledGraph(frozenset(out), frozenset(pairs), vmap[graph.base], True)
+    result.__dict__["out"] = out  # fills the cached property
     return result, vmap
 
 
@@ -263,25 +279,28 @@ def saturation_defects(graph: LabeledGraph, alphabet):
     return defects
 
 
-def breadth_first_tree(graph: LabeledGraph, root: int):
-    """Deterministic BFS: letters sorted x-first, ascending index, positive
-    sign first.  Returns (discovery order, parent) where parent maps each
-    non-root reached vertex to (parent vertex, letter of the edge parent->v).
-    Requires a folded graph.
+def breadth_first_tree(graph: LabeledGraph, root: int, letters=None):
+    """Deterministic BFS that follows the edges labeled by ``letters``, in
+    that order; by default every letter of the graph, sorted x-first,
+    ascending index, positive sign first.  Returns (discovery order,
+    parent) where parent maps each non-root reached vertex to (parent
+    vertex, letter of the edge parent->v).  Requires a folded graph.
     """
+    out = graph.out
+    if letters is None:
+        letters = sorted({letter for slots in out.values() for letter in slots},
+                         key=lambda l: l.sort_key)
     order = [root]
     parent = {}
     seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for letter in graph.letters_at(v):
-            w = graph.step(v, letter)
-            if w not in seen:
+    for v in order:  # grows while it is read: breadth-first order
+        slots = out[v]
+        for letter in letters:
+            w = slots.get(letter)
+            if w is not None and w not in seen:
                 seen.add(w)
                 parent[w] = (v, letter)
                 order.append(w)
-                queue.append(w)
     return order, parent
 
 

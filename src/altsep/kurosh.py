@@ -18,6 +18,9 @@ from .factors import FiniteGroupTable, NotGBasedError, subgroup_closure
 from .graphs import (
     LabeledGraph,
     _pair_key,
+    _UnionFind,
+    breadth_first_tree,
+    canonical_pair,
     components,
     is_tree,
     spanning_tree,
@@ -67,6 +70,10 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
                 cyclic.append((component, factor))
     cyclic.sort(key=lambda item: min(discovery[v] for v in item[0].vertices))
 
+    # each factor's letters present in the graph, in sort-key order
+    letters = {"x": [], "y": []}
+    for letter in sorted({pair[2] for pair in graph.pairs}, key=lambda l: l.sort_key):
+        letters[letter.factor] += (letter, letter.inverse())
     factors = []
     removed = set()
     for component, factor in cyclic:
@@ -75,11 +82,11 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
             component.vertices, component.pairs, anchor, component.folded
         )
         approach = tree_path_word(parent, anchor)
-        corder, cparent, ctree = spanning_tree(anchored)
-        reach = {v: tree_path_word(cparent, v) for v in corder}
+        cparent, ctree = _component_tree(graph, anchor, letters[factor])
         loop_words = []
         for u, w, letter in sorted(anchored.pairs - ctree, key=_pair_key):
-            loop_words.append(reach[u] + (letter,) + word_inverse(reach[w]))
+            to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
+            loop_words.append(to_u + (letter,) + word_inverse(to_w))
             removed.add((u, w, letter))
         subgroup = None
         if factor == "y":
@@ -91,12 +98,25 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     delta = LabeledGraph(
         graph.vertices, graph.pairs - frozenset(removed), graph.base, graph.folded
     )
-    try:
-        _dorder, _dparent, dtree = spanning_tree(delta)
-    except ValueError as err:
-        raise AssertionError("pruned graph must stay connected") from err
-    free_rank = len(delta.pairs) - len(dtree)
+    # connectivity of delta by union-find over its pairs; a spanning tree of
+    # a connected graph has |V| - 1 pairs, and the rest count toward the rank
+    uf = _UnionFind(delta.vertices)
+    for u, w, _letter in delta.pairs:
+        uf.union(u, w)
+    if len({uf.find(v) for v in delta.vertices}) != 1:
+        raise AssertionError("pruned graph must stay connected")
+    free_rank = len(delta.pairs) - len(delta.vertices) + 1
     return KuroshDecomposition(tuple(factors), free_rank, delta)
+
+
+def _component_tree(graph: LabeledGraph, anchor: int, letters):
+    """Breadth-first spanning tree of the monochromatic component at
+    ``anchor``, read off the whole graph's adjacency by following only the
+    component's ``letters``.  Returns (parent, tree pairs) as
+    ``spanning_tree`` does for the component on its own."""
+    _order, parent = breadth_first_tree(graph, anchor, letters)
+    tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
+    return parent, tree
 
 
 def _split_runs(graph: LabeledGraph, start: int, word):

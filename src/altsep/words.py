@@ -1,7 +1,9 @@
 """Letters and words over the two-factor alphabet x1..xr, y1..yq.
 
 A letter carries a factor tag ('x' for the free factor, 'y' for the finite
-factor), a 1-based generator index, and a sign.  A word is a plain tuple of
+factor), a 1-based generator index, and a sign.  Letters are interned:
+there is one object per (factor, index, sign), so equality is identity
+and hashing a letter costs no Python call.  A word is a plain tuple of
 letters; the empty tuple is the identity.
 
 Words denote elements of the free product of a free group (the x-letters)
@@ -13,27 +15,47 @@ and identity syllables are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Letter:
-    factor: str
-    index: int
-    sign: int = 1
+    """One signed generator; immutable.  ``Letter(factor, index, sign)``
+    returns the one shared letter with those values, so equal letters are
+    the same object and ``==`` and ``hash`` are object identity."""
 
-    def __post_init__(self):
-        if self.factor not in ("x", "y"):
-            raise ValueError(f"factor must be 'x' or 'y', got {self.factor!r}")
-        if self.index < 1:
-            raise ValueError(f"generator index must be positive, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    __slots__ = ("factor", "index", "sign")
+
+    def __new__(cls, factor: str, index: int, sign: int = 1):
+        letter = _INTERNED.get((factor, index, sign))
+        if letter is not None:
+            return letter
+        if factor not in ("x", "y"):
+            raise ValueError(f"factor must be 'x' or 'y', got {factor!r}")
+        if index < 1:
+            raise ValueError(f"generator index must be positive, got {index}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        pair = []
+        for s in (sign, -sign):
+            letter = object.__new__(cls)
+            object.__setattr__(letter, "factor", factor)
+            object.__setattr__(letter, "index", index)
+            object.__setattr__(letter, "sign", s)
+            _INTERNED[factor, index, s] = letter
+            pair.append(letter)
+        _INVERSE[pair[0]], _INVERSE[pair[1]] = pair[1], pair[0]
+        return pair[0]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Letter is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Letter is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled letters are the shared letter itself
+        return (Letter, (self.factor, self.index, self.sign))
 
     def inverse(self) -> "Letter":
-        key = (self.factor, self.index, -self.sign)
-        letter = _INTERNED.get(key)
-        return letter if letter is not None else _intern(*key)
+        return _INVERSE[self]
 
     @property
     def sort_key(self):
@@ -44,18 +66,21 @@ class Letter:
         name = f"{self.factor}{self.index}"
         return name if self.sign > 0 else name + "^-1"
 
+    def __repr__(self):
+        return f"Letter(factor={self.factor!r}, index={self.index!r}, sign={self.sign!r})"
 
-# One shared Letter per (factor, index, sign).  Letters are immutable and
-# compare by value, so sharing is invisible to callers; it spares the hot
-# graph loops a construction and a validation on every inverse().
+
+# The shared letters: (factor, index, sign) -> letter, and letter -> its
+# inverse.  A letter and its inverse are made together.
 _INTERNED: dict = {}
+_INVERSE: dict = {}
 
 
 def _intern(factor: str, index: int, sign: int) -> Letter:
+    """``Letter(factor, index, sign)`` without the class call for a letter
+    that already exists."""
     letter = _INTERNED.get((factor, index, sign))
-    if letter is None:
-        letter = _INTERNED[factor, index, sign] = Letter(factor, index, sign)
-    return letter
+    return letter if letter is not None else Letter(factor, index, sign)
 
 
 def x_letter(index: int, sign: int = 1) -> Letter:

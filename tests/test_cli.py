@@ -320,6 +320,24 @@ def test_main_rejects_word_numbering_with_gaps(tmp_path, capsys, words, message)
     assert captured.err == f"altsep: error: {message}\n"
 
 
+@pytest.mark.parametrize("finite, message", [
+    ("[finite]\ndegree = 3\ngens = y1: (1 2) ; y3: (1 2 3)\n",
+     "line 4, column 1: y3 is out of sequence: finite-factor generators must be "
+     "y1..yq with no gaps"),
+    ("[finite] degree = 2\n\n  y2: (1 2)\n",
+     "line 4, column 1: y2 is out of sequence: finite-factor generators must be "
+     "y1..yq with no gaps"),
+], ids=["gap", "no-y1"])
+def test_main_rejects_generator_numbering_with_gaps(tmp_path, capsys, finite, message):
+    # Before, a gap was reported at line 1 wherever the generators were.
+    path = write(tmp_path, "gaps.txt",
+                 "[free] rank = 2\n" + finite + "[subgroup] h1 = x1\n[separate] g1 = x2\n")
+    assert main(["separate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {message}\n"
+
+
 @pytest.mark.parametrize("line, column", [
     ("[subgroup] h1 = x1 x9", 20),
     ("[subgroup]   h1 = x2 ;   h2 =  x1  x9", 36),

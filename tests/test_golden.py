@@ -7,6 +7,9 @@ shows up here, not only a difference between two runs of the same code.
 one ``<stage>.dot`` per emitted stage.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,45 @@ def test_golden_certificate_and_dot_bytes(problem, tmp_path, capsysbinary):
     got = {p.name: p.read_bytes() for p in dots.iterdir()}
     want = {p.name: p.read_bytes() for p in expected.glob("*.dot")}
     assert got == want
+
+
+# Letters hash by identity, so the iteration order of a set of letters or
+# pairs follows object addresses, which PYTHONHASHSEED does not control.
+# This child process moves the letters elsewhere in memory before it runs
+# every problem file: throwaway objects first, then the alphabet interned
+# in reverse order, each letter after a few more throwaway objects.
+SHIFTED_ADDRESSES = """
+import contextlib, io, sys
+from pathlib import Path
+junk = [object() for _ in range(10007)]
+from altsep.words import Letter
+for factor in ("y", "x"):
+    for index in range(8, 0, -1):
+        for sign in (-1, 1):
+            junk.append([(factor, index, sign)] * index)
+            Letter(factor, index, sign)
+from altsep.cli import main
+out_dir = Path(sys.argv[1])
+for problem in sys.argv[2:]:
+    name = Path(problem).stem
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["separate", problem, "--emit-dot", str(out_dir / name)])
+    (out_dir / name).mkdir(exist_ok=True)
+    (out_dir / name / "stdout.json").write_text(stdout.getvalue())
+    (out_dir / name / "exit_code").write_text(str(code))
+"""
+
+
+def test_golden_bytes_do_not_follow_letter_addresses(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, "-c", SHIFTED_ADDRESSES, str(tmp_path), *map(str, PROBLEMS)],
+        check=True, env=env, timeout=120,
+    )
+    for problem in PROBLEMS:
+        got_dir, expected = tmp_path / problem.stem, GOLDEN / problem.stem
+        assert (got_dir / "exit_code").read_text() == str(EXIT_CODES.get(problem.stem, 0))
+        got = {p.name: p.read_bytes() for p in got_dir.iterdir() if p.name != "exit_code"}
+        want = {p.name: p.read_bytes() for p in expected.iterdir()}
+        assert got == want, problem.stem

@@ -218,26 +218,35 @@ def test_fold_merge_groups_cascade_into_folds():
     assert folded.folded and folded.base == 0
 
 
+def check_fold_with_merge_groups(g, rng):
+    vertices = sorted(g.vertices)
+    merge = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
+             for _ in range(rng.randint(0, 3))]
+    folded, vmap = fold(g, merge)
+    expected = random_fold(merge_vertices(g, merge), rng)
+    assert folded.folded
+    assert (folded.vertices, folded.pairs, folded.base) == (
+        expected.vertices, expected.pairs, expected.base)
+    for v in g.vertices:
+        assert vmap[v] == min(u for u in g.vertices if vmap[u] == vmap[v])
+    assert all(len({vmap[v] for v in group}) == 1 for group in merge)
+    assert {canonical_pair(vmap[u], vmap[w], letter)
+            for u, w, letter in g.pairs} == folded.pairs
+    # the adjacency fold hands over: no stale target, no dropped vertex
+    assert make_graph(folded.vertices, folded.pairs, folded.base).out == folded.out
+
+
 def test_fold_with_merge_groups_matches_merge_then_random_fold():
     """fold(g, merge) is the graph the oracle reaches by merging the groups
     and then folding in random order, and its vertex map is a graph map
-    naming every class by its least vertex."""
+    naming every class by its least vertex.  The input is unfolded, or
+    folded by an earlier fold, which then resumes from the adjacency that
+    fold handed over."""
     rng = random.Random(7)
     for _ in range(100):
-        g = random_graph(rng)
-        vertices = sorted(g.vertices)
-        merge = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
-                 for _ in range(rng.randint(0, 3))]
-        folded, vmap = fold(g, merge)
-        expected = random_fold(merge_vertices(g, merge), rng)
-        assert folded.folded
-        assert (folded.vertices, folded.pairs, folded.base) == (
-            expected.vertices, expected.pairs, expected.base)
-        for v in g.vertices:
-            assert vmap[v] == min(u for u in g.vertices if vmap[u] == vmap[v])
-        assert all(len({vmap[v] for v in group}) == 1 for group in merge)
-        assert {canonical_pair(vmap[u], vmap[w], letter)
-                for u, w, letter in g.pairs} == folded.pairs
+        check_fold_with_merge_groups(random_graph(rng), rng)
+    for _ in range(100):
+        check_fold_with_merge_groups(fold(random_graph(rng))[0], rng)
 
 
 def test_fold_rejects_a_merge_group_naming_an_unknown_vertex():

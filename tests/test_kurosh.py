@@ -115,15 +115,15 @@ def test_pendant_tree_changes_nothing(z2):
 def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
     """A component that misreports a tree edge as a non-tree edge makes the
     pruned graph fall apart; that is a broken invariant, not bad input."""
-    real = kurosh.spanning_tree
+    real = kurosh._component_tree
 
-    def losing_one_tree_edge(graph):
-        order, parent, tree = real(graph)
+    def losing_one_tree_edge(graph, anchor, letters):
+        parent, tree = real(graph, anchor, letters)
         if tree:
             tree = tree - {min(tree, key=_pair_key)}
-        return order, parent, tree
+        return parent, tree
 
-    monkeypatch.setattr(kurosh, "spanning_tree", losing_one_tree_edge)
+    monkeypatch.setattr(kurosh, "_component_tree", losing_one_tree_edge)
     graph = build_graph([0, 1], [(0, 1, x(1)), (0, 1, x(2))], 0)
     with pytest.raises(AssertionError, match="pruned graph must stay connected"):
         kurosh_decompose(graph, z2)

@@ -193,7 +193,7 @@ def test_membership_y_syllable_onto_an_absent_coset(s3):
 def test_membership_y_syllable_at_a_y_bare_base(z2):
     spec = make_spec(z2, subgroup_words=[(x(1), x(1))])
     graph = build_subgroup_graph(spec).graph
-    assert all(letter.factor == "x" for letter in graph.letters_at(graph.base))
+    assert all(letter.factor == "x" for letter in graph.out[graph.base])
     tester = MembershipTester(graph, z2)
     cases = {
         (y(1),): False,

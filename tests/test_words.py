@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 from altsep.words import (
     Letter,
     free_reduce,
@@ -30,12 +33,36 @@ def test_letters_are_shared_but_compare_by_value():
         x(0)
 
 
+def test_letter_construction_returns_the_shared_letter():
+    assert Letter("x", 1, -1) is x(1, -1)
+    assert Letter("y", 2) is y(2) and Letter("y", 2).inverse() is y(2, -1)
+
+
+def test_copies_and_pickles_of_a_letter_are_the_letter():
+    letter = y(3, -1)
+    assert copy.copy(letter) is letter and copy.deepcopy(letter) is letter
+    assert copy.deepcopy((letter, [letter])) == (letter, [letter])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(letter, protocol)) is letter
+
+
+def test_letters_are_immutable():
+    letter = x(1)
+    with pytest.raises(AttributeError):
+        letter.sign = -1
+    with pytest.raises(AttributeError):
+        letter.extra = 0
+    with pytest.raises(AttributeError):
+        del letter.index
+    assert (letter.factor, letter.index, letter.sign) == ("x", 1, 1)
+
+
 def test_letter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor must be 'x' or 'y'"):
         Letter("z", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index must be positive"):
         Letter("x", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sign must be"):
         Letter("x", 1, 2)
 
 
