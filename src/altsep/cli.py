@@ -17,7 +17,8 @@ is alternating or symmetric, one record per separated word, and pipeline
 statistics.  Rejections print a machine-readable reason and exit 2 when
 the eligibility check fails (HypothesisNotSatisfied) or 3 when a word to
 separate already lies in the subgroup (GammaClosed).  Input errors exit 1.
-A failed internal self-check (an AssertionError) prints
+A failed internal self-check (an AssertionError), or a ValueError from
+inside the pipeline once the input has been validated, prints
 ``altsep: internal error: ...`` and exits 4, so a broken invariant never
 looks like an input error.  Identical inputs produce byte-identical
 certificates and DOT files.
@@ -457,7 +458,8 @@ def main(argv=None) -> int:
     except CoverSearchExhaustedError as err:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
-    except AssertionError as err:
+    except (AssertionError, ValueError) as err:
+        # the input was validated above, so a ValueError here is a bug too
         print(f"altsep: internal error: {err}", file=sys.stderr)
         return 4
 

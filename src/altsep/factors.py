@@ -38,6 +38,7 @@ class FiniteGroupTable:
             self._index[permgroup.inverse(perm)] for perm in self.elements
         )
         self._geodesics = None
+        self._steps = None
 
     @property
     def order(self) -> int:
@@ -52,6 +53,27 @@ class FiniteGroupTable:
 
     def inverse(self, a: int) -> int:
         return self._inverses[a]
+
+    @property
+    def steps(self):
+        """Right multiplication by each y-letter as a table: steps[letter]
+        is the tuple t with t[a] = a*letter for every element a.  A
+        letter's inverse gets the inverse permutation of its table.  Built
+        on first use into an attribute that ``__init__`` sets: a
+        ``cached_property`` would write the instance dict directly, which
+        slows later attribute reads on the instance, those in ``multiply``
+        among them (measured on CPython 3.11)."""
+        if self._steps is None:
+            steps = {}
+            for index, element in enumerate(self.generator_indices, start=1):
+                forward = tuple(self.multiply(a, element) for a in range(self.order))
+                backward = [0] * self.order
+                for a, b in enumerate(forward):
+                    backward[b] = a
+                steps[y_letter(index)] = forward
+                steps[y_letter(index, -1)] = tuple(backward)
+            self._steps = steps
+        return self._steps
 
     def generator_element(self, index: int) -> int:
         """Element of the 1-based generator y<index>."""
@@ -190,34 +212,38 @@ def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
     return _coset_enumeration(table, subgroup)[0]
 
 
-def component_cosets(table: FiniteGroupTable, graph: LabeledGraph):
+def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     """Loop subgroup K and coset keys of every y-component of a folded
-    graph, from one breadth-first pass over its y-edges.
+    graph, from one breadth-first pass over its y-edges; with ``starts``,
+    of only the y-components that hold a vertex of ``starts``.
 
     Returns one (K, {vertex: key}) per y-component.  A component's pass
-    starts at the base point when the component holds it, else at a fixed
-    vertex of it, and records reach[w] = reach[v]*letter along first
+    starts at the first vertex of ``starts`` it holds; without ``starts``,
+    at the base point when the component holds it, else at a fixed vertex
+    of it.  The pass records reach[w] = reach[v]*letter along first
     visits; each edge that closes a cycle adds the loop element
     reach[v]*letter*reach[w]^-1.  K is generated by the loop elements, and
     the key of v is the smallest element of its coset K*reach[v], so
     vertices sharing a key have a non-closed identity-label path between
-    them.  Vertices with no y-edge belong to no component.
+    them.  Another start vertex left-multiplies every reach by one
+    element g, which conjugates K by g and maps its cosets bijectively, so
+    the partition into keys does not depend on the start.  Vertices with
+    no y-edge belong to no component.
 
-    Cost: O(|V| + |E|) table products, plus one subgroup closure and |K|
-    products per vertex for each component with a nontrivial loop
-    subgroup.
+    Cost: O(|V| + |E|) steps along ``table.steps`` over the components
+    scanned, plus one subgroup closure and |K| products per vertex for
+    each component with a nontrivial loop subgroup.
     """
     out = graph.out
     multiply = table.multiply
     identity = table.identity
     trivial = frozenset((identity,))
-    elements = {
-        letter: table.letter_element(letter)
-        for letter in y_alphabet(table.num_generators)
-    }
+    steps = table.steps
+    if starts is None:
+        starts = chain((graph.base,), out)
     reach = {}
     result = []
-    for start in chain((graph.base,), out):
+    for start in starts:
         if start in reach:
             continue
         reach[start] = identity
@@ -227,11 +253,11 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph):
         for v in members:  # grows while it is read: breadth-first order
             here = reach[v]
             for letter, w in out[v].items():
-                element = elements.get(letter)
-                if element is None:
+                step = steps.get(letter)
+                if step is None:
                     continue
                 slots += 1
-                moved = multiply(here, element)
+                moved = step[here]
                 there = reach.get(w)
                 if there is None:
                     reach[w] = moved

@@ -46,9 +46,10 @@ class LabeledGraph:
     def out(self):
         """Adjacency of a folded graph: vertex -> {letter -> target}.
         Built from the pairs on first use, except for a graph ``fold``
-        returns, which carries the adjacency ``fold`` built; treat it as
-        read-only.  Raises ValueError on an unfolded graph, where a letter
-        may have two targets."""
+        returns, which carries the adjacency ``fold`` built and shares the
+        slot dicts of unchanged vertices with the graph it folded; treat
+        it as read-only.  Raises ValueError on an unfolded graph, where a
+        letter may have two targets."""
         if not self.folded:
             raise ValueError("adjacency requires a folded graph")
         table = {v: {} for v in self.vertices}
@@ -56,6 +57,12 @@ class LabeledGraph:
             table[u][letter] = w
             table[w][letter.inverse()] = u
         return table
+
+    @cached_property
+    def _components(self):
+        """factor -> the components of that factor, filled by
+        ``components`` on its first call for the factor."""
+        return {}
 
     def step(self, vertex: int, letter: Letter):
         """Unique out-neighbor along ``letter``, or None.  Requires folded."""
@@ -125,7 +132,7 @@ def build_graph(vertices, edges, base) -> LabeledGraph:
 
 class _UnionFind:
     def __init__(self, items):
-        self.parent = {item: item for item in items}
+        self.parent = dict(zip(items, items))
 
     def find(self, item):
         parent = self.parent
@@ -153,32 +160,43 @@ def fold(graph: LabeledGraph, merge=()):
     graph, total vertex map).  Raises ValueError for a group naming an
     unknown vertex.
 
-    A folded input starts from a copy of its adjacency; an unfolded one
-    starts empty, with every edge orientation queued.  Merging two classes
-    is the same step for a merge group and for two edges that collide:
-    union them and replay only the dropped class's slots onto the
-    survivor.  The result carries the adjacency built here, every target
-    resolved, as its ``out``.
+    A folded input starts from a shallow copy of its adjacency, and a
+    vertex's slots are copied when it first survives a merge; an unfolded
+    input starts empty, with every edge orientation queued.  Merging two
+    classes is the same step for a merge group and for two edges that
+    collide: union them and replay only the dropped class's slots onto
+    the survivor.  Only the survivors and the neighbours of dropped
+    vertices (the targets of their slots) can hold a stale target, so only
+    their slots are resolved, and the result's pairs are the input's,
+    less those at these vertices, plus those read off their resolved
+    slots.  The input's adjacency is never written.  The result carries
+    the adjacency built here as its ``out``.
 
     Cost: O((|V| + |E| + |merge|) * alpha) union-find work on unfolded
-    input, and on folded input O(|V| + |E|) to copy and resolve the
-    adjacency plus the union-find work of the merges and the folds they
-    cause; in both, one replay per edge slot of each vertex merged away.
-    The groups and edge pairs are consumed in the order given: the
-    quotient is unique and every class is named by its least vertex
-    (``_UnionFind.union`` keeps the smaller id), so neither the result nor
-    the vertex map depends on that order.
+    input.  On folded input, the union-find work of the merges and the
+    folds they cause, plus O(d) to resolve the d slots at the vertices
+    above; what is left of O(|V| + |E|) are whole-set copies (the
+    adjacency's top level, the union-find map, the vertex and pair sets)
+    with no Python step per vertex.  In both, one replay per edge slot of
+    each vertex merged away.  The groups and edge
+    pairs are consumed in the order given: the quotient is unique and
+    every class is named by its least vertex (``_UnionFind.union`` keeps
+    the smaller id), so neither the result nor the vertex map depends on
+    that order.
     """
     uf = _UnionFind(graph.vertices)
     find = uf.find
     work = deque()
     if graph.folded:
-        out = {v: dict(slots) for v, slots in graph.out.items()}
+        out = dict(graph.out)
+        owned = set()  # vertices whose slot dict is a copy: merge survivors
     else:
         out = {v: {} for v in graph.vertices}
+        owned = set(out)
         for u, w, letter in graph.pairs:
             work.append((u, w, letter))
             work.append((w, u, letter.inverse()))
+    dropped = []
 
     def identify(a, b):
         """Union the classes of a and b; the dropped class's slots are
@@ -187,7 +205,12 @@ def fold(graph: LabeledGraph, merge=()):
         a, b = find(a), find(b)
         if a != b:
             keep = uf.union(a, b)
-            for letter, target in out.pop(b if keep == a else a).items():
+            drop = b if keep == a else a
+            dropped.append(drop)
+            if keep not in owned:
+                owned.add(keep)
+                out[keep] = dict(out[keep])
+            for letter, target in out.pop(drop).items():
                 work.append((keep, target, letter))
 
     for group in merge:
@@ -204,13 +227,35 @@ def fold(graph: LabeledGraph, merge=()):
             slots[letter] = target
         else:
             identify(existing, target)
-    vmap = {v: find(v) for v in graph.vertices}
+    for v in dropped:
+        find(v)  # path compression points each at its class's least vertex
+    vmap = uf.parent
+    # a stale target sits only at a merge survivor or at a neighbour of a
+    # dropped vertex; on unfolded input every vertex counts as a survivor
+    changed = set(owned)
     pairs = set()
-    for source, slots in out.items():
+    if graph.folded:
+        old = graph.out
+        for v in dropped:
+            changed.update(old[v].values())
+        pairs.update(graph.pairs)
+        for v in changed:
+            for letter, target in old[v].items():
+                pairs.discard((v, target, letter) if letter.sign > 0
+                              else (target, v, letter.inverse()))
+    for v in changed:
+        slots = out.get(v)
+        if slots is None:
+            continue
+        if v not in owned:
+            slots = out[v] = dict(slots)
         for letter, target in slots.items():
             target = slots[letter] = vmap[target]
+            # a pair between two changed vertices is read at its source
             if letter.sign > 0:
-                pairs.add((source, target, letter))
+                pairs.add((v, target, letter))
+            elif target not in changed:
+                pairs.add((target, v, letter.inverse()))
     result = LabeledGraph(frozenset(out), frozenset(pairs), vmap[graph.base], True)
     result.__dict__["out"] = out  # fills the cached property
     return result, vmap
@@ -241,8 +286,17 @@ def components(graph: LabeledGraph, factor: str):
 
     Cost: one union-find pass over the factor's pairs, one pass bucketing
     vertices and pairs by root, and a sort of the component roots, so
-    O((|V| + |E|) * alpha + C log C) for C components.
+    O((|V| + |E|) * alpha + C log C) for C components, on the first call
+    for a graph and factor.  The result is kept on the graph, and later
+    calls copy the list, so callers may change the list they get.
     """
+    found = graph._components.get(factor)
+    if found is None:
+        found = graph._components[factor] = _components_of(graph, factor)
+    return list(found)
+
+
+def _components_of(graph: LabeledGraph, factor: str):
     uf = _UnionFind(graph.vertices)
     own = [pair for pair in graph.pairs if pair[2].factor == factor]
     for u, w, _letter in own:
@@ -263,7 +317,7 @@ def components(graph: LabeledGraph, factor: str):
         pairs = frozenset(bucketed[root])
         anchor = graph.base if graph.base in members else root
         out.append((LabeledGraph(members, pairs, anchor, graph.folded), anchor))
-    return out
+    return tuple(out)
 
 
 def saturation_defects(graph: LabeledGraph, alphabet):
@@ -302,20 +356,6 @@ def breadth_first_tree(graph: LabeledGraph, root: int, letters=None):
                 parent[w] = (v, letter)
                 order.append(w)
     return order, parent
-
-
-def spanning_tree(graph: LabeledGraph):
-    """Breadth-first spanning tree at the base point.
-
-    Returns (discovery order, parent, tree pairs): order and parent as from
-    ``breadth_first_tree``, and the tree edges as canonical pairs.  Raises
-    ValueError when the graph is not connected.
-    """
-    order, parent = breadth_first_tree(graph, graph.base)
-    if len(order) != len(graph.vertices):
-        raise ValueError("graph must be connected")
-    tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
-    return order, parent, tree
 
 
 def tree_path_word(parent, vertex):

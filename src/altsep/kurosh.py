@@ -23,7 +23,6 @@ from .graphs import (
     canonical_pair,
     components,
     is_tree,
-    spanning_tree,
     trace,
     tree_path_word,
 )
@@ -60,7 +59,9 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
     """
-    order, parent, _ = spanning_tree(graph)
+    order, parent = breadth_first_tree(graph, graph.base)
+    if len(order) != len(graph.vertices):
+        raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
 
     cyclic = []
@@ -112,8 +113,8 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
 def _component_tree(graph: LabeledGraph, anchor: int, letters):
     """Breadth-first spanning tree of the monochromatic component at
     ``anchor``, read off the whole graph's adjacency by following only the
-    component's ``letters``.  Returns (parent, tree pairs) as
-    ``spanning_tree`` does for the component on its own."""
+    component's ``letters``.  Returns (parent, tree pairs): parent as
+    from ``breadth_first_tree``, and the tree edges as canonical pairs."""
     _order, parent = breadth_first_tree(graph, anchor, letters)
     tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
     return parent, tree

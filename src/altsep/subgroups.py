@@ -10,9 +10,10 @@ when its label lies in the subgroup, which decides membership.
 The quotient is computed as a fixed point: fold, group the vertices of a
 y-component that land on the same coset of the subgroup its loops
 generate, and fold again with those groups merged.  One breadth-first
-pass over the y-edges of the whole graph (``factors.component_cosets``)
-finds every round's groups.  Each such round strictly decreases the
-vertex count, so the loop terminates.
+pass over the y-edges (``factors.component_cosets``) finds a round's
+groups: over the whole graph in the first round, and in a later round
+over only the y-components its merges touched.  Each such round strictly
+decreases the vertex count, so the loop terminates.
 """
 
 from __future__ import annotations
@@ -101,17 +102,26 @@ def _wedge(base, words, open_words):
 
 def based_fixpoint(graph, table, tracked=()):
     """Fold, merging the previous round's coset groups, to a fixed point;
-    returns the stable graph and the images of the tracked vertices."""
+    returns the stable graph and the images of the tracked vertices.
+
+    The first round scans every y-component for coset groups; a later one
+    scans only the y-components that hold a survivor of its merges.  A
+    y-component without one has the vertices and edges it had at its last
+    scan, which found no groups in it, and the groups of a component do
+    not depend on the vertex its scan starts from."""
     tracked = list(tracked)
     groups = ()
+    starts = None
     while True:
         before = len(graph.vertices)
         graph, vmap = fold(graph, groups)
         tracked = [vmap[v] for v in tracked]
-        if groups and len(graph.vertices) >= before:
-            raise AssertionError("identification round failed to shrink the graph")
+        if groups:
+            if len(graph.vertices) >= before:
+                raise AssertionError("identification round failed to shrink the graph")
+            starts = {vmap[v] for v in vmap if vmap[v] != v}
         groups = []
-        for _subgroup, keys in component_cosets(table, graph):
+        for _subgroup, keys in component_cosets(table, graph, starts):
             if len(set(keys.values())) == len(keys):
                 continue
             buckets = {}

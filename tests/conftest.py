@@ -30,6 +30,12 @@ def d4():
     return enumerate_group(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
 
 
+@pytest.fixture(scope="session")
+def a4():
+    """Alternating group of order 12, generated by two 3-cycles."""
+    return enumerate_group(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
+
+
 def make_spec(table, subgroup_words=(), separate_words=(), rank=2):
     return ProblemSpec(
         free=FreeFactor(rank),

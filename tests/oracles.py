@@ -4,10 +4,10 @@ Everything here decides questions by brute force, without going through
 the code paths under test: permutation groups by exhaustive closure,
 folding by exhaustive or random fold-order search, subgroup membership by
 breadth-first enumeration over normal forms or by re-running the graph
-fixpoint on a glued query path, monochromatic components by
-plain breadth-first search, coset keys and the based fixpoint one
-component subgraph at a time, and kernel generating sets by the Schreier
-transversal construction.
+fixpoint on a glued query path, monochromatic components and spanning
+trees by plain breadth-first search, coset keys and the based fixpoint
+one component subgraph at a time or by a full rescan each round, and
+kernel generating sets by the Schreier transversal construction.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from collections import deque
 from itertools import product
 
 from altsep import permgroup
-from altsep.factors import subgroup_closure
+from altsep.factors import component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
+    breadth_first_tree,
     canonical_form,
     canonical_pair,
     components,
     fold,
     make_graph,
-    spanning_tree,
 )
 from altsep.subgroups import based_fixpoint
 from altsep.words import (
@@ -154,6 +154,20 @@ def bfs_components(graph: LabeledGraph, factor):
     return out
 
 
+def spanning_tree(graph: LabeledGraph):
+    """Breadth-first spanning tree at the base point.
+
+    Returns (discovery order, parent, tree pairs): order and parent as from
+    ``breadth_first_tree``, and the tree edges as canonical pairs.  Raises
+    ValueError when the graph is not connected.
+    """
+    order, parent = breadth_first_tree(graph, graph.base)
+    if len(order) != len(graph.vertices):
+        raise ValueError("graph must be connected")
+    tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
+    return order, parent, tree
+
+
 # -- coset keys and the based fixpoint, one component at a time ----------------
 
 
@@ -193,6 +207,24 @@ def based_fixpoint_oracle(graph, table, tracked=()):
             _subgroup, assignment = component_cosets_oracle(table, component)
             buckets = {}
             for v, key in assignment.items():
+                buckets.setdefault(key, []).append(v)
+            groups.extend(group for group in buckets.values() if len(group) > 1)
+        if not groups:
+            return graph, tuple(tracked)
+
+
+def based_fixpoint_full_rescan(graph, table, tracked=()):
+    """``subgroups.based_fixpoint`` with every round scanning every
+    y-component of the whole graph for coset groups."""
+    tracked = list(tracked)
+    groups = ()
+    while True:
+        graph, vmap = fold(graph, groups)
+        tracked = [vmap[v] for v in tracked]
+        groups = []
+        for _subgroup, keys in component_cosets(table, graph):
+            buckets = {}
+            for v, key in keys.items():
                 buckets.setdefault(key, []).append(v)
             groups.extend(group for group in buckets.values() if len(group) > 1)
         if not groups:

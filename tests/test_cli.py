@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import altsep
-from altsep import permgroup
+from altsep import covers, permgroup
 from altsep.cli import (
     MAX_FREE_RANK,
     MAX_WORD_LENGTH,
@@ -20,6 +20,7 @@ from altsep.cli import (
     run_separate,
 )
 from altsep.covers import CoverSearchExhaustedError
+from altsep.factors import NotGBasedError
 from altsep.graphs import build_graph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
@@ -395,6 +396,22 @@ def test_main_reports_a_failed_self_check_as_an_internal_error(
     assert captured.out == ""
     assert captured.err == (
         "altsep: internal error: image order does not match its classification\n")
+
+
+def test_main_reports_a_value_error_inside_the_pipeline_as_an_internal_error(
+        capsys, monkeypatch):
+    """The input is validated before the pipeline runs, so a ValueError
+    from inside it (here NotGBasedError) is a bug, not an input error."""
+    def not_based(table, component):
+        raise NotGBasedError("two vertices of the component land on the same coset")
+
+    monkeypatch.setattr(covers, "embed_Y_component", not_based)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    assert main(["separate", str(problem)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "altsep: internal error: two vertices of the component land on the same coset\n")
 
 
 def test_an_unrecognized_image_retries_at_the_next_prime(monkeypatch):

@@ -212,6 +212,19 @@ def test_component_cosets_partition(z2):
     assert loop == {3: z2.identity}
 
 
+def test_step_tables_multiply_by_each_letter(z2, s3, d4, a4):
+    for table in (z2, s3, d4, a4):
+        letters = y_alphabet(table.num_generators)
+        assert set(table.steps) == set(letters)
+        for letter in letters:
+            assert table.steps[letter] == tuple(
+                table.multiply(a, table.letter_element(letter)) for a in range(table.order))
+    # a generator of order 3: its backward table is not its forward one
+    y1 = a4.steps[y(1)]
+    assert a4.steps[y(1, -1)] != y1
+    assert all(a4.steps[y(1, -1)][y1[a]] == a for a in range(a4.order))
+
+
 def random_folded_graph(rng, table):
     """Fold of a random multigraph on up to 12 vertices with x- and
     y-edges, based at vertex 0."""
@@ -253,6 +266,23 @@ def test_component_cosets_match_the_per_component_oracle(z2, s3, d4):
                     nontrivial += 1 < len(subgroup) < table.order
     # proper nontrivial loop subgroups, which no decompose benchmark input has
     assert nontrivial >= 20
+
+
+def test_component_cosets_from_starts_scan_only_their_components(z2, s3, d4, a4):
+    """With ``starts``, exactly the y-components holding a start are
+    scanned, and each splits into the same coset classes as in a full
+    scan, whichever of its vertices the scan starts from."""
+    rng = random.Random(11)
+    for table in (z2, s3, d4, a4):
+        for _ in range(60):
+            graph = random_folded_graph(rng, table)
+            full = {frozenset(keys): coset_partition(keys)
+                    for _subgroup, keys in component_cosets(table, graph)}
+            starts = rng.sample(sorted(graph.vertices), rng.randint(0, len(graph.vertices)))
+            found = {frozenset(keys): coset_partition(keys)
+                     for _subgroup, keys in component_cosets(table, graph, starts)}
+            assert set(found) == {c for c in full if c & set(starts)}
+            assert all(found[c] == full[c] for c in found)
 
 
 # -- free-side completion ----------------------------------------------------------------

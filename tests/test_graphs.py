@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from altsep import graphs
 from altsep.graphs import (
     LabeledGraph,
     breadth_first_tree,
@@ -14,12 +15,17 @@ from altsep.graphs import (
     is_tree,
     make_graph,
     saturation_defects,
-    spanning_tree,
     trace,
 )
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
 
-from oracles import all_fold_results, bfs_components, merge_vertices, random_fold
+from oracles import (
+    all_fold_results,
+    bfs_components,
+    merge_vertices,
+    random_fold,
+    spanning_tree,
+)
 
 
 def wedge_w4():
@@ -195,6 +201,32 @@ def test_components_match_bfs_oracle_on_random_graphs():
                        for sub, anchor in comps)
 
 
+def test_components_are_computed_once_per_graph_and_factor(monkeypatch):
+    """components keeps its result on the graph: a second call makes no
+    second pass and returns an equal list that is a new object."""
+    passes = []
+    real = graphs._components_of
+
+    def counting(graph, factor):
+        passes.append(factor)
+        return real(graph, factor)
+
+    monkeypatch.setattr(graphs, "_components_of", counting)
+    rng = random.Random(2027)
+    for _ in range(50):
+        g = random_graph(rng)
+        for factor in ("x", "y"):
+            passes.clear()
+            first, second = components(g, factor), components(g, factor)
+            assert passes == [factor]
+            assert first == second and first is not second
+            for comps in (first, second):
+                got = [(sub.vertices, sub.pairs, anchor) for sub, anchor in comps]
+                assert got == bfs_components(g, factor)
+            first.clear()  # a caller's list is its own
+            assert components(g, factor) == second
+
+
 def test_fold_independent_of_pair_order():
     """fold consumes pairs in whatever order the graph yields them; any
     order, including the sorted one, gives the same graph and vertex map."""
@@ -222,7 +254,11 @@ def check_fold_with_merge_groups(g, rng):
     vertices = sorted(g.vertices)
     merge = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
              for _ in range(rng.randint(0, 3))]
+    before = {v: dict(slots) for v, slots in g.out.items()} if g.folded else None
     folded, vmap = fold(g, merge)
+    if before is not None:
+        # fold shares the input's slot dicts and must write none of them
+        assert {v: dict(slots) for v, slots in g.out.items()} == before
     expected = random_fold(merge_vertices(g, merge), rng)
     assert folded.folded
     assert (folded.vertices, folded.pairs, folded.base) == (
@@ -234,6 +270,8 @@ def check_fold_with_merge_groups(g, rng):
             for u, w, letter in g.pairs} == folded.pairs
     # the adjacency fold hands over: no stale target, no dropped vertex
     assert make_graph(folded.vertices, folded.pairs, folded.base).out == folded.out
+    assert folded.pairs == {(u, w, letter) for u, slots in folded.out.items()
+                            for letter, w in slots.items() if letter.sign > 0}
 
 
 def test_fold_with_merge_groups_matches_merge_then_random_fold():

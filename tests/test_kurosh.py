@@ -112,6 +112,12 @@ def test_pendant_tree_changes_nothing(z2):
     ]
 
 
+def test_kurosh_rejects_a_disconnected_graph(z2):
+    graph = build_graph([0, 1, 2], [(0, 1, x(1)), (2, 2, x(2))], 0)
+    with pytest.raises(ValueError, match="graph must be connected"):
+        kurosh_decompose(graph, z2)
+
+
 def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
     """A component that misreports a tree edge as a non-tree edge makes the
     pruned graph fall apart; that is a broken invariant, not bad input."""

@@ -1,7 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from altsep import subgroups
+from altsep.cli import parse_problem
 from altsep.graphs import build_graph, canonical_form, components, fold, is_tree, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
@@ -20,6 +23,7 @@ from altsep.words import normal_form, spell, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    based_fixpoint_full_rescan,
     based_fixpoint_oracle,
     fixpoint_contains,
     iter_ball,
@@ -102,6 +106,43 @@ def test_fixpoint_matches_the_per_component_oracle(z2, s3, d4):
             identified += len(fold(wedge)[0].vertices) > len(graph.vertices)
     # coset identification, not folding alone, shrank many of the graphs
     assert identified >= 20
+
+
+def test_fixpoint_matches_a_full_rescan_each_round(s3, d4, a4, monkeypatch):
+    """Later rounds scan only the y-components their merges touched; the
+    graph, its vertex ids and the tracked ends are those of a fixpoint
+    that rescans the whole graph every round."""
+    partial = []
+    real = subgroups.component_cosets
+
+    def recording(table, graph, starts=None):
+        found = real(table, graph, starts)
+        if starts is not None:
+            partial.append(any(len(set(keys.values())) < len(keys) for _k, keys in found))
+        return found
+
+    monkeypatch.setattr(subgroups, "component_cosets", recording)
+
+    def check(table, words, separators):
+        wedge, ends = _wedge(0, words, separators)
+        got = based_fixpoint(wedge, table, (0, *ends))
+        expected = based_fixpoint_full_rescan(wedge, table, (0, *ends))
+        assert (got[0].vertices, got[0].pairs, got[0].base, got[1]) == (
+            expected[0].vertices, expected[0].pairs, expected[0].base, expected[1])
+
+    rng = random.Random(12)
+    for table in (s3, d4, a4):
+        for _ in range(80):
+            words = [random_raw_word(rng, 2, table.num_generators, 20, 1)
+                     for _ in range(rng.randint(3, 6))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
+                          for _ in range(rng.randint(0, 2))]
+            check(table, words, separators)
+    for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        check(spec.finite, spec.subgroup_words, spec.separate_words)
+    # many later rounds ran, and some of them still found groups to merge
+    assert len(partial) >= 150 and sum(partial) >= 10
 
 
 def test_letters_validated_against_declared_generators(z2):
