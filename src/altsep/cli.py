@@ -69,6 +69,10 @@ _WORD_TERM_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?$")
 # checked before expanding, so "x1^1000000000" is refused up front.
 MAX_WORD_LENGTH = 100_000
 
+# Most letters all subgroup and separator words of a problem may spell
+# together; checked word by word, before any graph is built.
+MAX_PROBLEM_LETTERS = 200_000
+
 # Largest degree of the finite factor's permutations; checked before any
 # cycle is parsed, so "degree = 1000000000" allocates nothing.
 MAX_FINITE_DEGREE = 100
@@ -79,27 +83,49 @@ MAX_FREE_RANK = 1_000
 
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
-    text = text.strip()
-    if text == "1":
+    """Letters of one word: whitespace-separated terms ``x<i>`` or
+    ``y<j>``, each with an optional exponent ``^<n>``, or the bare word
+    "1" for the identity.  Raises ProblemFormatError at the 1-based
+    column of the offending term, counted within ``text`` less its
+    leading whitespace.
+
+    Each distinct term is parsed once and then looked up; the length
+    limit is checked at every occurrence, before the term is expanded.
+    """
+    terms = text.split()
+    if terms == ["1"]:
         return ()
     letters = []
-    for term in re.finditer(r"\S+", text):
-        token, column = term.group(), term.start() + 1
-        match = _WORD_TERM_RE.match(token)
-        if not match:
-            raise ProblemFormatError(f"bad word term {token!r}", line, column)
-        factor, index, exponent = match.group(1), int(match.group(2)), match.group(3)
-        exponent = 1 if exponent is None else int(exponent)
-        limit = rank if factor == "x" else num_ygens
-        if not 1 <= index <= limit:
-            raise ProblemFormatError(f"unknown generator {factor}{index}", line, column)
-        if len(letters) + abs(exponent) > MAX_WORD_LENGTH:
+    parsed = {}  # term -> (letter, repeat)
+    for position, term in enumerate(terms):
+        known = parsed.get(term)
+        if known is None:
+            match = _WORD_TERM_RE.match(term)
+            if not match:
+                raise ProblemFormatError(
+                    f"bad word term {term!r}", line, _term_column(text, position))
+            factor, index, exponent = match.group(1), int(match.group(2)), match.group(3)
+            exponent = 1 if exponent is None else int(exponent)
+            limit = rank if factor == "x" else num_ygens
+            if not 1 <= index <= limit:
+                raise ProblemFormatError(
+                    f"unknown generator {factor}{index}", line, _term_column(text, position))
+            sign = 1 if exponent > 0 else -1
+            letter = x_letter(index, sign) if factor == "x" else y_letter(index, sign)
+            known = parsed[term] = (letter, abs(exponent))
+        letter, repeat = known
+        if len(letters) + repeat > MAX_WORD_LENGTH:
             raise ProblemFormatError(
-                f"word longer than {MAX_WORD_LENGTH} letters", line, column)
-        sign = 1 if exponent > 0 else -1
-        base = x_letter(index, sign) if factor == "x" else y_letter(index, sign)
-        letters.extend([base] * abs(exponent))
+                f"word longer than {MAX_WORD_LENGTH} letters", line, _term_column(text, position))
+        letters += [letter] * repeat
     return tuple(letters)
+
+
+def _term_column(text: str, position: int) -> int:
+    """1-based column, within ``text`` less its leading whitespace, of the
+    term at index ``position`` of ``text.split()``."""
+    text = text.lstrip()
+    return [m.start() for m in re.finditer(r"\S+", text)][position] + 1
 
 
 def _strip_comment(line: str) -> str:
@@ -210,9 +236,12 @@ def parse_problem(text: str) -> ProblemSpec:
     except ValueError as err:
         raise ProblemFormatError(str(err), degree_line) from err
 
+    total = 0  # letters of the words collected so far, in both sections
+
     def collect(section: str, prefix: str):
         """Words h1..hm or g1..gm; an error's column counts from the line's
         start, not the word's."""
+        nonlocal total
         out = []
         for position, index in enumerate(sorted(raw_words[section]), start=1):
             word_text, lineno, offset = raw_words[section][index]
@@ -221,9 +250,16 @@ def parse_problem(text: str) -> ProblemSpec:
                     f"{prefix}{index} is out of sequence: {section} words must be "
                     f"{prefix}1..{prefix}m with no gaps", lineno)
             try:
-                out.append(parse_word(word_text, rank, len(raw_gens), lineno))
+                word = parse_word(word_text, rank, len(raw_gens), lineno)
             except ProblemFormatError as err:
                 raise ProblemFormatError(err.message, lineno, offset + err.column) from None
+            total += len(word)
+            if total > MAX_PROBLEM_LETTERS:
+                raise ProblemFormatError(
+                    f"subgroup and separator words longer than {MAX_PROBLEM_LETTERS} "
+                    "letters together",
+                    lineno, offset + 1)
+            out.append(word)
         return tuple(out)
 
     return ProblemSpec(

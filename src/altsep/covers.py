@@ -253,6 +253,10 @@ def build_separating_cover(
     signs = tuple(signs)
     if len(signs) != rank:
         raise ValueError(f"sign vector must have length {rank}")
+    # every plan's degree is at least |V| + 5: fail before building covers
+    if len(graph.vertices) + 5 > max_prime:
+        raise CoverSearchExhaustedError(
+            f"no recognized cover with prime degree <= {max_prime}")
 
     # Step 1: host component.
     xcomps = components(graph, "x")

@@ -160,42 +160,63 @@ def fold(graph: LabeledGraph, merge=()):
     graph, total vertex map).  Raises ValueError for a group naming an
     unknown vertex.
 
-    A folded input starts from a shallow copy of its adjacency, and a
-    vertex's slots are copied when it first survives a merge; an unfolded
-    input starts empty, with every edge orientation queued.  Merging two
-    classes is the same step for a merge group and for two edges that
-    collide: union them and replay only the dropped class's slots onto
-    the survivor.  Only the survivors and the neighbours of dropped
-    vertices (the targets of their slots) can hold a stale target, so only
-    their slots are resolved, and the result's pairs are the input's,
-    less those at these vertices, plus those read off their resolved
-    slots.  The input's adjacency is never written.  The result carries
-    the adjacency built here as its ``out``.
+    Both inputs start from a folded adjacency.  A folded input has it as
+    its ``out``.  An unfolded input has its pairs read into free slots:
+    each pair is written into its two slots, unless either slot is taken
+    already.  Such a colliding pair stays out of the adjacency, and once
+    every pair is read, each taken slot's target is identified with the
+    pair's own end there, as a merge group is; the pair's image is then
+    the image of the pair that holds the slot.  From there the two inputs
+    take one path.  It starts from a shallow copy of the adjacency and
+    copies a vertex's slots when the vertex first survives a merge.
+    Merging two classes is the same step for a merge group, a collision
+    and two edges that collide later: union them and replay only the
+    dropped class's slots onto the survivor.  Only the survivors and the
+    neighbours of dropped vertices (the targets of their slots) can hold a
+    stale target, so only their slots are resolved, and the result's pairs
+    are the input's, less the colliding pairs and those at these vertices,
+    plus those read off their resolved slots.  The starting adjacency is
+    never written, so a folded input's ``out`` stays as it was.  The
+    result carries the adjacency built here as its ``out``.
 
-    Cost: O((|V| + |E| + |merge|) * alpha) union-find work on unfolded
-    input.  On folded input, the union-find work of the merges and the
-    folds they cause, plus O(d) to resolve the d slots at the vertices
-    above; what is left of O(|V| + |E|) are whole-set copies (the
-    adjacency's top level, the union-find map, the vertex and pair sets)
-    with no Python step per vertex.  In both, one replay per edge slot of
-    each vertex merged away.  The groups and edge
-    pairs are consumed in the order given: the quotient is unique and
-    every class is named by its least vertex (``_UnionFind.union`` keeps
-    the smaller id), so neither the result nor the vertex map depends on
-    that order.
+    Cost: on unfolded input, one Python step per pair to read it, and
+    none per pair on folded input.  Then, for both, the union-find work of
+    the merges, the collisions and the folds they cause, one replay per
+    edge slot of each vertex merged away, and O(d) to resolve the d slots
+    at the vertices above.  What is left of O(|V| + |E|) are whole-set
+    copies (the adjacency's top level, the union-find map, the vertex and
+    pair sets) with no Python step per vertex.  The groups and edge pairs
+    are consumed in the order given: the quotient is unique and every
+    class is named by its least vertex (``_UnionFind.union`` keeps the
+    smaller id), so neither the result nor the vertex map depends on that
+    order.
     """
+    pairs = set(graph.pairs)
+    collisions = []  # (taken slot's target, the colliding pair's end there)
+    if graph.folded:
+        start = graph.out
+    else:
+        start = {v: {} for v in graph.vertices}
+        for pair in graph.pairs:
+            u, w, letter = pair
+            inverse = letter.inverse()
+            head, tail = start[u], start[w]
+            if letter not in head and inverse not in tail:
+                head[letter] = w
+                tail[inverse] = u
+                continue
+            # identify only once every pair is read: identify pops the
+            # slots of the vertex it drops
+            pairs.discard(pair)
+            if letter in head:
+                collisions.append((head[letter], w))
+            if inverse in tail:
+                collisions.append((tail[inverse], u))
     uf = _UnionFind(graph.vertices)
     find = uf.find
     work = deque()
-    if graph.folded:
-        out = dict(graph.out)
-        owned = set()  # vertices whose slot dict is a copy: merge survivors
-    else:
-        out = {v: {} for v in graph.vertices}
-        owned = set(out)
-        for u, w, letter in graph.pairs:
-            work.append((u, w, letter))
-            work.append((w, u, letter.inverse()))
+    out = dict(start)
+    owned = set()  # vertices whose slot dict is a copy: merge survivors
     dropped = []
 
     def identify(a, b):
@@ -218,6 +239,8 @@ def fold(graph: LabeledGraph, merge=()):
             if v not in graph.vertices:
                 raise ValueError(f"unknown vertex {v!r}")
             identify(group[0], v)
+    for a, b in collisions:
+        identify(a, b)
     while work:
         source, target, letter = work.popleft()
         source, target = find(source), find(target)
@@ -231,18 +254,14 @@ def fold(graph: LabeledGraph, merge=()):
         find(v)  # path compression points each at its class's least vertex
     vmap = uf.parent
     # a stale target sits only at a merge survivor or at a neighbour of a
-    # dropped vertex; on unfolded input every vertex counts as a survivor
+    # dropped vertex
     changed = set(owned)
-    pairs = set()
-    if graph.folded:
-        old = graph.out
-        for v in dropped:
-            changed.update(old[v].values())
-        pairs.update(graph.pairs)
-        for v in changed:
-            for letter, target in old[v].items():
-                pairs.discard((v, target, letter) if letter.sign > 0
-                              else (target, v, letter.inverse()))
+    for v in dropped:
+        changed.update(start[v].values())
+    for v in changed:
+        for letter, target in start[v].items():
+            pairs.discard((v, target, letter) if letter.sign > 0
+                          else (target, v, letter.inverse()))
     for v in changed:
         slots = out.get(v)
         if slots is None:

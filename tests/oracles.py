@@ -6,16 +6,19 @@ folding by exhaustive or random fold-order search, subgroup membership by
 breadth-first enumeration over normal forms or by re-running the graph
 fixpoint on a glued query path, monochromatic components and spanning
 trees by plain breadth-first search, coset keys and the based fixpoint
-one component subgraph at a time or by a full rescan each round, and
-kernel generating sets by the Schreier transversal construction.
+one component subgraph at a time or by a full rescan each round,
+kernel generating sets by the Schreier transversal construction, and
+words by one regex match per term.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import product
 
 from altsep import permgroup
+from altsep.cli import MAX_WORD_LENGTH, ProblemFormatError
 from altsep.factors import component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
@@ -394,6 +397,37 @@ def reidemeister_schreier(target, rank, num_ygens, x_images, y_images):
                 seen.add(word)
                 generators.append(word)
     return generators
+
+
+# -- word grammar ---------------------------------------------------------------
+
+_WORD_TERM_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?$")
+
+
+def parse_word_oracle(text: str, rank: int, num_ygens: int, line: int):
+    """``cli.parse_word`` as one regex match per term occurrence: the
+    column of each term comes from its own match."""
+    text = text.strip()
+    if text == "1":
+        return ()
+    letters = []
+    for term in re.finditer(r"\S+", text):
+        token, column = term.group(), term.start() + 1
+        match = _WORD_TERM_RE.match(token)
+        if not match:
+            raise ProblemFormatError(f"bad word term {token!r}", line, column)
+        factor, index, exponent = match.group(1), int(match.group(2)), match.group(3)
+        exponent = 1 if exponent is None else int(exponent)
+        limit = rank if factor == "x" else num_ygens
+        if not 1 <= index <= limit:
+            raise ProblemFormatError(f"unknown generator {factor}{index}", line, column)
+        if len(letters) + abs(exponent) > MAX_WORD_LENGTH:
+            raise ProblemFormatError(
+                f"word longer than {MAX_WORD_LENGTH} letters", line, column)
+        sign = 1 if exponent > 0 else -1
+        base = x_letter(index, sign) if factor == "x" else y_letter(index, sign)
+        letters.extend([base] * abs(exponent))
+    return tuple(letters)
 
 
 # -- misc -----------------------------------------------------------------------

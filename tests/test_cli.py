@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import altsep
 from altsep import covers, permgroup
 from altsep.cli import (
     MAX_FREE_RANK,
+    MAX_PROBLEM_LETTERS,
     MAX_WORD_LENGTH,
     ProblemFormatError,
     export_dot,
@@ -25,6 +27,7 @@ from altsep.graphs import build_graph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
+from oracles import parse_word_oracle
 
 DEMO = """\
 # conjugated pair over S3
@@ -87,6 +90,55 @@ def test_parse_word_rejects_oversized_words_before_expanding():
     with pytest.raises(ProblemFormatError) as err:
         parse_word("x1^60000 x1^60000", 2, 1, 7)
     assert err.value.line == 7 and err.value.column == 10
+
+
+def parse_outcome(parse, text):
+    """Letters, or the error's message and column."""
+    try:
+        return parse(text, 2, 2, 9)
+    except ProblemFormatError as err:
+        assert err.line == 9
+        return err.message, err.column
+
+
+# exponents 0, -0 and 00, leading zeros, and terms long enough to cross
+# MAX_WORD_LENGTH within a few occurrences
+GOOD_TERMS = ("x1", "x2", "y1", "y2", "x1^-1", "y2^-1", "x1^3", "y1^-2", "x2^0",
+              "x1^-0", "y1^00", "x01", "y02^-1", "x1^60000", "y2^-45000")
+# malformed terms, the identity inside a longer word, unknown generators
+BAD_TERMS = ("1", "q2", "x", "x1^", "x1^-", "y1^+2", "x1x2", "^2", "x1^2^3",
+             "x3", "y3", "x0", "y0^2")
+WORD_SEPARATORS = (" ", "  ", "\t", "\u00a0", " \u2003", "\u3000")
+
+
+def test_parse_word_matches_the_per_term_oracle():
+    """parse_word parses each distinct term once; on seeded random texts it
+    gives the letters, or the error and column, of one regex match per
+    term occurrence."""
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(1000):
+        terms = [rng.choice(BAD_TERMS if rng.random() < 0.05 else GOOD_TERMS)
+                 for _ in range(rng.randint(0, 12))]
+        text = "".join(rng.choice(WORD_SEPARATORS) + t for t in terms)
+        text += rng.choice(("", " ", "\t", "\u00a0"))
+        got = parse_outcome(parse_word, text)
+        assert got == parse_outcome(parse_word_oracle, text), text
+        kinds.add(got[0].split()[0] if got and isinstance(got[0], str) else len(got) > 0)
+    # letters, the empty word, and each kind of error
+    assert kinds == {True, False, "bad", "unknown", "word"}
+
+
+@pytest.mark.parametrize("text", [
+    "x1 q2 x1 q2",              # a repeated bad term fails at its first occurrence
+    "x1\tx3 y1 x3",             # a repeated unknown generator too
+    "x1^60000 y1 x1^60000 y1",  # the length cap at the term's second occurrence
+    "x1^0 x1^-0 x1^00 x01",
+    "\u00a0x1\ty2^-1\u00a0\u00a0q",
+    " 1 ", "1 1", "\t1", "",
+])
+def test_parse_word_matches_the_oracle_on_fixed_texts(text):
+    assert parse_outcome(parse_word, text) == parse_outcome(parse_word_oracle, text)
 
 
 def test_word_round_trip_canonical_spelling():
@@ -377,6 +429,35 @@ def test_main_rejects_a_hostile_free_rank_quickly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"altsep: error: line 1, column 1: free rank above {MAX_FREE_RANK}\n"
+
+
+def test_main_rejects_a_problem_past_the_letter_cap_quickly(tmp_path, capsys):
+    """Forty short lines of 100,000 letters each: the third word crosses
+    the problem's cap and is named, before any graph is built."""
+    words = "".join(f"h{i} = x1^50000 x2^-50000\n" for i in range(1, 41))
+    path = write(tmp_path, "hostile.txt",
+                 "[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n"
+                 f"[subgroup]\n{words}[separate] g1 = x1\n")
+    assert len(Path(path).read_bytes()) < 1400
+    started = time.monotonic()
+    assert main(["separate", path]) == 1
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "altsep: error: line 6, column 6: subgroup and separator words longer "
+        f"than {MAX_PROBLEM_LETTERS} letters together\n")
+
+
+def test_parse_problem_counts_both_sections_against_the_letter_cap():
+    half, quarter = MAX_PROBLEM_LETTERS // 2, MAX_PROBLEM_LETTERS // 4
+    text = ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n"
+            f"[subgroup] h1 = x1^{half}\n[separate] g1 = x2^-{quarter} y1^{quarter}\n")
+    spec = parse_problem(text)
+    assert sum(map(len, spec.subgroup_words + spec.separate_words)) == MAX_PROBLEM_LETTERS
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(text + "           g2 = y1\n")
+    assert (err.value.line, err.value.column) == (5, 17)
 
 
 def test_main_reports_a_failed_self_check_as_an_internal_error(

@@ -271,6 +271,30 @@ def test_pipeline_honors_prime_cap(z2):
         build_separating_cover(spec, built.graph, verdict, max_prime=5)
 
 
+def test_prime_cap_below_the_first_plan_fails_before_building_covers(z2, monkeypatch):
+    """Every plan's degree is at least |V| + 5, so a cap below that fails
+    at once, with the usual message, before any component cover is built."""
+    from altsep import covers
+    from altsep.covers import CoverSearchExhaustedError
+
+    spec = make_spec(z2, subgroup_words=[(x(1), y(1), x(1, -1))],
+                     separate_words=[(y(1),)])
+    built = build_subgroup_graph(spec)
+    verdict = hypothesis_check(built.graph, 2)
+    cap = len(built.graph.vertices) + 4
+
+    def unreachable(*_args):
+        raise AssertionError("a component cover was built past the prime cap")
+
+    monkeypatch.setattr(covers, "embed_Y_component", unreachable)
+    with pytest.raises(CoverSearchExhaustedError,
+                       match=f"^no recognized cover with prime degree <= {cap}$"):
+        build_separating_cover(spec, built.graph, verdict, max_prime=cap)
+    # one more and the search starts: it reaches the y-component's cover
+    with pytest.raises(AssertionError, match="past the prime cap"):
+        build_separating_cover(spec, built.graph, verdict, max_prime=cap + 1)
+
+
 def test_pipeline_connect_letter_follows_first_defect(z2):
     # x1 saturated on the witness, x2 not: the bridge must use x2 and the
     # move letter falls back to x1

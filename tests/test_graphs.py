@@ -250,6 +250,50 @@ def test_fold_merge_groups_cascade_into_folds():
     assert folded.folded and folded.base == 0
 
 
+def fold_in_pair_order(vertices, pairs, base):
+    """fold of the unfolded graph whose pairs are read in the order given,
+    checked against the oracle."""
+    g = LabeledGraph(frozenset(vertices), tuple(pairs), base, False)
+    folded, vmap = fold(g)
+    expected = random_fold(make_graph(g.vertices, g.pairs, base), random.Random(0))
+    assert (folded.vertices, folded.pairs, folded.base) == (
+        expected.vertices, expected.pairs, expected.base)
+    assert make_graph(folded.vertices, folded.pairs, folded.base).out == folded.out
+    return folded, vmap
+
+
+def test_fold_unfolded_pair_colliding_at_both_ends():
+    """(0, 3, x1) finds 0's x1 slot holding 1 and 3's x1^-1 slot holding
+    2: it stays out of the adjacency, and 1 ~ 3 and 2 ~ 0 are merged."""
+    first = [(0, 1, x(1)), (2, 3, x(1))]
+    for pairs in (first + [(0, 3, x(1))], [(0, 3, x(1))] + first):
+        folded, vmap = fold_in_pair_order(range(4), pairs, 0)
+        assert folded.pairs == {(0, 1, x(1))}
+        assert vmap == {0: 0, 1: 1, 2: 0, 3: 1}
+        assert folded.out == {0: {x(1): 1}, 1: {x(1, -1): 0}}
+
+
+def test_fold_unfolded_self_loop_colliding():
+    """The loop (0, 0, x1) finds 0's x1 slot holding 1 and its x1^-1 slot
+    holding 2, so the whole graph folds onto the loop."""
+    first = [(0, 1, x(1)), (2, 0, x(1)), (1, 2, y(1))]
+    for pairs in (first + [(0, 0, x(1))], [(0, 0, x(1))] + first):
+        folded, vmap = fold_in_pair_order(range(3), pairs, 1)
+        assert folded.pairs == {(0, 0, x(1)), (0, 0, y(1))}
+        assert vmap == {0: 0, 1: 0, 2: 0} and folded.base == 0
+        assert folded.out == {0: {x(1): 0, x(1, -1): 0, y(1): 0, y(1, -1): 0}}
+
+
+def test_fold_unfolded_wedge_without_collision():
+    """A wedge that is folded already, though not flagged so, keeps its
+    vertices and pairs: nothing collides, nothing merges."""
+    pairs = [(0, 1, x(1)), (1, 0, x(2)), (0, 2, y(1)), (2, 0, y(2)), (1, 1, y(1))]
+    folded, vmap = fold_in_pair_order(range(3), pairs, 0)
+    assert folded.pairs == frozenset(pairs)
+    assert vmap == {0: 0, 1: 1, 2: 2}
+    assert folded.out == make_graph(range(3), pairs, 0).out
+
+
 def check_fold_with_merge_groups(g, rng):
     vertices = sorted(g.vertices)
     merge = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
