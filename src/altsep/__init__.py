@@ -9,6 +9,8 @@ point.  The ``altsep`` command line drives the full pipeline and emits a
 JSON certificate plus optional DOT renderings of each stage.
 """
 
+from importlib import import_module as _import_module
+
 from .words import Letter, Word, x_letter, y_letter, word_str
 from .graphs import (
     LabeledGraph,
@@ -49,6 +51,18 @@ from .covers import (
     build_separating_cover,
     permutation_rep,
 )
-from .cli import parse_problem, run_separate, export_dot
+# The command line module and its names load on first use.  Importing it
+# here would put ``altsep.cli`` in sys.modules before ``python -m
+# altsep.cli`` runs it, which Python reports with a RuntimeWarning.
+_CLI_NAMES = ("parse_problem", "run_separate", "export_dot")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        cli = _import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["cli", *_CLI_NAMES]

@@ -81,6 +81,12 @@ MAX_FINITE_DEGREE = 100
 # "rank = 1000000000" never builds a two-billion-letter alphabet.
 MAX_FREE_RANK = 1_000
 
+# Most digits of any number in a problem file: far more than a valid
+# problem needs, far fewer than Python's integer-string limit (4,300
+# digits).  Checked before the digits become an int, so a 5,000-digit
+# exponent is refused at its line and column.
+MAX_NUMBER_DIGITS = 100
+
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
     """Letters of one word: whitespace-separated terms ``x<i>`` or
@@ -104,7 +110,13 @@ def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
             if not match:
                 raise ProblemFormatError(
                     f"bad word term {term!r}", line, _term_column(text, position))
-            factor, index, exponent = match.group(1), int(match.group(2)), match.group(3)
+            factor, index, exponent = match.group(1, 2, 3)
+            if len(index) > MAX_NUMBER_DIGITS or (
+                    exponent is not None and len(exponent.lstrip("-")) > MAX_NUMBER_DIGITS):
+                raise ProblemFormatError(
+                    f"generator index or exponent longer than {MAX_NUMBER_DIGITS} digits",
+                    line, _term_column(text, position))
+            index = int(index)
             exponent = 1 if exponent is None else int(exponent)
             limit = rank if factor == "x" else num_ygens
             if not 1 <= index <= limit:
@@ -193,7 +205,7 @@ def parse_problem(text: str) -> ProblemSpec:
                     raise ProblemFormatError(
                         f"expected 'degree = <int>' or 'y<k>: <cycles>', got {chunk!r}",
                         lineno)
-                index = int(gendef.group(1))
+                index = _parse_int(gendef.group(1), lineno)
                 if index in raw_gens:
                     raise ProblemFormatError(f"generator y{index} defined twice", lineno)
                 raw_gens[index] = (gendef.group(2).strip(), lineno)
@@ -203,7 +215,7 @@ def parse_problem(text: str) -> ProblemSpec:
                 if not keyed or not re.fullmatch(prefix + r"\d+", keyed.group(1)):
                     raise ProblemFormatError(
                         f"expected '{prefix}<i> = <word>', got {chunk!r}", lineno)
-                index = int(keyed.group(1)[1:])
+                index = _parse_int(keyed.group(1)[1:], lineno)
                 if index in raw_words[section]:
                     raise ProblemFormatError(
                         f"{keyed.group(1)} defined twice", lineno)
@@ -271,8 +283,12 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def _parse_int(text: str, line: int) -> int:
+    text = text.strip()
+    if len(text) > MAX_NUMBER_DIGITS:
+        raise ProblemFormatError(
+            f"expected an integer of at most {MAX_NUMBER_DIGITS} digits", line)
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError as err:
         raise ProblemFormatError(f"expected an integer, got {text!r}", line) from err
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .factors import FiniteGroupTable, component_cosets
+from .factors import FiniteGroupTable, _coset_enumeration, component_cosets
 from .graphs import (
     LabeledGraph,
     canonical_pair,
@@ -148,9 +148,11 @@ class MembershipTester:
 
     A word lies in the subgroup exactly when reading its normal form from
     the base point closes (Kapovich, Weidmann and Miasnikov, IJAC 2005).
-    An x-syllable follows edges.  A y-syllable g moves a vertex on the
-    coset K*a of its y-component, K the subgroup of the component's loops,
-    to the vertex on K*a*g.  A missing edge or vertex means a non-member.
+    An x-syllable follows edges of the graph's adjacency.  A y-syllable g
+    moves a vertex on the coset K*a of its y-component, K the subgroup of
+    the component's loops, to the vertex on K*a*g: one product a*g and
+    one look-up of its coset id.  A missing edge or vertex means a
+    non-member.
     """
 
     def __init__(self, graph: LabeledGraph, table: FiniteGroupTable):
@@ -161,34 +163,44 @@ class MembershipTester:
 
     @cached_property
     def _cosets(self):
-        """Vertex with a y-edge -> (K, its coset key, key -> vertex) of its
-        y-component; built on the first y-syllable read."""
+        """Vertex with a y-edge -> (an element a of its coset K*a, the
+        element -> coset id list of K, coset id -> vertex of its
+        y-component); built on the first y-syllable read.  The id list
+        is enumerated once per distinct K and shared by the components
+        with that K."""
         cosets = {}
+        coset_ids = {}  # K -> element -> coset id
         for subgroup, keys in component_cosets(self.table, self.graph):
-            at_key = {key: v for v, key in keys.items()}
-            if len(at_key) != len(keys):
+            ids = coset_ids.get(subgroup)
+            if ids is None:
+                ids = coset_ids[subgroup] = _coset_enumeration(self.table, subgroup)[1]
+            at_coset = {ids[key]: v for v, key in keys.items()}
+            if len(at_coset) != len(keys):
                 raise ValueError("membership needs a based graph: two vertices "
                                  "of a y-component lie on one coset")
             for v, key in keys.items():
-                cosets[v] = (subgroup, key, at_key)
+                cosets[v] = (key, ids, at_coset)
         return cosets
 
     def contains(self, word) -> bool:
-        table = self.table
-        current = self.graph.base
-        for tag, syllable in normal_form(word, table):
+        out = self.graph.out
+        base = current = self.graph.base
+        multiply = self.table.multiply
+        for tag, syllable in normal_form(word, self.table):
             if tag == "x":
-                result = trace(self.graph, current, syllable)
-                current = None if result.status == "stuck" else result.vertex
-            elif current in self._cosets:
-                subgroup, key, at_key = self._cosets[current]
-                moved = table.multiply(key, syllable)
-                current = at_key.get(min(table.multiply(k, moved) for k in subgroup))
+                for letter in syllable:
+                    current = out[current].get(letter)
+                    if current is None:
+                        return False
             else:
-                return False
-            if current is None:
-                return False
-        return current == self.graph.base
+                coset = self._cosets.get(current)
+                if coset is None:
+                    return False
+                key, ids, at_coset = coset
+                current = at_coset.get(ids[multiply(key, syllable)])
+                if current is None:
+                    return False
+        return current == base
 
 
 def membership(spec: ProblemSpec, word) -> bool:

@@ -151,9 +151,13 @@ def normal_form(word, table) -> tuple:
     Returns a tuple of syllables ('x', letters) / ('y', element index),
     with x-syllables freely reduced, y-syllables nonidentity elements of
     the finite group, and no two adjacent syllables from the same factor.
-    The empty tuple denotes the identity.  ``table`` is a FiniteGroupTable
-    (only its letter_element and multiply methods and its identity are used).
+    The empty tuple denotes the identity.  ``table`` is a FiniteGroupTable;
+    a y-run is multiplied out by one index into ``table.steps`` per
+    letter, so no permutation is composed.  A y-letter that names no
+    generator of the table raises ValueError.
     """
+    steps = table.steps
+    identity = table.identity
     stack = []  # mutable entries ["x", [letters]] or ["y", element]
     for letter in word:
         if letter.factor == "x":
@@ -168,15 +172,17 @@ def normal_form(word, table) -> tuple:
             else:
                 stack.append(["x", [letter]])
         else:
-            element = table.letter_element(letter)
+            step = steps.get(letter)
+            if step is None:
+                raise ValueError(f"no generator y{letter.index}")
             if stack and stack[-1][0] == "y":
-                product = table.multiply(stack[-1][1], element)
-                if product == table.identity:
+                product = step[stack[-1][1]]
+                if product == identity:
                     stack.pop()
                 else:
                     stack[-1][1] = product
-            elif element != table.identity:
-                stack.append(["y", element])
+            elif step[identity] != identity:
+                stack.append(["y", step[identity]])
     return tuple(("x", tuple(run)) if tag == "x" else ("y", run) for tag, run in stack)
 
 

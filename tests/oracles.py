@@ -4,7 +4,9 @@ Everything here decides questions by brute force, without going through
 the code paths under test: permutation groups by exhaustive closure,
 folding by exhaustive or random fold-order search, subgroup membership by
 breadth-first enumeration over normal forms or by re-running the graph
-fixpoint on a glued query path, monochromatic components and spanning
+fixpoint on a glued query path, membership queries and normal forms
+element by element (a coset key as a min over the loop subgroup, a
+y-letter as a table product), monochromatic components and spanning
 trees by plain breadth-first search, coset keys and the based fixpoint
 one component subgraph at a time or by a full rescan each round,
 kernel generating sets by the Schreier transversal construction, and
@@ -18,7 +20,7 @@ from collections import deque
 from itertools import product
 
 from altsep import permgroup
-from altsep.cli import MAX_WORD_LENGTH, ProblemFormatError
+from altsep.cli import MAX_NUMBER_DIGITS, MAX_WORD_LENGTH, ProblemFormatError
 from altsep.factors import component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
@@ -28,6 +30,7 @@ from altsep.graphs import (
     components,
     fold,
     make_graph,
+    trace,
 )
 from altsep.subgroups import based_fixpoint
 from altsep.words import (
@@ -361,6 +364,68 @@ def fixpoint_contains(graph: LabeledGraph, table, word):
     return base == end
 
 
+# -- membership queries, element by element ------------------------------------
+
+
+def normal_form_oracle(word, table):
+    """``words.normal_form`` with each y-letter's element read by
+    ``letter_element`` and multiplied in by ``multiply``."""
+    stack = []  # mutable entries ["x", [letters]] or ["y", element]
+    for letter in word:
+        if letter.factor == "x":
+            if stack and stack[-1][0] == "x":
+                run = stack[-1][1]
+                if run and run[-1] == letter.inverse():
+                    run.pop()
+                    if not run:
+                        stack.pop()
+                else:
+                    run.append(letter)
+            else:
+                stack.append(["x", [letter]])
+        else:
+            element = table.letter_element(letter)
+            if stack and stack[-1][0] == "y":
+                product = table.multiply(stack[-1][1], element)
+                if product == table.identity:
+                    stack.pop()
+                else:
+                    stack[-1][1] = product
+            elif element != table.identity:
+                stack.append(["y", element])
+    return tuple(("x", tuple(run)) if tag == "x" else ("y", run) for tag, run in stack)
+
+
+def contains_oracle(graph: LabeledGraph, table, word):
+    """``MembershipTester.contains`` by ``trace`` along each x-syllable
+    and, for a y-syllable g at a vertex keyed a on the coset K*a, the new
+    key min(k*a*g for k in K) looked up among its component's keys.
+    Raises ValueError for a graph that is not based, at once rather than
+    at the first y-syllable."""
+    cosets = {}
+    for subgroup, keys in component_cosets(table, graph):
+        at_key = {key: v for v, key in keys.items()}
+        if len(at_key) != len(keys):
+            raise ValueError("membership needs a based graph: two vertices "
+                             "of a y-component lie on one coset")
+        for v, key in keys.items():
+            cosets[v] = (subgroup, key, at_key)
+    current = graph.base
+    for tag, syllable in normal_form_oracle(word, table):
+        if tag == "x":
+            result = trace(graph, current, syllable)
+            current = None if result.status == "stuck" else result.vertex
+        elif current in cosets:
+            subgroup, key, at_key = cosets[current]
+            moved = table.multiply(key, syllable)
+            current = at_key.get(min(table.multiply(k, moved) for k in subgroup))
+        else:
+            return False
+        if current is None:
+            return False
+    return current == graph.base
+
+
 # -- kernels of homomorphisms onto finite groups --------------------------------
 
 
@@ -416,7 +481,12 @@ def parse_word_oracle(text: str, rank: int, num_ygens: int, line: int):
         match = _WORD_TERM_RE.match(token)
         if not match:
             raise ProblemFormatError(f"bad word term {token!r}", line, column)
-        factor, index, exponent = match.group(1), int(match.group(2)), match.group(3)
+        factor, index, exponent = match.group(1, 2, 3)
+        if len(index) > MAX_NUMBER_DIGITS or len((exponent or "").lstrip("-")) > MAX_NUMBER_DIGITS:
+            raise ProblemFormatError(
+                f"generator index or exponent longer than {MAX_NUMBER_DIGITS} digits",
+                line, column)
+        index = int(index)
         exponent = 1 if exponent is None else int(exponent)
         limit = rank if factor == "x" else num_ygens
         if not 1 <= index <= limit:

@@ -134,6 +134,9 @@ def test_parse_word_matches_the_per_term_oracle():
     "x1\tx3 y1 x3",             # a repeated unknown generator too
     "x1^60000 y1 x1^60000 y1",  # the length cap at the term's second occurrence
     "x1^0 x1^-0 x1^00 x01",
+    "x1 x2^" + "0" * 100 + " y1^-" + "0" * 99 + "1",  # 100 digits, leading zeros
+    "x1 x2^-" + "0" * 101 + " y1",                     # 101 digits
+    "y1 y" + "0" * 100 + "1",
     "\u00a0x1\ty2^-1\u00a0\u00a0q",
     " 1 ", "1 1", "\t1", "",
 ])
@@ -447,6 +450,28 @@ def test_main_rejects_a_problem_past_the_letter_cap_quickly(tmp_path, capsys):
     assert captured.err == (
         "altsep: error: line 6, column 6: subgroup and separator words longer "
         f"than {MAX_PROBLEM_LETTERS} letters together\n")
+
+
+@pytest.mark.parametrize("old, new, expected", [
+    ("h1 = y1 x1^-1 y1", "h1 = y1 x1^" + "9" * 5000,
+     "line 4, column 21: generator index or exponent longer than 100 digits"),
+    ("h1 = y1 x1^-1 y1", "h1 = y1 x" + "1" * 5000,
+     "line 4, column 21: generator index or exponent longer than 100 digits"),
+    ("y2: (1 2)", "y" + "2" * 5000 + ": (1 2)",
+     "line 3, column 1: expected an integer of at most 100 digits"),
+    ("g1 = y2", "g" + "1" * 5000 + " = y2",
+     "line 6, column 1: expected an integer of at most 100 digits"),
+    ("rank = 2", "rank = " + "2" * 5000,
+     "line 2, column 1: expected an integer of at most 100 digits"),
+])
+def test_main_locates_a_number_with_too_many_digits(tmp_path, capsys, old, new, expected):
+    """Digits past MAX_NUMBER_DIGITS never reach int(), whose own error
+    (Python's integer-string digit limit) names no line or column."""
+    path = write(tmp_path, "digits.txt", DEMO.replace(old, new))
+    assert main(["separate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {expected}\n"
 
 
 def test_parse_problem_counts_both_sections_against_the_letter_cap():

@@ -79,3 +79,22 @@ def test_golden_bytes_do_not_follow_letter_addresses(tmp_path):
         got = {p.name: p.read_bytes() for p in got_dir.iterdir() if p.name != "exit_code"}
         want = {p.name: p.read_bytes() for p in expected.iterdir()}
         assert got == want, problem.stem
+
+
+def test_python_dash_m_altsep_cli_runs_clean_under_w_error():
+    """``python -W error -m altsep.cli`` runs the problem files with no
+    warning: importing ``altsep`` does not import ``altsep.cli``, which
+    Python would report as found in sys.modules before it ran as
+    __main__."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for problem in PROBLEMS:
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "altsep.cli", "separate", str(problem)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert result.returncode == EXIT_CODES.get(problem.stem, 0), result.stderr
+        assert result.stderr == b""
+        assert result.stdout == (GOLDEN / problem.stem / "stdout.json").read_bytes()
+    check = ("import sys, altsep; assert 'altsep.cli' not in sys.modules; "
+             "from altsep import parse_problem, cli; assert parse_problem is cli.parse_problem")
+    subprocess.run([sys.executable, "-W", "error", "-c", check], check=True, env=env, timeout=60)

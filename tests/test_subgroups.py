@@ -5,6 +5,7 @@ import pytest
 
 from altsep import subgroups
 from altsep.cli import parse_problem
+from altsep.factors import component_cosets
 from altsep.graphs import build_graph, canonical_form, components, fold, is_tree, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
@@ -19,12 +20,13 @@ from altsep.subgroups import (
     hypothesis_check,
     membership,
 )
-from altsep.words import normal_form, spell, x_letter as x, y_letter as y
+from altsep.words import normal_form, spell, word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
     based_fixpoint_full_rescan,
     based_fixpoint_oracle,
+    contains_oracle,
     fixpoint_contains,
     iter_ball,
     random_raw_word,
@@ -258,6 +260,55 @@ def test_membership_refuses_a_graph_that_is_not_based(z2):
     assert tester.contains((x(1),)) is False
     with pytest.raises(ValueError, match="based graph"):
         tester.contains((y(1),))
+
+
+def test_contains_matches_the_element_by_element_oracle(s3, d4, a4):
+    """Adjacency walks for x-syllables and coset ids for y-syllables answer
+    as tracing and a min over the loop subgroup K do: on seeded random
+    subgroups, many of whose y-components have a nontrivial K, and on the
+    problem files."""
+    rng = random.Random(21)
+    counts = {"nontrivial K": 0, True: 0, False: 0}
+
+    def check(spec, extra_queries=()):
+        table = spec.finite
+        graph = build_subgroup_graph(spec).graph
+        tester = MembershipTester(graph, table)
+        counts["nontrivial K"] += sum(
+            len(subgroup) > 1 for subgroup, _keys in component_cosets(table, graph))
+        generators = list(spec.subgroup_words)
+        generators += [word_inverse(word) for word in generators]
+        queries = list(extra_queries)
+        for _ in range(30):
+            queries.append(random_raw_word(rng, spec.free.rank, table.num_generators, 12))
+            product = ()
+            for _ in range(rng.randint(1, 3) if generators else 0):
+                product += rng.choice(generators)
+            queries.append(product)
+        for word in queries:
+            member = tester.contains(word)
+            assert member is contains_oracle(graph, table, word), word
+            counts[member] += 1
+
+    for table in (s3, d4, a4):
+        for _ in range(40):
+            words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
+                     for _ in range(rng.randint(1, 4))]
+            check(make_spec(table, words))
+    for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        check(spec, spec.separate_words)
+    assert counts["nontrivial K"] >= 30 and counts[True] >= 1000 and counts[False] >= 1000
+
+
+def test_contains_rejects_an_unknown_y_generator(s3):
+    graph = build_subgroup_graph(make_spec(s3, [(y(1), x(1)), (y(2), x(2))])).graph
+    tester = MembershipTester(graph, s3)
+    for word in [(y(3),), (y(1), x(1, -1), y(3, -1)), (x(2), y(3))]:
+        with pytest.raises(ValueError, match="^no generator y3$"):
+            tester.contains(word)
+        with pytest.raises(ValueError, match="^no generator y3$"):
+            contains_oracle(graph, s3, word)
 
 
 # -- hypothesis check -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 from altsep.words import (
     Letter,
@@ -14,6 +15,8 @@ from altsep.words import (
 )
 
 import pytest
+
+from oracles import normal_form_oracle, random_raw_word
 
 
 def test_letter_inverse_is_an_involution():
@@ -123,3 +126,27 @@ def test_normal_form_is_idempotent_under_spelling(s3):
     for word in words:
         form = normal_form(word, s3)
         assert normal_form(spell(form, s3), s3) == form
+
+
+def test_normal_form_matches_the_element_by_element_oracle(z2, s3, d4, a4):
+    """y-runs multiplied out through the step tables give the normal form
+    of multiplying each y-letter's element in by the group table."""
+    rng = random.Random(31)
+    y_syllables = 0
+    for table in (z2, s3, d4, a4):
+        for _ in range(300):
+            word = random_raw_word(rng, 2, table.num_generators, 24)
+            form = normal_form(word, table)
+            assert form == normal_form_oracle(word, table), word
+            y_syllables += sum(tag == "y" for tag, _ in form)
+    assert y_syllables >= 1000
+
+
+@pytest.mark.parametrize("word", [
+    (y(3),), (x(1), y(3, -1)), (y(1), y(3)), (y(2), y(2), y(3), x(2)),
+])
+def test_normal_form_rejects_an_unknown_y_generator(s3, word):
+    with pytest.raises(ValueError, match="^no generator y3$"):
+        normal_form(word, s3)
+    with pytest.raises(ValueError, match="^no generator y3$"):
+        normal_form_oracle(word, s3)
