@@ -86,6 +86,7 @@ MAX_FREE_RANK = 1_000
 # digits).  Checked before the digits become an int, so a 5,000-digit
 # exponent is refused at its line and column.
 MAX_NUMBER_DIGITS = 100
+_LONG_NUMBER_RE = re.compile(r"\d{%d}" % (MAX_NUMBER_DIGITS + 1))
 
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
@@ -239,6 +240,9 @@ def parse_problem(text: str) -> ProblemSpec:
     perms = []
     for index in range(1, len(raw_gens) + 1):
         cycles_text, lineno = raw_gens[index]
+        if _LONG_NUMBER_RE.search(cycles_text):
+            raise ProblemFormatError(
+                f"expected an integer of at most {MAX_NUMBER_DIGITS} digits", lineno)
         try:
             perms.append(permgroup.parse_cycles(cycles_text, degree))
         except ValueError as err:

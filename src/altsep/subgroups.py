@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .factors import FiniteGroupTable, _coset_enumeration, component_cosets
+from .factors import FiniteGroupTable, component_cosets
 from .graphs import (
     LabeledGraph,
     canonical_pair,
@@ -150,8 +150,9 @@ class MembershipTester:
     the base point closes (Kapovich, Weidmann and Miasnikov, IJAC 2005).
     An x-syllable follows edges of the graph's adjacency.  A y-syllable g
     moves a vertex on the coset K*a of its y-component, K the subgroup of
-    the component's loops, to the vertex on K*a*g: one product a*g and
-    one look-up of its coset id.  A missing edge or vertex means a
+    the component's loops, to the vertex on K*a*g.  When K is trivial the
+    product a*g is itself the key of that coset; otherwise the key is the
+    smallest element of K*a*g.  A missing edge or vertex means a
     non-member.
     """
 
@@ -163,23 +164,18 @@ class MembershipTester:
 
     @cached_property
     def _cosets(self):
-        """Vertex with a y-edge -> (an element a of its coset K*a, the
-        element -> coset id list of K, coset id -> vertex of its
-        y-component); built on the first y-syllable read.  The id list
-        is enumerated once per distinct K and shared by the components
-        with that K."""
+        """Vertex with a y-edge -> (its coset key, key -> vertex of its
+        y-component, and K when K is nontrivial, else None); built on the
+        first y-syllable read."""
         cosets = {}
-        coset_ids = {}  # K -> element -> coset id
         for subgroup, keys in component_cosets(self.table, self.graph):
-            ids = coset_ids.get(subgroup)
-            if ids is None:
-                ids = coset_ids[subgroup] = _coset_enumeration(self.table, subgroup)[1]
-            at_coset = {ids[key]: v for v, key in keys.items()}
-            if len(at_coset) != len(keys):
+            at_key = {key: v for v, key in keys.items()}
+            if len(at_key) != len(keys):
                 raise ValueError("membership needs a based graph: two vertices "
                                  "of a y-component lie on one coset")
+            loops = subgroup if len(subgroup) > 1 else None
             for v, key in keys.items():
-                cosets[v] = (key, ids, at_coset)
+                cosets[v] = (key, at_key, loops)
         return cosets
 
     def contains(self, word) -> bool:
@@ -196,8 +192,11 @@ class MembershipTester:
                 coset = self._cosets.get(current)
                 if coset is None:
                     return False
-                key, ids, at_coset = coset
-                current = at_coset.get(ids[multiply(key, syllable)])
+                key, at_key, loops = coset
+                moved = multiply(key, syllable)
+                if loops is not None:
+                    moved = min(multiply(k, moved) for k in loops)
+                current = at_key.get(moved)
                 if current is None:
                     return False
         return current == base

@@ -459,6 +459,8 @@ def test_main_rejects_a_problem_past_the_letter_cap_quickly(tmp_path, capsys):
      "line 4, column 21: generator index or exponent longer than 100 digits"),
     ("y2: (1 2)", "y" + "2" * 5000 + ": (1 2)",
      "line 3, column 1: expected an integer of at most 100 digits"),
+    ("y2: (1 2)", "y2: (1 " + "2" * 5000 + ")",
+     "line 3, column 1: expected an integer of at most 100 digits"),
     ("g1 = y2", "g" + "1" * 5000 + " = y2",
      "line 6, column 1: expected an integer of at most 100 digits"),
     ("rank = 2", "rank = " + "2" * 5000,

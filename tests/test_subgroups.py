@@ -263,8 +263,9 @@ def test_membership_refuses_a_graph_that_is_not_based(z2):
 
 
 def test_contains_matches_the_element_by_element_oracle(s3, d4, a4):
-    """Adjacency walks for x-syllables and coset ids for y-syllables answer
-    as tracing and a min over the loop subgroup K do: on seeded random
+    """Adjacency walks for x-syllables, and the product itself as the key
+    where K is trivial, answer as tracing and a min over the loop subgroup
+    K do: on seeded random
     subgroups, many of whose y-components have a nontrivial K, and on the
     problem files."""
     rng = random.Random(21)
