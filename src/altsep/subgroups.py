@@ -146,14 +146,37 @@ def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
 class MembershipTester:
     """Membership queries against a fixed based graph.
 
-    A word lies in the subgroup exactly when reading its normal form from
-    the base point closes (Kapovich, Weidmann and Miasnikov, IJAC 2005).
-    An x-syllable follows edges of the graph's adjacency.  A y-syllable g
-    moves a vertex on the coset K*a of its y-component, K the subgroup of
-    the component's loops, to the vertex on K*a*g.  When K is trivial the
-    product a*g is itself the key of that coset; otherwise the key is the
-    smallest element of K*a*g.  A missing edge or vertex means a
-    non-member.
+    A based graph embeds in the coset graph of its subgroup H in F_r * G
+    (Kapovich, Weidmann and Miasnikov, IJAC 2005), so a path from the base
+    point labelled w ends on the vertex of the coset H*w when it exists.
+    A query is read in two phases.
+
+    Phase 1 walks the word letter by letter, x and y alike, along the
+    graph's edges.  When every letter has an edge, the word lies in H
+    exactly when the walk ends on the base point.
+
+    Phase 2 starts at the first letter without an edge, at the vertex c
+    the walk reached, and reads the normal form of the unread rest (that
+    letter onward) from c.  An x-syllable follows edges of the adjacency.
+    A y-syllable g moves a vertex on the coset K*a of its y-component, K
+    the subgroup of the component's loops, to the vertex on K*a*g.  When K
+    is trivial the product a*g is itself the key of that coset; otherwise
+    the key is the smallest element of K*a*g.  A missing edge or vertex
+    means a non-member.  The reading is exact:
+
+    - a reading that closes spells, up to loops, a path labelled
+      prefix*rest = w from the base back to it, so w is in H, since the
+      graph embeds;
+    - if w is in H, the normal form of w reads inside the graph from the
+      base.  The prefix's path reduces to a path of the prefix's normal
+      form that ends at c.  Read from c, the normal form of the rest first
+      retraces the part of that path which the rest cancels: edges are
+      involutive, and a y-syllable moves between coset keys whatever path
+      led to its vertex.  After that it follows the path of w's normal
+      form, back to the base.
+
+    A graph that is not based is refused, with ValueError, by the first
+    query that holds a y-letter.
     """
 
     def __init__(self, graph: LabeledGraph, table: FiniteGroupTable):
@@ -165,8 +188,8 @@ class MembershipTester:
     @cached_property
     def _cosets(self):
         """Vertex with a y-edge -> (its coset key, key -> vertex of its
-        y-component, and K when K is nontrivial, else None); built on the
-        first y-syllable read."""
+        y-component, and K when K is nontrivial, else None); built by the
+        first query that holds a y-letter."""
         cosets = {}
         for subgroup, keys in component_cosets(self.table, self.graph):
             at_key = {key: v for v, key in keys.items()}
@@ -179,10 +202,24 @@ class MembershipTester:
         return cosets
 
     def contains(self, word) -> bool:
+        if "_cosets" not in self.__dict__ and any(letter.factor == "y" for letter in word):
+            self._cosets  # refuses a graph that is not based
         out = self.graph.out
-        base = current = self.graph.base
+        current = self.graph.base
+        for i, letter in enumerate(word):
+            step = out[current].get(letter)
+            if step is None:
+                return self._read_rest(word[i:], current)
+            current = step
+        return current == self.graph.base
+
+    def _read_rest(self, rest, current) -> bool:
+        """Phase 2: read the normal form of ``rest`` from ``current``.  A
+        y-letter that names no generator raises ValueError here, since it
+        never has an edge."""
+        out = self.graph.out
         multiply = self.table.multiply
-        for tag, syllable in normal_form(word, self.table):
+        for tag, syllable in normal_form(rest, self.table):
             if tag == "x":
                 for letter in syllable:
                     current = out[current].get(letter)
@@ -199,7 +236,7 @@ class MembershipTester:
                 current = at_key.get(moved)
                 if current is None:
                     return False
-        return current == base
+        return current == self.graph.base
 
 
 def membership(spec: ProblemSpec, word) -> bool:

@@ -76,29 +76,25 @@ _INTERNED: dict = {}
 _INVERSE: dict = {}
 
 
-def _intern(factor: str, index: int, sign: int) -> Letter:
-    """``Letter(factor, index, sign)`` without the class call for a letter
-    that already exists."""
-    letter = _INTERNED.get((factor, index, sign))
-    return letter if letter is not None else Letter(factor, index, sign)
-
-
 def x_letter(index: int, sign: int = 1) -> Letter:
-    return _intern("x", index, sign)
+    """``Letter("x", index, sign)``, by one lookup once the letter exists
+    (a letter is never falsy)."""
+    return _INTERNED.get(("x", index, sign)) or Letter("x", index, sign)
 
 
 def y_letter(index: int, sign: int = 1) -> Letter:
-    return _intern("y", index, sign)
+    """``Letter("y", index, sign)``, by one lookup once the letter exists."""
+    return _INTERNED.get(("y", index, sign)) or Letter("y", index, sign)
 
 
 def x_alphabet(rank: int) -> tuple[Letter, ...]:
     """All signed x-letters x1, x1^-1, ..., xr, xr^-1."""
-    return tuple(_intern("x", i, sign) for i in range(1, rank + 1) for sign in (1, -1))
+    return tuple(x_letter(i, sign) for i in range(1, rank + 1) for sign in (1, -1))
 
 
 def y_alphabet(count: int) -> tuple[Letter, ...]:
     """All signed y-letters y1, y1^-1, ..., yq, yq^-1."""
-    return tuple(_intern("y", j, sign) for j in range(1, count + 1) for sign in (1, -1))
+    return tuple(y_letter(j, sign) for j in range(1, count + 1) for sign in (1, -1))
 
 
 Word = tuple  # tuple[Letter, ...]

@@ -5,7 +5,10 @@ a shared x86-64 host (S_5 0.1 s, S_6 1.5 s, degree 61 0.15 s), so that
 they catch a hang rather than a small slowdown.  While recognition built
 two full Schreier-Sims chains per certificate, the degree-61 run alone
 took over a minute.  The decompose-sized subgroup graph (about 950
-vertices, 0.05 s) has a bound of 5 s.
+vertices, 0.05 s) has a bound of 5 s.  Membership on that graph reads a
+100,000-letter member in 0.011 s and ten 10,000-letter non-members in
+0.07 s; their bounds of 0.15 s and 1 s catch a reader that normalizes or
+slices the rest of a word once per letter.
 """
 
 import json
@@ -16,7 +19,8 @@ import pytest
 
 from altsep.cli import main
 from altsep.kurosh import kurosh_decompose
-from altsep.subgroups import build_subgroup_graph, hypothesis_check
+from altsep.subgroups import MembershipTester, build_subgroup_graph, hypothesis_check
+from altsep.words import word_inverse
 
 from conftest import make_spec
 from oracles import random_raw_word
@@ -65,11 +69,16 @@ def test_certificate_within_time_bound(tmp_path, capsys, text, degree, bound_s):
     assert elapsed < bound_s, f"took {elapsed:.1f} s, bound {bound_s} s"
 
 
-def test_decompose_sized_subgroup_within_time_bound(s3):
-    """Subgroup graph, verdict and Kurosh decomposition of six seeded
-    200-letter subgroup words of F_2 * S_3."""
+def decompose_sized_words(s3):
+    """Six seeded 200-letter subgroup words of F_2 * S_3."""
     rng = random.Random(1)
-    words = [random_raw_word(rng, 2, s3.num_generators, 200, 200) for _ in range(6)]
+    return [random_raw_word(rng, 2, s3.num_generators, 200, 200) for _ in range(6)]
+
+
+def test_decompose_sized_subgroup_within_time_bound(s3):
+    """Subgroup graph, verdict and Kurosh decomposition of the
+    decompose-sized subgroup."""
+    words = decompose_sized_words(s3)
     started = time.monotonic()
     built = build_subgroup_graph(make_spec(s3, words))
     verdict = hypothesis_check(built.graph, 2)
@@ -79,3 +88,26 @@ def test_decompose_sized_subgroup_within_time_bound(s3):
     assert verdict.kind
     assert decomposition.factors
     assert elapsed < 5, f"took {elapsed:.1f} s, bound 5 s"
+
+
+def test_membership_on_the_decompose_sized_subgroup_within_time_bound(s3):
+    """A member of 500 generator factors reads through the graph; ten
+    random 10,000-letter words leave it and are read to the end."""
+    words = decompose_sized_words(s3)
+    graph = build_subgroup_graph(make_spec(s3, words)).graph
+    assert len(graph.vertices) > 800
+    tester = MembershipTester(graph, s3)
+    rng = random.Random(2)
+    member = ()
+    for _ in range(500):
+        word = rng.choice(words)
+        member += word if rng.random() < 0.5 else word_inverse(word)
+    others = [random_raw_word(rng, 2, s3.num_generators, 10000, 10000) for _ in range(10)]
+    started = time.monotonic()
+    assert tester.contains(member)
+    member_s = time.monotonic() - started
+    started = time.monotonic()
+    assert not any(tester.contains(word) for word in others)
+    others_s = time.monotonic() - started
+    assert member_s < 0.15, f"member took {member_s:.3f} s, bound 0.15 s"
+    assert others_s < 1, f"non-members took {others_s:.2f} s, bound 1 s"

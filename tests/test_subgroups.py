@@ -262,17 +262,38 @@ def test_membership_refuses_a_graph_that_is_not_based(z2):
         tester.contains((y(1),))
 
 
-def test_contains_matches_the_element_by_element_oracle(s3, d4, a4):
-    """Adjacency walks for x-syllables, and the product itself as the key
-    where K is trivial, answer as tracing and a min over the loop subgroup
-    K do: on seeded random
-    subgroups, many of whose y-components have a nontrivial K, and on the
-    problem files."""
+def test_membership_refuses_a_graph_that_is_not_based_on_a_trivial_word(z2):
+    # the word's normal form is empty, but its walk takes the y1-edge out
+    # of the base, so the query holds a y-letter and is refused
+    graph = build_graph([0, 1, 2], [(0, 1, y(1)), (1, 2, y(1))], 0)
+    tester = MembershipTester(graph, z2)
+    with pytest.raises(ValueError, match="based graph"):
+        tester.contains((y(1), x(1), x(1, -1), y(1)))
+
+
+def test_contains_matches_the_element_by_element_oracle(monkeypatch, z2, s3, d4, a4):
+    """Both phases of a query, the walk along the edges and the normal
+    form of the rest after the first missing edge, answer as tracing and
+    a min over the loop subgroup K do, and, on every tenth query, as
+    re-stabilising the graph with the word's path glued on does.  On
+    seeded random subgroups, half of them with separator paths and many
+    with y-components of nontrivial K, and on the problem files.  Queries
+    are random words; products of generators, which read through; the
+    same with a detour u*u^-1 inserted, which leaves the graph and comes
+    back; and the same with a y-run that multiplies to the identity."""
     rng = random.Random(21)
-    counts = {"nontrivial K": 0, True: 0, False: 0}
+    counts = {"nontrivial K": 0, "phase 1": 0, "phase 2": 0, True: 0, False: 0}
+    read_rest = MembershipTester._read_rest
+
+    def counted_read_rest(self, rest, current):
+        counts["phase 2"] += 1
+        return read_rest(self, rest, current)
+
+    monkeypatch.setattr(MembershipTester, "_read_rest", counted_read_rest)
 
     def check(spec, extra_queries=()):
         table = spec.finite
+        rank, num_ygens = spec.free.rank, table.num_generators
         graph = build_subgroup_graph(spec).graph
         tester = MembershipTester(graph, table)
         counts["nontrivial K"] += sum(
@@ -281,31 +302,50 @@ def test_contains_matches_the_element_by_element_oracle(s3, d4, a4):
         generators += [word_inverse(word) for word in generators]
         queries = list(extra_queries)
         for _ in range(30):
-            queries.append(random_raw_word(rng, spec.free.rank, table.num_generators, 12))
+            queries.append(random_raw_word(rng, rank, num_ygens, 12))
             product = ()
             for _ in range(rng.randint(1, 3) if generators else 0):
                 product += rng.choice(generators)
             queries.append(product)
-        for word in queries:
+            detour = random_raw_word(rng, rank, num_ygens, 6, 1)
+            at = rng.randint(0, len(product))
+            queries.append(product[:at] + detour + word_inverse(detour) + product[at:])
+            run = random_raw_word(rng, 0, num_ygens, 5, 1)
+            run += table.element_word(table.inverse(table.word_element(run)))
+            at = rng.randint(0, len(product))
+            queries.append(product[:at] + run + product[at:])
+        for n, word in enumerate(queries):
+            phase_2 = counts["phase 2"]
             member = tester.contains(word)
+            counts["phase 1"] += counts["phase 2"] == phase_2
             assert member is contains_oracle(graph, table, word), word
+            if n % 10 == 0:
+                assert member is fixpoint_contains(graph, table, word), word
             counts[member] += 1
 
-    for table in (s3, d4, a4):
-        for _ in range(40):
+    for table in (z2, s3, d4, a4):
+        for n in range(40):
             words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
                      for _ in range(rng.randint(1, 4))]
-            check(make_spec(table, words))
+            separators = [random_raw_word(rng, 2, table.num_generators, 8, 1)
+                          for _ in range(rng.randint(1, 2) if n % 2 else 0)]
+            check(make_spec(table, words, separators))
     for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt")):
         spec = parse_problem(path.read_text())
         check(spec, spec.separate_words)
     assert counts["nontrivial K"] >= 30 and counts[True] >= 1000 and counts[False] >= 1000
+    assert counts["phase 1"] >= 1000 and counts["phase 2"] >= 1000, counts
 
 
 def test_contains_rejects_an_unknown_y_generator(s3):
     graph = build_subgroup_graph(make_spec(s3, [(y(1), x(1)), (y(2), x(2))])).graph
     tester = MembershipTester(graph, s3)
-    for word in [(y(3),), (y(1), x(1, -1), y(3, -1)), (x(2), y(3))]:
+    reads_through = (y(1), x(1), y(2), x(2))
+    assert trace(graph, graph.base, reads_through).closed
+    assert trace(graph, graph.base, (x(2),)).status == "stuck"
+    # y3 as the first letter, after the first missing edge (x2 at the
+    # base), and last after a word that reads through
+    for word in [(y(3),), (y(1), x(1, -1), y(3, -1)), (x(2), y(3)), reads_through + (y(3),)]:
         with pytest.raises(ValueError, match="^no generator y3$"):
             tester.contains(word)
         with pytest.raises(ValueError, match="^no generator y3$"):
