@@ -28,7 +28,6 @@ from .factors import (
     enumerate_group,
     subgroup_closure,
     coset_graph,
-    embed_Y_component,
     complete_X_cover,
 )
 from .subgroups import (

@@ -41,7 +41,7 @@ from .covers import (
     build_separating_cover,
     word_action,
 )
-from .factors import embed_Y_component, enumerate_group
+from .factors import component_cosets, enumerate_group
 from .graphs import LabeledGraph, _pair_key, components
 from .kurosh import kurosh_decompose, verify_intersection
 from .subgroups import (
@@ -326,10 +326,12 @@ def run_separate(
     """Full pipeline: based graph, eligibility, separating cover, vertex
     action, recognition, certificate.  Each invariant of a certificate is
     checked once before the document is emitted: ``CoverPlan`` rejects a
-    non-prime degree, ``covers._attempt`` rejects an unsaturated cover or
-    an intransitive action, and ``_certificate`` checks the image order,
-    the base point's and separators' images, and that every y-component
-    of the cover is a coset graph."""
+    non-prime degree; the cover's edge writes reject an edge whose slot
+    is taken, so the cover is folded; ``covers._attempt`` rejects an
+    unsaturated cover or an intransitive action; and ``_certificate``
+    checks the image order, the base point's and separators' images, and
+    with ``factors.component_cosets`` that every y-component of the cover
+    is a full coset graph."""
     if not spec.separate_words:
         raise ValueError("nothing to separate: no [separate] words")
     built = build_subgroup_graph(spec)
@@ -419,10 +421,14 @@ def _certificate(spec, built, result) -> dict:
 
 
 def _check_y_components(table, graph: LabeledGraph):
-    """Every y-component of an accepted cover is a full coset graph."""
-    for component, _anchor in components(graph, "y"):
-        cover, embedding = embed_Y_component(table, component)
-        if len(embedding) != len(cover.vertices):
+    """Every y-component of an accepted cover is a full coset graph: its
+    vertices lie on distinct cosets of its loop subgroup K, and there are
+    |G|/|K| of them.  The cover is saturated, so every coset's edges are
+    there too."""
+    anchors = [anchor for _component, anchor in components(graph, "y")]
+    for subgroup, keys in component_cosets(table, graph, anchors):
+        cosets = set(keys.values())
+        if len(cosets) != len(keys) or len(cosets) * len(subgroup) != table.order:
             raise AssertionError("a y-component is not a full coset graph")
 
 

@@ -13,30 +13,33 @@ The pipeline:
 
 1. pick the host component (a deficient cyclic x-component, else any tree
    x-component, else the bare base vertex);
-2. embed every y-component into its coset graph and glue that on by
-   renaming: the embedding is injective, so every based-graph vertex keeps
-   its id, the cosets it misses get fresh ids, and no vertex is merged;
-   complete every other x-component in place;
+2. embed every y-component into the coset graph of its loop subgroup K:
+   its vertices keep their ids on the cosets their keys lie in, and the
+   cosets it misses get fresh ids, so no vertex is merged; one coset
+   enumeration serves every y-component with the same K.  Complete every
+   other x-component in place;
 3. pick a prime p >= |V| + 5, bridge the host's missing connect-letter
    slots through a chain gadget of length p - |V| - 4 and a four-vertex
-   mover gadget, and complete the connect component's x-structure;
+   mover gadget, and complete the x-structure of host, chain and mover;
 4. give every vertex with no edge of a factor that factor's one-vertex
    cover, a loop per generator, without adding vertices.
+
+Steps 2-4 write the cover into one partial injection per letter, seeded
+with the based graph's edges, and check each write: both slots an edge
+fills must be empty or already hold it.  So the cover stays folded by
+construction, and it is saturated once every letter's injection has p
+entries.  The stage graphs (``component_covers``, ``precover``,
+``cover``) are read off the injections, with no further fold check.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .factors import complete_X_cover, embed_Y_component
-from .graphs import (
-    LabeledGraph,
-    canonical_pair,
-    components,
-    is_tree,
-    make_graph,
-    saturation_defects,
-)
+from .factors import NotGBasedError, _complete, _graph, _write, component_cosets, coset_action
+from .graphs import LabeledGraph, components, is_tree
 from . import permgroup
 from .subgroups import (
     ProblemSpec,
@@ -44,7 +47,7 @@ from .subgroups import (
     VERDICT_NOT_APPLICABLE,
     HypothesisVerdict,
 )
-from .words import x_alphabet, x_letter, y_alphabet, y_letter
+from .words import x_alphabet, x_letter, y_alphabet
 
 
 class HypothesisNotSatisfiedError(Exception):
@@ -78,16 +81,7 @@ class CoverPlan:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def choose_prime(base_size: int):
@@ -109,16 +103,10 @@ def chain_gadget(length: int, rank: int, connect: int) -> LabeledGraph:
     missing connect at the last."""
     if length < 1 or rank < 2 or not 1 <= connect <= rank:
         raise ValueError("bad chain gadget parameters")
-    pairs = set()
-    letter = x_letter(connect)
-    for j in range(length - 1):
-        pairs.add((j, j + 1, letter))
-    for i in range(1, rank + 1):
-        if i == connect:
-            continue
-        for j in range(length):
-            pairs.add((j, j, x_letter(i)))
-    return make_graph(range(length), pairs, 0)
+    pairs = {(j, j + 1, x_letter(connect)) for j in range(length - 1)}
+    pairs.update((j, j, x_letter(i)) for i in range(1, rank + 1) if i != connect
+                 for j in range(length))
+    return LabeledGraph(frozenset(range(length)), frozenset(pairs), 0, True)
 
 
 def mover_gadget(signs, rank: int, connect: int, move: int) -> LabeledGraph:
@@ -145,26 +133,16 @@ def mover_gadget(signs, rank: int, connect: int, move: int) -> LabeledGraph:
     for i in range(1, rank + 1):
         letter = x_letter(i)
         if i not in (connect, move):
-            pairs.add((v1, v1, letter))
-            pairs.add((v2, v2, letter))
+            pairs.update([(v1, v1, letter), (v2, v2, letter)])
         if i != move:
-            if signs[i - 1] == 1:
-                pairs.add((v3, v3, letter))
-                pairs.add((v4, v4, letter))
-            else:
-                pairs.add((v3, v4, letter))
-                pairs.add((v4, v3, letter))
+            pairs.update([(v3, v3, letter), (v4, v4, letter)] if signs[i - 1] == 1
+                         else [(v3, v4, letter), (v4, v3, letter)])
+    letter = x_letter(move)
     if signs[move - 1] == 1:
-        pairs.add((v1, v3, x_letter(move)))
-        pairs.add((v3, v1, x_letter(move)))
-        pairs.add((v2, v4, x_letter(move)))
-        pairs.add((v4, v2, x_letter(move)))
+        pairs.update([(v1, v3, letter), (v3, v1, letter), (v2, v4, letter), (v4, v2, letter)])
     else:
-        pairs.add((v1, v2, x_letter(move)))
-        pairs.add((v2, v3, x_letter(move)))
-        pairs.add((v3, v4, x_letter(move)))
-        pairs.add((v4, v1, x_letter(move)))
-    return make_graph(range(4), pairs, 0)
+        pairs.update([(v1, v2, letter), (v2, v3, letter), (v3, v4, letter), (v4, v1, letter)])
+    return LabeledGraph(frozenset(range(4)), frozenset(pairs), 0, True)
 
 
 def permutation_rep(graph: LabeledGraph, rank: int, num_ygens: int):
@@ -173,9 +151,7 @@ def permutation_rep(graph: LabeledGraph, rank: int, num_ygens: int):
     order = sorted(graph.vertices)
     position = {v: i for i, v in enumerate(order)}
     images = {}
-    letters = [x_letter(i) for i in range(1, rank + 1)]
-    letters += [y_letter(j) for j in range(1, num_ygens + 1)]
-    for letter in letters:
+    for letter in x_alphabet(rank)[::2] + y_alphabet(num_ygens)[::2]:
         perm = []
         for v in order:
             target = graph.step(v, letter)
@@ -215,24 +191,18 @@ class SeparatingCover:
 
 
 def _pick_attachment(defects):
-    """First defect fixes the connect letter; its partner of the opposite
-    sign is the lowest-id vertex, preferring one distinct from the first.
+    """First defect fixes the connect letter; its partner missing the
+    inverse letter is the lowest-id vertex, preferring one distinct from
+    the first.
 
-    Returns (connect index, needs_out vertex a, needs_in vertex b): a is
-    missing the outgoing connect letter, b the outgoing inverse."""
-    first_vertex, first_letter = defects[0].vertex, defects[0].missing
-    connect = first_letter.index
-    positive = [d.vertex for d in defects if d.missing == x_letter(connect)]
-    negative = [d.vertex for d in defects if d.missing == x_letter(connect, -1)]
-    if first_letter.sign > 0:
-        a = first_vertex
-        others = [v for v in negative if v != a]
-        b = others[0] if others else negative[0]
-    else:
-        b = first_vertex
-        others = [v for v in positive if v != b]
-        a = others[0] if others else positive[0]
-    return connect, a, b
+    Takes (vertex, missing letter) pairs in ascending order and returns
+    (connect index, needs_out vertex a, needs_in vertex b): a is missing
+    the outgoing connect letter, b the outgoing inverse."""
+    first, letter = defects[0]
+    partners = [v for v, missing in defects if missing == letter.inverse()]
+    partner = next((v for v in partners if v != first), partners[0])
+    a, b = (first, partner) if letter.sign > 0 else (partner, first)
+    return letter.index, a, b
 
 
 def build_separating_cover(
@@ -260,49 +230,57 @@ def build_separating_cover(
 
     # Step 1: host component.
     xcomps = components(graph, "x")
-    ycomps = components(graph, "y")
     if verdict.kind == VERDICT_DEFICIENT:
         host = verdict.witness
     else:
         trees = [c for c, _anchor in xcomps if is_tree(c)]
         host = trees[0] if trees else None  # None: bare base vertex
 
-    # Step 2: component covers, glued on by renaming.  Every based-graph
-    # vertex keeps its id; coset c of a y-component's cover is the vertex
-    # the injective embedding sends onto it, else the fresh id offset + c.
+    # Step 2: component covers, written into the based graph's partial
+    # injections.  Every based-graph vertex keeps its id; coset c of a
+    # y-component's cover is the vertex whose key lies in c, else the
+    # fresh id offset + c.
+    maps = defaultdict(dict)
+    _write(maps, graph.pairs)
     vertices = set(graph.vertices)
-    pairs = set(graph.pairs)
     offset = max(graph.vertices) + 1
-    for component, _anchor in ycomps:
-        cover, embedding = embed_Y_component(table, component)
-        name = {c: offset + c for c in cover.vertices}
-        name.update((c, v) for v, c in embedding.items())
-        vertices.update(name.values())
-        pairs.update((name[u], name[w], letter) for u, w, letter in cover.pairs)
-        offset += len(cover.vertices)
+    xs, ys = x_alphabet(rank)[::2], y_alphabet(table.num_generators)[::2]  # positive letters
+    actions = {}  # loop subgroup -> its coset action
+    for subgroup, keys in component_cosets(table, graph, sorted(graph.vertices)):
+        if subgroup not in actions:
+            actions[subgroup] = coset_action(table, subgroup)
+        element_to_coset, moves = actions[subgroup]
+        if len(set(keys.values())) != len(keys):
+            raise NotGBasedError(
+                "two vertices of the component land on the same coset; "
+                "an identity-labeled path is not closed")
+        name = list(range(offset, offset + table.order // len(subgroup)))
+        for v, key in keys.items():
+            name[element_to_coset[key]] = v
+        _write(maps, [(name[c], name[d], letter)
+                      for letter, move in zip(ys, moves) for c, d in enumerate(move)])
+        vertices.update(name)
+        offset += len(name)
     for component, _anchor in xcomps:
         if host is None or component.vertices != host.vertices:
-            pairs.update(complete_X_cover(component, rank).pairs)
-    glued = make_graph(vertices, pairs, graph.base)
-    if not glued.folded:
-        raise AssertionError("gluing broke the immersion condition")
-    k = len(glued.vertices)
+            _complete(maps, component.vertices, xs)
+    glued = _graph(vertices, maps, graph.base)
 
+    # Step 2 wrote no x-edge at a host vertex: its gaps are the based graph's.
     host_vertices = host.vertices if host is not None else {graph.base}
-    defects = [
-        d for d in saturation_defects(glued, x_alphabet(rank)) if d.vertex in host_vertices
-    ]
+    defects = [(v, letter) for v in sorted(host_vertices) for letter in x_alphabet(rank)
+               if letter not in graph.out[v]]
     if not defects:
         raise AssertionError("host component has no saturation gap to attach to")
     connect, a, b = _pick_attachment(defects)
     move = min(i for i in range(1, rank + 1) if i != connect)
 
     params = GadgetParams(signs, connect, move)
-    for retries, plan in enumerate(choose_prime(k)):
+    for retries, plan in enumerate(choose_prime(len(vertices))):
         if plan.degree > max_prime:
             raise CoverSearchExhaustedError(
                 f"no recognized cover with prime degree <= {max_prime}")
-        result = _attempt(spec, graph, glued, plan, params, a, b)
+        result = _attempt(spec, maps, vertices, host_vertices, graph.base, plan, params, a, b)
         if result is not None:
             cover, precover, images, image_type, move_support = result
             stages = {"component_covers": glued, "precover": precover, "cover": cover}
@@ -311,60 +289,43 @@ def build_separating_cover(
             )
 
 
-def _attempt(spec, graph, glued, plan, params, a, b):
-    """Steps 3 and 4 for one prime, then recognition.  Returns None when
-    the image is neither alternating nor symmetric."""
+def _attempt(spec, glued, glued_vertices, host_vertices, base, plan, params, a, b):
+    """Steps 3 and 4 for one prime, on a copy of the glued partial
+    injections, then recognition.  Returns None when the image is neither
+    alternating nor symmetric."""
     table = spec.finite
     rank = spec.free.rank
     connect, move = params.connect_letter, params.move_letter
+    maps = defaultdict(dict, {letter: dict(targets) for letter, targets in glued.items()})
 
     # Step 3: bridge the gaps a -> chain -> mover -> b and complete the
-    # connect component's x-structure, giving a precover.
+    # x-structure of the connect component, host + chain + mover, giving
+    # a precover.
     chain = chain_gadget(plan.chain_length, rank, connect)
     mover = mover_gadget(params.signs, rank, connect, move)
-    off1 = max(glued.vertices) + 1
+    off1 = max(glued_vertices) + 1
     off2 = off1 + plan.chain_length
-    vertices = set(glued.vertices)
-    pairs = set(glued.pairs)
-    vertices.update(off1 + v for v in chain.vertices)
-    pairs.update((off1 + u, off1 + w, letter) for u, w, letter in chain.pairs)
-    vertices.update(off2 + v for v in mover.vertices)
-    pairs.update((off2 + u, off2 + w, letter) for u, w, letter in mover.pairs)
     cl = x_letter(connect)
-    pairs.add(canonical_pair(a, off1 + 0, cl))
-    pairs.add(canonical_pair(off1 + plan.chain_length - 1, off2 + 0, cl))
-    pairs.add(canonical_pair(off2 + 1, b, cl))
-    bridged = make_graph(vertices, pairs, glued.base)
-    if not bridged.folded:
-        raise AssertionError("gadget attachment broke the immersion condition")
-
-    target = next(
-        c for c, _anchor in components(bridged, "x") if off2 + 0 in c.vertices
-    )
-    completed = complete_X_cover(target, rank)
-    precover = make_graph(
-        bridged.vertices, set(bridged.pairs) | set(completed.pairs), bridged.base
-    )
+    _write(maps, [(off1 + u, off1 + w, letter) for u, w, letter in chain.pairs])
+    _write(maps, [(off2 + u, off2 + w, letter) for u, w, letter in mover.pairs])
+    _write(maps, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
+    gadgets = range(off1, off2 + 4)
+    _complete(maps, [*host_vertices, *gadgets], x_alphabet(rank)[::2])
+    vertices = glued_vertices.union(gadgets)
+    precover = _graph(vertices, maps, base)
 
     # Step 4: a vertex with no edge of a factor gets that factor's
     # one-vertex cover, a loop per generator; no new vertices.
-    pairs = set(precover.pairs)
-    for v, slots in precover.out.items():
-        for factor, letter, count in (
-            ("x", x_letter, rank), ("y", y_letter, table.num_generators)
-        ):
-            if not any(l.factor == factor for l in slots):
-                pairs.update((v, v, letter(j)) for j in range(1, count + 1))
-    saturated = make_graph(precover.vertices, pairs, precover.base)
+    alphabets = (x_alphabet(rank), y_alphabet(table.num_generators))
+    for alphabet in alphabets:
+        bare = [v for v in vertices if not any(v in maps[letter] for letter in alphabet)]
+        _write(maps, [(v, v, letter) for v in bare for letter in alphabet[::2]])
 
-    if len(saturated.vertices) != plan.degree:
+    if len(vertices) != plan.degree:
         raise AssertionError("final cover has the wrong number of vertices")
-    if saturation_defects(saturated, x_alphabet(rank)) or saturation_defects(
-        saturated, y_alphabet(table.num_generators)
-    ):
+    if any(len(maps[letter]) != plan.degree for alphabet in alphabets for letter in alphabet):
         raise AssertionError("final graph is not saturated")
-    if not graph.pairs <= saturated.pairs:
-        raise AssertionError("based graph does not embed in the final cover")
+    saturated = _graph(vertices, maps, base)
 
     images = permutation_rep(saturated, rank, table.num_generators)
     _orbits, transitive = permgroup.orbit_transitive(

@@ -2,19 +2,19 @@
 
 G is always presented by permutation generators and closed by breadth-first
 enumeration into a multiplication table (element 0 is the identity).  The
-finite side builds coset graphs on right cosets Kg, with an edge
-Kg --y--> Kgy per generator; the free side completes any folded graph to a
-saturated one on the same vertex set by extending each generator's partial
-injection to a permutation of the vertices.
+finite side numbers the right cosets Kg and moves each along Kg --y--> Kgy
+per generator; the free side completes any folded graph to a saturated one
+on the same vertex set by extending each generator's partial injection to
+a permutation of the vertices.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import chain
 
 from . import permgroup
-from .graphs import LabeledGraph, canonical_pair, make_graph
+from .graphs import LabeledGraph, make_graph
 from .words import Word, x_letter, y_alphabet, y_letter
 
 
@@ -172,34 +172,29 @@ def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
     return frozenset(members)
 
 
-def _coset_enumeration(table: FiniteGroupTable, subgroup):
-    """BFS over right cosets Kg.  Returns (coset graph, element_to_coset
-    list) with coset 0 = K itself and one edge Kg --y--> Kgy per coset and
-    generator.  The caller guarantees that ``subgroup`` is a subgroup."""
-    subgroup = frozenset(subgroup)
+def coset_action(table: FiniteGroupTable, subgroup):
+    """Right cosets Kg of a subgroup K, numbered breadth-first from
+    coset 0 = K over the generators in order.  Returns (element_to_coset,
+    moves): element_to_coset[e] is the coset of element e, and
+    moves[j - 1][c] the coset of coset c times y<j>.  The caller
+    guarantees that ``subgroup`` is a subgroup."""
     element_to_coset = [None] * table.order
     for e in subgroup:
         element_to_coset[e] = 0
-    cosets = [subgroup]
-    queue = deque([0])
-    pairs = set()
-    while queue:
-        cid = queue.popleft()
-        for j in range(1, table.num_generators + 1):
-            gen = table.generator_element(j)
-            image = frozenset(table.multiply(e, gen) for e in cosets[cid])
-            target = element_to_coset[min(image)]
+    cosets = [list(subgroup)]
+    steps = [table.steps[y_letter(j)] for j in range(1, table.num_generators + 1)]
+    moves = [[] for _ in steps]
+    for members in cosets:  # grows while it is read: breadth-first order
+        for step, move in zip(steps, moves):
+            image = [step[e] for e in members]
+            target = element_to_coset[image[0]]
             if target is None:
                 target = len(cosets)
                 cosets.append(image)
                 for e in image:
                     element_to_coset[e] = target
-                queue.append(target)
-            pairs.add(canonical_pair(cid, target, y_letter(j)))
-    graph = make_graph(range(len(cosets)), pairs, 0)
-    if not graph.folded:
-        raise AssertionError("coset graph must be folded")
-    return graph, element_to_coset
+            move.append(target)
+    return element_to_coset, moves
 
 
 def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
@@ -209,7 +204,10 @@ def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
     ValueError when ``subgroup`` is not a subgroup."""
     if not table.is_subgroup(subgroup):
         raise ValueError("not a subgroup")
-    return _coset_enumeration(table, subgroup)[0]
+    _element_to_coset, moves = coset_action(table, subgroup)
+    pairs = {(c, d, y_letter(j)) for j, move in enumerate(moves, start=1)
+             for c, d in enumerate(move)}
+    return make_graph(range(table.order // len(subgroup)), pairs, 0)
 
 
 def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
@@ -278,30 +276,37 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     return result
 
 
-def embed_Y_component(table: FiniteGroupTable, component: LabeledGraph):
-    """Embed a connected folded y-component into the coset graph of the
-    subgroup generated by its loop labels.
+def _write(maps, pairs):
+    """Write canonical pairs into partial injections, one per signed
+    letter (letter -> {source: target}): each of a pair's two slots must
+    be empty or already hold the pair, so the graph they spell stays
+    folded.  Private, like every per-slot helper, so that a tracer records
+    no span per write."""
+    for u, w, letter in pairs:
+        if maps[letter].setdefault(u, w) != w or maps[letter.inverse()].setdefault(w, u) != u:
+            raise AssertionError(
+                f"two {letter} edges share a slot at vertex {u} or {w}: "
+                "the immersion condition fails")
 
-    Returns (cover, embedding).  Raises NotGBasedError when two vertices
-    land on the same coset, i.e. some identity-label path is not closed,
-    and ValueError when the component is not connected.
-    """
-    found = component_cosets(table, component) or [
-        (frozenset((table.identity,)), {component.base: table.identity})
-    ]
-    if len(found) != 1 or len(found[0][1]) != len(component.vertices):
-        raise ValueError("component must be connected")
-    subgroup, keys = found[0]
-    cover, element_to_coset = _coset_enumeration(table, subgroup)
-    embedding = {v: element_to_coset[key] for v, key in keys.items()}
-    if len(set(embedding.values())) != len(embedding):
-        raise NotGBasedError(
-            "two vertices of the component land on the same coset; "
-            "an identity-labeled path is not closed")
-    for u, w, letter in component.pairs:
-        if canonical_pair(embedding[u], embedding[w], letter) not in cover.pairs:
-            raise AssertionError("embedding failed to preserve an edge")
-    return cover, embedding
+
+def _complete(maps, vertices, letters):
+    """Extend each positive letter's partial injection to a permutation of
+    ``vertices``: the i-th vertex with no outgoing edge joins the i-th
+    with no incoming edge, in ascending vertex order."""
+    order = sorted(vertices)
+    for letter in letters:
+        sources = [v for v in order if v not in maps[letter]]
+        targets = [v for v in order if v not in maps[letter.inverse()]]
+        if len(sources) != len(targets):
+            raise AssertionError("partial injection is unbalanced")
+        _write(maps, [(s, t, letter) for s, t in zip(sources, targets)])
+
+
+def _graph(vertices, maps, base) -> LabeledGraph:
+    """The folded graph that partial injections spell."""
+    pairs = frozenset((u, w, letter) for letter, targets in maps.items() if letter.sign > 0
+                      for u, w in targets.items())
+    return LabeledGraph(frozenset(vertices), pairs, base, True)
 
 
 def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
@@ -311,20 +316,10 @@ def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
     has no x-saturation defects.  Edges with other labels pass through."""
     if not graph.folded:
         raise ValueError("complete_X_cover requires a folded graph")
-    new_pairs = set(graph.pairs)
-    for i in range(1, rank + 1):
-        letter = x_letter(i)
-        sources = sorted(v for v in graph.vertices if letter not in graph.out[v])
-        inverse = letter.inverse()
-        targets = sorted(v for v in graph.vertices if inverse not in graph.out[v])
-        if len(sources) != len(targets):
-            raise AssertionError("partial injection is unbalanced")
-        for s, t in zip(sources, targets):
-            new_pairs.add((s, t, letter))
-    result = make_graph(graph.vertices, new_pairs, graph.base)
-    if not result.folded:
-        raise AssertionError("completion broke the immersion condition")
-    return result
+    maps = defaultdict(dict)
+    _write(maps, graph.pairs)
+    _complete(maps, graph.vertices, [x_letter(i) for i in range(1, rank + 1)])
+    return _graph(graph.vertices, maps, graph.base)
 
 
 __all__ = [
@@ -332,8 +327,8 @@ __all__ = [
     "NotGBasedError",
     "enumerate_group",
     "subgroup_closure",
+    "coset_action",
     "coset_graph",
     "component_cosets",
-    "embed_Y_component",
     "complete_X_cover",
 ]

@@ -386,29 +386,6 @@ def tree_path_word(parent, vertex):
     return tuple(reversed(letters))
 
 
-def is_connected(graph: LabeledGraph) -> bool:
-    order, _ = breadth_first_tree(graph, graph.base)
-    return len(order) == len(graph.vertices)
-
-
 def is_tree(graph: LabeledGraph) -> bool:
     """A connected graph is a tree iff its edge-pair count is |V| - 1."""
     return len(graph.pairs) == len(graph.vertices) - 1
-
-
-def canonical_form(graph: LabeledGraph):
-    """Canonical relabeling of a connected folded based graph.
-
-    Two such graphs are isomorphic as based labeled graphs exactly when
-    their canonical forms are equal (folded based graphs are rigid, so the
-    letter-ordered BFS numbering is a complete invariant).
-    """
-    order, _ = breadth_first_tree(graph, graph.base)
-    if len(order) != len(graph.vertices):
-        raise ValueError("canonical_form requires a connected graph")
-    number = {v: i for i, v in enumerate(order)}
-    pairs = sorted(
-        (canonical_pair(number[u], number[w], letter) for u, w, letter in graph.pairs),
-        key=_pair_key,
-    )
-    return (len(order), tuple((u, w, str(letter)) for u, w, letter in pairs))

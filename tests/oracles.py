@@ -2,15 +2,17 @@
 
 Everything here decides questions by brute force, without going through
 the code paths under test: permutation groups by exhaustive closure,
-folding by exhaustive or random fold-order search, subgroup membership by
-breadth-first enumeration over normal forms or by re-running the graph
-fixpoint on a glued query path, membership queries and normal forms
-element by element (a coset key as a min over the loop subgroup, a
-y-letter as a table product), monochromatic components and spanning
-trees by plain breadth-first search, coset keys and the based fixpoint
-one component subgraph at a time or by a full rescan each round,
-kernel generating sets by the Schreier transversal construction, and
-words by one regex match per term.
+folding by exhaustive or random fold-order search, connectivity and
+canonical forms of based graphs by one breadth-first numbering, subgroup
+membership by breadth-first enumeration over normal forms or by
+re-running the graph fixpoint on a glued query path, membership queries
+and normal forms element by element (a coset key as a min over the loop
+subgroup, a y-letter as a table product), monochromatic components and
+spanning trees by plain breadth-first search, coset keys and the based
+fixpoint one component subgraph at a time or by a full rescan each
+round, the embedding of a y-component in its coset graph with cosets as
+element sets, kernel generating sets by the Schreier transversal
+construction, and words by one regex match per term.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from itertools import product
 
 from altsep import permgroup
 from altsep.cli import MAX_NUMBER_DIGITS, MAX_WORD_LENGTH, ProblemFormatError
-from altsep.factors import component_cosets, subgroup_closure
+from altsep.factors import NotGBasedError, component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
+    _pair_key,
     breadth_first_tree,
-    canonical_form,
     canonical_pair,
     components,
     fold,
@@ -59,6 +61,32 @@ def exhaustive_closure(gens, degree):
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+# -- graph shape ----------------------------------------------------------------
+
+
+def is_connected(graph: LabeledGraph) -> bool:
+    order, _ = breadth_first_tree(graph, graph.base)
+    return len(order) == len(graph.vertices)
+
+
+def canonical_form(graph: LabeledGraph):
+    """Canonical relabeling of a connected folded based graph.
+
+    Two such graphs are isomorphic as based labeled graphs exactly when
+    their canonical forms are equal (folded based graphs are rigid, so the
+    letter-ordered BFS numbering is a complete invariant).
+    """
+    order, _ = breadth_first_tree(graph, graph.base)
+    if len(order) != len(graph.vertices):
+        raise ValueError("canonical_form requires a connected graph")
+    number = {v: i for i, v in enumerate(order)}
+    pairs = sorted(
+        (canonical_pair(number[u], number[w], letter) for u, w, letter in graph.pairs),
+        key=_pair_key,
+    )
+    return (len(order), tuple((u, w, str(letter)) for u, w, letter in pairs))
 
 
 # -- folding ------------------------------------------------------------------
@@ -198,6 +226,36 @@ def component_cosets_oracle(table, component: LabeledGraph):
         v: min(table.multiply(k, g) for k in subgroup) for v, g in reach.items()
     }
     return subgroup, assignment
+
+
+def embed_Y_component(table, component: LabeledGraph):
+    """Embed a connected folded y-component into the coset graph of the
+    subgroup K generated by its loop labels, with each right coset Kg
+    built as a set of elements, breadth-first over the generators.
+
+    Returns (cover, embedding).  Raises NotGBasedError when two vertices
+    land on the same coset, i.e. some identity-label path is not closed,
+    and ValueError when the component is not connected.
+    """
+    subgroup, keys = component_cosets_oracle(table, component)
+    cosets = [frozenset(subgroup)]
+    number = {cosets[0]: 0}
+    pairs = set()
+    for coset in cosets:  # grows while it is read: breadth-first order
+        for j in range(1, table.num_generators + 1):
+            image = frozenset(table.multiply(e, table.generator_element(j)) for e in coset)
+            if image not in number:
+                number[image] = len(cosets)
+                cosets.append(image)
+            pairs.add((number[coset], number[image], y_letter(j)))
+    cover = make_graph(range(len(cosets)), pairs, 0)
+    coset_of = {e: number[coset] for coset in cosets for e in coset}
+    embedding = {v: coset_of[key] for v, key in keys.items()}
+    if len(set(embedding.values())) != len(embedding):
+        raise NotGBasedError(
+            "two vertices of the component land on the same coset; "
+            "an identity-labeled path is not closed")
+    return cover, embedding
 
 
 def based_fixpoint_oracle(graph, table, tracked=()):

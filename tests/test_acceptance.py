@@ -15,13 +15,11 @@ import pytest
 from altsep import permgroup
 from altsep.cli import main, parse_problem, run_separate
 from altsep.covers import build_separating_cover
-from altsep.factors import embed_Y_component, enumerate_group
+from altsep.factors import enumerate_group
 from altsep.graphs import (
     build_graph,
-    canonical_form,
     components,
     fold,
-    is_connected,
     saturation_defects,
 )
 from altsep.kurosh import kurosh_decompose, verify_intersection
@@ -34,8 +32,11 @@ from altsep.words import spell, word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    canonical_form,
+    embed_Y_component,
     exhaustive_closure,
     fixpoint_contains,
+    is_connected,
     iter_ball,
     random_fold,
     random_raw_word,

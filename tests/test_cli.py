@@ -23,7 +23,7 @@ from altsep.cli import (
 )
 from altsep.covers import CoverSearchExhaustedError
 from altsep.factors import NotGBasedError
-from altsep.graphs import build_graph
+from altsep.graphs import LabeledGraph, build_graph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
@@ -510,16 +510,36 @@ def test_main_reports_a_value_error_inside_the_pipeline_as_an_internal_error(
         capsys, monkeypatch):
     """The input is validated before the pipeline runs, so a ValueError
     from inside it (here NotGBasedError) is a bug, not an input error."""
-    def not_based(table, component):
+    def not_based(table, subgroup):
         raise NotGBasedError("two vertices of the component land on the same coset")
 
-    monkeypatch.setattr(covers, "embed_Y_component", not_based)
+    monkeypatch.setattr(covers, "coset_action", not_based)
     problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
     assert main(["separate", str(problem)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "altsep: internal error: two vertices of the component land on the same coset\n")
+
+
+def test_a_colliding_gadget_edge_is_an_internal_error(capsys, monkeypatch):
+    """Every edge of the cover is written into a slot that must be empty
+    or already hold it.  A mover edge from vertex -1, which lands on the
+    chain's last vertex, collides with that vertex's move-letter loop."""
+    real = covers.mover_gadget
+
+    def colliding(signs, rank, connect, move):
+        gadget = real(signs, rank, connect, move)
+        pairs = gadget.pairs | {(-1, 0, x(move))}
+        return LabeledGraph(gadget.vertices, pairs, gadget.base, False)
+
+    monkeypatch.setattr(covers, "mover_gadget", colliding)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    assert main(["separate", str(problem)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("altsep: internal error: two x2 edges share a slot")
+    assert captured.err.endswith(": the immersion condition fails\n")
 
 
 def test_an_unrecognized_image_retries_at_the_next_prime(monkeypatch):

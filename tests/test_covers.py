@@ -13,18 +13,18 @@ from altsep.covers import (
     permutation_rep,
     word_action,
 )
-from altsep.factors import coset_graph, embed_Y_component
+from altsep.factors import coset_graph
 from altsep.graphs import (
     build_graph,
     components,
-    is_connected,
+    make_graph,
     saturation_defects,
 )
 from altsep.subgroups import build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
-from oracles import reidemeister_schreier
+from oracles import embed_Y_component, is_connected, reidemeister_schreier
 
 
 # -- gadgets -----------------------------------------------------------------------
@@ -86,6 +86,17 @@ def test_mover_defects_for_every_sign_vector():
         assert {(d.vertex, str(d.missing)) for d in defects} == {(0, "x1^-1"), (1, "x1")}
         # the move letter permutes the four vertices nontrivially
         assert any(g.step(v, x(2)) != v for v in g.vertices)
+
+
+def test_gadgets_are_folded():
+    """The gadgets are built folded, with no check: check every shape."""
+    for signs in itertools.product((1, -1), repeat=3):
+        for connect, move in ((1, 2), (2, 1), (3, 1)):
+            g = mover_gadget(signs, 3, connect, move)
+            assert g.folded and make_graph(g.vertices, g.pairs, g.base).folded
+    for length in (1, 2, 5):
+        g = chain_gadget(length, 3, 2)
+        assert g.folded and make_graph(g.vertices, g.pairs, g.base).folded
 
 
 def test_mover_parameter_validation():
@@ -286,7 +297,7 @@ def test_prime_cap_below_the_first_plan_fails_before_building_covers(z2, monkeyp
     def unreachable(*_args):
         raise AssertionError("a component cover was built past the prime cap")
 
-    monkeypatch.setattr(covers, "embed_Y_component", unreachable)
+    monkeypatch.setattr(covers, "coset_action", unreachable)
     with pytest.raises(CoverSearchExhaustedError,
                        match=f"^no recognized cover with prime degree <= {cap}$"):
         build_separating_cover(spec, built.graph, verdict, max_prime=cap)

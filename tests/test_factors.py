@@ -8,8 +8,8 @@ from altsep.factors import (
     NotGBasedError,
     complete_X_cover,
     component_cosets,
+    coset_action,
     coset_graph,
-    embed_Y_component,
     enumerate_group,
     subgroup_closure,
 )
@@ -27,7 +27,12 @@ from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypot
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
-from oracles import component_cosets_oracle, exhaustive_closure, random_raw_word
+from oracles import (
+    component_cosets_oracle,
+    embed_Y_component,
+    exhaustive_closure,
+    random_raw_word,
+)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -151,12 +156,24 @@ def test_coset_graph_is_saturated_and_folded(s3):
         assert saturation_defects(g, y_alphabet(s3.num_generators)) == []
 
 
+def test_coset_action_moves_every_element_with_its_coset(s3, d4):
+    for table in (s3, d4):
+        for subgroup in {subgroup_closure(table, [g]) for g in range(table.order)}:
+            element_to_coset, moves = coset_action(table, subgroup)
+            assert element_to_coset[table.identity] == 0
+            assert len(set(element_to_coset)) == table.order // len(subgroup)
+            for j, move in enumerate(moves, start=1):
+                for e in range(table.order):
+                    image = table.multiply(e, table.generator_element(j))
+                    assert element_to_coset[image] == move[element_to_coset[e]]
+
+
 def test_coset_graph_rejects_non_subgroup(s3):
     with pytest.raises(ValueError):
         coset_graph(s3, frozenset([s3.identity, s3.generator_element(1)]))
 
 
-# -- embedding y-components -----------------------------------------------------------
+# -- embedding y-components (the oracle that the gluing test compares against) ----------
 
 
 def test_embed_bare_vertex(z2):

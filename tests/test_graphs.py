@@ -7,11 +7,9 @@ from altsep.graphs import (
     LabeledGraph,
     breadth_first_tree,
     build_graph,
-    canonical_form,
     canonical_pair,
     components,
     fold,
-    is_connected,
     is_tree,
     make_graph,
     saturation_defects,
@@ -22,6 +20,8 @@ from altsep.words import x_alphabet, x_letter as x, y_letter as y
 from oracles import (
     all_fold_results,
     bfs_components,
+    canonical_form,
+    is_connected,
     merge_vertices,
     random_fold,
     spanning_tree,

@@ -6,7 +6,7 @@ import pytest
 from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
-from altsep.graphs import build_graph, canonical_form, components, fold, is_tree, trace
+from altsep.graphs import build_graph, components, fold, is_tree, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -26,7 +26,9 @@ from conftest import make_spec
 from oracles import (
     based_fixpoint_full_rescan,
     based_fixpoint_oracle,
+    canonical_form,
     contains_oracle,
+    embed_Y_component,
     fixpoint_contains,
     iter_ball,
     random_raw_word,
@@ -66,8 +68,6 @@ def test_conjugated_pair_example(s3):
 
 
 def test_every_y_component_embeds(s3):
-    from altsep.factors import embed_Y_component
-
     spec = make_spec(
         s3,
         subgroup_words=[(y(1), x(1, -1), y(1)), (x(1), x(2), x(1, -1))],
