@@ -48,7 +48,6 @@ from .covers import (
     mover_gadget,
     choose_prime,
     build_separating_cover,
-    permutation_rep,
 )
 # The command line module and its names load on first use.  Importing it
 # here would put ``altsep.cli`` in sys.modules before ``python -m

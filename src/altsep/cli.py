@@ -16,9 +16,10 @@ degree, primality, generator images in cycle notation, whether the image
 is alternating or symmetric, one record per separated word, and pipeline
 statistics.  Rejections print a machine-readable reason and exit 2 when
 the eligibility check fails (HypothesisNotSatisfied) or 3 when a word to
-separate already lies in the subgroup (GammaClosed).  Input errors exit 1.
-A failed internal self-check (an AssertionError), or a ValueError from
-inside the pipeline once the input has been validated, prints
+separate already lies in the subgroup (GammaClosed).  Input errors exit 1,
+as does a prime search that reaches ``--max-prime``.  Any other exception
+raised inside the pipeline once the input has been validated, be it a
+failed internal self-check (an AssertionError) or any other bug, prints
 ``altsep: internal error: ...`` and exits 4, so a broken invariant never
 looks like an input error.  Identical inputs produce byte-identical
 certificates and DOT files.
@@ -520,8 +521,8 @@ def main(argv=None) -> int:
     except CoverSearchExhaustedError as err:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
-    except (AssertionError, ValueError) as err:
-        # the input was validated above, so a ValueError here is a bug too
+    except Exception as err:
+        # the input was validated above, so any other exception is a bug
         print(f"altsep: internal error: {err}", file=sys.stderr)
         return 4
 

@@ -20,7 +20,8 @@ The pipeline:
    other x-component in place;
 3. pick a prime p >= |V| + 5, bridge the host's missing connect-letter
    slots through a chain gadget of length p - |V| - 4 and a four-vertex
-   mover gadget, and complete the x-structure of host, chain and mover;
+   mover gadget, and complete the host's x-structure: the bridges fill
+   the gadgets' only open slots, so this completes host, chain and mover;
 4. give every vertex with no edge of a factor that factor's one-vertex
    cover, a loop per generator, without adding vertices.
 
@@ -28,8 +29,12 @@ Steps 2-4 write the cover into one partial injection per letter, seeded
 with the based graph's edges, and check each write: both slots an edge
 fills must be empty or already hold it.  So the cover stays folded by
 construction, and it is saturated once every letter's injection has p
-entries.  The stage graphs (``component_covers``, ``precover``,
-``cover``) are read off the injections, with no further fold check.
+entries.  Each generator's permutation of the p vertices is read off
+its injection, and recognition runs on those; no graph is built for a
+prime it rejects.  For the accepted prime the stage graphs
+(``component_covers``, ``precover``, ``cover``) are built once each from
+the injections, with no further fold check: the precover is the cover
+less step 4's loops, which only filled empty slots.
 """
 
 from __future__ import annotations
@@ -145,23 +150,6 @@ def mover_gadget(signs, rank: int, connect: int, move: int) -> LabeledGraph:
     return LabeledGraph(frozenset(range(4)), frozenset(pairs), 0, True)
 
 
-def permutation_rep(graph: LabeledGraph, rank: int, num_ygens: int):
-    """Action of each generator on the (sorted) vertices of a saturated
-    graph, as 0-based permutations keyed 'x1'..'xr', 'y1'..'yq'."""
-    order = sorted(graph.vertices)
-    position = {v: i for i, v in enumerate(order)}
-    images = {}
-    for letter in x_alphabet(rank)[::2] + y_alphabet(num_ygens)[::2]:
-        perm = []
-        for v in order:
-            target = graph.step(v, letter)
-            if target is None:
-                raise ValueError(f"graph is not saturated at vertex {v} for {letter}")
-            perm.append(position[target])
-        images[str(letter)] = tuple(perm)
-    return images
-
-
 def word_action(images, word, point: int) -> int:
     """Image of a point under a word, through the generator actions.  Each
     generator is inverted at most once per call."""
@@ -264,12 +252,11 @@ def build_separating_cover(
     for component, _anchor in xcomps:
         if host is None or component.vertices != host.vertices:
             _complete(maps, component.vertices, xs)
-    glued = _graph(vertices, maps, graph.base)
 
     # Step 2 wrote no x-edge at a host vertex: its gaps are the based graph's.
     host_vertices = host.vertices if host is not None else {graph.base}
     defects = [(v, letter) for v in sorted(host_vertices) for letter in x_alphabet(rank)
-               if letter not in graph.out[v]]
+               if v not in maps[letter]]
     if not defects:
         raise AssertionError("host component has no saturation gap to attach to")
     connect, a, b = _pick_attachment(defects)
@@ -280,27 +267,32 @@ def build_separating_cover(
         if plan.degree > max_prime:
             raise CoverSearchExhaustedError(
                 f"no recognized cover with prime degree <= {max_prime}")
-        result = _attempt(spec, maps, vertices, host_vertices, graph.base, plan, params, a, b)
+        result = _attempt(spec, maps, vertices, host_vertices, plan, params, a, b)
         if result is not None:
-            cover, precover, images, image_type, move_support = result
-            stages = {"component_covers": glued, "precover": precover, "cover": cover}
+            cover_maps, cover_vertices, loops, images, image_type, move_support = result
+            cover = _graph(cover_vertices, cover_maps, graph.base)
+            precover = LabeledGraph(cover.vertices, cover.pairs.difference(loops),
+                                    graph.base, True)
+            stages = {"component_covers": _graph(vertices, maps, graph.base),
+                      "precover": precover, "cover": cover}
             return SeparatingCover(
                 cover, plan, params, images, image_type, retries, stages, move_support
             )
 
 
-def _attempt(spec, glued, glued_vertices, host_vertices, base, plan, params, a, b):
+def _attempt(spec, glued, glued_vertices, host_vertices, plan, params, a, b):
     """Steps 3 and 4 for one prime, on a copy of the glued partial
-    injections, then recognition.  Returns None when the image is neither
-    alternating nor symmetric."""
+    injections, then recognition on the generators' permutations read off
+    that copy.  Returns None when the image is neither alternating nor
+    symmetric; no graph is built either way."""
     table = spec.finite
     rank = spec.free.rank
     connect, move = params.connect_letter, params.move_letter
     maps = defaultdict(dict, {letter: dict(targets) for letter, targets in glued.items()})
 
-    # Step 3: bridge the gaps a -> chain -> mover -> b and complete the
-    # x-structure of the connect component, host + chain + mover, giving
-    # a precover.
+    # Step 3: bridge the gaps a -> chain -> mover -> b.  That fills the
+    # gadgets' only open slots, so completing the host's x-structure
+    # completes the connect component, host + chain + mover.
     chain = chain_gadget(plan.chain_length, rank, connect)
     mover = mover_gadget(params.signs, rank, connect, move)
     off1 = max(glued_vertices) + 1
@@ -309,25 +301,26 @@ def _attempt(spec, glued, glued_vertices, host_vertices, base, plan, params, a, 
     _write(maps, [(off1 + u, off1 + w, letter) for u, w, letter in chain.pairs])
     _write(maps, [(off2 + u, off2 + w, letter) for u, w, letter in mover.pairs])
     _write(maps, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
-    gadgets = range(off1, off2 + 4)
-    _complete(maps, [*host_vertices, *gadgets], x_alphabet(rank)[::2])
-    vertices = glued_vertices.union(gadgets)
-    precover = _graph(vertices, maps, base)
+    _complete(maps, host_vertices, x_alphabet(rank)[::2])
+    vertices = glued_vertices.union(range(off1, off2 + 4))
 
     # Step 4: a vertex with no edge of a factor gets that factor's
     # one-vertex cover, a loop per generator; no new vertices.
     alphabets = (x_alphabet(rank), y_alphabet(table.num_generators))
-    for alphabet in alphabets:
-        bare = [v for v in vertices if not any(v in maps[letter] for letter in alphabet)]
-        _write(maps, [(v, v, letter) for v in bare for letter in alphabet[::2]])
+    loops = [(v, v, letter) for alphabet in alphabets
+             for v in vertices.difference(*(maps[letter] for letter in alphabet))
+             for letter in alphabet[::2]]
+    _write(maps, loops)
 
     if len(vertices) != plan.degree:
         raise AssertionError("final cover has the wrong number of vertices")
     if any(len(maps[letter]) != plan.degree for alphabet in alphabets for letter in alphabet):
         raise AssertionError("final graph is not saturated")
-    saturated = _graph(vertices, maps, base)
 
-    images = permutation_rep(saturated, rank, table.num_generators)
+    order = sorted(vertices)
+    position = {v: i for i, v in enumerate(order)}
+    images = {str(letter): tuple(position[maps[letter][v]] for v in order)
+              for alphabet in alphabets for letter in alphabet[::2]}
     _orbits, transitive = permgroup.orbit_transitive(
         list(images.values()), plan.degree
     )
@@ -340,4 +333,4 @@ def _attempt(spec, glued, glued_vertices, host_vertices, base, plan, params, a, 
     image_type = permgroup.recognize_alt_sym(list(images.values()), plan.degree)
     if image_type == permgroup.OTHER:
         return None
-    return saturated, precover, images, image_type, move_support
+    return maps, vertices, loops, images, image_type, move_support

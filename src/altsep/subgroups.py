@@ -28,7 +28,6 @@ from .graphs import (
     components,
     fold,
     is_tree,
-    make_graph,
     saturation_defects,
     trace,
 )
@@ -69,7 +68,9 @@ class SubgroupGraph:
 
 def _wedge(base, words, open_words):
     """Wedge of loops (one per word) and open paths (one per open word) at
-    a common base vertex.  Returns (graph, end vertex of each open path)."""
+    a common base vertex.  Returns (graph, end vertex of each open path).
+    The graph is marked unfolded without a scan: ``fold`` builds the same
+    quotient and vertex map from either mark."""
     vertices = {base}
     pairs = []
     next_id = base + 1
@@ -92,12 +93,8 @@ def _wedge(base, words, open_words):
             pairs.append((current, target, letter))
             current = target
         ends.append(current)
-    graph = make_graph(
-        vertices,
-        {canonical_pair(u, w, letter) for u, w, letter in pairs},
-        base,
-    )
-    return graph, tuple(ends)
+    pairs = frozenset(canonical_pair(u, w, letter) for u, w, letter in pairs)
+    return LabeledGraph(frozenset(vertices), pairs, base, False), tuple(ends)
 
 
 def based_fixpoint(graph, table, tracked=()):

@@ -522,6 +522,21 @@ def test_main_reports_a_value_error_inside_the_pipeline_as_an_internal_error(
         "altsep: internal error: two vertices of the component land on the same coset\n")
 
 
+def test_main_reports_any_exception_inside_the_pipeline_as_an_internal_error(
+        capsys, monkeypatch):
+    """Any bug inside the pipeline, not only a failed self-check or a
+    ValueError, exits 4 with one line on stderr and no traceback."""
+    def broken(table, subgroup):
+        raise KeyError("no such coset")
+
+    monkeypatch.setattr(covers, "coset_action", broken)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    assert main(["separate", str(problem)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "altsep: internal error: 'no such coset'\n"
+
+
 def test_a_colliding_gadget_edge_is_an_internal_error(capsys, monkeypatch):
     """Every edge of the cover is written into a slot that must be empty
     or already hold it.  A mover edge from vertex -1, which lands on the

@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
-from altsep import permgroup
+from altsep import covers, permgroup
+from altsep.cli import parse_problem, run_separate
 from altsep.covers import (
     CoverPlan,
     HypothesisNotSatisfiedError,
@@ -10,12 +12,9 @@ from altsep.covers import (
     chain_gadget,
     choose_prime,
     mover_gadget,
-    permutation_rep,
     word_action,
 )
-from altsep.factors import coset_graph
 from altsep.graphs import (
-    build_graph,
     components,
     make_graph,
     saturation_defects,
@@ -135,30 +134,56 @@ def test_cover_plan_validation():
         CoverPlan(2, 7, 2)  # degree mismatch
 
 
-# -- permutation representation -------------------------------------------------------
+# -- vertex action ------------------------------------------------------------------
 
 
-def test_permutation_rep_one_vertex_cover(z2):
-    g = build_graph([0], [(0, 0, x(1)), (0, 0, x(2)), (0, 0, y(1))], 0)
-    images = permutation_rep(g, 2, 1)
-    assert all(permgroup.is_identity(p) for p in images.values())
+PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
 
 
-def test_permutation_rep_regular_finite_cover(z2):
-    g = coset_graph(z2, frozenset([z2.identity]))
-    # saturate the free side so the representation is total
-    from altsep.factors import complete_X_cover
+@pytest.mark.parametrize("problem", PROBLEM_FILES, ids=lambda p: p.stem)
+def test_generator_images_are_the_edge_action_on_the_cover(problem):
+    """The images read off the partial injections are the generators'
+    edge-following action on the cover graph, on its sorted vertices."""
+    spec = parse_problem(problem.read_text())
+    outcome = run_separate(spec)
+    if outcome.exit_code != 0:
+        assert "cover" not in outcome.stages
+        return
+    cover = outcome.stages["cover"]
+    order = sorted(cover.vertices)
+    position = {v: i for i, v in enumerate(order)}
+    letters = x_alphabet(spec.free.rank)[::2] + y_alphabet(spec.finite.num_generators)[::2]
+    action = {str(letter): permgroup.format_cycles([position[cover.step(v, letter)]
+                                                    for v in order])
+              for letter in letters}
+    assert outcome.document["generator_images"] == action
 
-    g = complete_X_cover(g, 2)
-    images = permutation_rep(g, 2, 1)
-    assert images["y1"] == (1, 0)
-    assert permgroup.is_identity(permgroup.compose(images["y1"], images["y1"]))
 
+def test_a_rejected_prime_builds_no_graph(monkeypatch):
+    """Recognition rejects the first prime; the stage graphs are built
+    from the partial injections once, for the accepted prime only."""
+    real_recognize, real_graph = permgroup.recognize_alt_sym, covers._graph
+    degrees, built = [], []
 
-def test_permutation_rep_requires_saturation(z2):
-    g = build_graph([0, 1], [(0, 1, x(1))], 0)
-    with pytest.raises(ValueError):
-        permutation_rep(g, 2, 1)
+    def other_first(gens, degree):
+        degrees.append(degree)
+        return permgroup.OTHER if len(degrees) == 1 else real_recognize(gens, degree)
+
+    def counting(*args):
+        built.append(args)
+        return real_graph(*args)
+
+    monkeypatch.setattr(permgroup, "recognize_alt_sym", other_first)
+    monkeypatch.setattr(covers, "_graph", counting)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    spec = parse_problem(problem.read_text())
+    graph = build_subgroup_graph(spec).graph
+    result = build_separating_cover(spec, graph, hypothesis_check(graph, spec.free.rank))
+    assert degrees == [13, 17] and result.retries == 1
+    assert len(built) == 2
+    stages = result.stages
+    assert len(stages["component_covers"].vertices) < len(stages["cover"].vertices) == 17
+    assert stages["precover"].pairs < stages["cover"].pairs
 
 
 def test_word_action_inverts_each_generator_once(monkeypatch):
@@ -285,7 +310,6 @@ def test_pipeline_honors_prime_cap(z2):
 def test_prime_cap_below_the_first_plan_fails_before_building_covers(z2, monkeypatch):
     """Every plan's degree is at least |V| + 5, so a cap below that fails
     at once, with the usual message, before any component cover is built."""
-    from altsep import covers
     from altsep.covers import CoverSearchExhaustedError
 
     spec = make_spec(z2, subgroup_words=[(x(1), y(1), x(1, -1))],
