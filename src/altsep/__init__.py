@@ -27,8 +27,6 @@ from .factors import (
     NotGBasedError,
     enumerate_group,
     subgroup_closure,
-    coset_graph,
-    complete_X_cover,
 )
 from .subgroups import (
     FreeFactor,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -538,7 +539,16 @@ def main(argv=None) -> int:
             print(f"altsep: error: {err}", file=sys.stderr)
             return 1
 
-    print(json.dumps(outcome.document, indent=2))
+    try:
+        print(json.dumps(outcome.document, indent=2))
+        sys.stdout.flush()
+    except OSError as err:  # a closed pipe or a full disk
+        print(f"altsep: error: cannot write to stdout: {err}", file=sys.stderr)
+        # the exit flush then writes what is left to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return outcome.exit_code
 
 

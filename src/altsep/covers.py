@@ -25,25 +25,26 @@ The pipeline:
 4. give every vertex with no edge of a factor that factor's one-vertex
    cover, a loop per generator, without adding vertices.
 
-Steps 2-4 write the cover into one partial injection per letter, seeded
-with the based graph's edges, and check each write: both slots an edge
-fills must be empty or already hold it.  So the cover stays folded by
-construction, and it is saturated once every letter's injection has p
-entries.  Each generator's permutation of the p vertices is read off
-its injection, and recognition runs on those; no graph is built for a
-prime it rejects.  For the accepted prime the stage graphs
-(``component_covers``, ``precover``, ``cover``) are built once each from
-the injections, with no further fold check: the precover is the cover
-less step 4's loops, which only filled empty slots.
+Steps 2-4 write the cover into one adjacency, vertex -> {letter ->
+target}, the format ``graphs.fold`` builds, starting from a copy of the
+based graph's.  Each write is checked: both slots an edge fills must be
+empty or already hold it.  So the cover stays folded by construction,
+and it is saturated once every vertex has a slot for every letter.  Each
+generator's permutation of the p vertices is read off the adjacency, and
+recognition runs on those; no graph is built for a prime it rejects.
+For the accepted prime the stage graphs (``component_covers``,
+``precover``, ``cover``) are built once each, with no further fold
+check; ``component_covers`` and ``cover`` carry their adjacency as their
+``out``, and the precover is the cover less step 4's loops, which only
+filled empty slots.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .factors import NotGBasedError, _complete, _graph, _write, component_cosets, coset_action
+from .factors import NotGBasedError, component_cosets, coset_action
 from .graphs import LabeledGraph, components, is_tree
 from . import permgroup
 from .subgroups import (
@@ -224,13 +225,11 @@ def build_separating_cover(
         trees = [c for c, _anchor in xcomps if is_tree(c)]
         host = trees[0] if trees else None  # None: bare base vertex
 
-    # Step 2: component covers, written into the based graph's partial
-    # injections.  Every based-graph vertex keeps its id; coset c of a
+    # Step 2: component covers, written into a copy of the based graph's
+    # adjacency.  Every based-graph vertex keeps its id; coset c of a
     # y-component's cover is the vertex whose key lies in c, else the
     # fresh id offset + c.
-    maps = defaultdict(dict)
-    _write(maps, graph.pairs)
-    vertices = set(graph.vertices)
+    out = {v: dict(slots) for v, slots in graph.out.items()}
     offset = max(graph.vertices) + 1
     xs, ys = x_alphabet(rank)[::2], y_alphabet(table.num_generators)[::2]  # positive letters
     actions = {}  # loop subgroup -> its coset action
@@ -245,92 +244,126 @@ def build_separating_cover(
         name = list(range(offset, offset + table.order // len(subgroup)))
         for v, key in keys.items():
             name[element_to_coset[key]] = v
-        _write(maps, [(name[c], name[d], letter)
-                      for letter, move in zip(ys, moves) for c, d in enumerate(move)])
-        vertices.update(name)
+        out.update((v, {}) for v in name if v not in out)
+        _write(out, [(name[c], name[d], letter)
+                     for letter, move in zip(ys, moves) for c, d in enumerate(move)])
         offset += len(name)
     for component, _anchor in xcomps:
         if host is None or component.vertices != host.vertices:
-            _complete(maps, component.vertices, xs)
+            _complete(out, component.vertices, xs)
 
     # Step 2 wrote no x-edge at a host vertex: its gaps are the based graph's.
     host_vertices = host.vertices if host is not None else {graph.base}
     defects = [(v, letter) for v in sorted(host_vertices) for letter in x_alphabet(rank)
-               if v not in maps[letter]]
+               if letter not in out[v]]
     if not defects:
         raise AssertionError("host component has no saturation gap to attach to")
     connect, a, b = _pick_attachment(defects)
     move = min(i for i in range(1, rank + 1) if i != connect)
 
     params = GadgetParams(signs, connect, move)
-    for retries, plan in enumerate(choose_prime(len(vertices))):
+    for retries, plan in enumerate(choose_prime(len(out))):
         if plan.degree > max_prime:
             raise CoverSearchExhaustedError(
                 f"no recognized cover with prime degree <= {max_prime}")
-        result = _attempt(spec, maps, vertices, host_vertices, plan, params, a, b)
+        result = _attempt(spec, out, host_vertices, plan, params, a, b)
         if result is not None:
-            cover_maps, cover_vertices, loops, images, image_type, move_support = result
-            cover = _graph(cover_vertices, cover_maps, graph.base)
+            cover_out, loops, images, image_type, move_support = result
+            cover = _graph(cover_out, graph.base)
             precover = LabeledGraph(cover.vertices, cover.pairs.difference(loops),
                                     graph.base, True)
-            stages = {"component_covers": _graph(vertices, maps, graph.base),
+            stages = {"component_covers": _graph(out, graph.base),
                       "precover": precover, "cover": cover}
             return SeparatingCover(
                 cover, plan, params, images, image_type, retries, stages, move_support
             )
 
 
-def _attempt(spec, glued, glued_vertices, host_vertices, plan, params, a, b):
-    """Steps 3 and 4 for one prime, on a copy of the glued partial
-    injections, then recognition on the generators' permutations read off
-    that copy.  Returns None when the image is neither alternating nor
-    symmetric; no graph is built either way."""
+def _attempt(spec, glued, host_vertices, plan, params, a, b):
+    """Steps 3 and 4 for one prime, on a copy of the glued adjacency, then
+    recognition on the generators' permutations read off that copy.
+    Returns None when the image is neither alternating nor symmetric; no
+    graph is built either way."""
     table = spec.finite
     rank = spec.free.rank
     connect, move = params.connect_letter, params.move_letter
-    maps = defaultdict(dict, {letter: dict(targets) for letter, targets in glued.items()})
+    out = {v: dict(slots) for v, slots in glued.items()}
 
     # Step 3: bridge the gaps a -> chain -> mover -> b.  That fills the
     # gadgets' only open slots, so completing the host's x-structure
     # completes the connect component, host + chain + mover.
     chain = chain_gadget(plan.chain_length, rank, connect)
     mover = mover_gadget(params.signs, rank, connect, move)
-    off1 = max(glued_vertices) + 1
+    off1 = max(glued) + 1
     off2 = off1 + plan.chain_length
     cl = x_letter(connect)
-    _write(maps, [(off1 + u, off1 + w, letter) for u, w, letter in chain.pairs])
-    _write(maps, [(off2 + u, off2 + w, letter) for u, w, letter in mover.pairs])
-    _write(maps, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
-    _complete(maps, host_vertices, x_alphabet(rank)[::2])
-    vertices = glued_vertices.union(range(off1, off2 + 4))
+    out.update((v, {}) for v in range(off1, off2 + 4))
+    _write(out, [(off1 + u, off1 + w, letter) for u, w, letter in chain.pairs])
+    _write(out, [(off2 + u, off2 + w, letter) for u, w, letter in mover.pairs])
+    _write(out, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
+    _complete(out, host_vertices, x_alphabet(rank)[::2])
 
     # Step 4: a vertex with no edge of a factor gets that factor's
     # one-vertex cover, a loop per generator; no new vertices.
     alphabets = (x_alphabet(rank), y_alphabet(table.num_generators))
     loops = [(v, v, letter) for alphabet in alphabets
-             for v in vertices.difference(*(maps[letter] for letter in alphabet))
+             for v, slots in out.items() if slots.keys().isdisjoint(alphabet)
              for letter in alphabet[::2]]
-    _write(maps, loops)
+    _write(out, loops)
 
-    if len(vertices) != plan.degree:
+    if len(out) != plan.degree:
         raise AssertionError("final cover has the wrong number of vertices")
-    if any(len(maps[letter]) != plan.degree for alphabet in alphabets for letter in alphabet):
+    letters = sum(map(len, alphabets))
+    if any(len(slots) != letters for slots in out.values()):
         raise AssertionError("final graph is not saturated")
 
-    order = sorted(vertices)
+    order = sorted(out)
     position = {v: i for i, v in enumerate(order)}
-    images = {str(letter): tuple(position[maps[letter][v]] for v in order)
+    images = {str(letter): tuple(position[out[v][letter]] for v in order)
               for alphabet in alphabets for letter in alphabet[::2]}
-    _orbits, transitive = permgroup.orbit_transitive(
-        list(images.values()), plan.degree
-    )
-    if not transitive:
+    if not permgroup.orbit_transitive(list(images.values()), plan.degree)[1]:
         raise AssertionError("final cover is not connected")
-    move_image = images[f"x{move}"]
-    move_support = len(permgroup.support(move_image))
+    move_support = len(permgroup.support(images[f"x{move}"]))
     if move_support >= plan.base_size + 5:
         raise AssertionError("move letter exceeds its support bound")
     image_type = permgroup.recognize_alt_sym(list(images.values()), plan.degree)
     if image_type == permgroup.OTHER:
         return None
-    return maps, vertices, loops, images, image_type, move_support
+    return out, loops, images, image_type, move_support
+
+
+def _write(out, pairs):
+    """Write canonical pairs into an adjacency, vertex -> {letter ->
+    target}, whose vertices are all there: each of a pair's two slots must
+    be empty or already hold the pair, so the graph it spells stays
+    folded.  Private, like every per-slot helper, so that a tracer records
+    no span per write."""
+    for u, w, letter in pairs:
+        if out[u].setdefault(letter, w) != w or out[w].setdefault(letter.inverse(), u) != u:
+            raise AssertionError(
+                f"two {letter} edges share a slot at vertex {u} or {w}: "
+                "the immersion condition fails")
+
+
+def _complete(out, vertices, letters):
+    """Extend each positive letter's partial injection on ``vertices`` to
+    a permutation of them: the i-th vertex with no outgoing edge joins the
+    i-th with no incoming edge, in ascending vertex order."""
+    order = sorted(vertices)
+    for letter in letters:
+        inverse = letter.inverse()
+        sources = [v for v in order if letter not in out[v]]
+        targets = [v for v in order if inverse not in out[v]]
+        if len(sources) != len(targets):
+            raise AssertionError("partial injection is unbalanced")
+        _write(out, [(s, t, letter) for s, t in zip(sources, targets)])
+
+
+def _graph(out, base) -> LabeledGraph:
+    """The folded graph that an adjacency spells.  It carries the
+    adjacency as its ``out``, as a graph ``fold`` returns does."""
+    pairs = frozenset((u, w, letter) for u, slots in out.items()
+                      for letter, w in slots.items() if letter.sign > 0)
+    graph = LabeledGraph(frozenset(out), pairs, base, True)
+    graph.__dict__["out"] = out  # fills the cached property
+    return graph

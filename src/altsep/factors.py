@@ -3,19 +3,17 @@
 G is always presented by permutation generators and closed by breadth-first
 enumeration into a multiplication table (element 0 is the identity).  The
 finite side numbers the right cosets Kg and moves each along Kg --y--> Kgy
-per generator; the free side completes any folded graph to a saturated one
-on the same vertex set by extending each generator's partial injection to
-a permutation of the vertices.
+per generator.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from itertools import chain
 
 from . import permgroup
-from .graphs import LabeledGraph, make_graph
-from .words import Word, x_letter, y_alphabet, y_letter
+from .graphs import LabeledGraph
+from .words import Word, y_alphabet, y_letter
 
 
 class NotGBasedError(ValueError):
@@ -38,7 +36,17 @@ class FiniteGroupTable:
             self._index[permgroup.inverse(perm)] for perm in self.elements
         )
         self._geodesics = None
-        self._steps = None
+        # Right multiplication by each y-letter as a table: steps[letter]
+        # is the tuple t with t[a] = a*letter for every element a.  A
+        # letter's inverse gets the inverse permutation of its table.
+        self.steps = {}
+        for index, element in enumerate(self.generator_indices, start=1):
+            forward = tuple(self.multiply(a, element) for a in range(self.order))
+            backward = [0] * self.order
+            for a, b in enumerate(forward):
+                backward[b] = a
+            self.steps[y_letter(index)] = forward
+            self.steps[y_letter(index, -1)] = tuple(backward)
 
     @property
     def order(self) -> int:
@@ -53,27 +61,6 @@ class FiniteGroupTable:
 
     def inverse(self, a: int) -> int:
         return self._inverses[a]
-
-    @property
-    def steps(self):
-        """Right multiplication by each y-letter as a table: steps[letter]
-        is the tuple t with t[a] = a*letter for every element a.  A
-        letter's inverse gets the inverse permutation of its table.  Built
-        on first use into an attribute that ``__init__`` sets: a
-        ``cached_property`` would write the instance dict directly, which
-        slows later attribute reads on the instance, those in ``multiply``
-        among them (measured on CPython 3.11)."""
-        if self._steps is None:
-            steps = {}
-            for index, element in enumerate(self.generator_indices, start=1):
-                forward = tuple(self.multiply(a, element) for a in range(self.order))
-                backward = [0] * self.order
-                for a, b in enumerate(forward):
-                    backward[b] = a
-                steps[y_letter(index)] = forward
-                steps[y_letter(index, -1)] = tuple(backward)
-            self._steps = steps
-        return self._steps
 
     def generator_element(self, index: int) -> int:
         """Element of the 1-based generator y<index>."""
@@ -117,17 +104,10 @@ class FiniteGroupTable:
             out = self.multiply(out, self.letter_element(letter))
         return out
 
-    def is_subgroup(self, members) -> bool:
-        members = frozenset(members)
-        if self.identity not in members:
-            return False
-        return all(
-            self.multiply(a, b) in members for a in members for b in members
-        )
-
 
 # Largest finite factor that is enumerated into a table: |S_8|, about
-# 0.15 s.  The closure stops as soon as it passes this order.
+# 0.3 s with its step tables.  The closure stops as soon as it passes
+# this order.
 MAX_GROUP_ORDER = 40_320
 
 
@@ -197,19 +177,6 @@ def coset_action(table: FiniteGroupTable, subgroup):
     return element_to_coset, moves
 
 
-def coset_graph(table: FiniteGroupTable, subgroup) -> LabeledGraph:
-    """Coset graph of the finite factor relative to a subgroup K: vertices
-    are the right cosets Kg, base K*1, one y-edge Kg --y--> Kgy per
-    generator.  Folded, connected, saturated for all y-letters.  Raises
-    ValueError when ``subgroup`` is not a subgroup."""
-    if not table.is_subgroup(subgroup):
-        raise ValueError("not a subgroup")
-    _element_to_coset, moves = coset_action(table, subgroup)
-    pairs = {(c, d, y_letter(j)) for j, move in enumerate(moves, start=1)
-             for c, d in enumerate(move)}
-    return make_graph(range(table.order // len(subgroup)), pairs, 0)
-
-
 def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     """Loop subgroup K and coset keys of every y-component of a folded
     graph, from one breadth-first pass over its y-edges; with ``starts``,
@@ -276,59 +243,11 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     return result
 
 
-def _write(maps, pairs):
-    """Write canonical pairs into partial injections, one per signed
-    letter (letter -> {source: target}): each of a pair's two slots must
-    be empty or already hold the pair, so the graph they spell stays
-    folded.  Private, like every per-slot helper, so that a tracer records
-    no span per write."""
-    for u, w, letter in pairs:
-        if maps[letter].setdefault(u, w) != w or maps[letter.inverse()].setdefault(w, u) != u:
-            raise AssertionError(
-                f"two {letter} edges share a slot at vertex {u} or {w}: "
-                "the immersion condition fails")
-
-
-def _complete(maps, vertices, letters):
-    """Extend each positive letter's partial injection to a permutation of
-    ``vertices``: the i-th vertex with no outgoing edge joins the i-th
-    with no incoming edge, in ascending vertex order."""
-    order = sorted(vertices)
-    for letter in letters:
-        sources = [v for v in order if v not in maps[letter]]
-        targets = [v for v in order if v not in maps[letter.inverse()]]
-        if len(sources) != len(targets):
-            raise AssertionError("partial injection is unbalanced")
-        _write(maps, [(s, t, letter) for s, t in zip(sources, targets)])
-
-
-def _graph(vertices, maps, base) -> LabeledGraph:
-    """The folded graph that partial injections spell."""
-    pairs = frozenset((u, w, letter) for letter, targets in maps.items() if letter.sign > 0
-                      for u, w in targets.items())
-    return LabeledGraph(frozenset(vertices), pairs, base, True)
-
-
-def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
-    """Extend each x-generator's partial injection to a permutation of the
-    vertex set: the i-th unsaturated source joins the i-th unsaturated
-    target, in ascending vertex order.  No vertices are added; the result
-    has no x-saturation defects.  Edges with other labels pass through."""
-    if not graph.folded:
-        raise ValueError("complete_X_cover requires a folded graph")
-    maps = defaultdict(dict)
-    _write(maps, graph.pairs)
-    _complete(maps, graph.vertices, [x_letter(i) for i in range(1, rank + 1)])
-    return _graph(graph.vertices, maps, graph.base)
-
-
 __all__ = [
     "FiniteGroupTable",
     "NotGBasedError",
     "enumerate_group",
     "subgroup_closure",
     "coset_action",
-    "coset_graph",
     "component_cosets",
-    "complete_X_cover",
 ]

@@ -47,9 +47,11 @@ class LabeledGraph:
         """Adjacency of a folded graph: vertex -> {letter -> target}.
         Built from the pairs on first use, except for a graph ``fold``
         returns, which carries the adjacency ``fold`` built and shares the
-        slot dicts of unchanged vertices with the graph it folded; treat
-        it as read-only.  Raises ValueError on an unfolded graph, where a
-        letter may have two targets."""
+        slot dicts of unchanged vertices with the graph it folded, and for
+        the cover and component covers that ``covers`` builds, which carry
+        the adjacency they were written into; treat it as read-only.
+        Raises ValueError on an unfolded graph, where a letter may have two
+        targets."""
         if not self.folded:
             raise ValueError("adjacency requires a folded graph")
         table = {v: {} for v in self.vertices}

@@ -115,27 +115,27 @@ def parse_cycles(text: str, degree: int):
 
 
 def orbit_transitive(gens, degree: int):
-    """Orbits of the generated group and whether it is transitive."""
+    """Orbits of the generated group, each sorted and in the order of their
+    least points, and whether it is transitive.  A permutation of a finite
+    set has its inverse among its powers, so forward images reach a whole
+    orbit."""
     for g in gens:
         if len(g) != degree:
             raise ValueError("generator degree mismatch")
-    parent = list(range(degree))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in gens:
-        for i, j in enumerate(g):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(degree):
-        groups.setdefault(find(i), []).append(i)
-    orbits = [tuple(groups[root]) for root in sorted(groups)]
+    seen = [False] * degree
+    orbits = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for i in orbit:  # grows while it is read: breadth-first order
+            for g in gens:
+                j = g[i]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        orbits.append(tuple(sorted(orbit)))
     return orbits, len(orbits) == 1
 
 

@@ -1,0 +1,83 @@
+"""Write the CLI's outputs on a fixed corpus of problems, for a byte-level
+comparison of two checkouts.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src python tests/corpus_outputs.py OUT_DIR
+
+runs ``altsep separate --emit-dot`` on every ``problems/*.txt`` and on the
+problems of ``perfbench/problems.certify_problems(seed)`` for seeds 1-12,
+366 runs in all.  Each run gets a directory under OUT_DIR holding its
+problem text, its exit code, its stdout and stderr, and the DOT files it
+wrote.  ``diff -r`` of the OUT_DIRs of two checkouts is then the check
+that a change leaves every output byte as it was.
+
+The script imports ``perfbench/problems.py``, which imports nothing from
+altsep, and runs the CLI of this checkout's ``src`` in a child process.
+Its name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 13)
+
+
+def corpus():
+    """(run name, problem text) for every run of the corpus, in order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import problems
+
+    for path in sorted((ROOT / "problems").glob("*.txt")):
+        yield f"file-{path.stem}", path.read_text()
+    for seed in SEEDS:
+        for n, (problem, _exit_code) in enumerate(problems.certify_problems(seed)):
+            yield f"seed{seed:02d}-{n:02d}", problem.text()
+
+
+def run(name: str, text: str, out_dir: Path, env) -> int:
+    """One CLI run, its outputs written to out_dir/name; returns its exit
+    code."""
+    run_dir = out_dir / name
+    dot_dir = run_dir / "dot"
+    dot_dir.mkdir(parents=True)
+    problem = run_dir / "problem.txt"
+    problem.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "altsep.cli", "separate", str(problem),
+         "--emit-dot", str(dot_dir)],
+        capture_output=True, env=env, check=False,
+    )
+    (run_dir / "exit_code").write_text(f"{done.returncode}\n")
+    (run_dir / "stdout").write_bytes(done.stdout)
+    (run_dir / "stderr").write_bytes(done.stderr)
+    return done.returncode
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: corpus_outputs.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0])
+    if out_dir.exists() and any(out_dir.iterdir()):
+        print(f"corpus_outputs.py: {out_dir} is not empty", file=sys.stderr)
+        return 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    counts = {}
+    for name, text in corpus():
+        code = run(name, text, out_dir, env)
+        counts[code] = counts.get(code, 0) + 1
+    summary = ", ".join(f"{n} exit {code}" for code, n in sorted(counts.items()))
+    print(f"{sum(counts.values())} runs: {summary}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

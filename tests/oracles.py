@@ -66,6 +66,30 @@ def exhaustive_closure(gens, degree):
 # -- graph shape ----------------------------------------------------------------
 
 
+def orbits_oracle(gens, degree):
+    """Orbits of a permutation group by union-find over the pairs (i, g(i))
+    of its generators, in ``permgroup.orbit_transitive``'s order, and
+    whether there is just one."""
+    parent = list(range(degree))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in gens:
+        for i, j in enumerate(g):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(degree):
+        groups.setdefault(find(i), []).append(i)
+    orbits = [tuple(groups[root]) for root in sorted(groups)]
+    return orbits, len(orbits) == 1
+
+
 def is_connected(graph: LabeledGraph) -> bool:
     order, _ = breadth_first_tree(graph, graph.base)
     return len(order) == len(graph.vertices)
@@ -228,16 +252,12 @@ def component_cosets_oracle(table, component: LabeledGraph):
     return subgroup, assignment
 
 
-def embed_Y_component(table, component: LabeledGraph):
-    """Embed a connected folded y-component into the coset graph of the
-    subgroup K generated by its loop labels, with each right coset Kg
-    built as a set of elements, breadth-first over the generators.
-
-    Returns (cover, embedding).  Raises NotGBasedError when two vertices
-    land on the same coset, i.e. some identity-label path is not closed,
-    and ValueError when the component is not connected.
-    """
-    subgroup, keys = component_cosets_oracle(table, component)
+def coset_graph_oracle(table, subgroup):
+    """Coset graph of the finite factor relative to a subgroup K, with
+    each right coset Kg built as a set of elements, breadth-first over the
+    generators: vertices are the cosets, base K, and one edge
+    Kg --y--> Kgy per generator.  Returns (graph, coset_of), coset_of
+    mapping each element to its coset's vertex."""
     cosets = [frozenset(subgroup)]
     number = {cosets[0]: 0}
     pairs = set()
@@ -248,8 +268,20 @@ def embed_Y_component(table, component: LabeledGraph):
                 number[image] = len(cosets)
                 cosets.append(image)
             pairs.add((number[coset], number[image], y_letter(j)))
-    cover = make_graph(range(len(cosets)), pairs, 0)
     coset_of = {e: number[coset] for coset in cosets for e in coset}
+    return make_graph(range(len(cosets)), pairs, 0), coset_of
+
+
+def embed_Y_component(table, component: LabeledGraph):
+    """Embed a connected folded y-component into the coset graph of the
+    subgroup K generated by its loop labels.
+
+    Returns (cover, embedding).  Raises NotGBasedError when two vertices
+    land on the same coset, i.e. some identity-label path is not closed,
+    and ValueError when the component is not connected.
+    """
+    subgroup, keys = component_cosets_oracle(table, component)
+    cover, coset_of = coset_graph_oracle(table, subgroup)
     embedding = {v: coset_of[key] for v, key in keys.items()}
     if len(set(embedding.values())) != len(embedding):
         raise NotGBasedError(

@@ -49,6 +49,14 @@ KERNEL = """\
 [separate] g1 = x1
 """
 
+# g1 lies in the subgroup: exit 3
+CLOSED = """\
+[free] rank = 2
+[finite] degree = 2 ; gens = y1: (1 2)
+[subgroup] h1 = x1^2
+[separate] g1 = x1^4
+"""
+
 
 # -- word grammar ------------------------------------------------------------------
 
@@ -288,12 +296,7 @@ def test_main_success_and_dot_files(tmp_path, capsys):
 def test_main_exit_codes(tmp_path, capsys):
     kernel = write(tmp_path, "ker.txt", KERNEL)
     assert main(["separate", kernel]) == 2
-    closed = write(
-        tmp_path,
-        "closed.txt",
-        "[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n"
-        "[subgroup] h1 = x1^2\n[separate] g1 = x1^4\n",
-    )
+    closed = write(tmp_path, "closed.txt", CLOSED)
     assert main(["separate", closed]) == 3
     bad = write(tmp_path, "bad.txt", "[free] rank = banana\n")
     assert main(["separate", bad]) == 1
@@ -320,6 +323,28 @@ def test_main_rejects_a_file_with_nothing_to_separate(tmp_path):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "altsep: error: nothing to separate: no [separate] words\n"
+
+
+@pytest.mark.parametrize("text", [DEMO, CLOSED], ids=["certificate", "gamma-closed"])
+def test_main_reports_a_closed_stdout(tmp_path, text):
+    """stdout is a pipe whose read end is closed, so the document cannot
+    be written: one error line and exit 1, whatever the run's own exit
+    code, and no traceback from the interpreter's exit flush."""
+    path = write(tmp_path, "problem.txt", text)
+    src = Path(altsep.__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "altsep.cli", "separate", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr.startswith("altsep: error: cannot write to stdout: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("finite, message", [

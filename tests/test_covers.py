@@ -15,11 +15,12 @@ from altsep.covers import (
     word_action,
 )
 from altsep.graphs import (
+    LabeledGraph,
     components,
     make_graph,
     saturation_defects,
 )
-from altsep.subgroups import build_subgroup_graph, hypothesis_check
+from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
@@ -142,7 +143,7 @@ PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glo
 
 @pytest.mark.parametrize("problem", PROBLEM_FILES, ids=lambda p: p.stem)
 def test_generator_images_are_the_edge_action_on_the_cover(problem):
-    """The images read off the partial injections are the generators'
+    """The images read off the cover's adjacency are the generators'
     edge-following action on the cover graph, on its sorted vertices."""
     spec = parse_problem(problem.read_text())
     outcome = run_separate(spec)
@@ -159,9 +160,25 @@ def test_generator_images_are_the_edge_action_on_the_cover(problem):
     assert outcome.document["generator_images"] == action
 
 
+@pytest.mark.parametrize("problem", PROBLEM_FILES, ids=lambda p: p.stem)
+def test_cover_graphs_carry_their_adjacency(problem):
+    """The cover and the component covers come with the adjacency they
+    were written into as their ``out``, and it is the one their pairs
+    spell."""
+    spec = parse_problem(problem.read_text())
+    graph = build_subgroup_graph(spec).graph
+    verdict = hypothesis_check(graph, spec.free.rank)
+    if verdict.kind == VERDICT_NOT_APPLICABLE:
+        return
+    result = build_separating_cover(spec, graph, verdict)
+    for built in (result.cover, result.stages["component_covers"]):
+        assert "out" in built.__dict__
+        assert built.out == LabeledGraph(built.vertices, built.pairs, built.base, True).out
+
+
 def test_a_rejected_prime_builds_no_graph(monkeypatch):
     """Recognition rejects the first prime; the stage graphs are built
-    from the partial injections once, for the accepted prime only."""
+    from the adjacency once, for the accepted prime only."""
     real_recognize, real_graph = permgroup.recognize_alt_sym, covers._graph
     degrees, built = [], []
 

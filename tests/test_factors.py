@@ -6,14 +6,12 @@ import pytest
 from altsep.factors import (
     MAX_GROUP_ORDER,
     NotGBasedError,
-    complete_X_cover,
     component_cosets,
     coset_action,
-    coset_graph,
     enumerate_group,
     subgroup_closure,
 )
-from altsep.covers import build_separating_cover
+from altsep.covers import _complete, _graph, build_separating_cover
 from altsep.graphs import (
     LabeledGraph,
     breadth_first_tree,
@@ -29,6 +27,7 @@ from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 from conftest import make_spec
 from oracles import (
     component_cosets_oracle,
+    coset_graph_oracle,
     embed_Y_component,
     exhaustive_closure,
     random_raw_word,
@@ -96,30 +95,40 @@ def test_subgroup_closure_two_transpositions_generate_s3(s3):
     assert len(generated) == 6
 
 
-# -- coset graphs -------------------------------------------------------------------
+# -- coset graphs, spelled by coset actions -------------------------------------------
+
+
+def coset_walk(moves, word, coset=0):
+    """Coset reached from ``coset`` along a y-word, through the moves of
+    ``coset_action``."""
+    for letter in word:
+        move = moves[letter.index - 1]
+        coset = move[coset] if letter.sign > 0 else move.index(coset)
+    return coset
 
 
 def test_coset_graph_regular_cover(z2):
-    g = coset_graph(z2, frozenset([z2.identity]))
-    assert len(g.vertices) == 2
-    assert trace(g, g.base, (y(1),)).status == "open"
+    element_to_coset, moves = coset_action(z2, frozenset([z2.identity]))
+    assert sorted(element_to_coset) == [0, 1]
+    assert coset_walk(moves, (y(1),)) != 0
 
 
 def test_coset_graph_of_whole_group(z2):
-    g = coset_graph(z2, frozenset(range(z2.order)))
-    assert len(g.vertices) == 1
-    assert trace(g, g.base, (y(1),)).closed
+    element_to_coset, moves = coset_action(z2, frozenset(range(z2.order)))
+    assert element_to_coset == [0, 0]
+    assert coset_walk(moves, (y(1),)) == 0
 
 
 def test_coset_graph_index_three(s3):
     flip = subgroup_closure(s3, [s3.generator_element(2)])
-    g = coset_graph(s3, flip)
-    assert len(g.vertices) == 3
+    element_to_coset, _moves = coset_action(s3, flip)
     # brute-force coset partition agrees
     cosets = set()
     for element in range(s3.order):
         cosets.add(frozenset(s3.multiply(k, element) for k in flip))
     assert len(cosets) == 3
+    assert cosets == {frozenset(e for e in range(s3.order) if element_to_coset[e] == c)
+                      for c in range(3)}
 
 
 def all_subgroups(table):
@@ -133,27 +142,38 @@ def all_subgroups(table):
 
 def test_lagrange_on_every_subgroup_of_s3(s3):
     for subgroup in all_subgroups(s3):
-        g = coset_graph(s3, subgroup)
-        assert len(g.vertices) * len(subgroup) == s3.order
+        element_to_coset, moves = coset_action(s3, subgroup)
+        index = len(set(element_to_coset))
+        assert index * len(subgroup) == s3.order
+        assert all(len(move) == index for move in moves)
 
 
 def test_loop_characterization(s3):
     subgroup = subgroup_closure(s3, [s3.generator_element(2)])
-    g = coset_graph(s3, subgroup)
+    _element_to_coset, moves = coset_action(s3, subgroup)
     words = [
         (y(2),), (y(1),), (y(1), y(1)), (y(1), y(1), y(1)),
         (y(2), y(1)), (y(1), y(2)), (y(2), y(2)), (y(1, -1), y(2), y(1)),
     ]
     for word in words:
         element = s3.word_element(word)
-        assert trace(g, g.base, word).closed == (element in subgroup)
+        assert (coset_walk(moves, word) == 0) == (element in subgroup)
 
 
-def test_coset_graph_is_saturated_and_folded(s3):
-    for subgroup in all_subgroups(s3):
-        g = coset_graph(s3, subgroup)
-        assert g.folded
-        assert saturation_defects(g, y_alphabet(s3.num_generators)) == []
+def test_coset_graph_is_saturated_and_folded(s3, d4, a4):
+    """Each generator permutes the cosets, so the coset graph the action
+    spells is saturated and folded; it is the oracle's coset graph, with
+    the same numbering."""
+    for table in (s3, d4, a4):
+        for subgroup in all_subgroups(table):
+            element_to_coset, moves = coset_action(table, subgroup)
+            graph, coset_of = coset_graph_oracle(table, subgroup)
+            assert graph.folded
+            assert saturation_defects(graph, y_alphabet(table.num_generators)) == []
+            assert element_to_coset == [coset_of[e] for e in range(table.order)]
+            assert all(sorted(move) == sorted(graph.vertices) for move in moves)
+            assert graph.pairs == {(c, d, y(j)) for j, move in enumerate(moves, start=1)
+                                   for c, d in enumerate(move)}
 
 
 def test_coset_action_moves_every_element_with_its_coset(s3, d4):
@@ -166,11 +186,6 @@ def test_coset_action_moves_every_element_with_its_coset(s3, d4):
                 for e in range(table.order):
                     image = table.multiply(e, table.generator_element(j))
                     assert element_to_coset[image] == move[element_to_coset[e]]
-
-
-def test_coset_graph_rejects_non_subgroup(s3):
-    with pytest.raises(ValueError):
-        coset_graph(s3, frozenset([s3.identity, s3.generator_element(1)]))
 
 
 # -- embedding y-components (the oracle that the gluing test compares against) ----------
@@ -305,6 +320,14 @@ def test_component_cosets_from_starts_scan_only_their_components(z2, s3, d4, a4)
 # -- free-side completion ----------------------------------------------------------------
 
 
+def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
+    """``covers._complete`` over the positive x-letters, on a copy of the
+    graph's adjacency."""
+    out = {v: dict(slots) for v, slots in graph.out.items()}
+    _complete(out, graph.vertices, x_alphabet(rank)[::2])
+    return _graph(out, graph.base)
+
+
 def test_complete_single_vertex():
     g = build_graph([0], [], 0)
     completed = complete_X_cover(g, 2)
@@ -346,7 +369,7 @@ def test_complete_ignores_y_edges(z2):
 
 
 def test_components_of_monochromatic_cover(s3):
-    g = coset_graph(s3, frozenset([s3.identity]))
+    g, _coset_of = coset_graph_oracle(s3, frozenset([s3.identity]))
     assert components(g, "y")[0][0].vertices == g.vertices
     assert components(g, "x") == []
 

@@ -21,6 +21,7 @@ from oracles import (
     all_fold_results,
     bfs_components,
     canonical_form,
+    coset_graph_oracle,
     is_connected,
     merge_vertices,
     random_fold,
@@ -134,9 +135,7 @@ def test_trace_stuck_reports_first_missing_letter():
 
 
 def test_trace_coset_graph_relation(z2):
-    from altsep.factors import coset_graph
-
-    g = coset_graph(z2, frozenset([0]))
+    g, _coset_of = coset_graph_oracle(z2, frozenset([0]))
     assert trace(g, 0, (y(1), y(1))).closed
 
 

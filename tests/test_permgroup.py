@@ -5,7 +5,7 @@ import pytest
 
 from altsep import permgroup as pg
 
-from oracles import exhaustive_closure
+from oracles import exhaustive_closure, orbits_oracle
 
 
 def from_cycles(text, degree):
@@ -72,6 +72,31 @@ def test_orbit_partition():
     orbits, transitive = pg.orbit_transitive([from_cycles("(1 2)", 4)], 4)
     assert not transitive
     assert orbits == [(0, 1), (2,), (3,)]
+
+
+def test_orbit_transitive_matches_union_find():
+    """Random generators that each permute the parts of a random
+    partition of the points: with one part the group is, as a rule,
+    transitive, and with more it is not."""
+    rng = random.Random(5)
+    transitive = intransitive = 0
+    for _ in range(300):
+        degree = rng.randint(1, 40)
+        points = rng.sample(range(degree), degree)
+        cuts = sorted(rng.sample(range(1, degree), min(rng.randint(0, 3), degree - 1)))
+        parts = [points[i:j] for i, j in zip([0] + cuts, cuts + [degree])]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(degree))
+            for part in parts:
+                for a, b in zip(part, rng.sample(part, len(part))):
+                    perm[a] = b
+            gens.append(tuple(perm))
+        found = pg.orbit_transitive(gens, degree)
+        assert found == orbits_oracle(gens, degree)
+        transitive += found[1]
+        intransitive += not found[1]
+    assert transitive >= 50 and intransitive >= 50
 
 
 # -- order ---------------------------------------------------------------------
