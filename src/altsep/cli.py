@@ -38,6 +38,7 @@ from pathlib import Path
 
 from . import permgroup
 from .covers import (
+    DEFAULT_MAX_PRIME,
     CoverSearchExhaustedError,
     HypothesisNotSatisfiedError,
     build_separating_cover,
@@ -322,7 +323,7 @@ class RunOutcome:
 def run_separate(
     spec: ProblemSpec,
     sign_vector=None,
-    max_prime: int = 100000,
+    max_prime: int = DEFAULT_MAX_PRIME,
     verify_level: str = "fast",
 ) -> RunOutcome:
     """Full pipeline: based graph, eligibility, separating cover, vertex
@@ -484,11 +485,16 @@ def main(argv=None) -> int:
                      help="write one DOT file per pipeline stage into DIR")
     sep.add_argument("--sign-vector", metavar="S",
                      help="comma-separated +1/-1 per free generator (default all +1)")
-    sep.add_argument("--max-prime", type=int, default=100000,
+    sep.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME,
                      help="largest prime degree to try before giving up")
     sep.add_argument("--verify-level", choices=("fast", "full"), default="fast",
                      help="'full' additionally verifies factor intersections")
 
+    # argparse takes the value in "--sign-vector -1,+1" for an option
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--sign-vector":
+            argv[i:i + 2] = [f"--sign-vector={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:

@@ -26,17 +26,17 @@ The pipeline:
    cover, a loop per generator, without adding vertices.
 
 Steps 2-4 write the cover into one adjacency, vertex -> {letter ->
-target}, the format ``graphs.fold`` builds, starting from a copy of the
-based graph's.  Each write is checked: both slots an edge fills must be
-empty or already hold it.  So the cover stays folded by construction,
-and it is saturated once every vertex has a slot for every letter.  Each
-generator's permutation of the p vertices is read off the adjacency, and
-recognition runs on those; no graph is built for a prime it rejects.
-For the accepted prime the stage graphs (``component_covers``,
-``precover``, ``cover``) are built once each, with no further fold
-check; ``component_covers`` and ``cover`` carry their adjacency as their
-``out``, and the precover is the cover less step 4's loops, which only
-filled empty slots.
+target}, starting from a copy of the based graph's, through the slot
+writer of ``graphs``, which owns that format.  An edge that finds a slot
+holding another edge fails the immersion condition.  So the cover stays
+folded by construction, and it is saturated once every vertex has a slot
+for every letter.  Each generator's permutation of the p vertices is
+read off the adjacency, and recognition runs on those; no graph is built
+for a prime it rejects.  For the accepted prime the stage graphs
+(``component_covers``, ``precover``, ``cover``) are built once each, with
+no further fold check: ``graphs.from_adjacency`` builds the first and
+last, which carry their adjacency as their ``out``, and the precover is
+the cover less step 4's loops, which only filled empty slots.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .factors import NotGBasedError, component_cosets, coset_action
-from .graphs import LabeledGraph, components, is_tree
+from .graphs import LabeledGraph, _write_pairs, components, from_adjacency, is_tree
 from . import permgroup
 from .subgroups import (
     ProblemSpec,
@@ -54,6 +54,8 @@ from .subgroups import (
     HypothesisVerdict,
 )
 from .words import x_alphabet, x_letter, y_alphabet
+
+DEFAULT_MAX_PRIME = 100000  # the largest prime degree tried by default
 
 
 class HypothesisNotSatisfiedError(Exception):
@@ -199,7 +201,7 @@ def build_separating_cover(
     graph: LabeledGraph,
     verdict: HypothesisVerdict,
     signs=None,
-    max_prime: int = 100000,
+    max_prime: int = DEFAULT_MAX_PRIME,
 ) -> SeparatingCover:
     """Run the four-step pipeline, retrying over ascending primes until the
     vertex action is recognized as alternating or symmetric."""
@@ -245,8 +247,8 @@ def build_separating_cover(
         for v, key in keys.items():
             name[element_to_coset[key]] = v
         out.update((v, {}) for v in name if v not in out)
-        _write(out, [(name[c], name[d], letter)
-                     for letter, move in zip(ys, moves) for c, d in enumerate(move)])
+        _immerse(out, [(name[c], name[d], letter)
+                       for letter, move in zip(ys, moves) for c, d in enumerate(move)])
         offset += len(name)
     for component, _anchor in xcomps:
         if host is None or component.vertices != host.vertices:
@@ -269,10 +271,10 @@ def build_separating_cover(
         result = _attempt(spec, out, host_vertices, plan, params, a, b)
         if result is not None:
             cover_out, loops, images, image_type, move_support = result
-            cover = _graph(cover_out, graph.base)
+            cover = from_adjacency(cover_out, graph.base)
             precover = LabeledGraph(cover.vertices, cover.pairs.difference(loops),
                                     graph.base, True)
-            stages = {"component_covers": _graph(out, graph.base),
+            stages = {"component_covers": from_adjacency(out, graph.base),
                       "precover": precover, "cover": cover}
             return SeparatingCover(
                 cover, plan, params, images, image_type, retries, stages, move_support
@@ -298,9 +300,9 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     off2 = off1 + plan.chain_length
     cl = x_letter(connect)
     out.update((v, {}) for v in range(off1, off2 + 4))
-    _write(out, [(off1 + u, off1 + w, letter) for u, w, letter in chain.pairs])
-    _write(out, [(off2 + u, off2 + w, letter) for u, w, letter in mover.pairs])
-    _write(out, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
+    _immerse(out, [(off1 + u, off1 + w, letter) for u, w, letter in chain.pairs])
+    _immerse(out, [(off2 + u, off2 + w, letter) for u, w, letter in mover.pairs])
+    _immerse(out, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
     _complete(out, host_vertices, x_alphabet(rank)[::2])
 
     # Step 4: a vertex with no edge of a factor gets that factor's
@@ -309,7 +311,7 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     loops = [(v, v, letter) for alphabet in alphabets
              for v, slots in out.items() if slots.keys().isdisjoint(alphabet)
              for letter in alphabet[::2]]
-    _write(out, loops)
+    _immerse(out, loops)
 
     if len(out) != plan.degree:
         raise AssertionError("final cover has the wrong number of vertices")
@@ -332,17 +334,15 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     return out, loops, images, image_type, move_support
 
 
-def _write(out, pairs):
-    """Write canonical pairs into an adjacency, vertex -> {letter ->
-    target}, whose vertices are all there: each of a pair's two slots must
-    be empty or already hold the pair, so the graph it spells stays
-    folded.  Private, like every per-slot helper, so that a tracer records
-    no span per write."""
-    for u, w, letter in pairs:
-        if out[u].setdefault(letter, w) != w or out[w].setdefault(letter.inverse(), u) != u:
-            raise AssertionError(
-                f"two {letter} edges share a slot at vertex {u} or {w}: "
-                "the immersion condition fails")
+def _immerse(out, pairs):
+    """Write canonical pairs into the cover's adjacency; a pair that finds
+    a slot holding another edge fails the immersion condition."""
+    clashes = _write_pairs(out, pairs)
+    if clashes:
+        u, w, letter = clashes[0]
+        raise AssertionError(
+            f"two {letter} edges share a slot at vertex {u} or {w}: "
+            "the immersion condition fails")
 
 
 def _complete(out, vertices, letters):
@@ -356,14 +356,5 @@ def _complete(out, vertices, letters):
         targets = [v for v in order if inverse not in out[v]]
         if len(sources) != len(targets):
             raise AssertionError("partial injection is unbalanced")
-        _write(out, [(s, t, letter) for s, t in zip(sources, targets)])
+        _immerse(out, [(s, t, letter) for s, t in zip(sources, targets)])
 
-
-def _graph(out, base) -> LabeledGraph:
-    """The folded graph that an adjacency spells.  It carries the
-    adjacency as its ``out``, as a graph ``fold`` returns does."""
-    pairs = frozenset((u, w, letter) for u, slots in out.items()
-                      for letter, w in slots.items() if letter.sign > 0)
-    graph = LabeledGraph(frozenset(out), pairs, base, True)
-    graph.__dict__["out"] = out  # fills the cached property
-    return graph

@@ -42,11 +42,8 @@ class FiniteGroupTable:
         self.steps = {}
         for index, element in enumerate(self.generator_indices, start=1):
             forward = tuple(self.multiply(a, element) for a in range(self.order))
-            backward = [0] * self.order
-            for a, b in enumerate(forward):
-                backward[b] = a
             self.steps[y_letter(index)] = forward
-            self.steps[y_letter(index, -1)] = tuple(backward)
+            self.steps[y_letter(index, -1)] = permgroup.inverse(forward)
 
     @property
     def order(self) -> int:

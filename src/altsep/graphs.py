@@ -3,7 +3,10 @@
 A labeled graph stores each edge/inverse-edge pair once, in the canonical
 orientation whose letter has positive sign: the stored pair (u, w, x1)
 represents the edge u --x1--> w together with its involution partner
-w --x1^-1--> u.  Graphs are immutable; every operation returns a new graph.
+w --x1^-1--> u.  A folded graph also has an adjacency, vertex -> {letter
+-> target}, and this module owns that format: ``_write_pairs`` writes
+every slot of one, and ``from_adjacency`` turns one into a graph.
+Graphs are immutable; every operation returns a new graph.
 ``fold`` is the only operation that merges vertices, and it also returns
 the induced vertex map.
 
@@ -45,19 +48,15 @@ class LabeledGraph:
     @cached_property
     def out(self):
         """Adjacency of a folded graph: vertex -> {letter -> target}.
-        Built from the pairs on first use, except for a graph ``fold``
-        returns, which carries the adjacency ``fold`` built and shares the
-        slot dicts of unchanged vertices with the graph it folded, and for
-        the cover and component covers that ``covers`` builds, which carry
-        the adjacency they were written into; treat it as read-only.
-        Raises ValueError on an unfolded graph, where a letter may have two
-        targets."""
+        Written from the pairs on first use, except for a graph built by
+        ``from_adjacency`` (by ``make_graph``, ``fold`` or ``covers``),
+        which carries the adjacency it was built from; ``fold`` shares the
+        slot dicts of unchanged vertices with the graph it folded.  Treat
+        it as read-only.  Raises ValueError on an unfolded graph."""
         if not self.folded:
             raise ValueError("adjacency requires a folded graph")
         table = {v: {} for v in self.vertices}
-        for u, w, letter in self.pairs:
-            table[u][letter] = w
-            table[w][letter.inverse()] = u
+        _write_pairs(table, self.pairs)
         return table
 
     @cached_property
@@ -93,22 +92,44 @@ class SaturationDefect:
     missing: Letter
 
 
-def _is_folded(vertices, pairs) -> bool:
-    seen = set()
+def _write_pairs(out, pairs):
+    """Write canonical pairs into an adjacency that has all their vertices:
+    a pair fills its two slots when each is empty or holds the pair
+    already.  Returns, in order, the pairs that found a slot holding
+    another edge, and writes neither slot of those, so the adjacency stays
+    folded.  Private, so that a tracer records no span per write."""
+    clashes = []
     for u, w, letter in pairs:
-        for s, _, lab in ((u, w, letter), (w, u, letter.inverse())):
-            key = (s, lab)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
+        inverse = letter.inverse()
+        head, tail = out[u], out[w]
+        if (letter in head and head[letter] != w) or (inverse in tail and tail[inverse] != u):
+            clashes.append((u, w, letter))
+        else:
+            head[letter] = w
+            tail[inverse] = u
+    return clashes
+
+
+def from_adjacency(out, base, pairs=None) -> LabeledGraph:
+    """The folded graph an adjacency spells, carrying it as its ``out``.
+    ``pairs`` are its canonical pairs when the caller keeps them; by
+    default each is read at its slot of positive sign."""
+    if pairs is None:
+        pairs = [(u, w, letter) for u, slots in out.items()
+                 for letter, w in slots.items() if letter.sign > 0]
+    graph = LabeledGraph(frozenset(out), frozenset(pairs), base, True)
+    graph.__dict__["out"] = out  # fills the cached property
+    return graph
 
 
 def make_graph(vertices, pairs, base) -> LabeledGraph:
-    """Assemble a graph from canonical pairs, certifying foldedness."""
-    vertices = frozenset(vertices)
+    """Assemble a graph from canonical pairs; it is folded, and carries
+    their adjacency, exactly when no pair clashes."""
+    out = {v: {} for v in vertices}
     pairs = frozenset(pairs)
-    return LabeledGraph(vertices, pairs, base, _is_folded(vertices, pairs))
+    if _write_pairs(out, pairs):
+        return LabeledGraph(frozenset(out), pairs, base, False)
+    return from_adjacency(out, base, pairs)
 
 
 def build_graph(vertices, edges, base) -> LabeledGraph:
@@ -163,27 +184,27 @@ def fold(graph: LabeledGraph, merge=()):
     unknown vertex.
 
     Both inputs start from a folded adjacency.  A folded input has it as
-    its ``out``.  An unfolded input has its pairs read into free slots:
-    each pair is written into its two slots, unless either slot is taken
-    already.  Such a colliding pair stays out of the adjacency, and once
-    every pair is read, each taken slot's target is identified with the
-    pair's own end there, as a merge group is; the pair's image is then
-    the image of the pair that holds the slot.  From there the two inputs
-    take one path.  It starts from a shallow copy of the adjacency and
-    copies a vertex's slots when the vertex first survives a merge.
-    Merging two classes is the same step for a merge group, a collision
-    and two edges that collide later: union them and replay only the
-    dropped class's slots onto the survivor.  Only the survivors and the
+    its ``out``.  An unfolded input has its pairs written into empty slots
+    by ``_write_pairs``, which leaves out the clashing pairs.  Once every
+    pair is read, each slot a clashing pair finds taken has its target
+    identified with the pair's own end there, as a merge group is; the
+    pair's image is then the image of the pair that holds the slot.  From
+    there the two inputs take one path.  It starts from a shallow copy of
+    the adjacency and copies a vertex's slots when the vertex first
+    survives a merge.
+    Merging two classes is the same step for a merge group, a clash and
+    two edges that collide later: union them and replay only the dropped
+    class's slots onto the survivor.  Only the survivors and the
     neighbours of dropped vertices (the targets of their slots) can hold a
     stale target, so only their slots are resolved, and the result's pairs
-    are the input's, less the colliding pairs and those at these vertices,
+    are the input's, less the clashing pairs and those at these vertices,
     plus those read off their resolved slots.  The starting adjacency is
     never written, so a folded input's ``out`` stays as it was.  The
     result carries the adjacency built here as its ``out``.
 
     Cost: on unfolded input, one Python step per pair to read it, and
     none per pair on folded input.  Then, for both, the union-find work of
-    the merges, the collisions and the folds they cause, one replay per
+    the merges, the clashes and the folds they cause, one replay per
     edge slot of each vertex merged away, and O(d) to resolve the d slots
     at the vertices above.  What is left of O(|V| + |E|) are whole-set
     copies (the adjacency's top level, the union-find map, the vertex and
@@ -194,26 +215,13 @@ def fold(graph: LabeledGraph, merge=()):
     order.
     """
     pairs = set(graph.pairs)
-    collisions = []  # (taken slot's target, the colliding pair's end there)
     if graph.folded:
         start = graph.out
+        clashes = ()
     else:
         start = {v: {} for v in graph.vertices}
-        for pair in graph.pairs:
-            u, w, letter = pair
-            inverse = letter.inverse()
-            head, tail = start[u], start[w]
-            if letter not in head and inverse not in tail:
-                head[letter] = w
-                tail[inverse] = u
-                continue
-            # identify only once every pair is read: identify pops the
-            # slots of the vertex it drops
-            pairs.discard(pair)
-            if letter in head:
-                collisions.append((head[letter], w))
-            if inverse in tail:
-                collisions.append((tail[inverse], u))
+        clashes = _write_pairs(start, graph.pairs)
+        pairs.difference_update(clashes)
     uf = _UnionFind(graph.vertices)
     find = uf.find
     work = deque()
@@ -241,8 +249,11 @@ def fold(graph: LabeledGraph, merge=()):
             if v not in graph.vertices:
                 raise ValueError(f"unknown vertex {v!r}")
             identify(group[0], v)
-    for a, b in collisions:
-        identify(a, b)
+    # each end of a clashing pair joins the target of its slot there; an
+    # empty slot yields the end itself, which identify leaves alone
+    for u, w, letter in clashes:
+        identify(start[u].get(letter, w), w)
+        identify(start[w].get(letter.inverse(), u), u)
     while work:
         source, target, letter = work.popleft()
         source, target = find(source), find(target)
@@ -262,8 +273,7 @@ def fold(graph: LabeledGraph, merge=()):
         changed.update(start[v].values())
     for v in changed:
         for letter, target in start[v].items():
-            pairs.discard((v, target, letter) if letter.sign > 0
-                          else (target, v, letter.inverse()))
+            pairs.discard(canonical_pair(v, target, letter))
     for v in changed:
         slots = out.get(v)
         if slots is None:
@@ -272,14 +282,8 @@ def fold(graph: LabeledGraph, merge=()):
             slots = out[v] = dict(slots)
         for letter, target in slots.items():
             target = slots[letter] = vmap[target]
-            # a pair between two changed vertices is read at its source
-            if letter.sign > 0:
-                pairs.add((v, target, letter))
-            elif target not in changed:
-                pairs.add((target, v, letter.inverse()))
-    result = LabeledGraph(frozenset(out), frozenset(pairs), vmap[graph.base], True)
-    result.__dict__["out"] = out  # fills the cached property
-    return result, vmap
+            pairs.add(canonical_pair(v, target, letter))
+    return from_adjacency(out, vmap[graph.base], pairs), vmap
 
 
 def trace(graph: LabeledGraph, start: int, word) -> TraceResult:

@@ -7,10 +7,14 @@ Usage, from the root of a checkout::
 
 runs ``altsep separate --emit-dot`` on every ``problems/*.txt`` and on the
 problems of ``perfbench/problems.certify_problems(seed)`` for seeds 1-12,
-366 runs in all.  Each run gets a directory under OUT_DIR holding its
-problem text, its exit code, its stdout and stderr, and the DOT files it
-wrote.  ``diff -r`` of the OUT_DIRs of two checkouts is then the check
-that a change leaves every output byte as it was.
+and once more on every ``problems/*.txt`` with ``--sign-vector=-1,...``,
+every sign -1, which builds the mover gadget's double edges and directed
+4-cycle: 372 runs in all.  The sign vector is spelled with ``=`` so that
+checkouts whose CLI refuses a separate ``-1,...`` value can run it too.
+Each run gets a directory under OUT_DIR holding its problem text, its
+exit code, its stdout and stderr, and the DOT files it wrote.  A
+``diff -r`` of the OUT_DIRs of two checkouts is then the check that a
+change leaves every output byte as it was.
 
 The script imports ``perfbench/problems.py``, which imports nothing from
 altsep, and runs the CLI of this checkout's ``src`` in a child process.
@@ -20,6 +24,7 @@ Its name does not match ``test_*.py``, so pytest does not collect it.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,20 +34,27 @@ SEEDS = range(1, 13)
 
 
 def corpus():
-    """(run name, problem text) for every run of the corpus, in order."""
+    """(run name, problem text, extra CLI arguments) for every run of the
+    corpus, in order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import problems
 
-    for path in sorted((ROOT / "problems").glob("*.txt")):
-        yield f"file-{path.stem}", path.read_text()
+    files = sorted((ROOT / "problems").glob("*.txt"))
+    for path in files:
+        yield f"file-{path.stem}", path.read_text(), []
     for seed in SEEDS:
         for n, (problem, _exit_code) in enumerate(problems.certify_problems(seed)):
-            yield f"seed{seed:02d}-{n:02d}", problem.text()
+            yield f"seed{seed:02d}-{n:02d}", problem.text(), []
+    for path in files:
+        text = path.read_text()
+        rank = int(re.search(r"\brank\s*=\s*(\d+)", text).group(1))
+        yield (f"minus-{path.stem}", text,
+               ["--sign-vector=" + ",".join(["-1"] * rank)])
 
 
-def run(name: str, text: str, out_dir: Path, env) -> int:
-    """One CLI run, its outputs written to out_dir/name; returns its exit
-    code."""
+def run(name: str, text: str, args, out_dir: Path, env) -> int:
+    """One CLI run with the extra arguments ``args``, its outputs written
+    to out_dir/name; returns its exit code."""
     run_dir = out_dir / name
     dot_dir = run_dir / "dot"
     dot_dir.mkdir(parents=True)
@@ -50,7 +62,7 @@ def run(name: str, text: str, out_dir: Path, env) -> int:
     problem.write_text(text)
     done = subprocess.run(
         [sys.executable, "-m", "altsep.cli", "separate", str(problem),
-         "--emit-dot", str(dot_dir)],
+         "--emit-dot", str(dot_dir), *args],
         capture_output=True, env=env, check=False,
     )
     (run_dir / "exit_code").write_text(f"{done.returncode}\n")
@@ -71,8 +83,8 @@ def main(argv) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     counts = {}
-    for name, text in corpus():
-        code = run(name, text, out_dir, env)
+    for name, text, args in corpus():
+        code = run(name, text, args, out_dir, env)
         counts[code] = counts.get(code, 0) + 1
     summary = ", ".join(f"{n} exit {code}" for code, n in sorted(counts.items()))
     print(f"{sum(counts.values())} runs: {summary}")

@@ -116,6 +116,20 @@ def canonical_form(graph: LabeledGraph):
 # -- folding ------------------------------------------------------------------
 
 
+def is_folded(vertices, pairs) -> bool:
+    """Whether no slot, a (vertex, letter), is claimed by two of the
+    canonical pairs, each claiming one slot per orientation: a set of the
+    slots seen so far."""
+    seen = set()
+    for u, w, letter in pairs:
+        for s, _, lab in ((u, w, letter), (w, u, letter.inverse())):
+            key = (s, lab)
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
 def fold_violations(graph: LabeledGraph):
     """All (vertex, letter, target pair) conflicts: two distinct outgoing
     edges with one label."""

@@ -179,7 +179,7 @@ def test_cover_graphs_carry_their_adjacency(problem):
 def test_a_rejected_prime_builds_no_graph(monkeypatch):
     """Recognition rejects the first prime; the stage graphs are built
     from the adjacency once, for the accepted prime only."""
-    real_recognize, real_graph = permgroup.recognize_alt_sym, covers._graph
+    real_recognize, real_graph = permgroup.recognize_alt_sym, covers.from_adjacency
     degrees, built = [], []
 
     def other_first(gens, degree):
@@ -191,7 +191,7 @@ def test_a_rejected_prime_builds_no_graph(monkeypatch):
         return real_graph(*args)
 
     monkeypatch.setattr(permgroup, "recognize_alt_sym", other_first)
-    monkeypatch.setattr(covers, "_graph", counting)
+    monkeypatch.setattr(covers, "from_adjacency", counting)
     problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
     spec = parse_problem(problem.read_text())
     graph = build_subgroup_graph(spec).graph

@@ -11,13 +11,14 @@ from altsep.factors import (
     enumerate_group,
     subgroup_closure,
 )
-from altsep.covers import _complete, _graph, build_separating_cover
+from altsep.covers import _complete, build_separating_cover
 from altsep.graphs import (
     LabeledGraph,
     breadth_first_tree,
     build_graph,
     components,
     fold,
+    from_adjacency,
     saturation_defects,
     trace,
 )
@@ -325,7 +326,7 @@ def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
     graph's adjacency."""
     out = {v: dict(slots) for v, slots in graph.out.items()}
     _complete(out, graph.vertices, x_alphabet(rank)[::2])
-    return _graph(out, graph.base)
+    return from_adjacency(out, graph.base)
 
 
 def test_complete_single_vertex():

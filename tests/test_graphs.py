@@ -23,6 +23,7 @@ from oracles import (
     canonical_form,
     coset_graph_oracle,
     is_connected,
+    is_folded,
     merge_vertices,
     random_fold,
     spanning_tree,
@@ -186,6 +187,53 @@ def random_graph(rng):
         for _ in range(rng.randint(0, 2 * len(vertices)))
     }
     return build_graph(vertices, pairs, rng.choice(vertices))
+
+
+def test_write_pairs_contract_on_random_pairs():
+    """_write_pairs fills both slots of a pair when each is empty or holds
+    the pair already, and returns a pair that finds a slot holding another
+    edge, leaving both its slots as they were.  One call on a list acts as
+    one call per pair, in order, and writing present pairs again is no
+    clash."""
+    rng = random.Random(2028)
+    alphabet = [x(1), x(2), y(1)]
+    for _ in range(200):
+        vertices = rng.sample(range(60), rng.randint(1, 12))
+        pairs = [(rng.choice(vertices), rng.choice(vertices), rng.choice(alphabet))
+                 for _ in range(rng.randint(0, 2 * len(vertices)))]
+        out = {v: {} for v in vertices}
+        clashes = []
+        for u, w, letter in pairs:
+            inverse = letter.inverse()
+            expected = {v: dict(slots) for v, slots in out.items()}
+            if expected[u].get(letter, w) != w or expected[w].get(inverse, u) != u:
+                clashes.append((u, w, letter))
+                assert graphs._write_pairs(out, [(u, w, letter)]) == [(u, w, letter)]
+            else:
+                expected[u][letter], expected[w][inverse] = w, u
+                assert graphs._write_pairs(out, [(u, w, letter)]) == []
+            assert out == expected
+        batch = {v: {} for v in vertices}
+        assert graphs._write_pairs(batch, pairs) == clashes and batch == out
+        written = [pair for pair in pairs if pair not in clashes]
+        rng.shuffle(written)
+        assert graphs._write_pairs(batch, written) == [] and batch == out
+
+
+def test_make_graph_is_folded_exactly_when_the_oracle_says_so():
+    """make_graph's flag agrees with the slot-set oracle, and a folded
+    result carries the adjacency its pairs spell."""
+    rng = random.Random(2029)
+    for _ in range(200):
+        g = random_graph(rng)
+        built = make_graph(g.vertices, g.pairs, g.base)
+        assert built.folded == is_folded(g.vertices, g.pairs)
+        if built.folded:
+            rebuilt = {v: {} for v in g.vertices}
+            for u, w, letter in g.pairs:
+                rebuilt[u][letter] = w
+                rebuilt[w][letter.inverse()] = u
+            assert "out" in built.__dict__ and built.out == rebuilt
 
 
 def test_components_match_bfs_oracle_on_random_graphs():
