@@ -490,10 +490,11 @@ def main(argv=None) -> int:
     sep.add_argument("--verify-level", choices=("fast", "full"), default="fast",
                      help="'full' additionally verifies factor intersections")
 
-    # argparse takes the value in "--sign-vector -1,+1" for an option
+    # argparse takes the value in "--sign-vector -1,+1" for an option;
+    # every abbreviation it accepts ("--sign") is joined to its value too
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 2, -1, -1):
-        if argv[i] == "--sign-vector":
+        if len(argv[i]) > 2 and "--sign-vector".startswith(argv[i]):
             argv[i:i + 2] = [f"--sign-vector={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)

@@ -93,12 +93,18 @@ class FiniteGroupTable:
         return self._geodesic_words()[element]
 
     def word_element(self, word) -> int:
-        """Evaluate a y-word in the table."""
+        """Evaluate a y-word in the table, by one index into ``steps`` per
+        letter.  Raises ValueError for an x-letter or a y-letter that
+        names no generator."""
+        steps = self.steps
         out = self.identity
         for letter in word:
-            if letter.factor != "y":
-                raise ValueError(f"not a finite-factor letter: {letter}")
-            out = self.multiply(out, self.letter_element(letter))
+            step = steps.get(letter)
+            if step is None:
+                if letter.factor != "y":
+                    raise ValueError(f"not a finite-factor letter: {letter}")
+                raise ValueError(f"no generator y{letter.index}")
+            out = step[out]
         return out
 
 

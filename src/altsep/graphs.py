@@ -62,7 +62,8 @@ class LabeledGraph:
     @cached_property
     def _components(self):
         """factor -> the components of that factor, filled by
-        ``components`` on its first call for the factor."""
+        ``components`` on its first call for the factor; and (factor,
+        "cyclic") -> those with a cycle, filled by ``cyclic_components``."""
         return {}
 
     def step(self, vertex: int, letter: Letter):
@@ -167,10 +168,11 @@ class _UnionFind:
         return root
 
     def union(self, a, b):
-        """Merge classes; the smaller id survives (deterministic)."""
+        """Merge classes; the smaller id survives (deterministic) and is
+        returned, or None when a and b were in one class already."""
         a, b = self.find(a), self.find(b)
         if a == b:
-            return a
+            return None
         keep, drop = (a, b) if a < b else (b, a)
         self.parent[drop] = keep
         return keep
@@ -310,10 +312,11 @@ def components(graph: LabeledGraph, factor: str):
     vertex).  Vertices with no edge of the factor belong to no component.
 
     Cost: one union-find pass over the factor's pairs, one pass bucketing
-    vertices and pairs by root, and a sort of the component roots, so
-    O((|V| + |E|) * alpha + C log C) for C components, on the first call
-    for a graph and factor.  The result is kept on the graph, and later
-    calls copy the list, so callers may change the list they get.
+    them by root, and a sort of the component roots, so
+    O(|V| + |E| * alpha + C log C) for C components, where E is all of the
+    graph's pairs (both factors' are scanned), on the first call for a
+    graph and factor.  The result is kept on the graph, and later calls
+    copy the list, so callers may change the list they get.
     """
     found = graph._components.get(factor)
     if found is None:
@@ -321,27 +324,46 @@ def components(graph: LabeledGraph, factor: str):
     return list(found)
 
 
-def _components_of(graph: LabeledGraph, factor: str):
+def cyclic_components(graph: LabeledGraph, factor: str):
+    """The entries of ``components(graph, factor)`` whose subgraph has a
+    cycle, that is, is not a tree: same order, anchors and subgraphs.
+
+    Cost: the union-find pass of ``components``, which marks each class
+    in which a pair closes a cycle; only the pairs of marked classes are
+    bucketed, and only those classes get a subgraph.  The result is kept
+    on the graph apart from that of ``components``, and later calls copy
+    the list.
+    """
+    found = graph._components.get((factor, "cyclic"))
+    if found is None:
+        found = graph._components[factor, "cyclic"] = _components_of(
+            graph, factor, cyclic=True)
+    return list(found)
+
+
+def _components_of(graph: LabeledGraph, factor: str, cyclic=False):
     uf = _UnionFind(graph.vertices)
+    find = uf.find
     own = [pair for pair in graph.pairs if pair[2].factor == factor]
-    for u, w, _letter in own:
-        uf.union(u, w)
-    # every root is the least vertex of its class; a class without pairs
-    # is a vertex with no edge of the factor
+    # a pair whose ends are in one class already closes a cycle there
+    closing = [u for u, w, _letter in own if uf.union(u, w) is None]
+    marked = {find(u) for u in closing} if cyclic else None
+    if cyclic and not marked:
+        return ()
+    # every root is the least vertex of its class, and a class's members
+    # are the ends of its pairs: a vertex with no edge of the factor is in
+    # no component
     bucketed = {}
     for pair in own:
-        bucketed.setdefault(uf.find(pair[0]), []).append(pair)
-    groups = {}
-    for v in graph.vertices:
-        root = uf.find(v)
-        if root in bucketed:
-            groups.setdefault(root, []).append(v)
+        root = find(pair[0])
+        if marked is None or root in marked:
+            bucketed.setdefault(root, []).append(pair)
     out = []
-    for root in sorted(groups):
-        members = frozenset(groups[root])
-        pairs = frozenset(bucketed[root])
+    for root in sorted(bucketed):
+        pairs = bucketed[root]
+        members = frozenset(v for u, w, _letter in pairs for v in (u, w))
         anchor = graph.base if graph.base in members else root
-        out.append((LabeledGraph(members, pairs, anchor, graph.folded), anchor))
+        out.append((LabeledGraph(members, frozenset(pairs), anchor, graph.folded), anchor))
     return tuple(out)
 
 

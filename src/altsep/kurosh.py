@@ -21,8 +21,8 @@ from .graphs import (
     _UnionFind,
     breadth_first_tree,
     canonical_pair,
-    components,
-    is_tree,
+    components,  # unused here; perfbench's tracer self-test checks this binding
+    cyclic_components,
     trace,
     tree_path_word,
 )
@@ -58,17 +58,17 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     the anchor of a component is the base point if the component contains
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
+
+    Only the components with a cycle (``graphs.cyclic_components``) get a
+    subgraph and a spanning tree; a tree component adds no factor.
     """
     order, parent = breadth_first_tree(graph, graph.base)
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
 
-    cyclic = []
-    for factor in ("x", "y"):
-        for component, _anchor in components(graph, factor):
-            if not is_tree(component):
-                cyclic.append((component, factor))
+    cyclic = [(component, factor) for factor in ("x", "y")
+              for component, _anchor in cyclic_components(graph, factor)]
     cyclic.sort(key=lambda item: min(discovery[v] for v in item[0].vertices))
 
     # each factor's letters present in the graph, in sort-key order

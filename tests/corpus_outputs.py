@@ -12,17 +12,22 @@ every sign -1, which builds the mover gadget's double edges and directed
 4-cycle: 372 runs in all.  The sign vector is spelled with ``=`` so that
 checkouts whose CLI refuses a separate ``-1,...`` value can run it too.
 Each run gets a directory under OUT_DIR holding its problem text, its
-exit code, its stdout and stderr, and the DOT files it wrote.  A
-``diff -r`` of the OUT_DIRs of two checkouts is then the check that a
-change leaves every output byte as it was.
+exit code, its stdout and stderr, the DOT files it wrote, and a file
+``decomposition``: the eligibility verdict and Kurosh decomposition of
+the problem's subgroup graph (``oracles.decompose``).  A ``diff -r``
+of the OUT_DIRs of two checkouts is then the check that a change leaves
+every output byte as it was, decompositions included.
 
 The script imports ``perfbench/problems.py``, which imports nothing from
-altsep, and runs the CLI of this checkout's ``src`` in a child process.
+altsep, runs the CLI of this checkout's ``src`` in a child process, and
+decomposes in its own process with that same ``src`` first on its path,
+through ``decompose`` of ``oracles.py`` beside it.
 Its name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -31,6 +36,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 13)
+
+sys.path.insert(0, str(ROOT / "src"))
+from altsep import cli  # noqa: E402
+from oracles import decompose  # noqa: E402
+
+
+def decompose_text(text: str) -> str:
+    """``decompose`` of a problem text as JSON text, or the error that
+    stopped it."""
+    try:
+        record = decompose(cli.parse_problem(text))
+    except Exception as err:  # recorded, so that both checkouts are compared
+        return f"{type(err).__name__}: {err}\n"
+    return json.dumps(record, indent=1) + "\n"
 
 
 def corpus():
@@ -68,6 +87,7 @@ def run(name: str, text: str, args, out_dir: Path, env) -> int:
     (run_dir / "exit_code").write_text(f"{done.returncode}\n")
     (run_dir / "stdout").write_bytes(done.stdout)
     (run_dir / "stderr").write_bytes(done.stderr)
+    (run_dir / "decomposition").write_text(decompose_text(text))
     return done.returncode
 
 

@@ -5,14 +5,19 @@ the code paths under test: permutation groups by exhaustive closure,
 folding by exhaustive or random fold-order search, connectivity and
 canonical forms of based graphs by one breadth-first numbering, subgroup
 membership by breadth-first enumeration over normal forms or by
-re-running the graph fixpoint on a glued query path, membership queries
-and normal forms element by element (a coset key as a min over the loop
-subgroup, a y-letter as a table product), monochromatic components and
+re-running the graph fixpoint on a glued query path, membership queries,
+normal forms and y-words element by element (a coset key as a min over
+the loop subgroup, a y-letter as a table product), monochromatic components and
 spanning trees by plain breadth-first search, coset keys and the based
 fixpoint one component subgraph at a time or by a full rescan each
 round, the embedding of a y-component in its coset graph with cosets as
 element sets, kernel generating sets by the Schreier transversal
 construction, and words by one regex match per term.
+
+Not an oracle: ``decompose`` records a problem's eligibility verdict and
+Kurosh decomposition as JSON data, for the Kurosh pins
+(``test_kurosh_pins.py``) and the byte-identity corpus
+(``corpus_outputs.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import re
 from collections import deque
 from itertools import product
 
-from altsep import permgroup
+from altsep import kurosh, permgroup
 from altsep.cli import MAX_NUMBER_DIGITS, MAX_WORD_LENGTH, ProblemFormatError
 from altsep.factors import NotGBasedError, component_cosets, subgroup_closure
 from altsep.graphs import (
@@ -34,12 +39,13 @@ from altsep.graphs import (
     make_graph,
     trace,
 )
-from altsep.subgroups import based_fixpoint
+from altsep.subgroups import based_fixpoint, build_subgroup_graph, hypothesis_check
 from altsep.words import (
     free_reduce,
     normal_form,
     spell,
     word_inverse,
+    word_str,
     x_letter,
     y_letter,
 )
@@ -471,6 +477,17 @@ def fixpoint_contains(graph: LabeledGraph, table, word):
 # -- membership queries, element by element ------------------------------------
 
 
+def word_element_oracle(table, word):
+    """``FiniteGroupTable.word_element`` as a fold of ``multiply`` over
+    each letter's element, read by ``letter_element``."""
+    out = table.identity
+    for letter in word:
+        if letter.factor != "y":
+            raise ValueError(f"not a finite-factor letter: {letter}")
+        out = table.multiply(out, table.letter_element(letter))
+    return out
+
+
 def normal_form_oracle(word, table):
     """``words.normal_form`` with each y-letter's element read by
     ``letter_element`` and multiplied in by ``multiply``."""
@@ -602,6 +619,38 @@ def parse_word_oracle(text: str, rank: int, num_ygens: int, line: int):
         base = x_letter(index, sign) if factor == "x" else y_letter(index, sign)
         letters.extend([base] * abs(exponent))
     return tuple(letters)
+
+
+# -- recorded decompositions ------------------------------------------------------
+
+
+def decomposition_record(verdict, decomposition) -> dict:
+    """An eligibility verdict and a Kurosh decomposition as JSON data:
+    the verdict kind and its witness's vertices, the free rank, and per
+    factor its tag, anchor, approach word, loop words, component vertices
+    and pair count, and, for a finite-factor one, its subgroup's element
+    indices."""
+    witness = verdict.witness
+    return {
+        "verdict": verdict.kind,
+        "witness": None if witness is None else sorted(witness.vertices),
+        "free_rank": decomposition.free_rank,
+        "factors": [
+            {"factor": f.factor, "anchor": f.anchor, "approach": word_str(f.approach),
+             "loop_words": [word_str(w) for w in f.loop_words],
+             "vertices": sorted(f.component.vertices), "pairs": len(f.component.pairs),
+             "subgroup": None if f.subgroup is None else sorted(f.subgroup)}
+            for f in decomposition.factors
+        ],
+    }
+
+
+def decompose(spec) -> dict:
+    """``decomposition_record`` of a problem's subgroup graph, separator
+    paths included."""
+    graph = build_subgroup_graph(spec).graph
+    verdict = hypothesis_check(graph, spec.free.rank)
+    return decomposition_record(verdict, kurosh.kurosh_decompose(graph, spec.finite))
 
 
 # -- misc -----------------------------------------------------------------------

@@ -29,9 +29,11 @@ from conftest import make_spec
 from oracles import (
     component_cosets_oracle,
     coset_graph_oracle,
+    all_words,
     embed_Y_component,
     exhaustive_closure,
     random_raw_word,
+    word_element_oracle,
 )
 
 
@@ -75,6 +77,28 @@ def test_element_words_are_geodesic(s3):
         assert s3.word_element(word) == element
     lengths = sorted(len(s3.element_word(e)) for e in range(s3.order))
     assert lengths == [0, 1, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("group", ["s3", "a4"])
+def test_word_element_matches_the_multiply_fold(group, request):
+    table = request.getfixturevalue(group)
+    words = list(all_words(y_alphabet(table.num_generators), 4))
+    assert len(words) == 1 + 4 + 16 + 64 + 256
+    for word in words:
+        assert table.word_element(word) == word_element_oracle(table, word)
+
+
+def test_word_element_rejects_letters_it_cannot_evaluate(s3):
+    with pytest.raises(ValueError, match="not a finite-factor letter: x1"):
+        s3.word_element((y(1), x(1)))
+    with pytest.raises(ValueError, match="no generator y3"):
+        s3.word_element((y(1), y(3, -1)))
+    for word in [(y(1), x(1)), (y(1), y(3, -1))]:
+        with pytest.raises(ValueError) as oracle:
+            word_element_oracle(s3, word)
+        with pytest.raises(ValueError) as got:
+            s3.word_element(word)
+        assert str(got.value) == str(oracle.value)
 
 
 # -- subgroup closure --------------------------------------------------------------

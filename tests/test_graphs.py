@@ -9,6 +9,7 @@ from altsep.graphs import (
     build_graph,
     canonical_pair,
     components,
+    cyclic_components,
     fold,
     is_tree,
     make_graph,
@@ -272,6 +273,36 @@ def test_components_are_computed_once_per_graph_and_factor(monkeypatch):
                 assert got == bfs_components(g, factor)
             first.clear()  # a caller's list is its own
             assert components(g, factor) == second
+
+
+def test_cyclic_components_are_the_components_with_a_cycle():
+    """cyclic_components equals components less its trees, and the same
+    filter over the BFS oracle, on unfolded graphs and their folds, for
+    both factors, whether it runs before or after components on one graph
+    object."""
+    rng = random.Random(2030)
+    seen = {"unfolded": 0, "cyclic": 0}
+    for _ in range(200):
+        g = random_graph(rng)
+        seen["unfolded"] += not g.folded
+        for graph in (g, fold(g)[0]):
+            for factor in ("x", "y"):
+                oracle = [(members, pairs, anchor)
+                          for members, pairs, anchor in bfs_components(graph, factor)
+                          if len(pairs) != len(members) - 1]
+                first = LabeledGraph(graph.vertices, graph.pairs, graph.base, graph.folded)
+                second = LabeledGraph(graph.vertices, graph.pairs, graph.base, graph.folded)
+                early = cyclic_components(first, factor)
+                every = components(second, factor)
+                late = cyclic_components(second, factor)
+                want = [(c, a) for c, a in every if not is_tree(c)]
+                assert early == late == want
+                assert components(first, factor) == every
+                assert [(c.vertices, c.pairs, a) for c, a in early] == oracle
+                early.clear()  # a caller's list is its own
+                assert cyclic_components(first, factor) == want
+                seen["cyclic"] += bool(want)
+    assert seen["unfolded"] > 20 and seen["cyclic"] > 100
 
 
 def test_fold_independent_of_pair_order():
