@@ -45,7 +45,11 @@ from .covers import (
     word_action,
 )
 from .factors import component_cosets, enumerate_group
-from .graphs import LabeledGraph, _pair_key, components
+from .graphs import (
+    LabeledGraph,
+    _pair_key,
+    components,  # unused here; perfbench's tracer self-test checks this binding
+)
 from .kurosh import kurosh_decompose, verify_intersection
 from .subgroups import (
     FreeFactor,
@@ -268,6 +272,10 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise ProblemFormatError(
                     f"{prefix}{index} is out of sequence: {section} words must be "
                     f"{prefix}1..{prefix}m with no gaps", lineno)
+            if not word_text:
+                raise ProblemFormatError(
+                    f"{prefix}{index} is empty; write 1 for the identity",
+                    lineno, offset + 1)
             try:
                 word = parse_word(word_text, rank, len(raw_gens), lineno)
             except ProblemFormatError as err:
@@ -327,14 +335,18 @@ def run_separate(
     verify_level: str = "fast",
 ) -> RunOutcome:
     """Full pipeline: based graph, eligibility, separating cover, vertex
-    action, recognition, certificate.  Each invariant of a certificate is
-    checked once before the document is emitted: ``CoverPlan`` rejects a
-    non-prime degree; the cover's edge writes reject an edge whose slot
-    is taken, so the cover is folded; ``covers._attempt`` rejects an
-    unsaturated cover or an intransitive action; and ``_certificate``
-    checks the image order, the base point's and separators' images, and
-    with ``factors.component_cosets`` that every y-component of the cover
-    is a full coset graph."""
+    action, recognition, certificate.  The cover's size is known before
+    step 2 writes it; when that size + 5 passes ``max_prime``,
+    CoverSearchExhaustedError is raised at once.  Each invariant of a
+    certificate is checked once before the document is emitted:
+    ``CoverPlan`` rejects a non-prime degree; the cover's edge writes
+    reject an edge whose slot is taken, so the cover is folded;
+    ``covers._attempt`` rejects a cover of the wrong size, an unsaturated
+    cover or an intransitive action; and ``_certificate`` checks the
+    image order, the images of the base point and of the separators, read
+    through the cover's point numbering, and with
+    ``factors.component_cosets`` that every y-component of the cover is a
+    full coset graph."""
     if not spec.separate_words:
         raise ValueError("nothing to separate: no [separate] words")
     built = build_subgroup_graph(spec)
@@ -367,9 +379,15 @@ def run_separate(
 
 
 def _certificate(spec, built, result) -> dict:
-    graph = result.cover
+    """The certificate of an accepted cover, after its self-checks.  It
+    reads the plan, the images and the cover layer's point numbering
+    (``result.positions``), which places the base point and each
+    separator's traced end.  The vertex counts after step 2 and after
+    step 4 are the plan's k and p: ``choose_prime`` takes k from the
+    written cover, and ``covers._attempt`` checks p.  Of the cover graph
+    only the y-component check reads the adjacency."""
     plan = result.plan
-    positions = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    positions = result.positions
     base_point = positions[built.graph.base]
 
     order = permgroup.bsgs_order(list(result.images.values()), plan.degree)
@@ -394,7 +412,7 @@ def _certificate(spec, built, result) -> dict:
             {"word": word_str(word), "base_image_vertex": moved + 1, "separated": True}
         )
 
-    _check_y_components(spec.finite, graph)
+    _check_y_components(spec.finite, result.cover)
 
     images_cycles = {
         name: permgroup.format_cycles(perm) for name, perm in result.images.items()
@@ -412,9 +430,9 @@ def _certificate(spec, built, result) -> dict:
             "retries": result.retries,
             "vertex_counts": {
                 "subgroup_graph": len(built.graph.vertices),
-                "component_covers": len(result.stages["component_covers"].vertices),
-                "precover": len(result.stages["precover"].vertices),
-                "cover": len(graph.vertices),
+                "component_covers": plan.base_size,
+                "precover": plan.degree,
+                "cover": plan.degree,
             },
             "move_letter": f"x{result.params.move_letter}",
             "move_support": result.move_support,
@@ -426,10 +444,9 @@ def _certificate(spec, built, result) -> dict:
 def _check_y_components(table, graph: LabeledGraph):
     """Every y-component of an accepted cover is a full coset graph: its
     vertices lie on distinct cosets of its loop subgroup K, and there are
-    |G|/|K| of them.  The cover is saturated, so every coset's edges are
-    there too."""
-    anchors = [anchor for _component, anchor in components(graph, "y")]
-    for subgroup, keys in component_cosets(table, graph, anchors):
+    |G|/|K| of them, from whichever vertex its pass starts.  The cover is
+    saturated, so every coset's edges are there too."""
+    for subgroup, keys in component_cosets(table, graph):
         cosets = set(keys.values())
         if len(cosets) != len(keys) or len(cosets) * len(subgroup) != table.order:
             raise AssertionError("a y-component is not a full coset graph")
@@ -530,8 +547,10 @@ def main(argv=None) -> int:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
     except Exception as err:
-        # the input was validated above, so any other exception is a bug
-        print(f"altsep: internal error: {err}", file=sys.stderr)
+        # the input was validated above, so any other exception is a bug;
+        # one with no message (a MemoryError) is named by its type
+        print(f"altsep: internal error: {str(err) or type(err).__name__}",
+              file=sys.stderr)
         return 4
 
     if args.emit_dot:

@@ -16,8 +16,10 @@ The pipeline:
 2. embed every y-component into the coset graph of its loop subgroup K:
    its vertices keep their ids on the cosets their keys lie in, and the
    cosets it misses get fresh ids, so no vertex is merged; one coset
-   enumeration serves every y-component with the same K.  Complete every
-   other x-component in place;
+   enumeration serves every y-component with the same K.  The cosets
+   each y-component misses give the cover's size before anything is
+   written, and a size past ``max_prime`` - 5 stops the run there.
+   Complete every other x-component in place;
 3. pick a prime p >= |V| + 5, bridge the host's missing connect-letter
    slots through a chain gadget of length p - |V| - 4 and a four-vertex
    mover gadget, and complete the host's x-structure: the bridges fill
@@ -171,9 +173,16 @@ def word_action(images, word, point: int) -> int:
 
 @dataclass
 class SeparatingCover:
+    """The accepted cover and what the certificate reads of it.  The
+    images act on the points 0..p-1, and ``positions`` maps each cover
+    vertex to its point, in ascending vertex order; ``plan`` gives the
+    cover's size after step 2 (its base size) and after step 4 (its
+    degree)."""
+
     cover: LabeledGraph  # the based graph's vertices keep their ids
     plan: CoverPlan
     params: GadgetParams
+    positions: dict
     images: dict
     image_type: str
     retries: int
@@ -214,10 +223,6 @@ def build_separating_cover(
     signs = tuple(signs)
     if len(signs) != rank:
         raise ValueError(f"sign vector must have length {rank}")
-    # every plan's degree is at least |V| + 5: fail before building covers
-    if len(graph.vertices) + 5 > max_prime:
-        raise CoverSearchExhaustedError(
-            f"no recognized cover with prime degree <= {max_prime}")
 
     # Step 1: host component.
     xcomps = components(graph, "x")
@@ -230,12 +235,20 @@ def build_separating_cover(
     # Step 2: component covers, written into a copy of the based graph's
     # adjacency.  Every based-graph vertex keeps its id; coset c of a
     # y-component's cover is the vertex whose key lies in c, else the
-    # fresh id offset + c.
+    # fresh id offset + c.  Each y-component adds the cosets it misses, so
+    # the cover's size is known before anything is written, and every
+    # plan's degree is at least that size + 5.
+    cosets = component_cosets(table, graph, sorted(graph.vertices))
+    size = len(graph.vertices) + sum(table.order // len(subgroup) - len(keys)
+                                     for subgroup, keys in cosets)
+    if size + 5 > max_prime:
+        raise CoverSearchExhaustedError(
+            f"no recognized cover with prime degree <= {max_prime}")
     out = {v: dict(slots) for v, slots in graph.out.items()}
     offset = max(graph.vertices) + 1
     xs, ys = x_alphabet(rank)[::2], y_alphabet(table.num_generators)[::2]  # positive letters
     actions = {}  # loop subgroup -> its coset action
-    for subgroup, keys in component_cosets(table, graph, sorted(graph.vertices)):
+    for subgroup, keys in cosets:
         if subgroup not in actions:
             actions[subgroup] = coset_action(table, subgroup)
         element_to_coset, moves = actions[subgroup]
@@ -270,15 +283,14 @@ def build_separating_cover(
                 f"no recognized cover with prime degree <= {max_prime}")
         result = _attempt(spec, out, host_vertices, plan, params, a, b)
         if result is not None:
-            cover_out, loops, images, image_type, move_support = result
+            cover_out, loops, positions, images, image_type, move_support = result
             cover = from_adjacency(cover_out, graph.base)
             precover = LabeledGraph(cover.vertices, cover.pairs.difference(loops),
                                     graph.base, True)
             stages = {"component_covers": from_adjacency(out, graph.base),
                       "precover": precover, "cover": cover}
-            return SeparatingCover(
-                cover, plan, params, images, image_type, retries, stages, move_support
-            )
+            return SeparatingCover(cover, plan, params, positions, images, image_type,
+                                   retries, stages, move_support)
 
 
 def _attempt(spec, glued, host_vertices, plan, params, a, b):
@@ -331,7 +343,7 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     image_type = permgroup.recognize_alt_sym(list(images.values()), plan.degree)
     if image_type == permgroup.OTHER:
         return None
-    return out, loops, images, image_type, move_support
+    return out, loops, position, images, image_type, move_support
 
 
 def _immerse(out, pairs):

@@ -9,6 +9,7 @@ per generator.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from itertools import chain
 
 from . import permgroup
@@ -35,7 +36,6 @@ class FiniteGroupTable:
         self._inverses = tuple(
             self._index[permgroup.inverse(perm)] for perm in self.elements
         )
-        self._geodesics = None
         # Right multiplication by each y-letter as a table: steps[letter]
         # is the tuple t with t[a] = a*letter for every element a.  A
         # letter's inverse gets the inverse permutation of its table.
@@ -69,28 +69,26 @@ class FiniteGroupTable:
         element = self.generator_element(letter.index)
         return element if letter.sign > 0 else self.inverse(element)
 
+    @cached_property
     def _geodesic_words(self):
         """Shortest generator word per element, BFS with the fixed letter
         order y1, y1^-1, y2, ...; ties break toward earlier letters."""
-        if self._geodesics is not None:
-            return self._geodesics
-        letters = y_alphabet(self.num_generators)
+        steps = [(letter, self.steps[letter]) for letter in y_alphabet(self.num_generators)]
         words = {self.identity: ()}
         queue = deque([self.identity])
         while queue:
             current = queue.popleft()
-            for letter in letters:
-                target = self.multiply(current, self.letter_element(letter))
+            for letter, step in steps:
+                target = step[current]
                 if target not in words:
                     words[target] = words[current] + (letter,)
                     queue.append(target)
         if len(words) != self.order:
             raise AssertionError("generators do not generate the closed table")
-        self._geodesics = words
         return words
 
     def element_word(self, element: int) -> Word:
-        return self._geodesic_words()[element]
+        return self._geodesic_words[element]
 
     def word_element(self, word) -> int:
         """Evaluate a y-word in the table, by one index into ``steps`` per

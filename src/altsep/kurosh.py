@@ -27,7 +27,7 @@ from .graphs import (
     tree_path_word,
 )
 from .subgroups import MembershipTester
-from .words import Word, free_reduce, normal_form, word_inverse, x_alphabet
+from .words import Word, normal_form, word_inverse, x_alphabet
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,23 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     Only the components with a cycle (``graphs.cyclic_components``) get a
     subgraph and a spanning tree; a tree component adds no factor.
     """
-    order, parent = breadth_first_tree(graph, graph.base)
-    if len(order) != len(graph.vertices):
-        raise ValueError("graph must be connected")
-    discovery = {v: i for i, v in enumerate(order)}
-
-    cyclic = [(component, factor) for factor in ("x", "y")
-              for component, _anchor in cyclic_components(graph, factor)]
-    cyclic.sort(key=lambda item: min(discovery[v] for v in item[0].vertices))
-
     # each factor's letters present in the graph, in sort-key order
     letters = {"x": [], "y": []}
     for letter in sorted({pair[2] for pair in graph.pairs}, key=lambda l: l.sort_key):
         letters[letter.factor] += (letter, letter.inverse())
+    order, parent = breadth_first_tree(graph, graph.base, letters["x"] + letters["y"])
+    if len(order) != len(graph.vertices):
+        raise ValueError("graph must be connected")
+    discovery = {v: i for i, v in enumerate(order)}
+
+    # (anchor, component, factor), in the anchors' discovery order
+    cyclic = [(min(component.vertices, key=discovery.__getitem__), component, factor)
+              for factor in ("x", "y") for component, _root in cyclic_components(graph, factor)]
+    cyclic.sort(key=lambda item: discovery[item[0]])
+
     factors = []
     removed = set()
-    for component, factor in cyclic:
-        anchor = min(component.vertices, key=discovery.__getitem__)
+    for anchor, component, factor in cyclic:
         anchored = LabeledGraph(
             component.vertices, component.pairs, anchor, component.folded
         )
@@ -136,12 +136,6 @@ def _split_runs(graph: LabeledGraph, start: int, word):
     return runs, current
 
 
-def _run_is_identity(run_factor, letters, table):
-    if run_factor == "x":
-        return not free_reduce(tuple(letters))
-    return table.word_element(tuple(letters)) == table.identity
-
-
 def project_loop(
     graph: LabeledGraph,
     table: FiniteGroupTable,
@@ -177,8 +171,8 @@ def project_loop(
     while True:
         if all(run[0] == target_factor for run in runs):
             break
-        for index, (run_factor, letters, run_start) in enumerate(runs):
-            if _run_is_identity(run_factor, letters, table):
+        for index, (_factor, letters, run_start) in enumerate(runs):
+            if not normal_form(letters, table):
                 result = trace(graph, run_start, tuple(letters))
                 if result.vertex != run_start:
                     raise NotGBasedError(

@@ -9,8 +9,13 @@ runs ``altsep separate --emit-dot`` on every ``problems/*.txt`` and on the
 problems of ``perfbench/problems.certify_problems(seed)`` for seeds 1-12,
 and once more on every ``problems/*.txt`` with ``--sign-vector=-1,...``,
 every sign -1, which builds the mover gadget's double edges and directed
-4-cycle: 372 runs in all.  The sign vector is spelled with ``=`` so that
-checkouts whose CLI refuses a separate ``-1,...`` value can run it too.
+4-cycle.  Every problem file that certifies runs twice more, with the
+``--max-prime`` guards at their edges: once with k + 4, one below the
+least degree its cover could have, which exits 1, and once with the
+degree it certifies at, which certifies; k and the degree are read from
+``tests/golden/<name>/stdout.json``.  That is 382 runs in all.  The sign
+vector is spelled with ``=`` so that checkouts whose CLI refuses a
+separate ``-1,...`` value can run it too.
 Each run gets a directory under OUT_DIR holding its problem text, its
 exit code, its stdout and stderr, the DOT files it wrote, and a file
 ``decomposition``: the eligibility verdict and Kurosh decomposition of
@@ -69,6 +74,13 @@ def corpus():
         rank = int(re.search(r"\brank\s*=\s*(\d+)", text).group(1))
         yield (f"minus-{path.stem}", text,
                ["--sign-vector=" + ",".join(["-1"] * rank)])
+    for path in files:
+        golden = json.loads((ROOT / "tests" / "golden" / path.stem / "stdout.json").read_text())
+        if "degree" in golden:
+            k = golden["pipeline_stats"]["k"]
+            text = path.read_text()
+            yield f"below-{path.stem}", text, [f"--max-prime={k + 4}"]
+            yield f"at-{path.stem}", text, [f"--max-prime={golden['degree']}"]
 
 
 def run(name: str, text: str, args, out_dir: Path, env) -> int:

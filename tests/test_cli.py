@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import altsep
-from altsep import covers, permgroup
+from altsep import cli, covers, permgroup
 from altsep.cli import (
     MAX_FREE_RANK,
     MAX_PROBLEM_LETTERS,
@@ -374,9 +375,46 @@ def test_main_rejects_a_hostile_finite_factor_quickly(tmp_path, capsys, finite, 
      "[subgroup]\n[separate] g1 = x3\n", "line 2, column 1: rank defined twice"),
     ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n[finite] degree = 3\n"
      "[subgroup]\n[separate] g1 = x1\n", "line 3, column 1: degree defined twice"),
-], ids=["rank", "degree"])
+    ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n  y1: (1 2)\n"
+     "[separate] g1 = x1\n", "line 3, column 1: generator y1 defined twice"),
+    ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n"
+     "[subgroup] h1 = x1 ; h1 = x2\n[separate] g1 = x1\n",
+     "line 3, column 1: h1 defined twice"),
+], ids=["rank", "degree", "generator", "word"])
 def test_main_rejects_a_key_defined_twice(tmp_path, capsys, text, message):
     path = write(tmp_path, "twice.txt", text)
+    assert main(["separate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {message}\n"
+
+
+FINITE = "[finite] degree = 2 ; gens = y1: (1 2)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[free] rnk = 2\n" + FINITE + "[separate] g1 = x1\n",
+     "line 1, column 1: expected 'rank = <int>', got 'rnk = 2'"),
+    ("[free] rank = 2\n[finite] degre = 2 ; gens = y1: (1 2)\n[separate] g1 = x1\n",
+     "line 2, column 1: expected 'degree = <int>' or 'y<k>: <cycles>', got 'degre = 2'"),
+    ("[free] rank = 2\n" + FINITE + "[subgroup] k1 = x1\n[separate] g1 = x1\n",
+     "line 3, column 1: expected 'h<i> = <word>', got 'k1 = x1'"),
+    (FINITE + "[separate] g1 = x1\n", "line 1, column 1: missing [free] section with a rank"),
+    ("[free] rank = 2\n[finite] gens = y1: (1 2)\n[separate] g1 = x1\n",
+     "line 1, column 1: missing degree in [finite] section"),
+    ("[free] rank = 2\n[finite] degree = 2\n[separate] g1 = x1\n",
+     "line 1, column 1: missing generators in [finite] section"),
+    ("[free] rank = 2\n[finite] degree = 3 ; gens = y1: (1 2 4)\n[separate] g1 = x1\n",
+     "line 2, column 1: point 4 out of range 1..3"),
+    # an empty word is not the identity: "1" spells that
+    ("[free] rank = 2\n" + FINITE + "[subgroup] h1 = x1 ; h2 =   # nothing\n"
+     "[separate] g1 = x2\n", "line 3, column 26: h2 is empty; write 1 for the identity"),
+    ("[free] rank = 2\n" + FINITE + "[subgroup] h1 = x1\n[separate]\n  g1 =\n",
+     "line 5, column 7: g1 is empty; write 1 for the identity"),
+], ids=["rank", "finite", "word", "no-free", "no-degree", "no-generators", "cycle",
+        "empty-subgroup-word", "empty-separator"])
+def test_main_rejects_a_malformed_problem(tmp_path, capsys, text, message):
+    path = write(tmp_path, "bad.txt", text)
     assert main(["separate", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -562,6 +600,149 @@ def test_main_reports_any_exception_inside_the_pipeline_as_an_internal_error(
     assert captured.err == "altsep: internal error: 'no such coset'\n"
 
 
+def test_an_exception_with_no_message_is_named_by_its_type(capsys, monkeypatch):
+    def exhausted(table, subgroup):
+        raise MemoryError()
+
+    monkeypatch.setattr(covers, "coset_action", exhausted)
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    assert main(["separate", str(problem)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "altsep: internal error: MemoryError\n"
+
+
+def certify_with(monkeypatch, doctor):
+    """Exit code of the run on s3_conjugates.txt, with ``_certificate``
+    handed the (spec, built, result) that ``doctor`` makes of the real
+    ones."""
+    real = cli._certificate
+    monkeypatch.setattr(cli, "_certificate", lambda *args: real(*doctor(*args)))
+    problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
+    return main(["separate", str(problem)])
+
+
+def test_certificate_rejects_images_in_which_a_subgroup_word_moves_the_base(
+        capsys, monkeypatch):
+    """The points are relabeled by the transposition of the base point and
+    a point c that h1 moves: the image group and its order stay, and h1
+    now moves the base point."""
+    def relabel(spec, built, result):
+        base = result.positions[built.graph.base]
+        word = spec.subgroup_words[0]
+        c = next(c for c in range(result.plan.degree)
+                 if covers.word_action(result.images, word, c) != c)
+        swap = list(range(result.plan.degree))
+        swap[base], swap[c] = c, base
+        images = {name: tuple(swap[perm[swap[i]]] for i in range(len(perm)))
+                  for name, perm in result.images.items()}
+        return spec, built, dataclasses.replace(result, images=images)
+
+    assert certify_with(monkeypatch, relabel) == 4
+    assert capsys.readouterr().err == (
+        "altsep: internal error: a subgroup generator image moves the base point\n")
+
+
+def test_certificate_rejects_a_separator_image_off_its_traced_end(capsys, monkeypatch):
+    def misplace_end(spec, built, result):
+        positions = dict(result.positions)
+        end = built.separator_ends[0]
+        positions[end] = (positions[end] + 1) % result.plan.degree
+        return spec, built, dataclasses.replace(result, positions=positions)
+
+    assert certify_with(monkeypatch, misplace_end) == 4
+    assert capsys.readouterr().err == (
+        "altsep: internal error: separator action disagrees with its traced path\n")
+
+
+def test_certificate_rejects_a_separator_image_that_fixes_the_base(capsys, monkeypatch):
+    """The separator becomes h1, which ends at the base: its image and its
+    traced end agree, and both are the base point."""
+    def separate_h1(spec, built, result):
+        spec = dataclasses.replace(spec, separate_words=spec.subgroup_words[:1])
+        built = dataclasses.replace(built, separator_ends=(built.graph.base,))
+        return spec, built, result
+
+    assert certify_with(monkeypatch, separate_h1) == 4
+    assert capsys.readouterr().err == (
+        "altsep: internal error: separator image fixes the base point\n")
+
+
+def test_certificate_rejects_a_y_component_that_is_no_coset_graph(capsys, monkeypatch):
+    """A hand-built saturated cover on two vertices, in which y1 (of order
+    3 in S3) swaps them: both vertices lie on one coset of the loop
+    subgroup."""
+    edges = [(0, 1, y(1)), (1, 0, y(1))]
+    edges += [(v, v, letter) for v in (0, 1) for letter in (y(2), x(1), x(2))]
+    cover = build_graph([0, 1], edges, 0)
+
+    def swap_cover(spec, built, result):
+        return spec, built, dataclasses.replace(result, cover=cover)
+
+    assert certify_with(monkeypatch, swap_cover) == 4
+    assert capsys.readouterr().err == (
+        "altsep: internal error: a y-component is not a full coset graph\n")
+
+
+# The ROADMAP's oversized input: 400 y-components with a trivial loop
+# subgroup of S8, so a cover of 400 * 40,320 vertices.
+OVERSIZED = ("[free] rank = 2\n"
+             "[finite] degree = 8 ; gens = y1: (1 2 3 4 5 6 7 8); y2: (1 2)\n"
+             "[subgroup] h1 = " + " ".join(["x1 y1"] * 400) + "\n[separate] g1 = x2\n")
+
+UNDER_RLIMIT_AS = """
+import resource, sys
+limit = 1500 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from altsep.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_an_oversized_cover_exits_1_before_it_is_written(tmp_path):
+    """The planned cover size is past the default --max-prime, so the run
+    exits 1 before step 2 writes, under a 1.5 GB address-space limit."""
+    path = write(tmp_path, "oversized.txt", OVERSIZED)
+    src = Path(altsep.__file__).resolve().parent.parent
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-c", UNDER_RLIMIT_AS, "separate", path],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.monotonic() - started < 10
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"altsep: error: no recognized cover with prime degree <= {covers.DEFAULT_MAX_PRIME}\n")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CERTIFIED = sorted(p.stem for p in GOLDEN.iterdir()
+                   if "degree" in json.loads((p / "stdout.json").read_text()))
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_max_prime_guards_at_their_edges(name, capsys, monkeypatch):
+    """With --max-prime at the certified degree the run certifies as
+    before; at k + 4, one below any plan's degree, it exits 1 before any
+    cover slot is written."""
+    golden = (GOLDEN / name / "stdout.json").read_text()
+    problem = str(GOLDEN.parent.parent / "problems" / f"{name}.txt")
+    degree, k = json.loads(golden)["degree"], json.loads(golden)["pipeline_stats"]["k"]
+    assert main(["separate", problem, f"--max-prime={degree}"]) == 0
+    assert capsys.readouterr().out == golden
+
+    def unwritten(out, pairs):
+        raise AssertionError("a cover slot was written past the prime cap")
+
+    monkeypatch.setattr(covers, "_immerse", unwritten)
+    assert main(["separate", problem, f"--max-prime={k + 4}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: no recognized cover with prime degree <= {k + 4}\n"
+
+
 def test_a_colliding_gadget_edge_is_an_internal_error(capsys, monkeypatch):
     """Every edge of the cover is written into a slot that must be empty
     or already hold it.  A mover edge from vertex -1, which lands on the
@@ -611,6 +792,10 @@ def test_main_flags(tmp_path, capsys):
     assert main(["separate", path, "--max-prime", "7"]) == 1
     assert main(["separate", path, "--verify-level", "full"]) == 0
     capsys.readouterr()
+    assert main(["separate", path, "--sign-vector", "+2,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "altsep: error: bad sign '+2' (want +1 or -1)\n"
 
 
 def test_main_takes_a_sign_vector_that_starts_with_minus_one(tmp_path, capsys):

@@ -325,8 +325,10 @@ def test_pipeline_honors_prime_cap(z2):
 
 
 def test_prime_cap_below_the_first_plan_fails_before_building_covers(z2, monkeypatch):
-    """Every plan's degree is at least |V| + 5, so a cap below that fails
-    at once, with the usual message, before any component cover is built."""
+    """Every plan's degree is at least the planned cover size + 5, here
+    |V| + 5, as both y-components are full coset graphs already; a cap
+    below that fails at once, with the usual message, before any
+    component cover is built."""
     from altsep.covers import CoverSearchExhaustedError
 
     spec = make_spec(z2, subgroup_words=[(x(1), y(1), x(1, -1))],
@@ -345,6 +347,14 @@ def test_prime_cap_below_the_first_plan_fails_before_building_covers(z2, monkeyp
     # one more and the search starts: it reaches the y-component's cover
     with pytest.raises(AssertionError, match="past the prime cap"):
         build_separating_cover(spec, built.graph, verdict, max_prime=cap + 1)
+
+
+def test_build_separating_cover_rejects_a_sign_vector_of_the_wrong_length(z2):
+    spec = make_spec(z2, separate_words=[(x(1),)])
+    built = build_subgroup_graph(spec)
+    verdict = hypothesis_check(built.graph, 2)
+    with pytest.raises(ValueError, match="^sign vector must have length 2$"):
+        build_separating_cover(spec, built.graph, verdict, signs=(1, -1, 1))
 
 
 def test_pipeline_connect_letter_follows_first_defect(z2):

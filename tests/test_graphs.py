@@ -147,6 +147,12 @@ def test_trace_requires_folded():
         trace(g, 0, (x(1),))
 
 
+def test_trace_rejects_an_unknown_start_vertex():
+    g = build_graph([0, 1], [(0, 1, x(1))], 0)
+    with pytest.raises(ValueError, match="^unknown vertex 7$"):
+        trace(g, 7, (x(1),))
+
+
 def test_trace_deterministic():
     g = wedge_w4()
     first = trace(g, 0, (x(1), x(2), x(1)))
