@@ -503,7 +503,7 @@ def main(argv=None) -> int:
     sep.add_argument("--sign-vector", metavar="S",
                      help="comma-separated +1/-1 per free generator (default all +1)")
     sep.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME,
-                     help="largest prime degree to try before giving up")
+                     help="largest prime degree to try, at most %(default)s (the default)")
     sep.add_argument("--verify-level", choices=("fast", "full"), default="fast",
                      help="'full' additionally verifies factor intersections")
 
@@ -528,6 +528,8 @@ def main(argv=None) -> int:
         spec = parse_problem(text)
         if not spec.separate_words:
             raise ValueError("nothing to separate: no [separate] words")
+        if args.max_prime > DEFAULT_MAX_PRIME:
+            raise ValueError(f"--max-prime above {DEFAULT_MAX_PRIME}")
         signs = _parse_sign_vector(args.sign_vector) if args.sign_vector else None
         if signs is not None and len(signs) != spec.free.rank:
             raise ValueError(

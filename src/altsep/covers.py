@@ -28,17 +28,16 @@ The pipeline:
    cover, a loop per generator, without adding vertices.
 
 Steps 2-4 write the cover into one adjacency, vertex -> {letter ->
-target}, starting from a copy of the based graph's, through the slot
-writer of ``graphs``, which owns that format.  An edge that finds a slot
-holding another edge fails the immersion condition.  So the cover stays
-folded by construction, and it is saturated once every vertex has a slot
-for every letter.  Each generator's permutation of the p vertices is
-read off the adjacency, and recognition runs on those; no graph is built
-for a prime it rejects.  For the accepted prime the stage graphs
-(``component_covers``, ``precover``, ``cover``) are built once each, with
-no further fold check: ``graphs.from_adjacency`` builds the first and
-last, which carry their adjacency as their ``out``, and the precover is
-the cover less step 4's loops, which only filled empty slots.
+target}, the store of a folded graph, through the slot writer of
+``graphs``: an edge that finds a slot taken fails the immersion
+condition, so the cover stays folded by construction, and it is
+saturated once every vertex has a slot for every letter.  Recognition
+runs on the generators' permutations read off the adjacency, so no graph
+is built for a prime it rejects.  Step 4 writes its loops into fresh
+slot dicts, leaving step 3's adjacency as the precover; for the accepted
+prime ``graphs.from_adjacency`` makes each stage graph
+(``component_covers``, ``precover``, ``cover``) of its adjacency, with no
+fold check and no pair set, which only ``--emit-dot`` reads off.
 """
 
 from __future__ import annotations
@@ -283,29 +282,30 @@ def build_separating_cover(
                 f"no recognized cover with prime degree <= {max_prime}")
         result = _attempt(spec, out, host_vertices, plan, params, a, b)
         if result is not None:
-            cover_out, loops, positions, images, image_type, move_support = result
+            precover_out, cover_out, positions, images, image_type, move_support = result
             cover = from_adjacency(cover_out, graph.base)
-            precover = LabeledGraph(cover.vertices, cover.pairs.difference(loops),
-                                    graph.base, True)
             stages = {"component_covers": from_adjacency(out, graph.base),
-                      "precover": precover, "cover": cover}
+                      "precover": from_adjacency(precover_out, graph.base), "cover": cover}
             return SeparatingCover(cover, plan, params, positions, images, image_type,
                                    retries, stages, move_support)
 
 
 def _attempt(spec, glued, host_vertices, plan, params, a, b):
-    """Steps 3 and 4 for one prime, on a copy of the glued adjacency, then
-    recognition on the generators' permutations read off that copy.
-    Returns None when the image is neither alternating nor symmetric; no
-    graph is built either way."""
+    """Steps 3 and 4 for one prime in a shallow copy of the glued
+    adjacency, then recognition on the permutations read off the result.
+    Returns None when the image is neither alternating nor symmetric,
+    else the precover's and the cover's adjacencies and what the
+    certificate reads; no graph is built either way."""
     table = spec.finite
     rank = spec.free.rank
     connect, move = params.connect_letter, params.move_letter
-    out = {v: dict(slots) for v, slots in glued.items()}
+    out = dict(glued)
+    out.update((v, dict(glued[v])) for v in host_vertices)
 
     # Step 3: bridge the gaps a -> chain -> mover -> b.  That fills the
     # gadgets' only open slots, so completing the host's x-structure
-    # completes the connect component, host + chain + mover.
+    # completes the connect component, host + chain + mover.  Of the glued
+    # vertices it writes only the host's, so only those slots are copied.
     chain = chain_gadget(plan.chain_length, rank, connect)
     mover = mover_gadget(params.signs, rank, connect, move)
     off1 = max(glued) + 1
@@ -317,23 +317,25 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     _immerse(out, [(a, off1, cl), (off2 - 1, off2, cl), (off2 + 1, b, cl)])
     _complete(out, host_vertices, x_alphabet(rank)[::2])
 
-    # Step 4: a vertex with no edge of a factor gets that factor's
-    # one-vertex cover, a loop per generator; no new vertices.
+    # Step 4: a vertex with no edge of a factor gets that factor's one-vertex
+    # cover, a loop per generator, in fresh slots: step 3's adjacency is the precover.
     alphabets = (x_alphabet(rank), y_alphabet(table.num_generators))
     loops = [(v, v, letter) for alphabet in alphabets
              for v, slots in out.items() if slots.keys().isdisjoint(alphabet)
              for letter in alphabet[::2]]
-    _immerse(out, loops)
+    cover = dict(out)
+    cover.update((v, dict(out[v])) for v in {v for v, _v, _letter in loops})
+    _immerse(cover, loops)
 
-    if len(out) != plan.degree:
+    if len(cover) != plan.degree:
         raise AssertionError("final cover has the wrong number of vertices")
     letters = sum(map(len, alphabets))
-    if any(len(slots) != letters for slots in out.values()):
+    if any(len(slots) != letters for slots in cover.values()):
         raise AssertionError("final graph is not saturated")
 
-    order = sorted(out)
+    order = sorted(cover)
     position = {v: i for i, v in enumerate(order)}
-    images = {str(letter): tuple(position[out[v][letter]] for v in order)
+    images = {str(letter): tuple(position[cover[v][letter]] for v in order)
               for alphabet in alphabets for letter in alphabet[::2]}
     if not permgroup.orbit_transitive(list(images.values()), plan.degree)[1]:
         raise AssertionError("final cover is not connected")
@@ -343,7 +345,7 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     image_type = permgroup.recognize_alt_sym(list(images.values()), plan.degree)
     if image_type == permgroup.OTHER:
         return None
-    return out, loops, position, images, image_type, move_support
+    return out, cover, position, images, image_type, move_support
 
 
 def _immerse(out, pairs):

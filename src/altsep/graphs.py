@@ -1,25 +1,23 @@
 """Finite labeled graphs with involutive edges, and folding.
 
-A labeled graph stores each edge/inverse-edge pair once, in the canonical
-orientation whose letter has positive sign: the stored pair (u, w, x1)
-represents the edge u --x1--> w together with its involution partner
-w --x1^-1--> u.  A folded graph also has an adjacency, vertex -> {letter
--> target}, and this module owns that format: ``_write_pairs`` writes
-every slot of one, and ``from_adjacency`` turns one into a graph.
-Graphs are immutable; every operation returns a new graph.
-``fold`` is the only operation that merges vertices, and it also returns
-the induced vertex map.
-
-A graph is *folded* when no vertex has two distinct outgoing edges with the
-same letter.  Folding is confluent, so ``fold`` picks its own order; the
-test suite checks confluence against random fold orders.
+An edge u --x1--> w and its involution partner w --x1^-1--> u are one
+edge pair, named canonically by the orientation whose letter has
+positive sign: (u, w, x1).  A graph is *folded* when no vertex has two
+outgoing edges with the same letter, and a folded graph is stored as its
+adjacency ``out``, vertex -> {letter -> target}, in the format this
+module owns: ``_write_pairs`` writes every slot of one, and
+``from_adjacency`` makes one a graph, whose ``pairs`` are read off its
+positive-sign slots when first asked for.  A graph made from pairs keeps
+them, and a folded one writes its adjacency from them when first read.
+Graphs are immutable.  ``fold`` is the only operation that merges
+vertices; folding is confluent, so it picks its own order, and the test
+suite checks that against random fold orders.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
 
 from .words import Letter
 
@@ -38,33 +36,53 @@ def _pair_key(pair):
     return (u, letter.sort_key, w)
 
 
-@dataclass(frozen=True)
 class LabeledGraph:
-    vertices: frozenset
-    pairs: frozenset
-    base: int
-    folded: bool
+    """Vertices, canonical edge pairs, base vertex and whether the graph
+    is folded; equality and hashing read these four.  Immutable."""
 
-    @cached_property
+    __slots__ = ("vertices", "base", "folded", "_pairs", "_out", "_components")
+
+    def __init__(self, vertices, pairs, base, folded):
+        for name, value in zip(self.__slots__, (vertices, base, folded, pairs, None, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LabeledGraph, (self.vertices, self.pairs, self.base, self.folded)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    @property
+    def pairs(self):
+        """Canonical edge pairs, a frozenset; a graph built by
+        ``from_adjacency`` reads them off its positive-sign slots once."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", frozenset(
+                (u, w, letter) for u, slots in self._out.items()
+                for letter, w in slots.items() if letter.sign > 0))
+        return self._pairs
+
+    @property
     def out(self):
-        """Adjacency of a folded graph: vertex -> {letter -> target}.
-        Written from the pairs on first use, except for a graph built by
-        ``from_adjacency`` (by ``make_graph``, ``fold`` or ``covers``),
-        which carries the adjacency it was built from; ``fold`` shares the
-        slot dicts of unchanged vertices with the graph it folded.  Treat
-        it as read-only.  Raises ValueError on an unfolded graph."""
-        if not self.folded:
-            raise ValueError("adjacency requires a folded graph")
-        table = {v: {} for v in self.vertices}
-        _write_pairs(table, self.pairs)
-        return table
-
-    @cached_property
-    def _components(self):
-        """factor -> the components of that factor, filled by
-        ``components`` on its first call for the factor; and (factor,
-        "cyclic") -> those with a cycle, filled by ``cyclic_components``."""
-        return {}
+        """Adjacency of a folded graph: vertex -> {letter -> target}; that
+        of ``from_adjacency``, else written once from the pairs on first
+        use.  Treat it as read-only: ``fold`` shares the slot dicts of
+        unchanged vertices.  Raises ValueError on an unfolded graph."""
+        if self._out is None:
+            if not self.folded:
+                raise ValueError("adjacency requires a folded graph")
+            table = {v: {} for v in self.vertices}
+            _write_pairs(table, self._pairs)
+            object.__setattr__(self, "_out", table)
+        return self._out
 
     def step(self, vertex: int, letter: Letter):
         """Unique out-neighbor along ``letter``, or None.  Requires folded."""
@@ -111,26 +129,22 @@ def _write_pairs(out, pairs):
     return clashes
 
 
-def from_adjacency(out, base, pairs=None) -> LabeledGraph:
-    """The folded graph an adjacency spells, carrying it as its ``out``.
-    ``pairs`` are its canonical pairs when the caller keeps them; by
-    default each is read at its slot of positive sign."""
-    if pairs is None:
-        pairs = [(u, w, letter) for u, slots in out.items()
-                 for letter, w in slots.items() if letter.sign > 0]
-    graph = LabeledGraph(frozenset(out), frozenset(pairs), base, True)
-    graph.__dict__["out"] = out  # fills the cached property
+def from_adjacency(out, base) -> LabeledGraph:
+    """The folded graph an adjacency spells, with it as its ``out``; its
+    pairs are read off the adjacency when first asked for."""
+    graph = LabeledGraph(frozenset(out), None, base, True)
+    object.__setattr__(graph, "_out", out)
     return graph
 
 
 def make_graph(vertices, pairs, base) -> LabeledGraph:
-    """Assemble a graph from canonical pairs; it is folded, and carries
-    their adjacency, exactly when no pair clashes."""
+    """Assemble a graph from canonical pairs; it is folded, and is the
+    adjacency they spell, exactly when no pair clashes."""
     out = {v: {} for v in vertices}
     pairs = frozenset(pairs)
     if _write_pairs(out, pairs):
         return LabeledGraph(frozenset(out), pairs, base, False)
-    return from_adjacency(out, base, pairs)
+    return from_adjacency(out, base)
 
 
 def build_graph(vertices, edges, base) -> LabeledGraph:
@@ -185,45 +199,36 @@ def fold(graph: LabeledGraph, merge=()):
     graph, total vertex map).  Raises ValueError for a group naming an
     unknown vertex.
 
-    Both inputs start from a folded adjacency.  A folded input has it as
-    its ``out``.  An unfolded input has its pairs written into empty slots
-    by ``_write_pairs``, which leaves out the clashing pairs.  Once every
-    pair is read, each slot a clashing pair finds taken has its target
-    identified with the pair's own end there, as a merge group is; the
-    pair's image is then the image of the pair that holds the slot.  From
-    there the two inputs take one path.  It starts from a shallow copy of
-    the adjacency and copies a vertex's slots when the vertex first
-    survives a merge.
-    Merging two classes is the same step for a merge group, a clash and
-    two edges that collide later: union them and replay only the dropped
-    class's slots onto the survivor.  Only the survivors and the
-    neighbours of dropped vertices (the targets of their slots) can hold a
-    stale target, so only their slots are resolved, and the result's pairs
-    are the input's, less the clashing pairs and those at these vertices,
-    plus those read off their resolved slots.  The starting adjacency is
-    never written, so a folded input's ``out`` stays as it was.  The
-    result carries the adjacency built here as its ``out``.
+    Both inputs start from a folded adjacency: a folded input's ``out``,
+    or an unfolded input's pairs written into empty slots by
+    ``_write_pairs``, less the clashing pairs.  Each slot a clashing pair
+    finds taken then has its target identified with the pair's own end
+    there, as a merge group is.  Merging two classes is one step for a
+    merge group, a clash and two edges that collide later: union them and
+    replay only the dropped class's slots onto the survivor, in a shallow
+    copy of the adjacency that copies a vertex's slots when the vertex
+    first survives a merge.  Only the survivors and the neighbours of
+    dropped vertices can hold a stale target, so only their slots are
+    resolved.  The starting adjacency is never written.  The result is
+    the adjacency built here, with no pair set kept beside it: its pairs
+    are read off it only if something asks for them.
 
-    Cost: on unfolded input, one Python step per pair to read it, and
-    none per pair on folded input.  Then, for both, the union-find work of
-    the merges, the clashes and the folds they cause, one replay per
-    edge slot of each vertex merged away, and O(d) to resolve the d slots
-    at the vertices above.  What is left of O(|V| + |E|) are whole-set
-    copies (the adjacency's top level, the union-find map, the vertex and
-    pair sets) with no Python step per vertex.  The groups and edge pairs
-    are consumed in the order given: the quotient is unique and every
-    class is named by its least vertex (``_UnionFind.union`` keeps the
-    smaller id), so neither the result nor the vertex map depends on that
-    order.
+    Cost: one Python step per pair to read an unfolded input, none on a
+    folded one; then the union-find work of the merges, the clashes and
+    the folds they cause, one replay per slot of each vertex merged away,
+    and O(d) for the d slots resolved.  The rest of O(|V| + |E|) is
+    whole-set copies (the adjacency's top level, the union-find map, the
+    vertex set) with no Python step per vertex.  Every class is named by
+    its least vertex (``_UnionFind.union`` keeps the smaller id), so
+    neither the result nor the vertex map depends on the order of the
+    groups and pairs.
     """
-    pairs = set(graph.pairs)
     if graph.folded:
         start = graph.out
         clashes = ()
     else:
         start = {v: {} for v in graph.vertices}
         clashes = _write_pairs(start, graph.pairs)
-        pairs.difference_update(clashes)
     uf = _UnionFind(graph.vertices)
     find = uf.find
     work = deque()
@@ -274,18 +279,9 @@ def fold(graph: LabeledGraph, merge=()):
     for v in dropped:
         changed.update(start[v].values())
     for v in changed:
-        for letter, target in start[v].items():
-            pairs.discard(canonical_pair(v, target, letter))
-    for v in changed:
-        slots = out.get(v)
-        if slots is None:
-            continue
-        if v not in owned:
-            slots = out[v] = dict(slots)
-        for letter, target in slots.items():
-            target = slots[letter] = vmap[target]
-            pairs.add(canonical_pair(v, target, letter))
-    return from_adjacency(out, vmap[graph.base], pairs), vmap
+        if v in out:
+            out[v] = {letter: vmap[target] for letter, target in out[v].items()}
+    return from_adjacency(out, vmap[graph.base]), vmap
 
 
 def trace(graph: LabeledGraph, start: int, word) -> TraceResult:

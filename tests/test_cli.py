@@ -700,21 +700,24 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_an_oversized_cover_exits_1_before_it_is_written(tmp_path):
-    """The planned cover size is past the default --max-prime, so the run
-    exits 1 before step 2 writes, under a 1.5 GB address-space limit."""
+    """The planned cover size is past the default --max-prime, and no
+    larger cap is accepted, so the run exits 1 before step 2 writes,
+    under a 1.5 GB address-space limit."""
     path = write(tmp_path, "oversized.txt", OVERSIZED)
     src = Path(altsep.__file__).resolve().parent.parent
-    started = time.monotonic()
-    result = subprocess.run(
-        [sys.executable, "-c", UNDER_RLIMIT_AS, "separate", path],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert time.monotonic() - started < 10
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
-        f"altsep: error: no recognized cover with prime degree <= {covers.DEFAULT_MAX_PRIME}\n")
+    cap = covers.DEFAULT_MAX_PRIME
+    for options, error in [([], f"no recognized cover with prime degree <= {cap}"),
+                           (["--max-prime", "20000000"], f"--max-prime above {cap}")]:
+        started = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-c", UNDER_RLIMIT_AS, "separate", path, *options],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert time.monotonic() - started < 10
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"altsep: error: {error}\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from altsep import covers, permgroup
-from altsep.cli import parse_problem, run_separate
+from altsep.cli import export_dot, parse_problem, run_separate
 from altsep.covers import (
     CoverPlan,
     HypothesisNotSatisfiedError,
@@ -160,25 +160,53 @@ def test_generator_images_are_the_edge_action_on_the_cover(problem):
     assert outcome.document["generator_images"] == action
 
 
+STAGES = ("component_covers", "precover", "cover")
+
+
 @pytest.mark.parametrize("problem", PROBLEM_FILES, ids=lambda p: p.stem)
-def test_cover_graphs_carry_their_adjacency(problem):
-    """The cover and the component covers come with the adjacency they
-    were written into as their ``out``, and it is the one their pairs
-    spell."""
+def test_cover_graphs_carry_their_adjacency(problem, monkeypatch):
+    """Each stage graph of the cover layer has the adjacency it was
+    built from as its ``out``, and its pairs are the ones that spell
+    that adjacency."""
     spec = parse_problem(problem.read_text())
     graph = build_subgroup_graph(spec).graph
     verdict = hypothesis_check(graph, spec.free.rank)
     if verdict.kind == VERDICT_NOT_APPLICABLE:
         return
+    written, real_graph = [], covers.from_adjacency
+
+    def recording(out, base):
+        written.append(out)
+        return real_graph(out, base)
+
+    monkeypatch.setattr(covers, "from_adjacency", recording)
     result = build_separating_cover(spec, graph, verdict)
-    for built in (result.cover, result.stages["component_covers"]):
-        assert "out" in built.__dict__
+    stages = [result.stages[name] for name in STAGES]
+    assert result.cover is result.stages["cover"]
+    assert sorted(map(id, written)) == sorted(id(built.out) for built in stages)
+    for built in stages:
         assert built.out == LabeledGraph(built.vertices, built.pairs, built.base, True).out
+
+
+@pytest.mark.parametrize("problem", PROBLEM_FILES, ids=lambda p: p.stem)
+def test_a_run_builds_no_pair_set_of_its_cover_graphs(problem, monkeypatch):
+    """A certify run reads the cover layer's stage graphs through their
+    adjacency only, so none of them reads its pairs off it; written as
+    DOT, which does, every stage graph is its golden file."""
+    read, real = [], LabeledGraph.pairs
+    monkeypatch.setattr(LabeledGraph, "pairs", property(lambda g: read.append(g) or real.fget(g)))
+    outcome = run_separate(parse_problem(problem.read_text()))
+    stages = [outcome.stages[name] for name in STAGES if name in outcome.stages]
+    assert len(stages) == (3 if outcome.exit_code == 0 else 0)
+    assert not any(graph is stage for graph in read for stage in stages)
+    golden = Path(__file__).resolve().parent / "golden" / problem.stem
+    for name, stage in outcome.stages.items():
+        assert export_dot(stage, name) == (golden / f"{name}.dot").read_text()
 
 
 def test_a_rejected_prime_builds_no_graph(monkeypatch):
     """Recognition rejects the first prime; the stage graphs are built
-    from the adjacency once, for the accepted prime only."""
+    from the adjacency once each, for the accepted prime only."""
     real_recognize, real_graph = permgroup.recognize_alt_sym, covers.from_adjacency
     degrees, built = [], []
 
@@ -187,7 +215,7 @@ def test_a_rejected_prime_builds_no_graph(monkeypatch):
         return permgroup.OTHER if len(degrees) == 1 else real_recognize(gens, degree)
 
     def counting(*args):
-        built.append(args)
+        built.append(degrees[-1])
         return real_graph(*args)
 
     monkeypatch.setattr(permgroup, "recognize_alt_sym", other_first)
@@ -197,9 +225,10 @@ def test_a_rejected_prime_builds_no_graph(monkeypatch):
     graph = build_subgroup_graph(spec).graph
     result = build_separating_cover(spec, graph, hypothesis_check(graph, spec.free.rank))
     assert degrees == [13, 17] and result.retries == 1
-    assert len(built) == 2
+    assert built == [17, 17, 17]
     stages = result.stages
     assert len(stages["component_covers"].vertices) < len(stages["cover"].vertices) == 17
+    assert stages["precover"].vertices == stages["cover"].vertices
     assert stages["precover"].pairs < stages["cover"].pairs
 
 

@@ -11,6 +11,7 @@ from altsep.graphs import (
     components,
     cyclic_components,
     fold,
+    from_adjacency,
     is_tree,
     make_graph,
     saturation_defects,
@@ -228,8 +229,10 @@ def test_write_pairs_contract_on_random_pairs():
 
 
 def test_make_graph_is_folded_exactly_when_the_oracle_says_so():
-    """make_graph's flag agrees with the slot-set oracle, and a folded
-    result carries the adjacency its pairs spell."""
+    """make_graph's flag agrees with the slot-set oracle.  A folded graph
+    is the adjacency its pairs spell: a graph built from that adjacency
+    has it as its ``out`` and reads those pairs off it, and it equals,
+    and hashes as, the graph built from the pairs."""
     rng = random.Random(2029)
     for _ in range(200):
         g = random_graph(rng)
@@ -240,7 +243,12 @@ def test_make_graph_is_folded_exactly_when_the_oracle_says_so():
             for u, w, letter in g.pairs:
                 rebuilt[u][letter] = w
                 rebuilt[w][letter.inverse()] = u
-            assert "out" in built.__dict__ and built.out == rebuilt
+            paired = LabeledGraph(g.vertices, g.pairs, g.base, True)
+            spelled = from_adjacency(rebuilt, g.base)
+            assert hash(spelled) == hash(paired) and spelled == paired
+            assert spelled.out is rebuilt and spelled.pairs == g.pairs
+            assert paired.out == rebuilt and built.out == rebuilt
+            assert built == paired and hash(built) == hash(paired)
 
 
 def test_components_match_bfs_oracle_on_random_graphs():
