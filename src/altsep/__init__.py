@@ -15,12 +15,10 @@ from .words import Letter, Word, x_letter, y_letter, word_str
 from .graphs import (
     LabeledGraph,
     TraceResult,
-    SaturationDefect,
     build_graph,
     fold,
     trace,
     components,
-    saturation_defects,
 )
 from .factors import (
     FiniteGroupTable,

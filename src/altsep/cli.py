@@ -17,7 +17,8 @@ is alternating or symmetric, one record per separated word, and pipeline
 statistics.  Rejections print a machine-readable reason and exit 2 when
 the eligibility check fails (HypothesisNotSatisfied) or 3 when a word to
 separate already lies in the subgroup (GammaClosed).  Input errors exit 1,
-as does a prime search that reaches ``--max-prime``.  Any other exception
+as do a prime search that reaches ``--max-prime`` and an oversized
+``--verify-level full``.  Any other exception
 raised inside the pipeline once the input has been validated, be it a
 failed internal self-check (an AssertionError) or any other bug, prints
 ``altsep: internal error: ...`` and exits 4, so a broken invariant never
@@ -62,6 +63,10 @@ from .words import Word, word_str, x_letter, y_letter
 STAGE_NAMES = ("subgroup_graph", "component_covers", "precover", "cover")
 
 
+class VerificationTooLargeError(Exception):
+    """``--verify-level full`` would make more than MAX_VERIFY_CHECKS checks."""
+
+
 class ProblemFormatError(ValueError):
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")
@@ -93,6 +98,12 @@ MAX_FREE_RANK = 1_000
 # digits).  Checked before the digits become an int, so a 5,000-digit
 # exponent is refused at its line and column.
 MAX_NUMBER_DIGITS = 100
+
+# Most membership checks ``--verify-level full`` may make, counted from the
+# decomposition before the first: 2r(2r-1)^(l-1) x-words of each length
+# l <= VERIFY_RADIUS per free-factor factor, |G| - 1 per finite-factor one.
+MAX_VERIFY_CHECKS = 500_000
+VERIFY_RADIUS = 4
 _LONG_NUMBER_RE = re.compile(r"\d{%d}" % (MAX_NUMBER_DIGITS + 1))
 
 
@@ -454,7 +465,15 @@ def _check_y_components(table, graph: LabeledGraph):
 
 def _full_verification(spec, graph, stream):
     decomposition = kurosh_decompose(graph, spec.finite)
-    report = verify_intersection(graph, spec.finite, spec.free.rank, decomposition, 4)
+    r = spec.free.rank
+    ball = sum(2 * r * (2 * r - 1) ** (length - 1) for length in range(1, VERIFY_RADIUS + 1))
+    planned = sum(ball if factor.factor == "x" else spec.finite.order - 1
+                  for factor in decomposition.factors)
+    if planned > MAX_VERIFY_CHECKS:
+        raise VerificationTooLargeError(
+            f"--verify-level full would make {planned} membership checks, "
+            f"more than {MAX_VERIFY_CHECKS}")
+    report = verify_intersection(graph, spec.finite, r, decomposition, VERIFY_RADIUS)
     checked = sum(c.checked for c in report.checks)
     print(
         f"verify: factors={len(report.checks)} checks={checked} "
@@ -545,7 +564,7 @@ def main(argv=None) -> int:
             max_prime=args.max_prime,
             verify_level=args.verify_level,
         )
-    except CoverSearchExhaustedError as err:
+    except (CoverSearchExhaustedError, VerificationTooLargeError) as err:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
     except Exception as err:

@@ -11,8 +11,8 @@ candidate primes are tried in ascending order until recognition succeeds.
 
 The pipeline:
 
-1. pick the host component (a deficient cyclic x-component, else any tree
-   x-component, else the bare base vertex);
+1. pick the host component: the verdict's deficient witness, else the
+   first x-component (all are trees), else the bare base vertex;
 2. embed every y-component into the coset graph of its loop subgroup K:
    its vertices keep their ids on the cosets their keys lie in, and the
    cosets it misses get fresh ids, so no vertex is merged; one coset
@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .factors import NotGBasedError, component_cosets, coset_action
-from .graphs import LabeledGraph, _write_pairs, components, from_adjacency, is_tree
+from .graphs import LabeledGraph, _write_pairs, components, from_adjacency
 from . import permgroup
 from .subgroups import (
     ProblemSpec,
@@ -223,13 +223,12 @@ def build_separating_cover(
     if len(signs) != rank:
         raise ValueError(f"sign vector must have length {rank}")
 
-    # Step 1: host component.
+    # Step 1: host component; the verdict's sweep is cached on the graph.
     xcomps = components(graph, "x")
     if verdict.kind == VERDICT_DEFICIENT:
-        host = verdict.witness
+        host_vertices = verdict.witness.vertices
     else:
-        trees = [c for c, _anchor in xcomps if is_tree(c)]
-        host = trees[0] if trees else None  # None: bare base vertex
+        host_vertices = frozenset(xcomps[0][0] if xcomps else [graph.base])
 
     # Step 2: component covers, written into a copy of the based graph's
     # adjacency.  Every based-graph vertex keeps its id; coset c of a
@@ -262,12 +261,11 @@ def build_separating_cover(
         _immerse(out, [(name[c], name[d], letter)
                        for letter, move in zip(ys, moves) for c, d in enumerate(move)])
         offset += len(name)
-    for component, _anchor in xcomps:
-        if host is None or component.vertices != host.vertices:
-            _complete(out, component.vertices, xs)
+    for members, _pairs in xcomps:
+        if members[0] not in host_vertices:  # components are disjoint
+            _complete(out, members, xs)
 
     # Step 2 wrote no x-edge at a host vertex: its gaps are the based graph's.
-    host_vertices = host.vertices if host is not None else {graph.base}
     defects = [(v, letter) for v in sorted(host_vertices) for letter in x_alphabet(rank)
                if letter not in out[v]]
     if not defects:

@@ -105,12 +105,6 @@ class TraceResult:
         return self.status == "closed"
 
 
-@dataclass(frozen=True)
-class SaturationDefect:
-    vertex: int
-    missing: Letter
-
-
 def _write_pairs(out, pairs):
     """Write canonical pairs into an adjacency that has all their vertices:
     a pair fills its two slots when each is empty or holds the pair
@@ -300,80 +294,61 @@ def trace(graph: LabeledGraph, start: int, word) -> TraceResult:
 
 
 def components(graph: LabeledGraph, factor: str):
-    """Maximal connected monochromatic subgraphs for one factor.
+    """Maximal connected monochromatic subgraphs of a folded graph for one
+    factor, as (vertices, pair count) entries in order of least vertex.
 
-    Returns a list of (subgraph, anchor) sorted by smallest vertex id.  The
-    subgraph keeps the original vertex ids and is based at the anchor (the
-    graph's base point when it belongs to the component, else the smallest
-    vertex).  Vertices with no edge of the factor belong to no component.
+    A component's vertices are a tuple in breadth-first order from its
+    least vertex, each vertex's slots followed in their order; a vertex
+    with no edge of the factor belongs to no component.  A component has
+    a cycle when its pair count is at least its vertex count, and is
+    saturated for a factor of rank r (every vertex has all 2r slots)
+    when the count is r times its vertex count.  ``component_graph``
+    makes one a graph.  Raises ValueError on an unfolded graph.
 
-    Cost: one union-find pass over the factor's pairs, one pass bucketing
-    them by root, and a sort of the component roots, so
-    O(|V| + |E| * alpha + C log C) for C components, where E is all of the
-    graph's pairs (both factors' are scanned), on the first call for a
-    graph and factor.  The result is kept on the graph, and later calls
-    copy the list, so callers may change the list they get.
+    Cost: one breadth-first sweep over the adjacency, which reads every
+    slot of both factors once, and a sort of the vertices, on the first
+    call for a graph and factor; no subgraph is built.  The result is
+    kept on the graph, and later calls copy the list, so callers may
+    change the list they get.
     """
     found = graph._components.get(factor)
     if found is None:
-        found = graph._components[factor] = _components_of(graph, factor)
+        found = graph._components[factor] = _sweep(graph, factor)
     return list(found)
 
 
-def cyclic_components(graph: LabeledGraph, factor: str):
-    """The entries of ``components(graph, factor)`` whose subgraph has a
-    cycle, that is, is not a tree: same order, anchors and subgraphs.
-
-    Cost: the union-find pass of ``components``, which marks each class
-    in which a pair closes a cycle; only the pairs of marked classes are
-    bucketed, and only those classes get a subgraph.  The result is kept
-    on the graph apart from that of ``components``, and later calls copy
-    the list.
-    """
-    found = graph._components.get((factor, "cyclic"))
-    if found is None:
-        found = graph._components[factor, "cyclic"] = _components_of(
-            graph, factor, cyclic=True)
-    return list(found)
-
-
-def _components_of(graph: LabeledGraph, factor: str, cyclic=False):
-    uf = _UnionFind(graph.vertices)
-    find = uf.find
-    own = [pair for pair in graph.pairs if pair[2].factor == factor]
-    # a pair whose ends are in one class already closes a cycle there
-    closing = [u for u, w, _letter in own if uf.union(u, w) is None]
-    marked = {find(u) for u in closing} if cyclic else None
-    if cyclic and not marked:
-        return ()
-    # every root is the least vertex of its class, and a class's members
-    # are the ends of its pairs: a vertex with no edge of the factor is in
-    # no component
-    bucketed = {}
-    for pair in own:
-        root = find(pair[0])
-        if marked is None or root in marked:
-            bucketed.setdefault(root, []).append(pair)
-    out = []
-    for root in sorted(bucketed):
-        pairs = bucketed[root]
-        members = frozenset(v for u, w, _letter in pairs for v in (u, w))
-        anchor = graph.base if graph.base in members else root
-        out.append((LabeledGraph(members, frozenset(pairs), anchor, graph.folded), anchor))
-    return tuple(out)
+def _sweep(graph: LabeledGraph, factor: str):
+    """The pass ``components`` keeps on the graph."""
+    out = graph.out
+    seen = set()
+    found = []
+    for start in sorted(graph.vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        slots = 0  # each pair fills two slots of the component, a loop both at one vertex
+        for v in members:  # grows while it is read: breadth-first order
+            for letter, w in out[v].items():
+                if letter.factor == factor:
+                    slots += 1
+                    if w not in seen:
+                        seen.add(w)
+                        members.append(w)
+        if slots:  # a tuple of ints, unlike a list, drops out of the collector's scans
+            found.append((tuple(members), slots // 2))
+    return found
 
 
-def saturation_defects(graph: LabeledGraph, alphabet):
-    """All (vertex, letter) gaps: letters of the alphabet with no outgoing
-    edge at a vertex.  Requires a folded graph."""
-    letters = sorted(alphabet, key=lambda l: l.sort_key)
-    defects = []
-    for v in sorted(graph.vertices):
-        slots = graph.out[v]
-        for letter in letters:
-            if letter not in slots:
-                defects.append(SaturationDefect(v, letter))
-    return defects
+def component_graph(graph: LabeledGraph, vertices, factor: str, base: int) -> LabeledGraph:
+    """The component of ``factor`` on ``vertices`` (those of an entry of
+    ``components``) as a folded graph based at ``base``, its pairs read
+    off their positive-sign slots; its adjacency is written when first
+    read."""
+    out = graph.out
+    pairs = frozenset((v, w, letter) for v in vertices for letter, w in out[v].items()
+                      if letter.sign > 0 and letter.factor == factor)
+    return LabeledGraph(frozenset(vertices), pairs, base, True)
 
 
 def breadth_first_tree(graph: LabeledGraph, root: int, letters=None):
@@ -408,8 +383,3 @@ def tree_path_word(parent, vertex):
         vertex, letter = parent[vertex]
         letters.append(letter)
     return tuple(reversed(letters))
-
-
-def is_tree(graph: LabeledGraph) -> bool:
-    """A connected graph is a tree iff its edge-pair count is |V| - 1."""
-    return len(graph.pairs) == len(graph.vertices) - 1

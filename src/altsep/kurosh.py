@@ -21,8 +21,8 @@ from .graphs import (
     _UnionFind,
     breadth_first_tree,
     canonical_pair,
-    components,  # unused here; perfbench's tracer self-test checks this binding
-    cyclic_components,
+    component_graph,
+    components,
     trace,
     tree_path_word,
 )
@@ -59,8 +59,8 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
 
-    Only the components with a cycle (``graphs.cyclic_components``) get a
-    subgraph and a spanning tree; a tree component adds no factor.
+    Only the components with a cycle (by ``graphs.components``' pair
+    counts) get a graph, built at the anchor, and a spanning tree.
     """
     # each factor's letters present in the graph, in sort-key order
     letters = {"x": [], "y": []}
@@ -71,30 +71,27 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
         raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
 
-    # (anchor, component, factor), in the anchors' discovery order
-    cyclic = [(min(component.vertices, key=discovery.__getitem__), component, factor)
-              for factor in ("x", "y") for component, _root in cyclic_components(graph, factor)]
+    # (anchor, vertices, factor), in the anchors' discovery order
+    cyclic = [(min(members, key=discovery.__getitem__), members, factor)
+              for factor in ("x", "y") for members, pairs in components(graph, factor)
+              if pairs >= len(members)]
     cyclic.sort(key=lambda item: discovery[item[0]])
 
     factors = []
     removed = set()
-    for anchor, component, factor in cyclic:
-        anchored = LabeledGraph(
-            component.vertices, component.pairs, anchor, component.folded
-        )
+    for anchor, members, factor in cyclic:
+        component = component_graph(graph, members, factor, anchor)
         approach = tree_path_word(parent, anchor)
         cparent, ctree = _component_tree(graph, anchor, letters[factor])
         loop_words = []
-        for u, w, letter in sorted(anchored.pairs - ctree, key=_pair_key):
+        for u, w, letter in sorted(component.pairs - ctree, key=_pair_key):
             to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
             loop_words.append(to_u + (letter,) + word_inverse(to_w))
             removed.add((u, w, letter))
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
-        factors.append(
-            KuroshFactor(approach, anchored, factor, tuple(loop_words), subgroup)
-        )
+        factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
 
     delta = LabeledGraph(
         graph.vertices, graph.pairs - frozenset(removed), graph.base, graph.folded

@@ -22,16 +22,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .factors import FiniteGroupTable, component_cosets
-from .graphs import (
-    LabeledGraph,
-    canonical_pair,
-    components,  # unused here; perfbench's tracer self-test checks this binding
-    cyclic_components,
-    fold,
-    saturation_defects,
-    trace,
-)
-from .words import normal_form, x_alphabet
+from .graphs import LabeledGraph, canonical_pair, component_graph, components, fold, trace
+from .words import normal_form
 
 
 @dataclass(frozen=True)
@@ -264,13 +256,17 @@ def hypothesis_check(graph: LabeledGraph, rank: int) -> HypothesisVerdict:
       infinite-index, nontrivial intersection and can host the gadgets;
     - otherwise every x-component with a cycle is a saturated cover, the
       intersections have finite index, and the construction does not apply.
+
+    Decided by ``graphs.components``' pair counts; only the witness is
+    built as a graph, based at its least vertex.
     """
-    cyclic = cyclic_components(graph, "x")
-    if not cyclic:
+    xcomps = components(graph, "x")
+    for members, pairs in xcomps:
+        if len(members) <= pairs < rank * len(members):
+            return HypothesisVerdict(
+                VERDICT_DEFICIENT, witness=component_graph(graph, members, "x", members[0]))
+    if all(pairs < len(members) for members, pairs in xcomps):
         return HypothesisVerdict(VERDICT_TREES)
-    for component, _anchor in cyclic:
-        if saturation_defects(component, x_alphabet(rank)):
-            return HypothesisVerdict(VERDICT_DEFICIENT, witness=component)
     return HypothesisVerdict(
         VERDICT_NOT_APPLICABLE,
         reason=(

@@ -7,9 +7,11 @@ canonical forms of based graphs by one breadth-first numbering, subgroup
 membership by breadth-first enumeration over normal forms or by
 re-running the graph fixpoint on a glued query path, membership queries,
 normal forms and y-words element by element (a coset key as a min over
-the loop subgroup, a y-letter as a table product), monochromatic components and
-spanning trees by plain breadth-first search, coset keys and the based
-fixpoint one component subgraph at a time or by a full rescan each
+the loop subgroup, a y-letter as a table product), monochromatic
+components and spanning trees by plain breadth-first search, saturation
+defects by a set of the pairs' slots, eligibility verdicts by listing
+the defects of each component that is not a tree, coset keys and the
+based fixpoint one component subgraph at a time or by a full rescan each
 round, the embedding of a y-component in its coset graph with cosets as
 element sets, kernel generating sets by the Schreier transversal
 construction, and words by one regex match per term.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
 from altsep import kurosh, permgroup
@@ -34,18 +37,26 @@ from altsep.graphs import (
     _pair_key,
     breadth_first_tree,
     canonical_pair,
-    components,
     fold,
     make_graph,
     trace,
 )
-from altsep.subgroups import based_fixpoint, build_subgroup_graph, hypothesis_check
+from altsep.subgroups import (
+    VERDICT_DEFICIENT,
+    VERDICT_NOT_APPLICABLE,
+    VERDICT_TREES,
+    based_fixpoint,
+    build_subgroup_graph,
+    hypothesis_check,
+)
 from altsep.words import (
+    Letter,
     free_reduce,
     normal_form,
     spell,
     word_inverse,
     word_str,
+    x_alphabet,
     x_letter,
     y_letter,
 )
@@ -232,6 +243,48 @@ def bfs_components(graph: LabeledGraph, factor):
     return out
 
 
+def component_subgraphs(graph: LabeledGraph, factor):
+    """``bfs_components`` as (subgraph, anchor) pairs: each subgraph keeps
+    the original vertex ids and is based at its anchor."""
+    return [(LabeledGraph(members, pairs, anchor, graph.folded), anchor)
+            for members, pairs, anchor in bfs_components(graph, factor)]
+
+
+def is_tree(graph: LabeledGraph) -> bool:
+    """A connected graph is a tree iff its edge-pair count is |V| - 1."""
+    return len(graph.pairs) == len(graph.vertices) - 1
+
+
+@dataclass(frozen=True)
+class SaturationDefect:
+    vertex: int
+    missing: Letter
+
+
+def saturation_defects(graph: LabeledGraph, alphabet):
+    """All (vertex, letter) gaps: letters of the alphabet with no outgoing
+    edge at a vertex, read off the pairs one orientation at a time."""
+    present = {(s, lab) for u, w, letter in graph.pairs
+               for s, lab in ((u, letter), (w, letter.inverse()))}
+    return [SaturationDefect(v, letter) for v in sorted(graph.vertices)
+            for letter in sorted(alphabet, key=lambda l: l.sort_key)
+            if (v, letter) not in present]
+
+
+def hypothesis_oracle(graph: LabeledGraph, rank):
+    """The eligibility verdict by the defect rule: the x-components that
+    are not trees, by ``bfs_components``; the first of them with a
+    saturation defect is the witness.  Returns (kind, witness subgraph or
+    None)."""
+    cyclic = [sub for sub, _anchor in component_subgraphs(graph, "x") if not is_tree(sub)]
+    if not cyclic:
+        return VERDICT_TREES, None
+    for sub in cyclic:
+        if saturation_defects(sub, x_alphabet(rank)):
+            return VERDICT_DEFICIENT, sub
+    return VERDICT_NOT_APPLICABLE, None
+
+
 def spanning_tree(graph: LabeledGraph):
     """Breadth-first spanning tree at the base point.
 
@@ -319,7 +372,7 @@ def based_fixpoint_oracle(graph, table, tracked=()):
         graph, vmap = fold(graph, groups)
         tracked = [vmap[v] for v in tracked]
         groups = []
-        for component, _anchor in components(graph, "y"):
+        for component, _anchor in component_subgraphs(graph, "y"):
             _subgroup, assignment = component_cosets_oracle(table, component)
             buckets = {}
             for v, key in assignment.items():

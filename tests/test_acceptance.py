@@ -16,12 +16,7 @@ from altsep import permgroup
 from altsep.cli import main, parse_problem, run_separate
 from altsep.covers import build_separating_cover
 from altsep.factors import enumerate_group
-from altsep.graphs import (
-    build_graph,
-    components,
-    fold,
-    saturation_defects,
-)
+from altsep.graphs import build_graph, fold
 from altsep.kurosh import kurosh_decompose, verify_intersection
 from altsep.subgroups import (
     MembershipTester,
@@ -33,6 +28,7 @@ from altsep.words import spell, word_inverse, x_letter as x, y_letter as y
 from conftest import make_spec
 from oracles import (
     canonical_form,
+    component_subgraphs,
     embed_Y_component,
     exhaustive_closure,
     fixpoint_contains,
@@ -41,6 +37,7 @@ from oracles import (
     random_fold,
     random_raw_word,
     reidemeister_schreier,
+    saturation_defects,
     subgroup_ball,
 )
 
@@ -185,7 +182,7 @@ def test_criterion_8_cover_certificates(pipeline_runs):
             list(result.images.values()), result.plan.degree
         )
         ok = ok and transitive
-        for component, _anchor in components(graph, "y"):
+        for component, _anchor in component_subgraphs(graph, "y"):
             cover, embedding = embed_Y_component(table, component)
             ok = ok and len(embedding) == len(cover.vertices)
         ok = ok and built.graph.pairs <= graph.pairs

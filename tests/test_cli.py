@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import altsep
-from altsep import cli, covers, permgroup
+from altsep import cli, covers, graphs, permgroup
 from altsep.cli import (
     MAX_FREE_RANK,
     MAX_PROBLEM_LETTERS,
+    MAX_VERIFY_CHECKS,
     MAX_WORD_LENGTH,
     ProblemFormatError,
     export_dot,
@@ -814,3 +815,57 @@ def test_main_takes_a_sign_vector_that_starts_with_minus_one(tmp_path, capsys):
         certificates.append(out)
     assert len(set(certificates)) == 1
     assert json.loads(certificates[0])["degree"] > 0
+
+
+# one free factor of rank r in the decomposition: 2r(2r-1)^(l-1) words of
+# each length l <= 4 for --verify-level full
+WIDE = """\
+[free] rank = {rank}
+[finite] degree = 3 ; gens = y1: (1 2 3); y2: (1 2)
+[subgroup] h1 = x1 x2
+[separate] g1 = x3
+"""
+
+
+def test_full_verification_is_bounded_before_it_starts(tmp_path, capsys, monkeypatch):
+    """Past MAX_VERIFY_CHECKS planned checks, --verify-level full exits 1
+    with one error line and nothing on stdout, before any check."""
+    def unchecked(*args):
+        raise AssertionError("a check ran past the verification bound")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "verify_intersection", unchecked)
+        for rank in (14, 30, MAX_FREE_RANK):
+            path = write(tmp_path, f"wide{rank}.txt", WIDE.format(rank=rank))
+            started = time.monotonic()
+            assert main(["separate", path, "--verify-level", "full"]) == 1
+            assert time.monotonic() - started < 2
+            captured = capsys.readouterr()
+            planned = sum(2 * rank * (2 * rank - 1) ** (length - 1) for length in range(1, 5))
+            assert planned > MAX_VERIFY_CHECKS and captured.out == ""
+            assert captured.err == (f"altsep: error: --verify-level full would make {planned} "
+                                    f"membership checks, more than {MAX_VERIFY_CHECKS}\n")
+    path = write(tmp_path, "wide6.txt", WIDE.format(rank=6))
+    assert main(["separate", path, "--verify-level", "full"]) == 0
+    assert capsys.readouterr().err == "verify: factors=1 checks=17568 counterexamples=0\n"
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_a_run_sweeps_the_x_components_once(level, monkeypatch, capsys):
+    """The verdict, the cover and the decomposition of every problem file
+    read the subgroup graph's x-components from one sweep."""
+    sweeps = []
+    real = graphs._sweep
+
+    def counting(graph, factor):
+        sweeps.append((graph, factor))
+        return real(graph, factor)
+
+    monkeypatch.setattr(graphs, "_sweep", counting)
+    for problem in sorted((GOLDEN.parent.parent / "problems").glob("*.txt")):
+        sweeps.clear()
+        outcome = run_separate(parse_problem(problem.read_text()), verify_level=level)
+        graph = outcome.stages["subgroup_graph"]
+        expected = [] if outcome.exit_code == 3 else ["x"]
+        assert [factor for g, factor in sweeps if g is graph and factor == "x"] == expected
+    capsys.readouterr()

@@ -14,17 +14,18 @@ from altsep.covers import (
     mover_gadget,
     word_action,
 )
-from altsep.graphs import (
-    LabeledGraph,
-    components,
-    make_graph,
-    saturation_defects,
-)
+from altsep.graphs import LabeledGraph, make_graph
 from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
-from oracles import embed_Y_component, is_connected, reidemeister_schreier
+from oracles import (
+    component_subgraphs,
+    embed_Y_component,
+    is_connected,
+    reidemeister_schreier,
+    saturation_defects,
+)
 
 
 # -- gadgets -----------------------------------------------------------------------
@@ -327,7 +328,7 @@ def test_pipeline_cover_certificates(z2, s3):
         assert saturation_defects(graph, x_alphabet(spec.free.rank)) == []
         assert saturation_defects(graph, y_alphabet(table.num_generators)) == []
         assert is_connected(graph)
-        for component, _anchor in components(graph, "y"):
+        for component, _anchor in component_subgraphs(graph, "y"):
             cover, embedding = embed_Y_component(table, component)
             assert len(embedding) == len(cover.vertices)
         _orbits, transitive = permgroup.orbit_transitive(

@@ -9,12 +9,9 @@ from altsep.graphs import (
     build_graph,
     canonical_pair,
     components,
-    cyclic_components,
     fold,
     from_adjacency,
-    is_tree,
     make_graph,
-    saturation_defects,
     trace,
 )
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
@@ -26,8 +23,10 @@ from oracles import (
     coset_graph_oracle,
     is_connected,
     is_folded,
+    is_tree,
     merge_vertices,
     random_fold,
+    saturation_defects,
     spanning_tree,
 )
 
@@ -165,23 +164,29 @@ def test_trace_deterministic():
 
 def test_components_by_factor():
     g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, y(1))], 0)
-    xcomps = components(g, "x")
-    ycomps = components(g, "y")
-    assert len(xcomps) == 1 and xcomps[0][0].vertices == frozenset({0, 1})
-    assert len(ycomps) == 1 and ycomps[0][0].vertices == frozenset({0, 2})
+    assert components(g, "x") == [((0, 1), 1)]
+    assert components(g, "y") == [((0, 2), 1)]
 
 
 def test_components_w4_single_x_component():
     g = wedge_w4()
-    comps = components(g, "x")
-    assert len(comps) == 1 and comps[0][0].vertices == g.vertices
+    [(members, pairs)] = components(g, "x")
+    assert sorted(members) == sorted(g.vertices) and pairs == len(g.pairs) == 7
     assert components(g, "y") == []
 
 
 def test_components_skip_vertices_without_factor_edges():
     g = build_graph([0, 1, 2], [(0, 1, y(1))], 0)
     assert components(g, "x") == []
-    assert [sorted(c.vertices) for c, _ in components(g, "y")] == [[0, 1]]
+    assert components(g, "y") == [((0, 1), 1)]
+
+
+def test_components_need_a_folded_graph():
+    g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, x(1))], 0)
+    assert not g.folded
+    for factor in ("x", "y"):
+        with pytest.raises(ValueError, match="folded"):
+            components(g, factor)
 
 
 def random_graph(rng):
@@ -252,71 +257,56 @@ def test_make_graph_is_folded_exactly_when_the_oracle_says_so():
 
 
 def test_components_match_bfs_oracle_on_random_graphs():
+    """On folded random graphs, for both factors, each component's vertex
+    set and pair count are the oracle's, in least-vertex order, and its
+    vertices start at its least vertex and repeat none."""
     rng = random.Random(2026)
     for _ in range(200):
-        g = random_graph(rng)
+        g = fold(random_graph(rng))[0]
         for factor in ("x", "y"):
             comps = components(g, factor)
-            got = [(sub.vertices, sub.pairs, anchor) for sub, anchor in comps]
-            assert got == bfs_components(g, factor)
-            assert all(sub.base == anchor and sub.folded == g.folded
-                       for sub, anchor in comps)
+            oracle = bfs_components(g, factor)
+            assert [(frozenset(m), p) for m, p in comps] == [
+                (members, len(pairs)) for members, pairs, _anchor in oracle]
+            assert all(m[0] == min(m) and len(set(m)) == len(m) for m, _p in comps)
 
 
-def test_components_are_computed_once_per_graph_and_factor(monkeypatch):
-    """components keeps its result on the graph: a second call makes no
-    second pass and returns an equal list that is a new object."""
-    passes = []
-    real = graphs._components_of
-
-    def counting(graph, factor):
-        passes.append(factor)
-        return real(graph, factor)
-
-    monkeypatch.setattr(graphs, "_components_of", counting)
+def test_components_are_computed_once_per_graph_and_factor():
+    """components keeps its result on the graph: a second call reads
+    nothing of the graph (here its adjacency is emptied after the first)
+    and returns an equal list that is a new object."""
     rng = random.Random(2027)
     for _ in range(50):
-        g = random_graph(rng)
+        g = fold(random_graph(rng))[0]
+        expected = {factor: [(frozenset(members), len(pairs))
+                             for members, pairs, _anchor in bfs_components(g, factor)]
+                    for factor in ("x", "y")}
         for factor in ("x", "y"):
-            passes.clear()
+            components(g, factor)
+        object.__setattr__(g, "_out", {})
+        for factor in ("x", "y"):
             first, second = components(g, factor), components(g, factor)
-            assert passes == [factor]
             assert first == second and first is not second
-            for comps in (first, second):
-                got = [(sub.vertices, sub.pairs, anchor) for sub, anchor in comps]
-                assert got == bfs_components(g, factor)
+            assert [(frozenset(m), p) for m, p in first] == expected[factor]
             first.clear()  # a caller's list is its own
             assert components(g, factor) == second
 
 
-def test_cyclic_components_are_the_components_with_a_cycle():
-    """cyclic_components equals components less its trees, and the same
-    filter over the BFS oracle, on unfolded graphs and their folds, for
-    both factors, whether it runs before or after components on one graph
-    object."""
+def test_pair_counts_mark_the_components_with_a_cycle():
+    """A component has a cycle exactly when its pair count is at least
+    its vertex count: those are the oracle's components that are not
+    trees, on folded random graphs, for both factors."""
     rng = random.Random(2030)
-    seen = {"unfolded": 0, "cyclic": 0}
+    cyclic = trees = 0
     for _ in range(200):
-        g = random_graph(rng)
-        seen["unfolded"] += not g.folded
-        for graph in (g, fold(g)[0]):
-            for factor in ("x", "y"):
-                oracle = [(members, pairs, anchor)
-                          for members, pairs, anchor in bfs_components(graph, factor)
-                          if len(pairs) != len(members) - 1]
-                first = LabeledGraph(graph.vertices, graph.pairs, graph.base, graph.folded)
-                second = LabeledGraph(graph.vertices, graph.pairs, graph.base, graph.folded)
-                early = cyclic_components(first, factor)
-                every = components(second, factor)
-                late = cyclic_components(second, factor)
-                want = [(c, a) for c, a in every if not is_tree(c)]
-                assert early == late == want
-                assert components(first, factor) == every
-                assert [(c.vertices, c.pairs, a) for c, a in early] == oracle
-                early.clear()  # a caller's list is its own
-                assert cyclic_components(first, factor) == want
-                seen["cyclic"] += bool(want)
-    assert seen["unfolded"] > 20 and seen["cyclic"] > 100
+        g = fold(random_graph(rng))[0]
+        for factor in ("x", "y"):
+            oracle = [members for members, pairs, _anchor in bfs_components(g, factor)
+                      if len(pairs) != len(members) - 1]
+            assert [frozenset(m) for m, p in components(g, factor) if p >= len(m)] == oracle
+            cyclic += len(oracle)
+            trees += sum(p < len(m) for m, p in components(g, factor))
+    assert cyclic > 100 and trees > 100
 
 
 def test_fold_independent_of_pair_order():

@@ -1,0 +1,48 @@
+"""Every name a module of ``src/altsep`` imports is read in that module.
+
+``__init__.py`` is skipped: it imports names to export them.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "altsep"
+
+# (module, name) bindings kept although the module never reads them.
+KEPT = {
+    # perfbench/test_perfbench.py:158-163 checks that the tracer patches
+    # and restores this binding
+    ("cli", "components"),
+}
+
+
+def unused_imports(source: str):
+    """Names that the module's import statements bind and that no
+    expression of the module reads, in order of first import."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in dict.fromkeys(bound) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 8
+    unused = {(path.stem, name) for path in modules
+              for name in unused_imports(path.read_text())}
+    assert unused == KEPT
+
+
+def test_unused_import_check_catches_a_leftover():
+    source = (SOURCE / "subgroups.py").read_text()
+    assert unused_imports(source) == []
+    leftover = source.replace("from .words import normal_form",
+                              "from .words import normal_form, x_alphabet")
+    assert leftover != source and unused_imports(leftover) == ["x_alphabet"]
+    assert unused_imports("import os.path as p\nimport sys\nsys.exit()\n") == ["p"]

@@ -8,7 +8,7 @@ from altsep.subgroups import build_subgroup_graph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
-from oracles import iter_reduced_x_words
+from oracles import component_subgraphs, iter_reduced_x_words
 
 
 def decompose(spec):
@@ -150,9 +150,7 @@ def test_project_loop_excises_closed_finite_subloop(z2):
     spec = make_spec(z2, subgroup_words=[(x(1), y(1), y(1), x(1))])
     built = build_subgroup_graph(spec)
     graph = built.graph
-    from altsep.graphs import components
-
-    xcomp = [c for c, _a in components(graph, "x")][0]
+    xcomp = component_subgraphs(graph, "x")[0][0]
     word = (x(1), y(1), y(1), x(1))
     projected = project_loop(graph, z2, xcomp, graph.base, word)
     assert projected == (x(1), x(1))
@@ -166,9 +164,7 @@ def test_project_loop_rejects_non_based_graph(z2):
         [(0, 1, x(1)), (1, 2, y(1)), (2, 3, y(1)), (3, 0, x(1))],
         0,
     )
-    from altsep.graphs import components
-
-    xcomp = [c for c, _a in components(graph, "x")][0]
+    xcomp = component_subgraphs(graph, "x")[0][0]
     word = (x(1), y(1), y(1), x(1))
     with pytest.raises(NotGBasedError):
         project_loop(graph, z2, xcomp, 0, word)

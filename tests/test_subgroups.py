@@ -6,7 +6,7 @@ import pytest
 from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
-from altsep.graphs import build_graph, components, fold, is_tree, trace
+from altsep.graphs import build_graph, components, fold, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -27,9 +27,12 @@ from oracles import (
     based_fixpoint_full_rescan,
     based_fixpoint_oracle,
     canonical_form,
+    component_subgraphs,
     contains_oracle,
     embed_Y_component,
     fixpoint_contains,
+    hypothesis_oracle,
+    is_tree,
     iter_ball,
     random_raw_word,
     reidemeister_schreier,
@@ -74,7 +77,7 @@ def test_every_y_component_embeds(s3):
         separate_words=[(y(2),)],
     )
     built = build_subgroup_graph(spec)
-    for component, _anchor in components(built.graph, "y"):
+    for component, _anchor in component_subgraphs(built.graph, "y"):
         embed_Y_component(s3, component)  # raises when not based
 
 
@@ -217,8 +220,8 @@ def test_membership_y_syllable_onto_an_absent_coset(s3):
     spec = make_spec(s3, subgroup_words=[(x(1), y(1), y(2), x(2)), (x(1), y(1), x(1))])
     graph = build_subgroup_graph(spec).graph
     a = graph.step(graph.base, x(1))
-    [component] = [c for c, _ in components(graph, "y") if a in c.vertices]
-    assert len(component.vertices) == 3 and is_tree(component)
+    [(members, pairs)] = [(m, p) for m, p in components(graph, "y") if a in m]
+    assert len(members) == 3 and pairs == 2
     tester = MembershipTester(graph, s3)
     cases = {
         (x(1), y(1), y(2), x(2)): True,
@@ -401,3 +404,49 @@ def test_verdicts_are_exhaustive_and_exclusive(z2, s3):
         built = build_subgroup_graph(spec)
         verdict = hypothesis_check(built.graph, spec.free.rank)
         assert verdict.kind in kinds
+
+
+def random_graph_with_covers(rng):
+    """Folded graph on a few vertex blocks: each block's x-edges are two
+    random permutations of it, a saturated cover, less zero to two pairs,
+    or, in a quarter of the graphs, a path; random y1-pairs join the
+    blocks."""
+    vertices, pairs = [], set()
+    paths = rng.random() < 0.25
+    for _ in range(rng.randint(1, 4)):
+        block = list(range(len(vertices), len(vertices) + rng.randint(1, 6)))
+        vertices += block
+        if paths:
+            pairs.update((u, u + 1, rng.choice([x(1), x(2)])) for u in block[:-1])
+            continue
+        cover = []
+        for letter in (x(1), x(2)):
+            targets = rng.sample(block, len(block))
+            cover += [(u, w, letter) for u, w in zip(block, targets)]
+        rng.shuffle(cover)
+        pairs.update(cover[rng.choice([0, 0, 1, 2]):])
+    for _ in range(rng.randint(0, len(vertices))):
+        pairs.add((rng.choice(vertices), rng.choice(vertices), y(1)))
+    return fold(build_graph(vertices, pairs, 0))[0]
+
+
+def test_verdict_matches_the_defect_rule_on_random_graphs():
+    """hypothesis_check's pair counts give the kind and the witness of the
+    rule that lists each cyclic x-component's saturation defects; the
+    witness is that component, edges and all."""
+    rng = random.Random(2031)
+    kinds = []
+    for _ in range(400):
+        graph = random_graph_with_covers(rng)
+        verdict = hypothesis_check(graph, 2)
+        kind, witness = hypothesis_oracle(graph, 2)
+        assert verdict.kind == kind
+        if witness is None:
+            assert verdict.witness is None
+        else:
+            assert (verdict.witness.vertices, verdict.witness.pairs) == (
+                witness.vertices, witness.pairs)
+            assert verdict.witness.base == min(witness.vertices)
+        kinds.append(kind)
+    assert min(kinds.count(k) for k in (VERDICT_TREES, VERDICT_DEFICIENT,
+                                         VERDICT_NOT_APPLICABLE)) >= 30
