@@ -15,7 +15,6 @@ from .words import Letter, Word, x_letter, y_letter, word_str
 from .graphs import (
     LabeledGraph,
     TraceResult,
-    build_graph,
     fold,
     trace,
     components,

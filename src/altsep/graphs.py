@@ -106,9 +106,10 @@ class TraceResult:
 
 
 def _write_pairs(out, pairs):
-    """Write canonical pairs into an adjacency that has all their vertices:
-    a pair fills its two slots when each is empty or holds the pair
-    already.  Returns, in order, the pairs that found a slot holding
+    """Write edges, each a (source, target, letter) triple in either
+    orientation, into an adjacency that has all their vertices: an edge
+    fills its two slots when each is empty or holds the edge already.
+    Returns, in order and as given, the edges that found a slot holding
     another edge, and writes neither slot of those, so the adjacency stays
     folded.  Private, so that a tracer records no span per write."""
     clashes = []
@@ -139,27 +140,6 @@ def make_graph(vertices, pairs, base) -> LabeledGraph:
     if _write_pairs(out, pairs):
         return LabeledGraph(frozenset(out), pairs, base, False)
     return from_adjacency(out, base)
-
-
-def build_graph(vertices, edges, base) -> LabeledGraph:
-    """Build a graph from declared vertices and (source, target, letter)
-    edges; each listed edge also carries its involution partner.
-
-    Listing the same edge pair twice (directly or via its inverse
-    orientation) is rejected.
-    """
-    vertex_set = frozenset(vertices)
-    if base not in vertex_set:
-        raise ValueError(f"base {base!r} is not a declared vertex")
-    pairs = set()
-    for source, target, letter in edges:
-        if source not in vertex_set or target not in vertex_set:
-            raise ValueError(f"edge ({source}, {target}, {letter}) uses an undeclared vertex")
-        pair = canonical_pair(source, target, letter)
-        if pair in pairs:
-            raise ValueError(f"duplicate edge {pair[0]} --{pair[2]}--> {pair[1]}")
-        pairs.add(pair)
-    return make_graph(vertex_set, pairs, base)
 
 
 class _UnionFind:
@@ -193,37 +173,44 @@ def fold(graph: LabeledGraph, merge=()):
     graph, total vertex map).  Raises ValueError for a group naming an
     unknown vertex.
 
-    Both inputs start from a folded adjacency: a folded input's ``out``,
-    or an unfolded input's pairs written into empty slots by
-    ``_write_pairs``, less the clashing pairs.  Each slot a clashing pair
-    finds taken then has its target identified with the pair's own end
-    there, as a merge group is.  Merging two classes is one step for a
-    merge group, a clash and two edges that collide later: union them and
-    replay only the dropped class's slots onto the survivor, in a shallow
-    copy of the adjacency that copies a vertex's slots when the vertex
-    first survives a merge.  Only the survivors and the neighbours of
-    dropped vertices can hold a stale target, so only their slots are
-    resolved.  The starting adjacency is never written.  The result is
-    the adjacency built here, with no pair set kept beside it: its pairs
-    are read off it only if something asks for them.
-
-    Cost: one Python step per pair to read an unfolded input, none on a
-    folded one; then the union-find work of the merges, the clashes and
-    the folds they cause, one replay per slot of each vertex merged away,
-    and O(d) for the d slots resolved.  The rest of O(|V| + |E|) is
-    whole-set copies (the adjacency's top level, the union-find map, the
-    vertex set) with no Python step per vertex.  Every class is named by
-    its least vertex (``_UnionFind.union`` keeps the smaller id), so
-    neither the result nor the vertex map depends on the order of the
-    groups and pairs.
+    A folded input starts from its ``out``; an unfolded one from its pairs
+    written into empty slots by ``_write_pairs``, less the clashing pairs.
+    ``_fold`` does the rest.
     """
     if graph.folded:
-        start = graph.out
-        clashes = ()
+        start, clashes = graph.out, ()
     else:
         start = {v: {} for v in graph.vertices}
         clashes = _write_pairs(start, graph.pairs)
-    uf = _UnionFind(graph.vertices)
+    return _fold(start, clashes, graph.vertices, graph.base, merge)
+
+
+def _fold(start, clashes, vertices, base, merge):
+    """``fold`` from a folded adjacency ``start`` on ``vertices`` and the
+    edges ``_write_pairs`` returned as clashes when it wrote ``start``:
+    the one body of every fold, the subgroup graph's first included.
+
+    Each slot a clashing edge finds taken has its target identified with
+    the edge's own end there, as a merge group is.  Merging two classes is
+    one step for a merge group, a clash and two edges that collide later:
+    union them and replay only the dropped class's slots onto the
+    survivor, in a shallow copy of the adjacency that copies a vertex's
+    slots when the vertex first survives a merge.  Only the survivors and
+    the neighbours of dropped vertices can hold a stale target, so only
+    their slots are resolved.  ``start`` is never written.  The result is
+    the adjacency built here, with no pair set kept beside it: its pairs
+    are read off it only if something asks for them.
+
+    Cost: the union-find work of the merges, the clashes and the folds
+    they cause, one replay per slot of each vertex merged away, and O(d)
+    for the d slots resolved.  The rest of O(|V| + |E|) is whole-set
+    copies (the adjacency's top level, the union-find map, the vertex
+    set) with no Python step per vertex.  Every class is named by its
+    least vertex (``_UnionFind.union`` keeps the smaller id), so neither
+    the result nor the vertex map depends on the order of the groups and
+    clashes.
+    """
+    uf = _UnionFind(vertices)
     find = uf.find
     work = deque()
     out = dict(start)
@@ -247,10 +234,10 @@ def fold(graph: LabeledGraph, merge=()):
 
     for group in merge:
         for v in group:
-            if v not in graph.vertices:
+            if v not in vertices:
                 raise ValueError(f"unknown vertex {v!r}")
             identify(group[0], v)
-    # each end of a clashing pair joins the target of its slot there; an
+    # each end of a clashing edge joins the target of its slot there; an
     # empty slot yields the end itself, which identify leaves alone
     for u, w, letter in clashes:
         identify(start[u].get(letter, w), w)
@@ -275,7 +262,7 @@ def fold(graph: LabeledGraph, merge=()):
     for v in changed:
         if v in out:
             out[v] = {letter: vmap[target] for letter, target in out[v].items()}
-    return from_adjacency(out, vmap[graph.base]), vmap
+    return from_adjacency(out, vmap[base]), vmap
 
 
 def trace(graph: LabeledGraph, start: int, word) -> TraceResult:

@@ -18,11 +18,9 @@ from .factors import FiniteGroupTable, NotGBasedError, subgroup_closure
 from .graphs import (
     LabeledGraph,
     _pair_key,
-    _UnionFind,
     breadth_first_tree,
-    canonical_pair,
-    component_graph,
     components,
+    from_adjacency,
     trace,
     tree_path_word,
 )
@@ -59,13 +57,19 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
 
-    Only the components with a cycle (by ``graphs.components``' pair
-    counts) get a graph, built at the anchor, and a spanning tree.
+    All is read off the adjacency, with no pair set of the graph.  Each
+    component with a cycle (by ``graphs.components``' pair counts) gets
+    one breadth-first pass from its anchor for its graph, spanning tree
+    and non-tree pairs.  ``delta`` is built from the adjacency less the
+    non-tree pairs' slots, a vertex's slots copied on their first
+    removal; a breadth-first pass over its slots checks that it is
+    connected, and its free rank is read off the slot counts.
     """
-    # each factor's letters present in the graph, in sort-key order
+    out = graph.out
+    # each factor's letters present in the graph (both signs), in sort-key order
     letters = {"x": [], "y": []}
-    for letter in sorted({pair[2] for pair in graph.pairs}, key=lambda l: l.sort_key):
-        letters[letter.factor] += (letter, letter.inverse())
+    for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
+        letters[letter.factor].append(letter)
     order, parent = breadth_first_tree(graph, graph.base, letters["x"] + letters["y"])
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
@@ -78,43 +82,67 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     cyclic.sort(key=lambda item: discovery[item[0]])
 
     factors = []
-    removed = set()
+    pruned = dict(out)
+    copied = set()
     for anchor, members, factor in cyclic:
-        component = component_graph(graph, members, factor, anchor)
         approach = tree_path_word(parent, anchor)
-        cparent, ctree = _component_tree(graph, anchor, letters[factor])
+        cparent, pairs, nontree = _component_walk(out, anchor, letters[factor])
         loop_words = []
-        for u, w, letter in sorted(component.pairs - ctree, key=_pair_key):
+        for u, w, letter in sorted(nontree, key=_pair_key):
             to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
             loop_words.append(to_u + (letter,) + word_inverse(to_w))
-            removed.add((u, w, letter))
+            for v, slot in ((u, letter), (w, letter.inverse())):
+                if v not in copied:
+                    copied.add(v)
+                    pruned[v] = dict(pruned[v])
+                del pruned[v][slot]
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
+        component = LabeledGraph(frozenset(members), pairs, anchor, True)
         factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
 
-    delta = LabeledGraph(
-        graph.vertices, graph.pairs - frozenset(removed), graph.base, graph.folded
-    )
-    # connectivity of delta by union-find over its pairs; a spanning tree of
-    # a connected graph has |V| - 1 pairs, and the rest count toward the rank
-    uf = _UnionFind(delta.vertices)
-    for u, w, _letter in delta.pairs:
-        uf.union(u, w)
-    if len({uf.find(v) for v in delta.vertices}) != 1:
+    reached = [graph.base]
+    seen = {graph.base}
+    for v in reached:  # grows while it is read
+        for w in pruned[v].values():
+            if w not in seen:
+                seen.add(w)
+                reached.append(w)
+    if len(seen) != len(pruned):
         raise AssertionError("pruned graph must stay connected")
-    free_rank = len(delta.pairs) - len(delta.vertices) + 1
-    return KuroshDecomposition(tuple(factors), free_rank, delta)
+    # a spanning tree of the connected delta has |V| - 1 pairs, and the
+    # rest count toward the rank; each pair fills two slots
+    free_rank = sum(map(len, pruned.values())) // 2 - len(pruned) + 1
+    return KuroshDecomposition(tuple(factors), free_rank, from_adjacency(pruned, graph.base))
 
 
-def _component_tree(graph: LabeledGraph, anchor: int, letters):
-    """Breadth-first spanning tree of the monochromatic component at
-    ``anchor``, read off the whole graph's adjacency by following only the
-    component's ``letters``.  Returns (parent, tree pairs): parent as
-    from ``breadth_first_tree``, and the tree edges as canonical pairs."""
-    _order, parent = breadth_first_tree(graph, anchor, letters)
-    tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
-    return parent, tree
+def _component_walk(out, anchor, letters):
+    """One breadth-first pass over the monochromatic component at
+    ``anchor``, following only the component's ``letters`` (both signs,
+    in order) in the whole graph's adjacency.  Returns (parent, pairs,
+    non-tree pairs): parent as from ``graphs.breadth_first_tree``, the
+    component's canonical pairs as a frozenset, and the pairs outside the
+    spanning tree that parent spells, in the order the pass met them."""
+    parent = {}
+    pairs = []
+    nontree = []
+    order = [anchor]
+    for v in order:  # grows while it is read: breadth-first order
+        slots = out[v]
+        for letter in letters:
+            w = slots.get(letter)
+            if w is None:
+                continue
+            if w not in parent and w != anchor:
+                parent[w] = (v, letter)
+                order.append(w)
+            elif letter.sign > 0 and parent.get(v) != (w, letter.inverse()):
+                # not the tree edge into v, read backwards
+                nontree.append((v, w, letter))
+            if letter.sign > 0:
+                pairs.append((v, w, letter))
+    return parent, frozenset(pairs), nontree
 
 
 def _split_runs(graph: LabeledGraph, start: int, word):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .factors import FiniteGroupTable, component_cosets
-from .graphs import LabeledGraph, canonical_pair, component_graph, components, fold, trace
+from .graphs import LabeledGraph, _fold, _write_pairs, component_graph, components, fold
 from .words import normal_form
 
 
@@ -60,55 +60,45 @@ class SubgroupGraph:
 
 def _wedge(base, words, open_words):
     """Wedge of loops (one per word) and open paths (one per open word) at
-    a common base vertex.  Returns (graph, end vertex of each open path).
-    The graph is marked unfolded without a scan: ``fold`` builds the same
-    quotient and vertex map from either mark."""
-    vertices = {base}
-    pairs = []
-    next_id = base + 1
-    for word in words:
-        current = base
-        for i, letter in enumerate(word):
-            target = base if i == len(word) - 1 else next_id
-            if target != base:
-                next_id += 1
-            vertices.add(target)
-            pairs.append((current, target, letter))
-            current = target
-    ends = []
-    for word in open_words:
+    a common base vertex, written straight into an adjacency.  Its edges
+    go in word order, each oriented along its word, through
+    ``_write_pairs``, which leaves out the edges that clash with one
+    already written.  Returns (adjacency, clashing edges, end vertex of
+    each open path): ``graphs._fold`` of the first two is the folded
+    wedge."""
+    out = {base: {}}
+    edges = []
+
+    def path(word):
+        """Fresh vertices along ``word`` from the base; returns its end."""
         current = base
         for letter in word:
-            target = next_id
-            next_id += 1
-            vertices.add(target)
-            pairs.append((current, target, letter))
+            target = base + len(out)
+            out[target] = {}
+            edges.append((current, target, letter))
             current = target
-        ends.append(current)
-    pairs = frozenset(canonical_pair(u, w, letter) for u, w, letter in pairs)
-    return LabeledGraph(frozenset(vertices), pairs, base, False), tuple(ends)
+        return current
+
+    for word in words:
+        if word:
+            edges.append((path(word[:-1]), base, word[-1]))
+    ends = [path(word) for word in open_words]
+    return out, _write_pairs(out, edges), tuple(ends)
 
 
 def based_fixpoint(graph, table, tracked=()):
-    """Fold, merging the previous round's coset groups, to a fixed point;
-    returns the stable graph and the images of the tracked vertices.
+    """Merge each round's coset groups and fold, to a fixed point; returns
+    the stable graph and the images of the tracked vertices.  Requires a
+    folded graph, which is returned as it is when it has no groups.
 
     The first round scans every y-component for coset groups; a later one
     scans only the y-components that hold a survivor of its merges.  A
     y-component without one has the vertices and edges it had at its last
     scan, which found no groups in it, and the groups of a component do
     not depend on the vertex its scan starts from."""
-    tracked = list(tracked)
-    groups = ()
+    tracked = tuple(tracked)
     starts = None
     while True:
-        before = len(graph.vertices)
-        graph, vmap = fold(graph, groups)
-        tracked = [vmap[v] for v in tracked]
-        if groups:
-            if len(graph.vertices) >= before:
-                raise AssertionError("identification round failed to shrink the graph")
-            starts = {vmap[v] for v in vmap if vmap[v] != v}
         groups = []
         for _subgroup, keys in component_cosets(table, graph, starts):
             if len(set(keys.values())) == len(keys):
@@ -118,16 +108,30 @@ def based_fixpoint(graph, table, tracked=()):
                 buckets.setdefault(key, []).append(v)
             groups.extend(group for group in buckets.values() if len(group) > 1)
         if not groups:
-            return graph, tuple(tracked)
+            return graph, tracked
+        before = len(graph.vertices)
+        graph, vmap = fold(graph, groups)
+        tracked = tuple(vmap[v] for v in tracked)
+        if len(graph.vertices) >= before:
+            raise AssertionError("identification round failed to shrink the graph")
+        starts = {vmap[v] for v in vmap if vmap[v] != v}
 
 
 def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     """Canonical based graph for the subgroup, with one open path per
-    separator word; returns the graph and each path's end vertex."""
-    wedge, ends = _wedge(0, spec.subgroup_words, spec.separate_words)
-    graph, ends = based_fixpoint(wedge, spec.finite, ends)
+    separator word; returns the graph and each path's end vertex.  Every
+    generator loop must close at the base, read off the adjacency."""
+    out, clashes, ends = _wedge(0, spec.subgroup_words, spec.separate_words)
+    graph, vmap = _fold(out, clashes, out, 0, ())
+    graph, ends = based_fixpoint(graph, spec.finite, [vmap[v] for v in ends])
+    out, base = graph.out, graph.base
     for word in spec.subgroup_words:
-        if not trace(graph, graph.base, word).closed:
+        end = base
+        for letter in word:
+            end = out[end].get(letter)
+            if end is None:
+                break
+        if end != base:
             raise AssertionError("generator loop failed to close")
     return SubgroupGraph(graph, ends)
 

@@ -14,10 +14,13 @@ the defects of each component that is not a tree, coset keys and the
 based fixpoint one component subgraph at a time or by a full rescan each
 round, the embedding of a y-component in its coset graph with cosets as
 element sets, kernel generating sets by the Schreier transversal
-construction, and words by one regex match per term.
+construction, words by one regex match per term, the folded wedge
+through a canonical pair set, and the Kurosh decomposition through pair
+sets, set differences and union-find.
 
-Not an oracle: ``decompose`` records a problem's eligibility verdict and
-Kurosh decomposition as JSON data, for the Kurosh pins
+Not oracles: ``build_graph`` assembles a test graph from listed edges,
+and ``decompose`` records a problem's eligibility verdict and Kurosh
+decomposition as JSON data, for the Kurosh pins
 (``test_kurosh_pins.py``) and the byte-identity corpus
 (``corpus_outputs.py``).
 """
@@ -35,12 +38,17 @@ from altsep.factors import NotGBasedError, component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
     _pair_key,
+    _UnionFind,
     breadth_first_tree,
     canonical_pair,
+    component_graph,
+    components,
     fold,
     make_graph,
     trace,
+    tree_path_word,
 )
+from altsep.kurosh import KuroshDecomposition, KuroshFactor
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -78,6 +86,30 @@ def exhaustive_closure(gens, degree):
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+# -- graph construction ---------------------------------------------------------
+
+
+def build_graph(vertices, edges, base) -> LabeledGraph:
+    """Build a graph from declared vertices and (source, target, letter)
+    edges; each listed edge also carries its involution partner.
+
+    Listing the same edge pair twice (directly or via its inverse
+    orientation) is rejected.
+    """
+    vertex_set = frozenset(vertices)
+    if base not in vertex_set:
+        raise ValueError(f"base {base!r} is not a declared vertex")
+    pairs = set()
+    for source, target, letter in edges:
+        if source not in vertex_set or target not in vertex_set:
+            raise ValueError(f"edge ({source}, {target}, {letter}) uses an undeclared vertex")
+        pair = canonical_pair(source, target, letter)
+        if pair in pairs:
+            raise ValueError(f"duplicate edge {pair[0]} --{pair[2]}--> {pair[1]}")
+        pairs.add(pair)
+    return make_graph(vertex_set, pairs, base)
 
 
 # -- graph shape ----------------------------------------------------------------
@@ -363,6 +395,38 @@ def embed_Y_component(table, component: LabeledGraph):
     return cover, embedding
 
 
+def wedge_graph(base, words, open_words):
+    """The folded wedge of ``subgroups._wedge`` through a pair set: every
+    edge as a canonical pair in one frozenset, an unfolded graph of them,
+    and ``fold``.  Returns (folded wedge, end vertex of each open path in
+    it)."""
+    vertices = {base}
+    pairs = []
+    next_id = base + 1
+    for word in words:
+        current = base
+        for i, letter in enumerate(word):
+            target = base if i == len(word) - 1 else next_id
+            if target != base:
+                next_id += 1
+            vertices.add(target)
+            pairs.append((current, target, letter))
+            current = target
+    ends = []
+    for word in open_words:
+        current = base
+        for letter in word:
+            target = next_id
+            next_id += 1
+            vertices.add(target)
+            pairs.append((current, target, letter))
+            current = target
+        ends.append(current)
+    pairs = frozenset(canonical_pair(u, w, letter) for u, w, letter in pairs)
+    graph, vmap = fold(LabeledGraph(frozenset(vertices), pairs, base, False))
+    return graph, tuple(vmap[v] for v in ends)
+
+
 def based_fixpoint_oracle(graph, table, tracked=()):
     """``subgroups.based_fixpoint`` with its coset groups found one
     y-component subgraph at a time."""
@@ -523,7 +587,8 @@ def fixpoint_contains(graph: LabeledGraph, table, word):
         current = next_id
         next_id += 1
     raw = LabeledGraph(frozenset(vertices), frozenset(pairs), graph.base, False)
-    _stable, (base, end) = based_fixpoint(raw, table, (graph.base, current))
+    folded, vmap = fold(raw)
+    _stable, (base, end) = based_fixpoint(folded, table, (vmap[graph.base], vmap[current]))
     return base == end
 
 
@@ -672,6 +737,56 @@ def parse_word_oracle(text: str, rank: int, num_ygens: int, line: int):
         base = x_letter(index, sign) if factor == "x" else y_letter(index, sign)
         letters.extend([base] * abs(exponent))
     return tuple(letters)
+
+
+# -- Kurosh decomposition through pair sets --------------------------------------
+
+
+def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
+    """``kurosh.kurosh_decompose`` through pair sets: the letters present
+    read off the graph's pairs, each cyclic component made a graph by
+    ``component_graph`` with its own breadth-first spanning tree as a set
+    of canonical pairs, its loop words from the set difference, and
+    ``delta`` the graph's pairs less the removed ones, checked connected
+    by union-find over its pairs."""
+    letters = {"x": [], "y": []}
+    for letter in sorted({pair[2] for pair in graph.pairs}, key=lambda l: l.sort_key):
+        letters[letter.factor] += (letter, letter.inverse())
+    order, parent = breadth_first_tree(graph, graph.base, letters["x"] + letters["y"])
+    if len(order) != len(graph.vertices):
+        raise ValueError("graph must be connected")
+    discovery = {v: i for i, v in enumerate(order)}
+    cyclic = [(min(members, key=discovery.__getitem__), members, factor)
+              for factor in ("x", "y") for members, pairs in components(graph, factor)
+              if pairs >= len(members)]
+    cyclic.sort(key=lambda item: discovery[item[0]])
+
+    factors = []
+    removed = set()
+    for anchor, members, factor in cyclic:
+        component = component_graph(graph, members, factor, anchor)
+        approach = tree_path_word(parent, anchor)
+        _order, cparent = breadth_first_tree(graph, anchor, letters[factor])
+        ctree = {canonical_pair(u, v, letter) for v, (u, letter) in cparent.items()}
+        loop_words = []
+        for u, w, letter in sorted(component.pairs - ctree, key=_pair_key):
+            to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
+            loop_words.append(to_u + (letter,) + word_inverse(to_w))
+            removed.add((u, w, letter))
+        subgroup = None
+        if factor == "y":
+            subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
+        factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
+
+    delta = LabeledGraph(
+        graph.vertices, graph.pairs - frozenset(removed), graph.base, graph.folded)
+    uf = _UnionFind(delta.vertices)
+    for u, w, _letter in delta.pairs:
+        uf.union(u, w)
+    if len({uf.find(v) for v in delta.vertices}) != 1:
+        raise AssertionError("pruned graph must stay connected")
+    free_rank = len(delta.pairs) - len(delta.vertices) + 1
+    return KuroshDecomposition(tuple(factors), free_rank, delta)
 
 
 # -- recorded decompositions ------------------------------------------------------

@@ -16,10 +16,11 @@ from altsep import permgroup
 from altsep.cli import main, parse_problem, run_separate
 from altsep.covers import build_separating_cover
 from altsep.factors import enumerate_group
-from altsep.graphs import build_graph, fold
+from altsep.graphs import fold
 from altsep.kurosh import kurosh_decompose, verify_intersection
 from altsep.subgroups import (
     MembershipTester,
+    based_fixpoint,
     build_subgroup_graph,
     hypothesis_check,
 )
@@ -27,6 +28,7 @@ from altsep.words import spell, word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    build_graph,
     canonical_form,
     component_subgraphs,
     embed_Y_component,
@@ -39,6 +41,7 @@ from oracles import (
     reidemeister_schreier,
     saturation_defects,
     subgroup_ball,
+    wedge_graph,
 )
 
 DEMO = """\
@@ -302,6 +305,25 @@ def test_membership_reader_matches_fixpoint_oracle():
         for word in words + products:
             assert tester.contains(word) == fixpoint_contains(graph, table, word), word
         assert all(tester.contains(word) for word in products)
+
+
+def test_subgroup_graph_matches_the_pair_set_wedge():
+    """build_subgroup_graph, whose wedge is written into slots, builds the
+    graph, vertex ids and separator ends of the wedge folded through a
+    canonical pair set (``oracles.wedge_graph``) and then run through the
+    fixpoint, on the demo, the criterion-5 fixtures, the problem files and
+    120 seeded random problems."""
+    groups = tables()
+    specs = [parse_problem(DEMO), *membership_fixtures(groups)]
+    specs += [parse_problem(path.read_text()) for path in PROBLEM_FILES]
+    rng = random.Random(2024)
+    specs += [random_spec(rng, groups) for _ in range(120)]
+    for spec in specs:
+        built = build_subgroup_graph(spec)
+        wedge, ends = wedge_graph(0, spec.subgroup_words, spec.separate_words)
+        graph, tracked = based_fixpoint(wedge, spec.finite, ends)
+        assert built.graph == graph and built.graph.vertices == graph.vertices
+        assert built.separator_ends == tracked
 
 
 # -- 6: decomposition soundness -------------------------------------------------------------

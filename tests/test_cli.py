@@ -25,11 +25,11 @@ from altsep.cli import (
 )
 from altsep.covers import CoverSearchExhaustedError
 from altsep.factors import NotGBasedError
-from altsep.graphs import LabeledGraph, build_graph
+from altsep.graphs import LabeledGraph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
-from oracles import parse_word_oracle
+from oracles import build_graph, parse_word_oracle
 
 DEMO = """\
 # conjugated pair over S3

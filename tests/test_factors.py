@@ -15,7 +15,6 @@ from altsep.covers import _complete, build_separating_cover
 from altsep.graphs import (
     LabeledGraph,
     breadth_first_tree,
-    build_graph,
     components,
     fold,
     from_adjacency,
@@ -26,6 +25,7 @@ from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    build_graph,
     component_cosets_oracle,
     component_subgraphs,
     coset_graph_oracle,

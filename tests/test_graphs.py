@@ -6,7 +6,6 @@ from altsep import graphs
 from altsep.graphs import (
     LabeledGraph,
     breadth_first_tree,
-    build_graph,
     canonical_pair,
     components,
     fold,
@@ -18,6 +17,7 @@ from altsep.words import x_alphabet, x_letter as x, y_letter as y
 
 from oracles import (
     all_fold_results,
+    build_graph,
     bfs_components,
     canonical_form,
     coset_graph_oracle,
@@ -231,6 +231,27 @@ def test_write_pairs_contract_on_random_pairs():
         written = [pair for pair in pairs if pair not in clashes]
         rng.shuffle(written)
         assert graphs._write_pairs(batch, written) == [] and batch == out
+
+
+def test_write_pairs_accepts_an_edge_in_either_orientation():
+    """Writing each edge as given or as its canonical pair gives the same
+    adjacency, and the same clashes up to orientation."""
+    rng = random.Random(2030)
+    alphabet = [x(1), x(1, -1), x(2), x(2, -1), y(1), y(1, -1)]
+    clashed = 0
+    for _ in range(200):
+        vertices = rng.sample(range(60), rng.randint(1, 12))
+        edges = [(rng.choice(vertices), rng.choice(vertices), rng.choice(alphabet))
+                 for _ in range(rng.randint(0, 2 * len(vertices)))]
+        given, canonical = {v: {} for v in vertices}, {v: {} for v in vertices}
+        given_clashes = graphs._write_pairs(given, edges)
+        canonical_clashes = graphs._write_pairs(
+            canonical, [canonical_pair(*edge) for edge in edges])
+        assert given == canonical
+        assert [canonical_pair(*edge) for edge in given_clashes] == canonical_clashes
+        assert all(edge in edges for edge in given_clashes)
+        clashed += bool(given_clashes)
+    assert clashed >= 50
 
 
 def test_make_graph_is_folded_exactly_when_the_oracle_says_so():

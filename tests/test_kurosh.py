@@ -1,14 +1,28 @@
+import copy
+import random
+from pathlib import Path
+
 import pytest
 
+from altsep.cli import parse_problem
 from altsep.factors import NotGBasedError
 from altsep import kurosh
-from altsep.graphs import _pair_key, build_graph, trace
+from altsep.graphs import _pair_key, trace
 from altsep.kurosh import kurosh_decompose, project_loop, verify_intersection
-from altsep.subgroups import build_subgroup_graph
+from altsep.subgroups import build_subgroup_graph, hypothesis_check
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
-from oracles import component_subgraphs, iter_reduced_x_words
+from oracles import (
+    build_graph,
+    component_subgraphs,
+    iter_reduced_x_words,
+    kurosh_oracle,
+    random_raw_word,
+)
+from test_scale import decompose_sized_words
+
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
 
 
 def decompose(spec):
@@ -121,18 +135,71 @@ def test_kurosh_rejects_a_disconnected_graph(z2):
 def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
     """A component that misreports a tree edge as a non-tree edge makes the
     pruned graph fall apart; that is a broken invariant, not bad input."""
-    real = kurosh._component_tree
+    real = kurosh._component_walk
 
-    def losing_one_tree_edge(graph, anchor, letters):
-        parent, tree = real(graph, anchor, letters)
+    def losing_one_tree_edge(out, anchor, letters):
+        parent, pairs, nontree = real(out, anchor, letters)
+        tree = pairs - set(nontree)
         if tree:
-            tree = tree - {min(tree, key=_pair_key)}
-        return parent, tree
+            nontree = nontree + [min(tree, key=_pair_key)]
+        return parent, pairs, nontree
 
-    monkeypatch.setattr(kurosh, "_component_tree", losing_one_tree_edge)
+    monkeypatch.setattr(kurosh, "_component_walk", losing_one_tree_edge)
     graph = build_graph([0, 1], [(0, 1, x(1)), (0, 1, x(2))], 0)
     with pytest.raises(AssertionError, match="pruned graph must stay connected"):
         kurosh_decompose(graph, z2)
+
+
+def assert_same_decomposition(got, expected):
+    """Approach and loop words, each component's vertices, pairs and
+    base, the finite subgroups, the free rank, and delta's vertices and
+    pairs."""
+    assert len(got.factors) == len(expected.factors)
+    for mine, theirs in zip(got.factors, expected.factors):
+        assert (mine.approach, mine.loop_words) == (theirs.approach, theirs.loop_words)
+        assert (mine.factor, mine.subgroup) == (theirs.factor, theirs.subgroup)
+        assert mine.component.vertices == theirs.component.vertices
+        assert mine.component.pairs == theirs.component.pairs
+        assert mine.component.base == theirs.component.base
+    assert got.free_rank == expected.free_rank
+    assert got.delta.vertices == expected.delta.vertices
+    assert got.delta.pairs == expected.delta.pairs
+
+
+def test_decomposition_matches_the_pair_set_oracle(z2, s3, d4, a4):
+    """On 220 seeded subgroup graphs the decomposition read off the
+    adjacency is the one built through pair sets, and the graph's
+    adjacency, whose slot dicts delta shares, is left as it was."""
+    rng = random.Random(41)
+    factors = pruned = 0
+    for table in (z2, s3, d4, a4):
+        for _ in range(55):
+            words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
+                     for _ in range(rng.randint(1, 4))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
+                          for _ in range(rng.randint(0, 2))]
+            graph = build_subgroup_graph(make_spec(table, words, separators)).graph
+            before = copy.deepcopy(graph.out)
+            decomposition = kurosh_decompose(graph, table)
+            assert graph.out == before
+            assert_same_decomposition(decomposition, kurosh_oracle(graph, table))
+            factors += len(decomposition.factors)
+            pruned += len(decomposition.delta.pairs) < len(graph.pairs)
+    assert factors >= 200 and pruned >= 150
+
+
+def test_decompose_builds_no_pair_set_of_the_subgroup_graph(s3):
+    """Subgroup graph, verdict and decomposition of every problem file and
+    of the decompose-sized subgroup read the adjacency only: the graph's
+    pairs are never asked for."""
+    specs = [parse_problem(path.read_text()) for path in PROBLEMS]
+    specs.append(make_spec(s3, decompose_sized_words(s3)))
+    for spec in specs:
+        graph = build_subgroup_graph(spec).graph
+        hypothesis_check(graph, spec.free.rank)
+        decomposition = kurosh_decompose(graph, spec.finite)
+        assert graph._pairs is None
+        assert_same_decomposition(decomposition, kurosh_oracle(graph, spec.finite))
 
 
 # -- loop projection ------------------------------------------------------------------

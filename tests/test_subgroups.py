@@ -6,7 +6,7 @@ import pytest
 from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
-from altsep.graphs import build_graph, components, fold, trace
+from altsep.graphs import _fold, components, fold, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -26,6 +26,7 @@ from conftest import make_spec
 from oracles import (
     based_fixpoint_full_rescan,
     based_fixpoint_oracle,
+    build_graph,
     canonical_form,
     component_subgraphs,
     contains_oracle,
@@ -37,6 +38,7 @@ from oracles import (
     random_raw_word,
     reidemeister_schreier,
     subgroup_ball,
+    wedge_graph,
 )
 
 
@@ -81,6 +83,27 @@ def test_every_y_component_embeds(s3):
         embed_Y_component(s3, component)  # raises when not based
 
 
+def test_wedge_folds_to_the_pair_set_wedge(z2, s3, d4):
+    """_wedge's adjacency and clashes, folded by _fold, are the graph,
+    vertex ids and path ends of the wedge's canonical pair set folded by
+    fold."""
+    rng = random.Random(31)
+    clashed = 0
+    for table in (z2, s3, d4):
+        for _ in range(40):
+            words = [random_raw_word(rng, 2, table.num_generators, 10)
+                     for _ in range(rng.randint(0, 3))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6)
+                          for _ in range(rng.randint(0, 2))]
+            out, clashes, ends = _wedge(0, words, separators)
+            graph, vmap = _fold(out, clashes, out, 0, ())
+            expected, expected_ends = wedge_graph(0, words, separators)
+            assert graph == expected and graph.vertices == expected.vertices
+            assert tuple(vmap[v] for v in ends) == expected_ends
+            clashed += bool(clashes)
+    assert clashed >= 40
+
+
 def test_fixpoint_is_stable(s3):
     spec = make_spec(
         s3,
@@ -102,13 +125,13 @@ def test_fixpoint_matches_the_per_component_oracle(z2, s3, d4):
             separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
                           for _ in range(rng.randint(1, 2))]
             built = build_subgroup_graph(make_spec(table, words, separators))
-            wedge, ends = _wedge(0, words, separators)
+            wedge, ends = wedge_graph(0, words, separators)
             graph, tracked = based_fixpoint_oracle(wedge, table, (0, *ends))
             assert built.graph.vertices == graph.vertices
             assert built.graph.pairs == graph.pairs
             assert built.graph.base == graph.base == tracked[0]
             assert built.separator_ends == tracked[1:]
-            identified += len(fold(wedge)[0].vertices) > len(graph.vertices)
+            identified += len(wedge.vertices) > len(graph.vertices)
     # coset identification, not folding alone, shrank many of the graphs
     assert identified >= 20
 
@@ -129,7 +152,7 @@ def test_fixpoint_matches_a_full_rescan_each_round(s3, d4, a4, monkeypatch):
     monkeypatch.setattr(subgroups, "component_cosets", recording)
 
     def check(table, words, separators):
-        wedge, ends = _wedge(0, words, separators)
+        wedge, ends = wedge_graph(0, words, separators)
         got = based_fixpoint(wedge, table, (0, *ends))
         expected = based_fixpoint_full_rescan(wedge, table, (0, *ends))
         assert (got[0].vertices, got[0].pairs, got[0].base, got[1]) == (
