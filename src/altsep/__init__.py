@@ -1,7 +1,7 @@
 """Separation certificates for finitely generated subgroups of a free
 product of a free group and a finite group.
 
-The library builds the subgroup's folded based graph, decides membership,
+The library builds the subgroup's based graph, decides membership,
 extracts the free-product decomposition of the subgroup, and constructs a
 prime-degree cover whose vertex action is a surjection onto an alternating
 or symmetric group moving every requested outside element off the base

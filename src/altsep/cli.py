@@ -346,18 +346,18 @@ def run_separate(
     verify_level: str = "fast",
 ) -> RunOutcome:
     """Full pipeline: based graph, eligibility, separating cover, vertex
-    action, recognition, certificate.  The cover's size is known before
-    step 2 writes it; when that size + 5 passes ``max_prime``,
+    action, recognition, certificate; each stage graph is the graph of
+    the adjacency its stage wrote.  The cover's size is known before step
+    2 writes it; when that size + 5 passes ``max_prime``,
     CoverSearchExhaustedError is raised at once.  Each invariant of a
     certificate is checked once before the document is emitted:
-    ``CoverPlan`` rejects a non-prime degree; the cover's edge writes
-    reject an edge whose slot is taken, so the cover is folded;
-    ``covers._attempt`` rejects a cover of the wrong size, an unsaturated
-    cover or an intransitive action; and ``_certificate`` checks the
-    image order, the images of the base point and of the separators, read
-    through the cover's point numbering, and with
-    ``factors.component_cosets`` that every y-component of the cover is a
-    full coset graph."""
+    ``CoverPlan`` rejects a non-prime degree; the cover's slot writes
+    reject an edge whose slot is taken; ``covers._attempt`` rejects a
+    cover of the wrong size, an unsaturated cover or an intransitive
+    action; and ``_certificate`` checks the image order, the images of
+    the base point and of the separators, read through the cover's point
+    numbering, and with ``factors.component_cosets`` that every
+    y-component of the cover is a full coset graph."""
     if not spec.separate_words:
         raise ValueError("nothing to separate: no [separate] words")
     built = build_subgroup_graph(spec)
@@ -395,7 +395,7 @@ def _certificate(spec, built, result) -> dict:
     (``result.positions``), which places the base point and each
     separator's traced end.  The vertex counts after step 2 and after
     step 4 are the plan's k and p: ``choose_prime`` takes k from the
-    written cover, and ``covers._attempt`` checks p.  Of the cover graph
+    written cover, and ``covers._attempt`` checks p.  Of the cover graph,
     only the y-component check reads the adjacency."""
     plan = result.plan
     positions = result.positions
@@ -549,7 +549,7 @@ def main(argv=None) -> int:
             raise ValueError("nothing to separate: no [separate] words")
         if args.max_prime > DEFAULT_MAX_PRIME:
             raise ValueError(f"--max-prime above {DEFAULT_MAX_PRIME}")
-        signs = _parse_sign_vector(args.sign_vector) if args.sign_vector else None
+        signs = None if args.sign_vector is None else _parse_sign_vector(args.sign_vector)
         if signs is not None and len(signs) != spec.free.rank:
             raise ValueError(
                 f"sign vector must have length {spec.free.rank}, got {len(signs)}")

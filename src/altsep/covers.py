@@ -27,17 +27,14 @@ The pipeline:
 4. give every vertex with no edge of a factor that factor's one-vertex
    cover, a loop per generator, without adding vertices.
 
-Steps 2-4 write the cover into one adjacency, vertex -> {letter ->
-target}, the store of a folded graph, through the slot writer of
+Steps 2-4 write the cover into one adjacency through the slot writer of
 ``graphs``: an edge that finds a slot taken fails the immersion
-condition, so the cover stays folded by construction, and it is
-saturated once every vertex has a slot for every letter.  Recognition
-runs on the generators' permutations read off the adjacency, so no graph
-is built for a prime it rejects.  Step 4 writes its loops into fresh
-slot dicts, leaving step 3's adjacency as the precover; for the accepted
-prime ``graphs.from_adjacency`` makes each stage graph
-(``component_covers``, ``precover``, ``cover``) of its adjacency, with no
-fold check and no pair set, which only ``--emit-dot`` reads off.
+condition, and the cover is saturated once every vertex has a slot for
+every letter.  Recognition runs on the generators' permutations read off
+the adjacency.  Step 4 writes its loops into fresh slot dicts, leaving
+step 3's adjacency as the precover; only for the accepted prime is each
+stage graph (``component_covers``, ``precover``, ``cover``) made a
+``LabeledGraph`` of its adjacency.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .factors import NotGBasedError, component_cosets, coset_action
-from .graphs import LabeledGraph, _write_pairs, components, from_adjacency
+from .graphs import LabeledGraph, _write_pairs, components
 from . import permgroup
 from .subgroups import (
     ProblemSpec,
@@ -112,10 +109,11 @@ def chain_gadget(length: int, rank: int, connect: int) -> LabeledGraph:
     missing connect at the last."""
     if length < 1 or rank < 2 or not 1 <= connect <= rank:
         raise ValueError("bad chain gadget parameters")
-    pairs = {(j, j + 1, x_letter(connect)) for j in range(length - 1)}
-    pairs.update((j, j, x_letter(i)) for i in range(1, rank + 1) if i != connect
-                 for j in range(length))
-    return LabeledGraph(frozenset(range(length)), frozenset(pairs), 0, True)
+    out = {j: {} for j in range(length)}
+    _immerse(out, [(j, j + 1, x_letter(connect)) for j in range(length - 1)]
+             + [(j, j, x_letter(i)) for i in range(1, rank + 1) if i != connect
+                for j in range(length)])
+    return LabeledGraph(out, 0)
 
 
 def mover_gadget(signs, rank: int, connect: int, move: int) -> LabeledGraph:
@@ -138,20 +136,22 @@ def mover_gadget(signs, rank: int, connect: int, move: int) -> LabeledGraph:
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
     v1, v2, v3, v4 = 0, 1, 2, 3
-    pairs = {(v1, v2, x_letter(connect))}
+    pairs = [(v1, v2, x_letter(connect))]
     for i in range(1, rank + 1):
         letter = x_letter(i)
         if i not in (connect, move):
-            pairs.update([(v1, v1, letter), (v2, v2, letter)])
+            pairs += [(v1, v1, letter), (v2, v2, letter)]
         if i != move:
-            pairs.update([(v3, v3, letter), (v4, v4, letter)] if signs[i - 1] == 1
-                         else [(v3, v4, letter), (v4, v3, letter)])
+            pairs += ([(v3, v3, letter), (v4, v4, letter)] if signs[i - 1] == 1
+                      else [(v3, v4, letter), (v4, v3, letter)])
     letter = x_letter(move)
     if signs[move - 1] == 1:
-        pairs.update([(v1, v3, letter), (v3, v1, letter), (v2, v4, letter), (v4, v2, letter)])
+        pairs += [(v1, v3, letter), (v3, v1, letter), (v2, v4, letter), (v4, v2, letter)]
     else:
-        pairs.update([(v1, v2, letter), (v2, v3, letter), (v3, v4, letter), (v4, v1, letter)])
-    return LabeledGraph(frozenset(range(4)), frozenset(pairs), 0, True)
+        pairs += [(v1, v2, letter), (v2, v3, letter), (v3, v4, letter), (v4, v1, letter)]
+    out = {v: {} for v in range(4)}
+    _immerse(out, pairs)
+    return LabeledGraph(out, 0)
 
 
 def word_action(images, word, point: int) -> int:
@@ -281,9 +281,9 @@ def build_separating_cover(
         result = _attempt(spec, out, host_vertices, plan, params, a, b)
         if result is not None:
             precover_out, cover_out, positions, images, image_type, move_support = result
-            cover = from_adjacency(cover_out, graph.base)
-            stages = {"component_covers": from_adjacency(out, graph.base),
-                      "precover": from_adjacency(precover_out, graph.base), "cover": cover}
+            cover = LabeledGraph(cover_out, graph.base)
+            stages = {"component_covers": LabeledGraph(out, graph.base),
+                      "precover": LabeledGraph(precover_out, graph.base), "cover": cover}
             return SeparatingCover(cover, plan, params, positions, images, image_type,
                                    retries, stages, move_support)
 
@@ -293,7 +293,7 @@ def _attempt(spec, glued, host_vertices, plan, params, a, b):
     adjacency, then recognition on the permutations read off the result.
     Returns None when the image is neither alternating nor symmetric,
     else the precover's and the cover's adjacencies and what the
-    certificate reads; no graph is built either way."""
+    certificate reads; no stage graph is built either way."""
     table = spec.finite
     rank = spec.free.rank
     connect, move = params.connect_letter, params.move_letter

@@ -179,8 +179,8 @@ def coset_action(table: FiniteGroupTable, subgroup):
 
 
 def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
-    """Loop subgroup K and coset keys of every y-component of a folded
-    graph, from one breadth-first pass over its y-edges; with ``starts``,
+    """Loop subgroup K and coset keys of every y-component of a graph,
+    from one breadth-first pass over its y-edges; with ``starts``,
     of only the y-components that hold a vertex of ``starts``.
 
     Returns one (K, {vertex: key}) per y-component.  A component's pass

@@ -2,13 +2,12 @@
 
 An edge u --x1--> w and its involution partner w --x1^-1--> u are one
 edge pair, named canonically by the orientation whose letter has
-positive sign: (u, w, x1).  A graph is *folded* when no vertex has two
-outgoing edges with the same letter, and a folded graph is stored as its
-adjacency ``out``, vertex -> {letter -> target}, in the format this
-module owns: ``_write_pairs`` writes every slot of one, and
-``from_adjacency`` makes one a graph, whose ``pairs`` are read off its
-positive-sign slots when first asked for.  A graph made from pairs keeps
-them, and a folded one writes its adjacency from them when first read.
+positive sign: (u, w, x1).  A graph is an immersion into the rose: no
+vertex has two outgoing edges with one letter, so each letter is a
+partial injection of the vertices.  It is stored as those injections,
+the adjacency ``out``, vertex -> {letter -> target}, and its base
+vertex; ``_write_pairs`` writes the slots of one, and the graph's
+``pairs`` are read off its positive-sign slots when first asked for.
 Graphs are immutable.  ``fold`` is the only operation that merges
 vertices; folding is confluent, so it picks its own order, and the test
 suite checks that against random fold orders.
@@ -22,13 +21,6 @@ from dataclasses import FrozenInstanceError, dataclass
 from .words import Letter
 
 
-def canonical_pair(source: int, target: int, letter: Letter):
-    """Orient an edge so its letter has positive sign."""
-    if letter.sign < 0:
-        return (target, source, letter.inverse())
-    return (source, target, letter)
-
-
 def _pair_key(pair):
     """Edge-pair order: source, letter, target.  Private, so that a tracer
     wrapping the public functions records no span per comparison."""
@@ -37,14 +29,21 @@ def _pair_key(pair):
 
 
 class LabeledGraph:
-    """Vertices, canonical edge pairs, base vertex and whether the graph
-    is folded; equality and hashing read these four.  Immutable."""
+    """A graph: its adjacency ``out``, vertex -> {letter -> target}, with
+    both orientations of every edge, and its base vertex.  Equality and
+    hashing read the vertices, the pairs and the base.  Immutable; treat
+    ``out`` as read-only too, since ``fold`` shares the slot dicts of
+    unchanged vertices."""
 
-    __slots__ = ("vertices", "base", "folded", "_pairs", "_out", "_components")
+    __slots__ = ("out", "base", "vertices", "_pairs", "_components")
 
-    def __init__(self, vertices, pairs, base, folded):
-        for name, value in zip(self.__slots__, (vertices, base, folded, pairs, None, {})):
-            object.__setattr__(self, name, value)
+    def __init__(self, out, base):
+        init = object.__setattr__  # one call per slot: a Kurosh pass builds a graph per factor
+        init(self, "out", out)
+        init(self, "base", base)
+        init(self, "vertices", frozenset(out))
+        init(self, "_pairs", None)
+        init(self, "_components", {})
 
     def __setattr__(self, name, *value):
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -52,46 +51,34 @@ class LabeledGraph:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return LabeledGraph, (self.vertices, self.pairs, self.base, self.folded)
+        return LabeledGraph, (self.out, self.base)
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.__reduce__() == other.__reduce__()
+        return other.__class__ is self.__class__ and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.__reduce__())
+        return hash(self._key())
+
+    def _key(self):
+        return self.vertices, self.pairs, self.base
 
     @property
     def pairs(self):
-        """Canonical edge pairs, a frozenset; a graph built by
-        ``from_adjacency`` reads them off its positive-sign slots once."""
+        """Canonical edge pairs, a frozenset read off the positive-sign
+        slots once."""
         if self._pairs is None:
             object.__setattr__(self, "_pairs", frozenset(
-                (u, w, letter) for u, slots in self._out.items()
+                (u, w, letter) for u, slots in self.out.items()
                 for letter, w in slots.items() if letter.sign > 0))
         return self._pairs
 
-    @property
-    def out(self):
-        """Adjacency of a folded graph: vertex -> {letter -> target}; that
-        of ``from_adjacency``, else written once from the pairs on first
-        use.  Treat it as read-only: ``fold`` shares the slot dicts of
-        unchanged vertices.  Raises ValueError on an unfolded graph."""
-        if self._out is None:
-            if not self.folded:
-                raise ValueError("adjacency requires a folded graph")
-            table = {v: {} for v in self.vertices}
-            _write_pairs(table, self._pairs)
-            object.__setattr__(self, "_out", table)
-        return self._out
-
     def step(self, vertex: int, letter: Letter):
-        """Unique out-neighbor along ``letter``, or None.  Requires folded."""
+        """Unique out-neighbor along ``letter``, or None."""
         return self.out[vertex].get(letter)
 
     def __repr__(self):
         return (f"LabeledGraph({len(self.vertices)} vertices, "
-                f"{len(self.pairs)} edge pairs, base={self.base}, "
-                f"folded={self.folded})")
+                f"{len(self.pairs)} edge pairs, base={self.base})")
 
 
 @dataclass(frozen=True)
@@ -110,8 +97,9 @@ def _write_pairs(out, pairs):
     orientation, into an adjacency that has all their vertices: an edge
     fills its two slots when each is empty or holds the edge already.
     Returns, in order and as given, the edges that found a slot holding
-    another edge, and writes neither slot of those, so the adjacency stays
-    folded.  Private, so that a tracer records no span per write."""
+    another edge, and writes neither slot of those, so no vertex gets two
+    edges with one letter.  Private, so that a tracer records no span per
+    write."""
     clashes = []
     for u, w, letter in pairs:
         inverse = letter.inverse()
@@ -122,24 +110,6 @@ def _write_pairs(out, pairs):
             head[letter] = w
             tail[inverse] = u
     return clashes
-
-
-def from_adjacency(out, base) -> LabeledGraph:
-    """The folded graph an adjacency spells, with it as its ``out``; its
-    pairs are read off the adjacency when first asked for."""
-    graph = LabeledGraph(frozenset(out), None, base, True)
-    object.__setattr__(graph, "_out", out)
-    return graph
-
-
-def make_graph(vertices, pairs, base) -> LabeledGraph:
-    """Assemble a graph from canonical pairs; it is folded, and is the
-    adjacency they spell, exactly when no pair clashes."""
-    out = {v: {} for v in vertices}
-    pairs = frozenset(pairs)
-    if _write_pairs(out, pairs):
-        return LabeledGraph(frozenset(out), pairs, base, False)
-    return from_adjacency(out, base)
 
 
 class _UnionFind:
@@ -167,26 +137,16 @@ class _UnionFind:
 
 
 def fold(graph: LabeledGraph, merge=()):
-    """Least folded quotient in which each group (a sequence of vertices)
-    in ``merge`` is one vertex: merge the groups, then identify
-    same-source same-letter edges until none remain.  Returns (folded
-    graph, total vertex map).  Raises ValueError for a group naming an
-    unknown vertex.
-
-    A folded input starts from its ``out``; an unfolded one from its pairs
-    written into empty slots by ``_write_pairs``, less the clashing pairs.
-    ``_fold`` does the rest.
-    """
-    if graph.folded:
-        start, clashes = graph.out, ()
-    else:
-        start = {v: {} for v in graph.vertices}
-        clashes = _write_pairs(start, graph.pairs)
-    return _fold(start, clashes, graph.vertices, graph.base, merge)
+    """Least quotient in which each group (a sequence of vertices) in
+    ``merge`` is one vertex and no vertex has two edges with one letter:
+    merge the groups, then identify same-source same-letter edges until
+    none remain.  Returns (quotient graph, total vertex map).  Raises
+    ValueError for a group naming an unknown vertex."""
+    return _fold(graph.out, (), graph.vertices, graph.base, merge)
 
 
 def _fold(start, clashes, vertices, base, merge):
-    """``fold`` from a folded adjacency ``start`` on ``vertices`` and the
+    """``fold`` from an adjacency ``start`` on ``vertices`` and the
     edges ``_write_pairs`` returned as clashes when it wrote ``start``:
     the one body of every fold, the subgroup graph's first included.
 
@@ -197,9 +157,7 @@ def _fold(start, clashes, vertices, base, merge):
     survivor, in a shallow copy of the adjacency that copies a vertex's
     slots when the vertex first survives a merge.  Only the survivors and
     the neighbours of dropped vertices can hold a stale target, so only
-    their slots are resolved.  ``start`` is never written.  The result is
-    the adjacency built here, with no pair set kept beside it: its pairs
-    are read off it only if something asks for them.
+    their slots are resolved.  ``start`` is never written.
 
     Cost: the union-find work of the merges, the clashes and the folds
     they cause, one replay per slot of each vertex merged away, and O(d)
@@ -262,13 +220,11 @@ def _fold(start, clashes, vertices, base, merge):
     for v in changed:
         if v in out:
             out[v] = {letter: vmap[target] for letter, target in out[v].items()}
-    return from_adjacency(out, vmap[base]), vmap
+    return LabeledGraph(out, vmap[base]), vmap
 
 
 def trace(graph: LabeledGraph, start: int, word) -> TraceResult:
-    """Follow ``word`` letter by letter from ``start`` in a folded graph."""
-    if not graph.folded:
-        raise ValueError("trace requires a folded graph")
+    """Follow ``word`` letter by letter from ``start``."""
     if start not in graph.vertices:
         raise ValueError(f"unknown vertex {start!r}")
     current = start
@@ -281,7 +237,7 @@ def trace(graph: LabeledGraph, start: int, word) -> TraceResult:
 
 
 def components(graph: LabeledGraph, factor: str):
-    """Maximal connected monochromatic subgraphs of a folded graph for one
+    """Maximal connected monochromatic subgraphs of a graph for one
     factor, as (vertices, pair count) entries in order of least vertex.
 
     A component's vertices are a tuple in breadth-first order from its
@@ -290,7 +246,7 @@ def components(graph: LabeledGraph, factor: str):
     a cycle when its pair count is at least its vertex count, and is
     saturated for a factor of rank r (every vertex has all 2r slots)
     when the count is r times its vertex count.  ``component_graph``
-    makes one a graph.  Raises ValueError on an unfolded graph.
+    makes one a graph.
 
     Cost: one breadth-first sweep over the adjacency, which reads every
     slot of both factors once, and a sort of the vertices, on the first
@@ -329,26 +285,20 @@ def _sweep(graph: LabeledGraph, factor: str):
 
 def component_graph(graph: LabeledGraph, vertices, factor: str, base: int) -> LabeledGraph:
     """The component of ``factor`` on ``vertices`` (those of an entry of
-    ``components``) as a folded graph based at ``base``, its pairs read
-    off their positive-sign slots; its adjacency is written when first
-    read."""
+    ``components``) as a graph based at ``base``: their slots of that
+    factor."""
     out = graph.out
-    pairs = frozenset((v, w, letter) for v in vertices for letter, w in out[v].items()
-                      if letter.sign > 0 and letter.factor == factor)
-    return LabeledGraph(frozenset(vertices), pairs, base, True)
+    return LabeledGraph({v: {letter: w for letter, w in out[v].items() if letter.factor == factor}
+                         for v in vertices}, base)
 
 
-def breadth_first_tree(graph: LabeledGraph, root: int, letters=None):
+def breadth_first_tree(graph: LabeledGraph, root: int, letters):
     """Deterministic BFS that follows the edges labeled by ``letters``, in
-    that order; by default every letter of the graph, sorted x-first,
-    ascending index, positive sign first.  Returns (discovery order,
-    parent) where parent maps each non-root reached vertex to (parent
-    vertex, letter of the edge parent->v).  Requires a folded graph.
+    that order.  Returns (discovery order, parent) where parent maps each
+    non-root reached vertex to (parent vertex, letter of the edge
+    parent->v).
     """
     out = graph.out
-    if letters is None:
-        letters = sorted({letter for slots in out.values() for letter in slots},
-                         key=lambda l: l.sort_key)
     order = [root]
     parent = {}
     seen = {root}

@@ -19,8 +19,8 @@ from .graphs import (
     LabeledGraph,
     _pair_key,
     breadth_first_tree,
+    component_graph,
     components,
-    from_adjacency,
     trace,
     tree_path_word,
 )
@@ -57,11 +57,11 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
 
-    All is read off the adjacency, with no pair set of the graph.  Each
-    component with a cycle (by ``graphs.components``' pair counts) gets
-    one breadth-first pass from its anchor for its graph, spanning tree
-    and non-tree pairs.  ``delta`` is built from the adjacency less the
-    non-tree pairs' slots, a vertex's slots copied on their first
+    All is read off the adjacency.  Each component with a cycle (by
+    ``graphs.components``' pair counts) is ``graphs.component_graph``
+    based at its anchor, and one breadth-first pass from the anchor gives
+    its spanning tree and non-tree pairs.  ``delta`` is the adjacency less
+    the non-tree pairs' slots, a vertex's slots copied on their first
     removal; a breadth-first pass over its slots checks that it is
     connected, and its free rank is read off the slot counts.
     """
@@ -86,7 +86,7 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     copied = set()
     for anchor, members, factor in cyclic:
         approach = tree_path_word(parent, anchor)
-        cparent, pairs, nontree = _component_walk(out, anchor, letters[factor])
+        cparent, nontree = _component_walk(out, anchor, letters[factor])
         loop_words = []
         for u, w, letter in sorted(nontree, key=_pair_key):
             to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
@@ -99,7 +99,7 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
-        component = LabeledGraph(frozenset(members), pairs, anchor, True)
+        component = component_graph(graph, members, factor, anchor)
         factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
 
     reached = [graph.base]
@@ -114,18 +114,17 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     # a spanning tree of the connected delta has |V| - 1 pairs, and the
     # rest count toward the rank; each pair fills two slots
     free_rank = sum(map(len, pruned.values())) // 2 - len(pruned) + 1
-    return KuroshDecomposition(tuple(factors), free_rank, from_adjacency(pruned, graph.base))
+    return KuroshDecomposition(tuple(factors), free_rank, LabeledGraph(pruned, graph.base))
 
 
 def _component_walk(out, anchor, letters):
     """One breadth-first pass over the monochromatic component at
     ``anchor``, following only the component's ``letters`` (both signs,
-    in order) in the whole graph's adjacency.  Returns (parent, pairs,
-    non-tree pairs): parent as from ``graphs.breadth_first_tree``, the
-    component's canonical pairs as a frozenset, and the pairs outside the
-    spanning tree that parent spells, in the order the pass met them."""
+    in order) in the whole graph's adjacency.  Returns (parent, non-tree
+    pairs): parent as from ``graphs.breadth_first_tree``, and the
+    canonical pairs outside the spanning tree that parent spells, in the
+    order the pass met them."""
     parent = {}
-    pairs = []
     nontree = []
     order = [anchor]
     for v in order:  # grows while it is read: breadth-first order
@@ -140,9 +139,7 @@ def _component_walk(out, anchor, letters):
             elif letter.sign > 0 and parent.get(v) != (w, letter.inverse()):
                 # not the tree edge into v, read backwards
                 nontree.append((v, w, letter))
-            if letter.sign > 0:
-                pairs.append((v, w, letter))
-    return parent, frozenset(pairs), nontree
+    return parent, nontree
 
 
 def _split_runs(graph: LabeledGraph, start: int, word):

@@ -1,11 +1,12 @@
 """Canonical based graph of a finitely generated subgroup of F_r * G.
 
 The graph is the minimal quotient of a wedge of generator loops (and any
-requested separator paths) that is folded and in which every y-component
-embeds in its coset graph.  Both conditions together make the graph based
-over the free product, so it embeds in the coset graph of the subgroup in
-the ambient group; in particular a path from the base point closes exactly
-when its label lies in the subgroup, which decides membership.
+requested separator paths) in which no vertex has two edges with one
+letter and every y-component embeds in its coset graph.  Both conditions
+together make the graph based over the free product, so it embeds in the
+coset graph of the subgroup in the ambient group; in particular a path
+from the base point closes exactly when its label lies in the subgroup,
+which decides membership.
 
 The quotient is computed as a fixed point: fold, group the vertices of a
 y-component that land on the same coset of the subgroup its loops
@@ -44,12 +45,15 @@ class ProblemSpec:
 
     def __post_init__(self):
         for word in list(self.subgroup_words) + list(self.separate_words):
-            for letter in word:
-                if letter.factor == "x" and letter.index > self.free.rank:
-                    raise ValueError(f"letter {letter} exceeds free rank {self.free.rank}")
-                if letter.factor == "y" and letter.index > self.finite.num_generators:
-                    raise ValueError(
-                        f"letter {letter} names no generator of the finite factor")
+            self.check_word(word)
+
+    def check_word(self, word):
+        """Raise ValueError for a letter outside the problem's alphabet."""
+        for letter in word:
+            if letter.factor == "x" and letter.index > self.free.rank:
+                raise ValueError(f"letter {letter} exceeds free rank {self.free.rank}")
+            if letter.factor == "y" and letter.index > self.finite.num_generators:
+                raise ValueError(f"letter {letter} names no generator of the finite factor")
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,7 @@ def _wedge(base, words, open_words):
     go in word order, each oriented along its word, through
     ``_write_pairs``, which leaves out the edges that clash with one
     already written.  Returns (adjacency, clashing edges, end vertex of
-    each open path): ``graphs._fold`` of the first two is the folded
-    wedge."""
+    each open path): ``graphs._fold`` of the first two folds the wedge."""
     out = {base: {}}
     edges = []
 
@@ -88,8 +91,8 @@ def _wedge(base, words, open_words):
 
 def based_fixpoint(graph, table, tracked=()):
     """Merge each round's coset groups and fold, to a fixed point; returns
-    the stable graph and the images of the tracked vertices.  Requires a
-    folded graph, which is returned as it is when it has no groups.
+    the stable graph and the images of the tracked vertices.  A graph
+    with no groups is returned as it is.
 
     The first round scans every y-component for coset groups; a later one
     scans only the y-components that hold a survivor of its merges.  A
@@ -173,8 +176,6 @@ class MembershipTester:
     """
 
     def __init__(self, graph: LabeledGraph, table: FiniteGroupTable):
-        if not graph.folded:
-            raise ValueError("membership needs a folded graph")
         self.graph = graph
         self.table = table
 
@@ -234,9 +235,12 @@ class MembershipTester:
 
 def membership(spec: ProblemSpec, word) -> bool:
     """Does the word lie in the subgroup the problem generates?  Any
-    separator words in the problem are ignored."""
+    separator words in the problem are ignored, and a letter outside the
+    problem's alphabet raises ValueError, as it does in a problem."""
+    word = tuple(word)
+    spec.check_word(word)
     core = build_subgroup_graph(replace(spec, separate_words=()))
-    return MembershipTester(core.graph, spec.finite).contains(tuple(word))
+    return MembershipTester(core.graph, spec.finite).contains(word)
 
 
 VERDICT_TREES = "all_components_trees"

@@ -18,10 +18,11 @@ construction, words by one regex match per term, the folded wedge
 through a canonical pair set, and the Kurosh decomposition through pair
 sets, set differences and union-find.
 
-Not oracles: ``build_graph`` assembles a test graph from listed edges,
-and ``decompose`` records a problem's eligibility verdict and Kurosh
-decomposition as JSON data, for the Kurosh pins
-(``test_kurosh_pins.py``) and the byte-identity corpus
+Not oracles: ``make_graph`` and ``build_graph`` assemble a test graph
+from edge pairs, a ``RawGraph`` when they do not spell an adjacency,
+which ``fold_pairs`` folds; and ``decompose`` records a problem's
+eligibility verdict and Kurosh decomposition as JSON data, for the
+Kurosh pins (``test_kurosh_pins.py``) and the byte-identity corpus
 (``corpus_outputs.py``).
 """
 
@@ -37,14 +38,14 @@ from altsep.cli import MAX_NUMBER_DIGITS, MAX_WORD_LENGTH, ProblemFormatError
 from altsep.factors import NotGBasedError, component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
+    _fold,
     _pair_key,
     _UnionFind,
+    _write_pairs,
     breadth_first_tree,
-    canonical_pair,
     component_graph,
     components,
     fold,
-    make_graph,
     trace,
     tree_path_word,
 )
@@ -91,8 +92,46 @@ def exhaustive_closure(gens, degree):
 # -- graph construction ---------------------------------------------------------
 
 
-def build_graph(vertices, edges, base) -> LabeledGraph:
-    """Build a graph from declared vertices and (source, target, letter)
+def canonical_pair(source: int, target: int, letter: Letter):
+    """Orient an edge so its letter has positive sign."""
+    if letter.sign < 0:
+        return (target, source, letter.inverse())
+    return (source, target, letter)
+
+
+@dataclass(frozen=True)
+class RawGraph:
+    """A test graph whose edge pairs need not spell an adjacency: two of
+    them may claim one slot.  ``fold_pairs`` folds it."""
+
+    vertices: frozenset
+    pairs: tuple  # canonical pairs, in the order ``fold_pairs`` writes them
+    base: int
+
+
+def make_graph(vertices, pairs, base):
+    """The graph canonical pairs spell, or a RawGraph of them when two
+    claim one slot."""
+    out = {v: {} for v in vertices}
+    pairs = tuple(pairs)
+    if _write_pairs(out, pairs):
+        return RawGraph(frozenset(out), pairs, base)
+    return LabeledGraph(out, base)
+
+
+def fold_pairs(graph, merge=()):
+    """``graphs.fold`` of a LabeledGraph or a RawGraph: a RawGraph's pairs
+    are written into empty slots by ``_write_pairs``, and ``graphs._fold``
+    folds the clashes it returns in, as it does the subgroup wedge's."""
+    if isinstance(graph, LabeledGraph):
+        return fold(graph, merge)
+    out = {v: {} for v in graph.vertices}
+    clashes = _write_pairs(out, graph.pairs)
+    return _fold(out, clashes, graph.vertices, graph.base, merge)
+
+
+def build_graph(vertices, edges, base):
+    """``make_graph`` of declared vertices and (source, target, letter)
     edges; each listed edge also carries its involution partner.
 
     Listing the same edge pair twice (directly or via its inverse
@@ -140,8 +179,15 @@ def orbits_oracle(gens, degree):
 
 
 def is_connected(graph: LabeledGraph) -> bool:
-    order, _ = breadth_first_tree(graph, graph.base)
+    order, _ = breadth_first_tree(graph, graph.base, sorted_letters(graph))
     return len(order) == len(graph.vertices)
+
+
+def sorted_letters(graph: LabeledGraph):
+    """Every letter of the graph, sorted x-first, ascending index,
+    positive sign first."""
+    return sorted({letter for slots in graph.out.values() for letter in slots},
+                  key=lambda l: l.sort_key)
 
 
 def canonical_form(graph: LabeledGraph):
@@ -151,7 +197,7 @@ def canonical_form(graph: LabeledGraph):
     their canonical forms are equal (folded based graphs are rigid, so the
     letter-ordered BFS numbering is a complete invariant).
     """
-    order, _ = breadth_first_tree(graph, graph.base)
+    order, _ = breadth_first_tree(graph, graph.base, sorted_letters(graph))
     if len(order) != len(graph.vertices):
         raise ValueError("canonical_form requires a connected graph")
     number = {v: i for i, v in enumerate(order)}
@@ -220,7 +266,7 @@ def random_fold(graph: LabeledGraph, rng):
         if not violations:
             break
         graph = fold_step(graph, rng.choice(violations))
-    assert graph.folded
+    assert isinstance(graph, LabeledGraph)
     return graph
 
 
@@ -278,7 +324,7 @@ def bfs_components(graph: LabeledGraph, factor):
 def component_subgraphs(graph: LabeledGraph, factor):
     """``bfs_components`` as (subgraph, anchor) pairs: each subgraph keeps
     the original vertex ids and is based at its anchor."""
-    return [(LabeledGraph(members, pairs, anchor, graph.folded), anchor)
+    return [(make_graph(members, pairs, anchor), anchor)
             for members, pairs, anchor in bfs_components(graph, factor)]
 
 
@@ -324,7 +370,7 @@ def spanning_tree(graph: LabeledGraph):
     ``breadth_first_tree``, and the tree edges as canonical pairs.  Raises
     ValueError when the graph is not connected.
     """
-    order, parent = breadth_first_tree(graph, graph.base)
+    order, parent = breadth_first_tree(graph, graph.base, sorted_letters(graph))
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
     tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
@@ -423,7 +469,7 @@ def wedge_graph(base, words, open_words):
             current = target
         ends.append(current)
     pairs = frozenset(canonical_pair(u, w, letter) for u, w, letter in pairs)
-    graph, vmap = fold(LabeledGraph(frozenset(vertices), pairs, base, False))
+    graph, vmap = fold_pairs(RawGraph(frozenset(vertices), pairs, base))
     return graph, tuple(vmap[v] for v in ends)
 
 
@@ -586,8 +632,7 @@ def fixpoint_contains(graph: LabeledGraph, table, word):
         pairs.add(canonical_pair(current, next_id, letter))
         current = next_id
         next_id += 1
-    raw = LabeledGraph(frozenset(vertices), frozenset(pairs), graph.base, False)
-    folded, vmap = fold(raw)
+    folded, vmap = fold_pairs(RawGraph(frozenset(vertices), frozenset(pairs), graph.base))
     _stable, (base, end) = based_fixpoint(folded, table, (vmap[graph.base], vmap[current]))
     return base == end
 
@@ -778,8 +823,7 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
         factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
 
-    delta = LabeledGraph(
-        graph.vertices, graph.pairs - frozenset(removed), graph.base, graph.folded)
+    delta = make_graph(graph.vertices, graph.pairs - frozenset(removed), graph.base)
     uf = _UnionFind(delta.vertices)
     for u, w, _letter in delta.pairs:
         uf.union(u, w)

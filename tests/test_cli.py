@@ -25,7 +25,6 @@ from altsep.cli import (
 )
 from altsep.covers import CoverSearchExhaustedError
 from altsep.factors import NotGBasedError
-from altsep.graphs import LabeledGraph
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
@@ -749,16 +748,15 @@ def test_max_prime_guards_at_their_edges(name, capsys, monkeypatch):
 
 def test_a_colliding_gadget_edge_is_an_internal_error(capsys, monkeypatch):
     """Every edge of the cover is written into a slot that must be empty
-    or already hold it.  A mover edge from vertex -1, which lands on the
-    chain's last vertex, collides with that vertex's move-letter loop."""
-    real = covers.mover_gadget
+    or already hold it.  A chain one vertex too long ends on the mover's
+    first vertex, whose move-letter edges collide there with the chain's
+    move-letter loop."""
+    real = covers.chain_gadget
 
-    def colliding(signs, rank, connect, move):
-        gadget = real(signs, rank, connect, move)
-        pairs = gadget.pairs | {(-1, 0, x(move))}
-        return LabeledGraph(gadget.vertices, pairs, gadget.base, False)
+    def colliding(length, rank, connect):
+        return real(length + 1, rank, connect)
 
-    monkeypatch.setattr(covers, "mover_gadget", colliding)
+    monkeypatch.setattr(covers, "chain_gadget", colliding)
     problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
     assert main(["separate", str(problem)]) == 4
     captured = capsys.readouterr()
@@ -800,6 +798,17 @@ def test_main_flags(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "altsep: error: bad sign '+2' (want +1 or -1)\n"
+
+
+def test_main_refuses_an_empty_sign_vector(tmp_path, capsys):
+    """An empty sign vector, in either spelling of the flag, is bad input:
+    one error line, nothing on stdout, not a run with the default signs."""
+    path = write(tmp_path, "demo.txt", DEMO)
+    for flag in (["--sign-vector", ""], ["--sign-vector="]):
+        assert main(["separate", path, *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "altsep: error: bad sign '' (want +1 or -1)\n"
 
 
 def test_main_takes_a_sign_vector_that_starts_with_minus_one(tmp_path, capsys):

@@ -14,7 +14,7 @@ from altsep.covers import (
     mover_gadget,
     word_action,
 )
-from altsep.graphs import LabeledGraph, make_graph
+from altsep.graphs import LabeledGraph
 from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
@@ -23,6 +23,7 @@ from oracles import (
     component_subgraphs,
     embed_Y_component,
     is_connected,
+    make_graph,
     reidemeister_schreier,
     saturation_defects,
 )
@@ -90,14 +91,15 @@ def test_mover_defects_for_every_sign_vector():
 
 
 def test_gadgets_are_folded():
-    """The gadgets are built folded, with no check: check every shape."""
+    """Every shape of gadget is the graph its pairs spell: no two of them
+    claim one slot."""
     for signs in itertools.product((1, -1), repeat=3):
         for connect, move in ((1, 2), (2, 1), (3, 1)):
             g = mover_gadget(signs, 3, connect, move)
-            assert g.folded and make_graph(g.vertices, g.pairs, g.base).folded
+            assert make_graph(g.vertices, g.pairs, g.base) == g
     for length in (1, 2, 5):
         g = chain_gadget(length, 3, 2)
-        assert g.folded and make_graph(g.vertices, g.pairs, g.base).folded
+        assert make_graph(g.vertices, g.pairs, g.base) == g
 
 
 def test_mover_parameter_validation():
@@ -174,19 +176,21 @@ def test_cover_graphs_carry_their_adjacency(problem, monkeypatch):
     verdict = hypothesis_check(graph, spec.free.rank)
     if verdict.kind == VERDICT_NOT_APPLICABLE:
         return
-    written, real_graph = [], covers.from_adjacency
+    written, real_graph = [], covers.LabeledGraph
 
     def recording(out, base):
         written.append(out)
         return real_graph(out, base)
 
-    monkeypatch.setattr(covers, "from_adjacency", recording)
+    monkeypatch.setattr(covers, "LabeledGraph", recording)
     result = build_separating_cover(spec, graph, verdict)
     stages = [result.stages[name] for name in STAGES]
     assert result.cover is result.stages["cover"]
-    assert sorted(map(id, written)) == sorted(id(built.out) for built in stages)
+    # the last three graphs built; the gadgets come before them
+    assert [id(out) for out in written[-3:]] == [id(built.out) for built in
+                                                 (result.cover, *stages[:2])]
     for built in stages:
-        assert built.out == LabeledGraph(built.vertices, built.pairs, built.base, True).out
+        assert built.out == make_graph(built.vertices, built.pairs, built.base).out
 
 
 @pytest.mark.parametrize("problem", PROBLEM_FILES, ids=lambda p: p.stem)
@@ -206,27 +210,31 @@ def test_a_run_builds_no_pair_set_of_its_cover_graphs(problem, monkeypatch):
 
 
 def test_a_rejected_prime_builds_no_graph(monkeypatch):
-    """Recognition rejects the first prime; the stage graphs are built
-    from the adjacency once each, for the accepted prime only."""
-    real_recognize, real_graph = permgroup.recognize_alt_sym, covers.from_adjacency
+    """Recognition rejects the first prime; each attempt builds its two
+    gadgets, and the stage graphs are built from the adjacency once each,
+    for the accepted prime only."""
+    real_recognize, real_graph = permgroup.recognize_alt_sym, covers.LabeledGraph
     degrees, built = [], []
 
     def other_first(gens, degree):
         degrees.append(degree)
         return permgroup.OTHER if len(degrees) == 1 else real_recognize(gens, degree)
 
-    def counting(*args):
-        built.append(degrees[-1])
-        return real_graph(*args)
+    def counting(out, base):
+        built.append((degrees[-1] if degrees else None, len(out)))
+        return real_graph(out, base)
 
     monkeypatch.setattr(permgroup, "recognize_alt_sym", other_first)
-    monkeypatch.setattr(covers, "from_adjacency", counting)
+    monkeypatch.setattr(covers, "LabeledGraph", counting)
     problem = Path(__file__).resolve().parent.parent / "problems" / "s3_conjugates.txt"
     spec = parse_problem(problem.read_text())
     graph = build_subgroup_graph(spec).graph
     result = build_separating_cover(spec, graph, hypothesis_check(graph, spec.free.rank))
     assert degrees == [13, 17] and result.retries == 1
-    assert built == [17, 17, 17]
+    k = result.plan.base_size
+    # the gadgets of 13 and 17, chain then mover, and then the stage graphs
+    assert built == [(None, 13 - k - 4), (None, 4), (13, 17 - k - 4), (13, 4),
+                     (17, 17), (17, k), (17, 17)]
     stages = result.stages
     assert len(stages["component_covers"].vertices) < len(stages["cover"].vertices) == 17
     assert stages["precover"].vertices == stages["cover"].vertices

@@ -12,19 +12,13 @@ from altsep.factors import (
     subgroup_closure,
 )
 from altsep.covers import _complete, build_separating_cover
-from altsep.graphs import (
-    LabeledGraph,
-    breadth_first_tree,
-    components,
-    fold,
-    from_adjacency,
-    trace,
-)
+from altsep.graphs import LabeledGraph, breadth_first_tree, components, trace
 from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    RawGraph,
     build_graph,
     component_cosets_oracle,
     component_subgraphs,
@@ -32,8 +26,11 @@ from oracles import (
     all_words,
     embed_Y_component,
     exhaustive_closure,
+    fold_pairs,
+    is_folded,
     random_raw_word,
     saturation_defects,
+    sorted_letters,
     word_element_oracle,
 )
 
@@ -194,7 +191,7 @@ def test_coset_graph_is_saturated_and_folded(s3, d4, a4):
         for subgroup in all_subgroups(table):
             element_to_coset, moves = coset_action(table, subgroup)
             graph, coset_of = coset_graph_oracle(table, subgroup)
-            assert graph.folded
+            assert is_folded(graph.vertices, graph.pairs)
             assert saturation_defects(graph, y_alphabet(table.num_generators)) == []
             assert element_to_coset == [coset_of[e] for e in range(table.order)]
             assert all(sorted(move) == sorted(graph.vertices) for move in moves)
@@ -293,8 +290,7 @@ def random_folded_graph(rng, table):
         letter = rng.choice(letters)
         u, w = rng.randrange(size), rng.randrange(size)
         pairs.add((u, w, letter) if letter.sign > 0 else (w, u, letter.inverse()))
-    graph = LabeledGraph(frozenset(range(size)), frozenset(pairs), 0, False)
-    return fold(graph)[0]
+    return fold_pairs(RawGraph(frozenset(range(size)), tuple(pairs), 0))[0]
 
 
 def coset_partition(keys):
@@ -351,7 +347,7 @@ def complete_X_cover(graph: LabeledGraph, rank: int) -> LabeledGraph:
     graph's adjacency."""
     out = {v: dict(slots) for v, slots in graph.out.items()}
     _complete(out, graph.vertices, x_alphabet(rank)[::2])
-    return from_adjacency(out, graph.base)
+    return LabeledGraph(out, graph.base)
 
 
 def test_complete_single_vertex():
@@ -426,7 +422,8 @@ def test_gluing_a_component_cover_grows_by_the_difference(s3, d4):
             for component, anchor in component_subgraphs(graph, "y"):
                 cover, embedding = embed_Y_component(table, component)
                 # follow the cover's tree edges from the anchor's coset
-                order, parent = breadth_first_tree(cover, embedding[anchor])
+                order, parent = breadth_first_tree(cover, embedding[anchor],
+                                                   sorted_letters(cover))
                 place = {embedding[anchor]: anchor}
                 for c in order[1:]:
                     source, letter = parent[c]

@@ -1,32 +1,34 @@
+import copy
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from altsep import graphs
-from altsep.graphs import (
-    LabeledGraph,
-    breadth_first_tree,
-    canonical_pair,
-    components,
-    fold,
-    from_adjacency,
-    make_graph,
-    trace,
-)
+from altsep.cli import parse_problem, run_separate
+from altsep.kurosh import kurosh_decompose
+from altsep.subgroups import hypothesis_check
+from altsep.graphs import LabeledGraph, breadth_first_tree, components, fold, trace
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
 
 from oracles import (
+    RawGraph,
     all_fold_results,
     build_graph,
     bfs_components,
     canonical_form,
+    canonical_pair,
     coset_graph_oracle,
+    fold_pairs,
     is_connected,
     is_folded,
     is_tree,
+    make_graph,
     merge_vertices,
     random_fold,
     saturation_defects,
+    sorted_letters,
     spanning_tree,
 )
 
@@ -43,7 +45,7 @@ def wedge_w4():
 
 def test_build_empty_spec_single_vertex():
     g = build_graph([0], [], 0)
-    assert len(g.vertices) == 1 and not g.pairs and g.folded
+    assert len(g.vertices) == 1 and not g.pairs and isinstance(g, LabeledGraph)
 
 
 def test_build_closes_involution():
@@ -89,15 +91,18 @@ def test_fold_fixed_point_on_folded_input():
 
 def test_fold_single_conflict():
     g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, x(1))], 0)
-    folded, vmap = fold(g)
+    assert isinstance(g, RawGraph)
+    folded, vmap = fold_pairs(g)
     assert len(folded.vertices) == 2
     assert vmap[1] == vmap[2]
+    assert folded.out == {0: {x(1): 1}, 1: {x(1, -1): 0}}
+    assert folded.step(0, x(1)) == 1 and folded.step(0, x(2)) is None
 
 
 def test_fold_wedge_of_equal_loops_unique_result():
     edges = [(0, 1, x(1)), (1, 0, x(2)), (0, 2, x(1)), (2, 0, x(2))]
     g = build_graph(range(3), edges, 0)
-    folded, _ = fold(g)
+    folded, _ = fold_pairs(g)
     assert len(folded.vertices) == 2 and len(folded.pairs) == 2
     # exhaustive fold-order search agrees on a single outcome
     assert all_fold_results(g) == {canonical_form(folded)}
@@ -106,7 +111,7 @@ def test_fold_wedge_of_equal_loops_unique_result():
 def test_fold_idempotent():
     edges = [(0, 1, x(1)), (0, 2, x(1)), (1, 3, x(2)), (2, 4, x(2))]
     g = build_graph(range(5), edges, 0)
-    once, _ = fold(g)
+    once, _ = fold_pairs(g)
     twice, vmap = fold(once)
     assert twice.pairs == once.pairs
     assert all(vmap[v] == v for v in once.vertices)
@@ -115,7 +120,7 @@ def test_fold_idempotent():
 def test_fold_preserves_involution_structure():
     edges = [(0, 1, x(1)), (0, 2, x(1)), (1, 1, y(1)), (2, 2, y(1))]
     g = build_graph(range(3), edges, 0)
-    folded, _ = fold(g)
+    folded, _ = fold_pairs(g)
     for u, w, letter in folded.pairs:
         assert letter.sign > 0
         assert folded.step(u, letter) == w
@@ -139,12 +144,6 @@ def test_trace_stuck_reports_first_missing_letter():
 def test_trace_coset_graph_relation(z2):
     g, _coset_of = coset_graph_oracle(z2, frozenset([0]))
     assert trace(g, 0, (y(1), y(1))).closed
-
-
-def test_trace_requires_folded():
-    g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, x(1))], 0)
-    with pytest.raises(ValueError):
-        trace(g, 0, (x(1),))
 
 
 def test_trace_rejects_an_unknown_start_vertex():
@@ -181,18 +180,10 @@ def test_components_skip_vertices_without_factor_edges():
     assert components(g, "y") == [((0, 1), 1)]
 
 
-def test_components_need_a_folded_graph():
-    g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, x(1))], 0)
-    assert not g.folded
-    for factor in ("x", "y"):
-        with pytest.raises(ValueError, match="folded"):
-            components(g, factor)
-
-
 def random_graph(rng):
-    """Unfolded graph on sparse vertex ids: random pairs (loops and
-    parallel edges included) over two x-letters and two y-letters, with
-    some isolated vertices."""
+    """Graph on sparse vertex ids, unfolded in general: random pairs
+    (loops and parallel edges included) over two x-letters and two
+    y-letters, with some isolated vertices."""
     vertices = rng.sample(range(120), rng.randint(1, 40))
     alphabet = [x(1), x(2), y(1), y(2)]
     pairs = {
@@ -255,26 +246,28 @@ def test_write_pairs_accepts_an_edge_in_either_orientation():
 
 
 def test_make_graph_is_folded_exactly_when_the_oracle_says_so():
-    """make_graph's flag agrees with the slot-set oracle.  A folded graph
-    is the adjacency its pairs spell: a graph built from that adjacency
-    has it as its ``out`` and reads those pairs off it, and it equals,
-    and hashes as, the graph built from the pairs."""
+    """make_graph gives a LabeledGraph exactly when the slot-set oracle
+    finds the pairs folded.  That graph is the adjacency its pairs spell:
+    a graph of the adjacency rebuilt slot by slot from the pairs has it as
+    its ``out`` and reads those pairs off it, and it equals, and hashes
+    as, the graph make_graph gives."""
     rng = random.Random(2029)
+    folded = 0
     for _ in range(200):
         g = random_graph(rng)
         built = make_graph(g.vertices, g.pairs, g.base)
-        assert built.folded == is_folded(g.vertices, g.pairs)
-        if built.folded:
+        assert isinstance(built, LabeledGraph) == is_folded(g.vertices, g.pairs)
+        if isinstance(built, LabeledGraph):
             rebuilt = {v: {} for v in g.vertices}
             for u, w, letter in g.pairs:
                 rebuilt[u][letter] = w
                 rebuilt[w][letter.inverse()] = u
-            paired = LabeledGraph(g.vertices, g.pairs, g.base, True)
-            spelled = from_adjacency(rebuilt, g.base)
-            assert hash(spelled) == hash(paired) and spelled == paired
-            assert spelled.out is rebuilt and spelled.pairs == g.pairs
-            assert paired.out == rebuilt and built.out == rebuilt
-            assert built == paired and hash(built) == hash(paired)
+            spelled = LabeledGraph(rebuilt, g.base)
+            assert spelled.out is rebuilt and spelled.pairs == frozenset(g.pairs)
+            assert built.out == rebuilt
+            assert built == spelled and hash(built) == hash(spelled)
+            folded += 1
+    assert 20 <= folded <= 180
 
 
 def test_components_match_bfs_oracle_on_random_graphs():
@@ -283,7 +276,7 @@ def test_components_match_bfs_oracle_on_random_graphs():
     vertices start at its least vertex and repeat none."""
     rng = random.Random(2026)
     for _ in range(200):
-        g = fold(random_graph(rng))[0]
+        g = fold_pairs(random_graph(rng))[0]
         for factor in ("x", "y"):
             comps = components(g, factor)
             oracle = bfs_components(g, factor)
@@ -298,13 +291,13 @@ def test_components_are_computed_once_per_graph_and_factor():
     and returns an equal list that is a new object."""
     rng = random.Random(2027)
     for _ in range(50):
-        g = fold(random_graph(rng))[0]
+        g = fold_pairs(random_graph(rng))[0]
         expected = {factor: [(frozenset(members), len(pairs))
                              for members, pairs, _anchor in bfs_components(g, factor)]
                     for factor in ("x", "y")}
         for factor in ("x", "y"):
             components(g, factor)
-        object.__setattr__(g, "_out", {})
+        object.__setattr__(g, "out", {})
         for factor in ("x", "y"):
             first, second = components(g, factor), components(g, factor)
             assert first == second and first is not second
@@ -320,7 +313,7 @@ def test_pair_counts_mark_the_components_with_a_cycle():
     rng = random.Random(2030)
     cyclic = trees = 0
     for _ in range(200):
-        g = fold(random_graph(rng))[0]
+        g = fold_pairs(random_graph(rng))[0]
         for factor in ("x", "y"):
             oracle = [members for members, pairs, _anchor in bfs_components(g, factor)
                       if len(pairs) != len(members) - 1]
@@ -331,17 +324,17 @@ def test_pair_counts_mark_the_components_with_a_cycle():
 
 
 def test_fold_independent_of_pair_order():
-    """fold consumes pairs in whatever order the graph yields them; any
-    order, including the sorted one, gives the same graph and vertex map."""
+    """Folding pairs in any order, including the sorted one, gives the
+    same graph and vertex map."""
     rng = random.Random(99)
     for _ in range(100):
         g = random_graph(rng) if rng.random() < 0.5 else random_wedge(rng)
         ordered = sorted(g.pairs, key=lambda p: (p[0], p[2].sort_key, p[1]))
-        reference = fold(LabeledGraph(g.vertices, tuple(ordered), g.base, g.folded))
+        reference = fold_pairs(RawGraph(g.vertices, tuple(ordered), g.base))
         for _ in range(4):
             rng.shuffle(ordered)
-            assert fold(LabeledGraph(g.vertices, tuple(ordered), g.base, g.folded)) == reference
-        assert fold(g) == reference
+            assert fold_pairs(RawGraph(g.vertices, tuple(ordered), g.base)) == reference
+        assert fold_pairs(g) == reference
 
 
 def test_fold_merge_groups_cascade_into_folds():
@@ -350,14 +343,14 @@ def test_fold_merge_groups_cascade_into_folds():
     folded, vmap = fold(g, [(2, 1)])
     assert vmap == {0: 0, 1: 1, 2: 1, 3: 3, 4: 3}
     assert folded.pairs == {(0, 1, x(1)), (0, 1, x(2)), (1, 3, x(2))}
-    assert folded.folded and folded.base == 0
+    assert folded.base == 0
 
 
 def fold_in_pair_order(vertices, pairs, base):
-    """fold of the unfolded graph whose pairs are read in the order given,
-    checked against the oracle."""
-    g = LabeledGraph(frozenset(vertices), tuple(pairs), base, False)
-    folded, vmap = fold(g)
+    """Fold of the pairs, written in the order given, checked against the
+    oracle."""
+    g = RawGraph(frozenset(vertices), tuple(pairs), base)
+    folded, vmap = fold_pairs(g)
     expected = random_fold(make_graph(g.vertices, g.pairs, base), random.Random(0))
     assert (folded.vertices, folded.pairs, folded.base) == (
         expected.vertices, expected.pairs, expected.base)
@@ -401,13 +394,12 @@ def check_fold_with_merge_groups(g, rng):
     vertices = sorted(g.vertices)
     merge = [rng.sample(vertices, rng.randint(1, min(4, len(vertices))))
              for _ in range(rng.randint(0, 3))]
-    before = {v: dict(slots) for v, slots in g.out.items()} if g.folded else None
-    folded, vmap = fold(g, merge)
+    before = {v: dict(slots) for v, slots in g.out.items()} if isinstance(g, LabeledGraph) else None
+    folded, vmap = fold_pairs(g, merge)
     if before is not None:
         # fold shares the input's slot dicts and must write none of them
         assert {v: dict(slots) for v, slots in g.out.items()} == before
     expected = random_fold(merge_vertices(g, merge), rng)
-    assert folded.folded
     assert (folded.vertices, folded.pairs, folded.base) == (
         expected.vertices, expected.pairs, expected.base)
     for v in g.vertices:
@@ -431,25 +423,13 @@ def test_fold_with_merge_groups_matches_merge_then_random_fold():
     for _ in range(100):
         check_fold_with_merge_groups(random_graph(rng), rng)
     for _ in range(100):
-        check_fold_with_merge_groups(fold(random_graph(rng))[0], rng)
+        check_fold_with_merge_groups(fold_pairs(random_graph(rng))[0], rng)
 
 
 def test_fold_rejects_a_merge_group_naming_an_unknown_vertex():
     g = build_graph([0, 1], [(0, 1, x(1))], 0)
     with pytest.raises(ValueError, match="unknown vertex 5"):
         fold(g, [(0, 5)])
-
-
-def test_adjacency_requires_a_folded_graph():
-    g = build_graph([0, 1, 2], [(0, 1, x(1)), (0, 2, x(1))], 0)
-    assert not g.folded
-    with pytest.raises(ValueError, match="folded"):
-        g.out
-    with pytest.raises(ValueError, match="folded"):
-        g.step(0, x(1))
-    folded, _ = fold(g)
-    assert folded.out == {0: {x(1): 1}, 1: {x(1, -1): 0}}
-    assert folded.step(0, x(1)) == 1 and folded.step(0, x(2)) is None
 
 
 # -- saturation -----------------------------------------------------------------------
@@ -496,7 +476,7 @@ def test_fold_confluence_random_orders_smoke():
     rng = random.Random(7)
     for _ in range(10):
         g = random_wedge(rng)
-        reference = canonical_form(fold(g)[0])
+        reference = canonical_form(fold_pairs(g)[0])
         for _ in range(3):
             assert canonical_form(random_fold(g, rng)) == reference
 
@@ -511,9 +491,9 @@ def test_tree_and_connectivity_helpers():
 def test_spanning_tree_on_random_connected_graphs():
     rng = random.Random(4242)
     for _ in range(100):
-        g, _vmap = fold(random_wedge(rng))
+        g, _vmap = fold_pairs(random_wedge(rng))
         order, parent, tree = spanning_tree(g)
-        assert (order, parent) == breadth_first_tree(g, g.base)
+        assert (order, parent) == breadth_first_tree(g, g.base, sorted_letters(g))
         assert len(tree) == len(g.vertices) - 1
         assert tree <= g.pairs
         assert is_connected(make_graph(g.vertices, tree, g.base))
@@ -522,7 +502,7 @@ def test_spanning_tree_on_random_connected_graphs():
 def test_spanning_tree_rejects_disconnected_graphs():
     rng = random.Random(4243)
     for _ in range(20):
-        g, _vmap = fold(random_wedge(rng))
+        g, _vmap = fold_pairs(random_wedge(rng))
         stray = max(g.vertices) + 1
         with pytest.raises(ValueError):
             spanning_tree(make_graph(g.vertices | {stray}, g.pairs, g.base))
@@ -534,3 +514,49 @@ def test_canonical_form_detects_isomorphism():
     assert canonical_form(g) == canonical_form(relabeled)
     different = build_graph([0, 1, 2], [(0, 1, x(1)), (1, 2, x(2)), (0, 2, y(1))], 0)
     assert canonical_form(g) != canonical_form(different)
+
+
+# -- graphs the pipeline hands out ----------------------------------------------------------
+
+
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
+
+
+def handed_out(spec):
+    """(kind, graph) for every graph a run hands out: the stage graphs of
+    ``run_separate``, the verdict's witness, and the Kurosh components
+    and ``delta`` of the subgroup graph."""
+    stages = run_separate(spec).stages
+    graph = stages["subgroup_graph"]
+    found = list(stages.items())
+    witness = hypothesis_check(graph, spec.free.rank).witness
+    if witness is not None:
+        found.append(("witness", witness))
+    decomposition = kurosh_decompose(graph, spec.finite)
+    found += [("component", factor.component) for factor in decomposition.factors]
+    found.append(("delta", decomposition.delta))
+    return found
+
+
+def test_handed_out_graphs_pickle_copy_and_compare_by_their_pairs():
+    """Every graph a run hands out comes back from ``pickle``, ``copy``
+    and ``deepcopy`` with the same adjacency, slot order included, and
+    equals, and hashes as, the graph its pairs spell; without one of its
+    pairs it is another graph."""
+    kinds = set()
+    for path in PROBLEMS:
+        for kind, graph in handed_out(parse_problem(path.read_text())):
+            kinds.add(kind)
+            rebuilt = make_graph(graph.vertices, graph.pairs, graph.base)
+            assert rebuilt == graph and hash(rebuilt) == hash(graph)
+            for twin in (pickle.loads(pickle.dumps(graph)), copy.copy(graph),
+                         copy.deepcopy(graph)):
+                assert twin == graph and hash(twin) == hash(graph)
+                assert [list(slots.items()) for slots in twin.out.values()] == [
+                    list(slots.items()) for slots in graph.out.values()]
+                assert list(twin.out) == list(graph.out) and twin.base == graph.base
+            if graph.pairs:
+                fewer = graph.pairs - {min(graph.pairs, key=graphs._pair_key)}
+                assert make_graph(graph.vertices, fewer, graph.base) != graph
+    assert kinds == {"subgroup_graph", "component_covers", "precover", "cover", "witness",
+                     "component", "delta"}

@@ -15,6 +15,7 @@ from altsep.words import word_str, x_letter as x, y_letter as y
 from conftest import make_spec
 from oracles import (
     build_graph,
+    canonical_pair,
     component_subgraphs,
     iter_reduced_x_words,
     kurosh_oracle,
@@ -138,11 +139,11 @@ def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
     real = kurosh._component_walk
 
     def losing_one_tree_edge(out, anchor, letters):
-        parent, pairs, nontree = real(out, anchor, letters)
-        tree = pairs - set(nontree)
+        parent, nontree = real(out, anchor, letters)
+        tree = [canonical_pair(u, v, letter) for v, (u, letter) in parent.items()]
         if tree:
             nontree = nontree + [min(tree, key=_pair_key)]
-        return parent, pairs, nontree
+        return parent, nontree
 
     monkeypatch.setattr(kurosh, "_component_walk", losing_one_tree_edge)
     graph = build_graph([0, 1], [(0, 1, x(1)), (0, 1, x(2))], 0)

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
-from altsep.graphs import _fold, components, fold, trace
+from altsep.graphs import _fold, components, trace
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -32,7 +33,9 @@ from oracles import (
     contains_oracle,
     embed_Y_component,
     fixpoint_contains,
+    fold_pairs,
     hypothesis_oracle,
+    is_folded,
     is_tree,
     iter_ball,
     random_raw_word,
@@ -65,7 +68,7 @@ def test_conjugated_pair_example(s3):
         separate_words=[(y(2),)],
     )
     built = build_subgroup_graph(spec)
-    assert built.graph.folded
+    assert is_folded(built.graph.vertices, built.graph.pairs)
     assert built.separator_ends[0] != built.graph.base
     # generator loops close at the base
     for word in spec.subgroup_words:
@@ -86,7 +89,7 @@ def test_every_y_component_embeds(s3):
 def test_wedge_folds_to_the_pair_set_wedge(z2, s3, d4):
     """_wedge's adjacency and clashes, folded by _fold, are the graph,
     vertex ids and path ends of the wedge's canonical pair set folded by
-    fold."""
+    the oracle."""
     rng = random.Random(31)
     clashed = 0
     for table in (z2, s3, d4):
@@ -202,6 +205,20 @@ def test_membership_separator_from_conjugated_pair(s3):
     assert membership(spec, (x(1), x(2), x(1, -1)))
 
 
+def test_membership_refuses_a_letter_outside_the_alphabet(z2):
+    """A letter past the free rank or past the finite factor's generators
+    is refused with the error a problem holding it gets, wherever it
+    stands in the word."""
+    spec = make_spec(z2, subgroup_words=[(x(1), x(1))])
+    for word, message in [((x(5),), "letter x5 exceeds free rank 2"),
+                          ((x(1), x(1), x(3, -1)), "letter x3^-1 exceeds free rank 2"),
+                          ((y(9),), "letter y9 names no generator of the finite factor")]:
+        for query in (lambda: membership(spec, word),
+                      lambda: make_spec(z2, spec.subgroup_words, [word])):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                query()
+
+
 def test_membership_tester_matches_one_shot(z2):
     spec = make_spec(z2, subgroup_words=[(y(1),), (x(1), y(1), x(1, -1))])
     built = build_subgroup_graph(spec)
@@ -281,7 +298,7 @@ def test_membership_refuses_a_graph_that_is_not_based(z2):
     # a y1-path of length 2 in Z2: both ends lie on the coset K*1 of the
     # trivial loop subgroup K, so the graph is folded but not based
     graph = build_graph([0, 1, 2], [(0, 1, y(1)), (1, 2, y(1))], 0)
-    assert graph.folded
+    assert is_folded(graph.vertices, graph.pairs)
     tester = MembershipTester(graph, z2)
     assert tester.contains((x(1),)) is False
     with pytest.raises(ValueError, match="based graph"):
@@ -450,7 +467,7 @@ def random_graph_with_covers(rng):
         pairs.update(cover[rng.choice([0, 0, 1, 2]):])
     for _ in range(rng.randint(0, len(vertices))):
         pairs.add((rng.choice(vertices), rng.choice(vertices), y(1)))
-    return fold(build_graph(vertices, pairs, 0))[0]
+    return fold_pairs(build_graph(vertices, pairs, 0))[0]
 
 
 def test_verdict_matches_the_defect_rule_on_random_graphs():
