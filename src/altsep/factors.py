@@ -44,6 +44,8 @@ class FiniteGroupTable:
             forward = tuple(self.multiply(a, element) for a in range(self.order))
             self.steps[y_letter(index)] = forward
             self.steps[y_letter(index, -1)] = permgroup.inverse(forward)
+        # subgroup_closure's results, by seed set
+        self._closures = {}
 
     @property
     def order(self) -> int:
@@ -58,16 +60,6 @@ class FiniteGroupTable:
 
     def inverse(self, a: int) -> int:
         return self._inverses[a]
-
-    def generator_element(self, index: int) -> int:
-        """Element of the 1-based generator y<index>."""
-        if not 1 <= index <= len(self.generator_indices):
-            raise ValueError(f"no generator y{index}")
-        return self.generator_indices[index - 1]
-
-    def letter_element(self, letter) -> int:
-        element = self.generator_element(letter.index)
-        return element if letter.sign > 0 else self.inverse(element)
 
     @cached_property
     def _geodesic_words(self):
@@ -139,10 +131,16 @@ def enumerate_group(degree: int, generators) -> FiniteGroupTable:
 
 
 def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
-    """Smallest subgroup of the table containing the seed elements."""
+    """Smallest subgroup of the table containing the seed elements.  A
+    table closes each distinct seed set once: equal seed sets share one
+    frozenset."""
+    seeds = frozenset(seeds)
+    closure = table._closures.get(seeds)
+    if closure is not None:
+        return closure
     members = {table.identity}
     queue = deque([table.identity])
-    gens = sorted(set(seeds) | {table.inverse(s) for s in seeds})
+    gens = sorted(seeds | {table.inverse(s) for s in seeds})
     while queue:
         current = queue.popleft()
         for s in gens:
@@ -150,7 +148,8 @@ def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
             if product not in members:
                 members.add(product)
                 queue.append(product)
-    return frozenset(members)
+    closure = table._closures[seeds] = frozenset(members)
+    return closure
 
 
 def coset_action(table: FiniteGroupTable, subgroup):

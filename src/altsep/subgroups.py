@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .factors import FiniteGroupTable, component_cosets
 from .graphs import LabeledGraph, _fold, _write_pairs, component_graph, components, fold
-from .words import normal_form
+from .words import flat_form
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,22 @@ class MembershipTester:
     A query is read in two phases.
 
     Phase 1 walks the word letter by letter, x and y alike, along the
-    graph's edges.  When every letter has an edge, the word lies in H
-    exactly when the walk ends on the base point.
+    graph's edges, one subscript of the adjacency per letter.  When every
+    letter has an edge, the word lies in H exactly when the walk ends on
+    the base point.
 
     Phase 2 starts at the first letter without an edge, at the vertex c
-    the walk reached, and reads the normal form of the unread rest (that
-    letter onward) from c.  An x-syllable follows edges of the adjacency.
-    A y-syllable g moves a vertex on the coset K*a of its y-component, K
-    the subgroup of the component's loops, to the vertex on K*a*g.  When K
-    is trivial the product a*g is itself the key of that coset; otherwise
-    the key is the smallest element of K*a*g.  A missing edge or vertex
-    means a non-member.  The reading is exact:
+    the walk reached, and reads the flat form of the unread rest (that
+    letter onward; ``words.flat_form``) from c: its syllables, the normal
+    form's, laid end to end.  An x-letter follows an edge of the
+    adjacency.  A y-syllable g moves a vertex on the coset K*a of its
+    y-component, K the subgroup of the component's loops, to the vertex on
+    K*a*g.  When K is trivial the product a*g is itself the key of that
+    coset; otherwise the key is the smallest element of K*a*g.  A missing
+    edge or vertex means a non-member.  The whole rest is reduced before
+    the first step, because a later letter can cancel any part of it: a
+    y-run that multiplies to 1 joins the x-letters around it.  The reading
+    is exact:
 
     - a reading that closes spells, up to loops, a path labelled
       prefix*rest = w from the base back to it, so w is in H, since the
@@ -200,31 +205,31 @@ class MembershipTester:
             self._cosets  # refuses a graph that is not based
         out = self.graph.out
         current = self.graph.base
-        for i, letter in enumerate(word):
-            step = out[current].get(letter)
-            if step is None:
-                return self._read_rest(word[i:], current)
-            current = step
+        letters = iter(word)
+        try:
+            for letter in letters:
+                current = out[current][letter]
+        except KeyError:  # no edge: ``letter`` onward is the unread rest
+            return self._read_rest((letter, *letters), current)
         return current == self.graph.base
 
     def _read_rest(self, rest, current) -> bool:
-        """Phase 2: read the normal form of ``rest`` from ``current``.  A
+        """Phase 2: read the flat form of ``rest`` from ``current``.  A
         y-letter that names no generator raises ValueError here, since it
         never has an edge."""
         out = self.graph.out
         multiply = self.table.multiply
-        for tag, syllable in normal_form(rest, self.table):
-            if tag == "x":
-                for letter in syllable:
-                    current = out[current].get(letter)
-                    if current is None:
-                        return False
+        for item in flat_form(rest, self.table):
+            if item.__class__ is not int:
+                current = out[current].get(item)
+                if current is None:
+                    return False
             else:
                 coset = self._cosets.get(current)
                 if coset is None:
                     return False
                 key, at_key, loops = coset
-                moved = multiply(key, syllable)
+                moved = multiply(key, item)
                 if loops is not None:
                     moved = min(multiply(k, moved) for k in loops)
                 current = at_key.get(moved)

@@ -7,13 +7,17 @@ and hashing a letter costs no Python call.  A word is a plain tuple of
 letters; the empty tuple is the identity.
 
 Words denote elements of the free product of a free group (the x-letters)
-and a finite group (the y-letters).  ``normal_form`` rewrites a word into
-the alternating syllable form of the free product: x-syllables are freely
-reduced, adjacent y-letters are multiplied out in the finite group's table,
-and identity syllables are dropped.
+and a finite group (the y-letters).  ``flat_form`` reduces a word in one
+pass to a flat list: x-letters freely reduced, each maximal y-run
+multiplied out in the finite group's table to one element index, and
+identity y-runs dropped, so that no two element indices are adjacent.
+``normal_form`` groups that list into the alternating syllable form of
+the free product.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 
 class Letter:
@@ -24,25 +28,23 @@ class Letter:
     __slots__ = ("factor", "index", "sign")
 
     def __new__(cls, factor: str, index: int, sign: int = 1):
-        letter = _INTERNED.get((factor, index, sign))
-        if letter is not None:
-            return letter
-        if factor not in ("x", "y"):
+        if factor not in _BY_INDEX:
             raise ValueError(f"factor must be 'x' or 'y', got {factor!r}")
         if index < 1:
             raise ValueError(f"generator index must be positive, got {index}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        pair = []
-        for s in (sign, -sign):
-            letter = object.__new__(cls)
-            object.__setattr__(letter, "factor", factor)
-            object.__setattr__(letter, "index", index)
-            object.__setattr__(letter, "sign", s)
-            _INTERNED[factor, index, s] = letter
-            pair.append(letter)
-        _INVERSE[pair[0]], _INVERSE[pair[1]] = pair[1], pair[0]
-        return pair[0]
+        by_sign = _BY_INDEX[factor]
+        letter = by_sign[sign].get(index)
+        if letter is None:
+            letter, inverse = object.__new__(cls), object.__new__(cls)
+            for made, s in ((letter, sign), (inverse, -sign)):
+                object.__setattr__(made, "factor", factor)
+                object.__setattr__(made, "index", index)
+                object.__setattr__(made, "sign", s)
+                by_sign[s][index] = made
+            _INVERSE[letter], _INVERSE[inverse] = inverse, letter
+        return letter
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Letter is immutable; cannot set {name!r}")
@@ -70,21 +72,30 @@ class Letter:
         return f"Letter(factor={self.factor!r}, index={self.index!r}, sign={self.sign!r})"
 
 
-# The shared letters: (factor, index, sign) -> letter, and letter -> its
+# The shared letters: factor -> sign -> index -> letter, and letter -> its
 # inverse.  A letter and its inverse are made together.
-_INTERNED: dict = {}
+_BY_INDEX: dict = {"x": {1: {}, -1: {}}, "y": {1: {}, -1: {}}}
 _INVERSE: dict = {}
+_X = _BY_INDEX["x"]
+_Y = _BY_INDEX["y"]
 
 
 def x_letter(index: int, sign: int = 1) -> Letter:
-    """``Letter("x", index, sign)``, by one lookup once the letter exists
-    (a letter is never falsy)."""
-    return _INTERNED.get(("x", index, sign)) or Letter("x", index, sign)
+    """``Letter("x", index, sign)``, by one lookup of the index once the
+    letter exists."""
+    try:
+        return _X[sign][index]
+    except KeyError:  # a new letter, or arguments Letter refuses
+        return Letter("x", index, sign)
 
 
 def y_letter(index: int, sign: int = 1) -> Letter:
-    """``Letter("y", index, sign)``, by one lookup once the letter exists."""
-    return _INTERNED.get(("y", index, sign)) or Letter("y", index, sign)
+    """``Letter("y", index, sign)``, by one lookup of the index once the
+    letter exists."""
+    try:
+        return _Y[sign][index]
+    except KeyError:
+        return Letter("y", index, sign)
 
 
 def x_alphabet(rank: int) -> tuple[Letter, ...]:
@@ -102,17 +113,6 @@ Word = tuple  # tuple[Letter, ...]
 
 def word_inverse(word) -> Word:
     return tuple(letter.inverse() for letter in reversed(word))
-
-
-def free_reduce(word) -> Word:
-    """Cancel adjacent inverse letters until no cancellation applies."""
-    stack = []
-    for letter in word:
-        if stack and stack[-1] == letter.inverse():
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
 
 
 def word_str(word) -> str:
@@ -141,45 +141,56 @@ def word_str(word) -> str:
     return " ".join(parts)
 
 
+def flat_form(word, table) -> list:
+    """The word reduced in one pass, as a flat list: x-letters, freely
+    reduced, and in place of each y-run the nonidentity element index it
+    multiplies to, so that no two indices are adjacent.  The empty list
+    denotes the identity.  ``table`` is a FiniteGroupTable; a y-run is
+    multiplied out by one index into ``table.steps`` per letter, so no
+    permutation is composed.  A y-letter that names no generator of the
+    table raises ValueError."""
+    steps = table.steps
+    identity = table.identity
+    inverse = _INVERSE
+    stack = []
+    for letter in word:
+        step = steps.get(letter)
+        if step is None:
+            if letter.factor != "x":
+                raise ValueError(f"no generator y{letter.index}")
+            if stack and stack[-1] is inverse[letter]:
+                stack.pop()
+            else:
+                stack.append(letter)
+        elif stack and stack[-1].__class__ is int:
+            product = step[stack[-1]]
+            if product == identity:
+                stack.pop()
+            else:
+                stack[-1] = product
+        elif step[identity] != identity:
+            stack.append(step[identity])
+    return stack
+
+
 def normal_form(word, table) -> tuple:
     """Alternating syllable form of a word in the free product.
 
     Returns a tuple of syllables ('x', letters) / ('y', element index),
     with x-syllables freely reduced, y-syllables nonidentity elements of
-    the finite group, and no two adjacent syllables from the same factor.
-    The empty tuple denotes the identity.  ``table`` is a FiniteGroupTable;
-    a y-run is multiplied out by one index into ``table.steps`` per
-    letter, so no permutation is composed.  A y-letter that names no
-    generator of the table raises ValueError.
+    the finite group, and no two adjacent syllables from the same factor:
+    ``flat_form``'s list, its x-letters grouped into runs.  The empty
+    tuple denotes the identity.  A y-letter that names no generator of
+    the table raises ValueError.
     """
-    steps = table.steps
-    identity = table.identity
-    stack = []  # mutable entries ["x", [letters]] or ["y", element]
-    for letter in word:
-        if letter.factor == "x":
-            if stack and stack[-1][0] == "x":
-                run = stack[-1][1]
-                if run and run[-1] == letter.inverse():
-                    run.pop()
-                    if not run:
-                        stack.pop()
-                else:
-                    run.append(letter)
-            else:
-                stack.append(["x", [letter]])
+    form = []
+    for kind, run in groupby(flat_form(word, table), type):
+        if kind is int:
+            (element,) = run  # indices are never adjacent
+            form.append(("y", element))
         else:
-            step = steps.get(letter)
-            if step is None:
-                raise ValueError(f"no generator y{letter.index}")
-            if stack and stack[-1][0] == "y":
-                product = step[stack[-1][1]]
-                if product == identity:
-                    stack.pop()
-                else:
-                    stack[-1][1] = product
-            elif step[identity] != identity:
-                stack.append(["y", step[identity]])
-    return tuple(("x", tuple(run)) if tag == "x" else ("y", run) for tag, run in stack)
+            form.append(("x", tuple(run)))
+    return tuple(form)
 
 
 def spell(form, table) -> Word:

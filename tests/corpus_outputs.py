@@ -17,11 +17,18 @@ degree it certifies at, which certifies; k and the degree are read from
 vector is spelled with ``=`` so that checkouts whose CLI refuses a
 separate ``-1,...`` value can run it too.
 Each run gets a directory under OUT_DIR holding its problem text, its
-exit code, its stdout and stderr, the DOT files it wrote, and a file
+exit code, its stdout and stderr, the DOT files it wrote, a file
 ``decomposition``: the eligibility verdict and Kurosh decomposition of
-the problem's subgroup graph (``oracles.decompose``).  A ``diff -r``
-of the OUT_DIRs of two checkouts is then the check that a change leaves
-every output byte as it was, decompositions included.
+the problem's subgroup graph (``oracles.decompose``), and a file
+``membership``: the answers of ``MembershipTester.contains`` on words
+drawn from a seed spelled by the problem text, over the subgroup graph
+without separator paths.  The words are products of subgroup generators
+with a detour inserted (members, which leave the graph and come back)
+and random words (non-members, mostly); ``problems/s5_conjugate.txt``
+brings y-components with nontrivial loop subgroups.  A ``diff -r`` of
+the OUT_DIRs of two checkouts is then the check that a change leaves
+every output byte as it was, decompositions and membership answers
+included.
 
 The script imports ``perfbench/problems.py``, which imports nothing from
 altsep, runs the CLI of this checkout's ``src`` in a child process, and
@@ -34,16 +41,22 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 13)
+# membership queries per problem, of each kind
+QUERIES = 16
 
 sys.path.insert(0, str(ROOT / "src"))
 from altsep import cli  # noqa: E402
+from altsep.subgroups import MembershipTester, build_subgroup_graph  # noqa: E402
+from altsep.words import word_inverse, word_str, x_alphabet, y_alphabet  # noqa: E402
 from oracles import decompose  # noqa: E402
 
 
@@ -55,6 +68,33 @@ def decompose_text(text: str) -> str:
     except Exception as err:  # recorded, so that both checkouts are compared
         return f"{type(err).__name__}: {err}\n"
     return json.dumps(record, indent=1) + "\n"
+
+
+def membership_text(text: str) -> str:
+    """Membership answers on seeded words, one line per word: its kind,
+    the answer and the word; or the error that stopped the queries."""
+    try:
+        spec = cli.parse_problem(text)
+        graph = build_subgroup_graph(replace(spec, separate_words=())).graph
+    except Exception as err:  # recorded, so that both checkouts are compared
+        return f"{type(err).__name__}: {err}\n"
+    tester = MembershipTester(graph, spec.finite)
+    rng = random.Random(text)
+    alphabet = x_alphabet(spec.free.rank) + y_alphabet(spec.finite.num_generators)
+    generators = list(spec.subgroup_words)
+    generators += [word_inverse(word) for word in generators]
+    lines = []
+    for _ in range(QUERIES):
+        product = ()
+        for _ in range(rng.randint(1, 3) if generators else 0):
+            product += rng.choice(generators)
+        detour = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+        at = rng.randint(0, len(product))
+        member = product[:at] + detour + word_inverse(detour) + product[at:]
+        other = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
+        for kind, word in (("product", member), ("random", other)):
+            lines.append(f"{kind} {tester.contains(word)} {word_str(word)}\n")
+    return "".join(lines)
 
 
 def corpus():
@@ -100,6 +140,7 @@ def run(name: str, text: str, args, out_dir: Path, env) -> int:
     (run_dir / "stdout").write_bytes(done.stdout)
     (run_dir / "stderr").write_bytes(done.stderr)
     (run_dir / "decomposition").write_text(decompose_text(text))
+    (run_dir / "membership").write_text(membership_text(text))
     return done.returncode
 
 

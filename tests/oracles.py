@@ -23,7 +23,9 @@ from edge pairs, a ``RawGraph`` when they do not spell an adjacency,
 which ``fold_pairs`` folds; and ``decompose`` records a problem's
 eligibility verdict and Kurosh decomposition as JSON data, for the
 Kurosh pins (``test_kurosh_pins.py``) and the byte-identity corpus
-(``corpus_outputs.py``).
+(``corpus_outputs.py``); ``free_reduce``, ``generator_element`` and
+``letter_element`` are the plain word and letter helpers that the
+element-by-element oracles build on.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from altsep.subgroups import (
 )
 from altsep.words import (
     Letter,
-    free_reduce,
     normal_form,
     spell,
     word_inverse,
@@ -388,10 +389,10 @@ def component_cosets_oracle(table, component: LabeledGraph):
     reach = {component.base: table.identity}
     for v in order[1:]:
         u, letter = parent[v]
-        reach[v] = table.multiply(reach[u], table.letter_element(letter))
+        reach[v] = table.multiply(reach[u], letter_element(table, letter))
     loops = [
         table.multiply(
-            table.multiply(reach[u], table.letter_element(letter)),
+            table.multiply(reach[u], letter_element(table, letter)),
             table.inverse(reach[w]),
         )
         for u, w, letter in component.pairs - tree
@@ -414,7 +415,7 @@ def coset_graph_oracle(table, subgroup):
     pairs = set()
     for coset in cosets:  # grows while it is read: breadth-first order
         for j in range(1, table.num_generators + 1):
-            image = frozenset(table.multiply(e, table.generator_element(j)) for e in coset)
+            image = frozenset(table.multiply(e, generator_element(table, j)) for e in coset)
             if image not in number:
                 number[image] = len(cosets)
                 cosets.append(image)
@@ -640,6 +641,30 @@ def fixpoint_contains(graph: LabeledGraph, table, word):
 # -- membership queries, element by element ------------------------------------
 
 
+def free_reduce(word):
+    """Cancel adjacent inverse letters until no cancellation applies."""
+    stack = []
+    for letter in word:
+        if stack and stack[-1] == letter.inverse():
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+def generator_element(table, index: int) -> int:
+    """Element of the 1-based generator y<index>."""
+    if not 1 <= index <= table.num_generators:
+        raise ValueError(f"no generator y{index}")
+    return table.generator_indices[index - 1]
+
+
+def letter_element(table, letter) -> int:
+    """Element of a y-letter, its generator's or that one's inverse."""
+    element = generator_element(table, letter.index)
+    return element if letter.sign > 0 else table.inverse(element)
+
+
 def word_element_oracle(table, word):
     """``FiniteGroupTable.word_element`` as a fold of ``multiply`` over
     each letter's element, read by ``letter_element``."""
@@ -647,7 +672,7 @@ def word_element_oracle(table, word):
     for letter in word:
         if letter.factor != "y":
             raise ValueError(f"not a finite-factor letter: {letter}")
-        out = table.multiply(out, table.letter_element(letter))
+        out = table.multiply(out, letter_element(table, letter))
     return out
 
 
@@ -668,7 +693,7 @@ def normal_form_oracle(word, table):
             else:
                 stack.append(["x", [letter]])
         else:
-            element = table.letter_element(letter)
+            element = letter_element(table, letter)
             if stack and stack[-1][0] == "y":
                 product = table.multiply(stack[-1][1], element)
                 if product == table.identity:

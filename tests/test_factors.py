@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from altsep import factors, kurosh
+from altsep.cli import run_separate
 from altsep.factors import (
     MAX_GROUP_ORDER,
     NotGBasedError,
@@ -27,7 +29,9 @@ from oracles import (
     embed_Y_component,
     exhaustive_closure,
     fold_pairs,
+    generator_element,
     is_folded,
+    letter_element,
     random_raw_word,
     saturation_defects,
     sorted_letters,
@@ -107,15 +111,44 @@ def test_subgroup_closure_empty_seed(s3):
 
 
 def test_subgroup_closure_involution(s3):
-    flip = s3.generator_element(2)
+    flip = generator_element(s3, 2)
     assert len(subgroup_closure(s3, [flip])) == 2
 
 
 def test_subgroup_closure_two_transpositions_generate_s3(s3):
-    a = s3.generator_element(2)  # (1 2)
-    b = s3.multiply(s3.multiply(s3.generator_element(1), a), s3.inverse(s3.generator_element(1)))
+    a = generator_element(s3, 2)  # (1 2)
+    b = s3.multiply(s3.multiply(generator_element(s3, 1), a), s3.inverse(generator_element(s3, 1)))
     generated = subgroup_closure(s3, [a, b])
     assert len(generated) == 6
+
+
+def test_subgroup_closure_searches_once_per_seed_set(monkeypatch):
+    """Many y-components whose loops generate all of the finite factor,
+    one at each leaf of an x-tree (h = x_a x_b y_j x_b^-1 x_a^-1 for a few
+    pairs (a, b) and j = 1, 2, over S8): a certifying run asks for the
+    same closures again and again, and every ask for one seed set gets the
+    one frozenset that its single search made."""
+    table = enumerate_group(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
+    words = [(x(a), x(b), y(j), x(b, -1), x(a, -1))
+             for a, b in ((1, 2), (1, 3), (2, 3)) for j in (1, 2)]
+    spec = make_spec(table, words, [(x(1),) * 4], rank=4)
+    calls = []
+
+    def recorded(table, seeds):
+        closure = subgroup_closure(table, seeds)
+        calls.append((frozenset(seeds), closure))
+        return closure
+
+    monkeypatch.setattr(factors, "subgroup_closure", recorded)
+    monkeypatch.setattr(kurosh, "subgroup_closure", recorded)
+    assert run_separate(spec).exit_code == 0
+    kurosh.kurosh_decompose(build_subgroup_graph(spec).graph, table)
+    searched = {seeds: {id(closure) for s, closure in calls if s == seeds}
+                for seeds, _ in calls}
+    assert len(calls) >= 3 * len(searched)
+    assert all(len(made) == 1 for made in searched.values())
+    assert table._closures.keys() == searched.keys()
+    assert len(table._closures[next(iter(searched))]) == 40_320
 
 
 # -- coset graphs, spelled by coset actions -------------------------------------------
@@ -143,7 +176,7 @@ def test_coset_graph_of_whole_group(z2):
 
 
 def test_coset_graph_index_three(s3):
-    flip = subgroup_closure(s3, [s3.generator_element(2)])
+    flip = subgroup_closure(s3, [generator_element(s3, 2)])
     element_to_coset, _moves = coset_action(s3, flip)
     # brute-force coset partition agrees
     cosets = set()
@@ -172,7 +205,7 @@ def test_lagrange_on_every_subgroup_of_s3(s3):
 
 
 def test_loop_characterization(s3):
-    subgroup = subgroup_closure(s3, [s3.generator_element(2)])
+    subgroup = subgroup_closure(s3, [generator_element(s3, 2)])
     _element_to_coset, moves = coset_action(s3, subgroup)
     words = [
         (y(2),), (y(1),), (y(1), y(1)), (y(1), y(1), y(1)),
@@ -207,7 +240,7 @@ def test_coset_action_moves_every_element_with_its_coset(s3, d4):
             assert len(set(element_to_coset)) == table.order // len(subgroup)
             for j, move in enumerate(moves, start=1):
                 for e in range(table.order):
-                    image = table.multiply(e, table.generator_element(j))
+                    image = table.multiply(e, generator_element(table, j))
                     assert element_to_coset[image] == move[element_to_coset[e]]
 
 
@@ -273,7 +306,7 @@ def test_step_tables_multiply_by_each_letter(z2, s3, d4, a4):
         assert set(table.steps) == set(letters)
         for letter in letters:
             assert table.steps[letter] == tuple(
-                table.multiply(a, table.letter_element(letter)) for a in range(table.order))
+                table.multiply(a, letter_element(table, letter)) for a in range(table.order))
     # a generator of order 3: its backward table is not its forward one
     y1 = a4.steps[y(1)]
     assert a4.steps[y(1, -1)] != y1

@@ -42,7 +42,7 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_unused_import_check_catches_a_leftover():
     source = (SOURCE / "subgroups.py").read_text()
     assert unused_imports(source) == []
-    leftover = source.replace("from .words import normal_form",
-                              "from .words import normal_form, x_alphabet")
+    leftover = source.replace("from .words import flat_form",
+                              "from .words import flat_form, x_alphabet")
     assert leftover != source and unused_imports(leftover) == ["x_alphabet"]
     assert unused_imports("import os.path as p\nimport sys\nsys.exit()\n") == ["p"]

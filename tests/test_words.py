@@ -2,21 +2,23 @@ import copy
 import pickle
 import random
 
+from altsep import words
 from altsep.words import (
     Letter,
-    free_reduce,
+    flat_form,
     normal_form,
     spell,
     word_inverse,
     word_str,
     x_alphabet,
     x_letter as x,
+    y_alphabet,
     y_letter as y,
 )
 
 import pytest
 
-from oracles import normal_form_oracle, random_raw_word
+from oracles import free_reduce, normal_form_oracle, random_raw_word
 
 
 def test_letter_inverse_is_an_involution():
@@ -61,12 +63,33 @@ def test_letters_are_immutable():
 
 
 def test_letter_validation():
+    x_alphabet(2), y_alphabet(2)  # letters that a lookup by a wrong key would find
     with pytest.raises(ValueError, match="factor must be 'x' or 'y'"):
         Letter("z", 1)
-    with pytest.raises(ValueError, match="index must be positive"):
-        Letter("x", 0)
-    with pytest.raises(ValueError, match="sign must be"):
-        Letter("x", 1, 2)
+    refused = [(0, 1, "index must be positive"), (-1, 1, "index must be positive"),
+               (-2, -1, "index must be positive"), (1, 0, "sign must be"),
+               (1, 2, "sign must be"), (1, -2, "sign must be"), (2, -2, "sign must be")]
+    for factor, make in (("x", x), ("y", y)):
+        for index, sign, message in refused:
+            with pytest.raises(ValueError, match=message):
+                Letter(factor, index, sign)
+            with pytest.raises(ValueError, match=message):
+                make(index, sign)
+
+
+def test_letter_constructors_return_the_letter_however_it_was_first_made():
+    """``x_letter`` and ``y_letter`` find a letter first made by
+    ``Letter``, by an alphabet, or by an earlier call of their own."""
+    fresh = 1 + max(max(words._BY_INDEX[factor][1], default=0) for factor in "xy")
+    for factor, make, alphabet in (("x", x, x_alphabet), ("y", y, y_alphabet)):
+        by_letter = Letter(factor, fresh, -1)
+        assert make(fresh, -1) is by_letter and make(fresh) is by_letter.inverse()
+        by_alphabet = alphabet(fresh + 1)[-2:]
+        assert (make(fresh + 1), make(fresh + 1, -1)) == by_alphabet
+        by_call = make(fresh + 2, -1)
+        assert make(fresh + 2, -1) is by_call and make(fresh + 2) is by_call.inverse()
+        assert Letter(factor, fresh + 2, -1) is by_call
+        assert (by_call.factor, by_call.index, by_call.sign) == (factor, fresh + 2, -1)
 
 
 def test_letter_order_x_first_then_index_then_sign():
@@ -130,7 +153,8 @@ def test_normal_form_is_idempotent_under_spelling(s3):
 
 def test_normal_form_matches_the_element_by_element_oracle(z2, s3, d4, a4):
     """y-runs multiplied out through the step tables give the normal form
-    of multiplying each y-letter's element in by the group table."""
+    of multiplying each y-letter's element in by the group table, and the
+    flat form is that normal form with its syllables laid end to end."""
     rng = random.Random(31)
     y_syllables = 0
     for table in (z2, s3, d4, a4):
@@ -138,6 +162,8 @@ def test_normal_form_matches_the_element_by_element_oracle(z2, s3, d4, a4):
             word = random_raw_word(rng, 2, table.num_generators, 24)
             form = normal_form(word, table)
             assert form == normal_form_oracle(word, table), word
+            assert flat_form(word, table) == [
+                item for tag, value in form for item in (value if tag == "x" else (value,))]
             y_syllables += sum(tag == "y" for tag, _ in form)
     assert y_syllables >= 1000
 
