@@ -34,7 +34,7 @@ from .subgroups import (
     membership,
     hypothesis_check,
 )
-from .kurosh import KuroshDecomposition, kurosh_decompose, project_loop, verify_intersection
+from .kurosh import KuroshDecomposition, check_decomposition, kurosh_decompose
 from .covers import (
     CoverPlan,
     GadgetParams,

@@ -17,8 +17,7 @@ is alternating or symmetric, one record per separated word, and pipeline
 statistics.  Rejections print a machine-readable reason and exit 2 when
 the eligibility check fails (HypothesisNotSatisfied) or 3 when a word to
 separate already lies in the subgroup (GammaClosed).  Input errors exit 1,
-as do a prime search that reaches ``--max-prime`` and an oversized
-``--verify-level full``.  Any other exception
+as does a prime search that reaches ``--max-prime``.  Any other exception
 raised inside the pipeline once the input has been validated, be it a
 failed internal self-check (an AssertionError) or any other bug, prints
 ``altsep: internal error: ...`` and exits 4, so a broken invariant never
@@ -51,7 +50,7 @@ from .graphs import (
     _pair_key,
     components,  # unused here; perfbench's tracer self-test checks this binding
 )
-from .kurosh import kurosh_decompose, verify_intersection
+from .kurosh import check_decomposition, kurosh_decompose
 from .subgroups import (
     FreeFactor,
     ProblemSpec,
@@ -61,10 +60,6 @@ from .subgroups import (
 from .words import Word, word_str, x_letter, y_letter
 
 STAGE_NAMES = ("subgroup_graph", "component_covers", "precover", "cover")
-
-
-class VerificationTooLargeError(Exception):
-    """``--verify-level full`` would make more than MAX_VERIFY_CHECKS checks."""
 
 
 class ProblemFormatError(ValueError):
@@ -98,12 +93,6 @@ MAX_FREE_RANK = 1_000
 # digits).  Checked before the digits become an int, so a 5,000-digit
 # exponent is refused at its line and column.
 MAX_NUMBER_DIGITS = 100
-
-# Most membership checks ``--verify-level full`` may make, counted from the
-# decomposition before the first: 2r(2r-1)^(l-1) x-words of each length
-# l <= VERIFY_RADIUS per free-factor factor, |G| - 1 per finite-factor one.
-MAX_VERIFY_CHECKS = 500_000
-VERIFY_RADIUS = 4
 _LONG_NUMBER_RE = re.compile(r"\d{%d}" % (MAX_NUMBER_DIGITS + 1))
 
 
@@ -464,24 +453,24 @@ def _check_y_components(table, graph: LabeledGraph):
 
 
 def _full_verification(spec, graph, stream):
+    """Decompose the subgroup graph, check the decomposition exactly
+    (``kurosh.check_decomposition``), and print the factors, the words
+    checked and the faults found.  The words checked are the
+    decomposition's generators, the factors' loop words and delta's free
+    basis (slot count / 2 - |V| + 1 words), and the subgroup words."""
     decomposition = kurosh_decompose(graph, spec.finite)
-    r = spec.free.rank
-    ball = sum(2 * r * (2 * r - 1) ** (length - 1) for length in range(1, VERIFY_RADIUS + 1))
-    planned = sum(ball if factor.factor == "x" else spec.finite.order - 1
-                  for factor in decomposition.factors)
-    if planned > MAX_VERIFY_CHECKS:
-        raise VerificationTooLargeError(
-            f"--verify-level full would make {planned} membership checks, "
-            f"more than {MAX_VERIFY_CHECKS}")
-    report = verify_intersection(graph, spec.finite, r, decomposition, VERIFY_RADIUS)
-    checked = sum(c.checked for c in report.checks)
+    faults = check_decomposition(spec, graph, decomposition)
+    delta = decomposition.delta.out
+    checked = (sum(len(factor.loop_words) for factor in decomposition.factors)
+               + sum(map(len, delta.values())) // 2 - len(delta) + 1
+               + len(spec.subgroup_words))
     print(
-        f"verify: factors={len(report.checks)} checks={checked} "
-        f"counterexamples={len(report.counterexamples)}",
+        f"verify: factors={len(decomposition.factors)} checks={checked} "
+        f"counterexamples={len(faults)}",
         file=stream,
     )
-    if not report.ok:
-        raise AssertionError("factor intersection verification found counterexamples")
+    if faults:
+        raise AssertionError(f"Kurosh decomposition check failed: {faults[0]}")
 
 
 def _parse_sign_vector(text: str):
@@ -524,7 +513,7 @@ def main(argv=None) -> int:
     sep.add_argument("--max-prime", type=int, default=DEFAULT_MAX_PRIME,
                      help="largest prime degree to try, at most %(default)s (the default)")
     sep.add_argument("--verify-level", choices=("fast", "full"), default="fast",
-                     help="'full' additionally verifies factor intersections")
+                     help="'full' additionally checks the subgroup's free-product decomposition")
 
     # argparse takes the value in "--sign-vector -1,+1" for an option;
     # every abbreviation it accepts ("--sign") is joined to its value too
@@ -564,7 +553,7 @@ def main(argv=None) -> int:
             max_prime=args.max_prime,
             verify_level=args.verify_level,
         )
-    except (CoverSearchExhaustedError, VerificationTooLargeError) as err:
+    except CoverSearchExhaustedError as err:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
     except Exception as err:

@@ -9,12 +9,11 @@ per generator.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from itertools import chain
 
 from . import permgroup
 from .graphs import LabeledGraph
-from .words import Word, y_alphabet, y_letter
+from .words import y_letter
 
 
 class NotGBasedError(ValueError):
@@ -60,27 +59,6 @@ class FiniteGroupTable:
 
     def inverse(self, a: int) -> int:
         return self._inverses[a]
-
-    @cached_property
-    def _geodesic_words(self):
-        """Shortest generator word per element, BFS with the fixed letter
-        order y1, y1^-1, y2, ...; ties break toward earlier letters."""
-        steps = [(letter, self.steps[letter]) for letter in y_alphabet(self.num_generators)]
-        words = {self.identity: ()}
-        queue = deque([self.identity])
-        while queue:
-            current = queue.popleft()
-            for letter, step in steps:
-                target = step[current]
-                if target not in words:
-                    words[target] = words[current] + (letter,)
-                    queue.append(target)
-        if len(words) != self.order:
-            raise AssertionError("generators do not generate the closed table")
-        return words
-
-    def element_word(self, element: int) -> Word:
-        return self._geodesic_words[element]
 
     def word_element(self, word) -> int:
         """Evaluate a y-word in the table, by one index into ``steps`` per

@@ -5,16 +5,16 @@ component's loop subgroup, conjugated by the label of a breadth-first
 approach path from the base point that meets the component only in its
 anchor.  Removing each such component's non-tree edges leaves a graph
 whose loop subgroup is free; its rank is the number of edge pairs outside
-a spanning tree.  ``verify_intersection`` checks the defining property of
-the factors on a ball: a conjugate g u g^-1 of a factor element lies in
-the subgroup exactly when u lies in the component's loop subgroup.
+a spanning tree.  ``check_decomposition`` checks a decomposition exactly:
+the generators it names generate the subgroup, and each factor is the
+component at the end of its approach path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .factors import FiniteGroupTable, NotGBasedError, subgroup_closure
+from .factors import FiniteGroupTable, component_cosets, subgroup_closure
 from .graphs import (
     LabeledGraph,
     _pair_key,
@@ -24,8 +24,8 @@ from .graphs import (
     trace,
     tree_path_word,
 )
-from .subgroups import MembershipTester
-from .words import Word, normal_form, word_inverse, x_alphabet
+from .subgroups import MembershipTester, build_subgroup_graph
+from .words import Word, word_inverse
 
 
 @dataclass(frozen=True)
@@ -142,167 +142,90 @@ def _component_walk(out, anchor, letters):
     return parent, nontree
 
 
-def _split_runs(graph: LabeledGraph, start: int, word):
-    """Maximal monochromatic runs of a path, each with its start vertex."""
-    runs = []
-    current = start
-    for letter in word:
-        target = graph.step(current, letter)
-        if target is None:
-            raise ValueError("word does not trace a path from the start vertex")
-        if runs and runs[-1][0] == letter.factor:
-            runs[-1][1].append(letter)
-        else:
-            runs.append([letter.factor, [letter], current])
-        current = target
-    return runs, current
+def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecomposition) -> list:
+    """Faults of ``decomposition`` as the free-product decomposition of
+    the subgroup H that ``spec``'s words h_i generate, ``graph`` being H's
+    based graph (open paths may hang off it); an empty list when it has
+    none.  S' is the decomposition's generators: approach * loop word *
+    approach^-1 for each factor's loop words, and delta's free basis
+    read off a breadth-first tree of delta.
 
+    - (a) every element of S' traces a closed path at the base: <S'> <= H;
+    - (b) every h_i is a member of ``build_subgroup_graph`` of S': H <= <S'>;
+    - (c) each factor's approach ends at its anchor, its component is the
+      graph's component of its factor at the anchor, its loop words close
+      at the anchor inside it, and its subgroup is the component's loop
+      subgroup read from the anchor (``factors.component_cosets``) for a
+      y-factor, None for an x-factor;
+    - (d) ``free_rank`` is the size of delta's free basis.
 
-def project_loop(
-    graph: LabeledGraph,
-    table: FiniteGroupTable,
-    component: LabeledGraph,
-    start: int,
-    word,
-) -> Word:
-    """Rewrite a loop at a component vertex, whose label is a nontrivial
-    element of the component's factor, into a loop with the same label
-    inside the component, by excising closed identity-labeled sub-paths.
+    A based graph determines its subgroup, and the meet of H with a
+    conjugate of a factor is read off the component at the end of the
+    conjugating path (Kapovich and Miasnikov, J. Algebra 2002; Kapovich,
+    Weidmann and Miasnikov, IJAC 2005).  The graph of S' is not compared
+    with ``graph``: open paths and the hairs of unreduced generators make
+    the two differ when the decomposition is right.
 
-    Raises NotGBasedError when an identity-labeled sub-path fails to close
-    (the ambient graph was not based over the free product)."""
-    if start not in component.vertices:
-        raise ValueError("start vertex is not in the component")
-    if not component.pairs:
-        raise ValueError("component has no edges, so its factor is ambiguous")
-    target_factor = next(iter(component.pairs))[2].factor
+    Cost: O(|V| * r) for the walks and trees, then the subgroup graph of
+    S' and one membership query per h_i.
+    """
+    base, table = graph.base, spec.finite
+    faults = []
+    generators = []
+    members = {}  # factor -> vertex -> the vertices of its component
+    for index, factor in enumerate(decomposition.factors, start=1):
+        name = f"factor {index}"
+        anchor = factor.anchor
+        approach, back = factor.approach, word_inverse(factor.approach)
+        generators += [(f"{name} loop word {j}", approach + word + back)
+                       for j, word in enumerate(factor.loop_words, start=1)]
+        end = trace(graph, base, approach)
+        if end.status == "stuck" or end.vertex != anchor:
+            faults.append(f"{name}: the approach does not end at the anchor {anchor}")
+        if factor.factor not in members:
+            members[factor.factor] = {v: vertices for vertices, _pairs
+                                      in components(graph, factor.factor) for v in vertices}
+        vertices = members[factor.factor].get(anchor)
+        if vertices is None:
+            faults.append(f"{name}: no {factor.factor}-component of the graph holds the anchor")
+            continue
+        component = component_graph(graph, vertices, factor.factor, anchor)
+        if factor.component != component:
+            faults.append(f"{name}: not the graph's {factor.factor}-component at the anchor")
+        for j, word in enumerate(factor.loop_words, start=1):
+            if not trace(component, anchor, word).closed:
+                faults.append(f"{name}: loop word {j} does not close at the anchor")
+        subgroup = None
+        if factor.factor == "y":
+            ((subgroup, _keys),) = component_cosets(table, graph, [anchor])
+        if factor.subgroup != subgroup:
+            faults.append(f"{name}: not the loop subgroup of the component")
 
-    form = normal_form(word, table)
-    if len(form) != 1 or form[0][0] != target_factor:
-        raise ValueError(
-            "label is not a nontrivial element of the component's factor")
+    delta = decomposition.delta
+    letters = sorted(set().union(*delta.out.values()), key=lambda l: l.sort_key)
+    parent, nontree = _component_walk(delta.out, delta.base, letters)
+    for j, (u, w, letter) in enumerate(nontree, start=1):
+        word = tree_path_word(parent, u) + (letter,) + word_inverse(tree_path_word(parent, w))
+        generators.append((f"delta basis word {j}", word))
 
-    end = trace(graph, start, word)
-    if end.status == "stuck":
-        raise ValueError("word does not trace a path from the start vertex")
-    if not end.closed:
-        raise ValueError("path is not a loop at the start vertex")
-
-    runs, _ = _split_runs(graph, start, word)
-
-    while True:
-        if all(run[0] == target_factor for run in runs):
-            break
-        for index, (_factor, letters, run_start) in enumerate(runs):
-            if not normal_form(letters, table):
-                result = trace(graph, run_start, tuple(letters))
-                if result.vertex != run_start:
-                    raise NotGBasedError(
-                        "identity-labeled sub-path is not closed; the graph "
-                        "is not based over the free product")
-                left = runs[:index]
-                right = runs[index + 1:]
-                if left and right and left[-1][0] == right[0][0]:
-                    left[-1][1].extend(right[0][1])
-                    right = right[1:]
-                runs = left + right
-                break
-        else:
-            raise ValueError(
-                "label is not a nontrivial element of the component's factor")
-
-    flat = tuple(letter for _factor, letters, _start in runs for letter in letters)
-    if not flat:
-        raise ValueError("label is the identity")
-    if not trace(component, start, flat).closed:
-        raise AssertionError("projected loop left the component")
-    return flat
-
-
-@dataclass(frozen=True)
-class FactorCheck:
-    index: int
-    factor: str
-    checked: int
-    counterexamples: tuple
-
-
-@dataclass(frozen=True)
-class IntersectionReport:
-    checks: tuple
-
-    @property
-    def counterexamples(self):
-        return tuple(w for check in self.checks for w in check.counterexamples)
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def _reduced_x_words(rank: int, max_len: int):
-    """All freely reduced x-words of length 1..max_len."""
-    alphabet = x_alphabet(rank)
-    words = [(letter,) for letter in alphabet]
-    yield from words
-    for _ in range(max_len - 1):
-        longer = []
-        for word in words:
-            for letter in alphabet:
-                if letter != word[-1].inverse():
-                    longer.append(word + (letter,))
-        yield from longer
-        words = longer
-
-
-def verify_intersection(
-    graph: LabeledGraph,
-    table: FiniteGroupTable,
-    rank: int,
-    decomposition: KuroshDecomposition,
-    length_bound: int,
-) -> IntersectionReport:
-    """Check each factor's intersection identity on a ball.
-
-    For every nontrivial u of the factor's group with letter length at most
-    ``length_bound`` (all of G for finite-factor components), the conjugate
-    g u g^-1 by the approach word must lie in the subgroup exactly when u
-    is a loop label of the component."""
-    tester = MembershipTester(graph, table)
-    checks = []
-    for index, factor in enumerate(decomposition.factors):
-        counterexamples = []
-        checked = 0
-        g = factor.approach
-        g_inv = word_inverse(g)
-        if factor.factor == "x":
-            candidates = _reduced_x_words(rank, length_bound)
-            for u in candidates:
-                checked += 1
-                inside = trace(factor.component, factor.anchor, u).closed
-                conjugate = tuple(g) + tuple(u) + tuple(g_inv)
-                if tester.contains(conjugate) != inside:
-                    counterexamples.append(conjugate)
-        else:
-            for element in range(1, table.order):
-                checked += 1
-                u = table.element_word(element)
-                inside = element in factor.subgroup
-                conjugate = tuple(g) + tuple(u) + tuple(g_inv)
-                if tester.contains(conjugate) != inside:
-                    counterexamples.append(conjugate)
-        checks.append(
-            FactorCheck(index, factor.factor, checked, tuple(counterexamples))
-        )
-    return IntersectionReport(tuple(checks))
+    for label, word in generators:  # (a)
+        if not trace(graph, base, word).closed:
+            faults.append(f"{label} is not a closed path at the base")
+    rebuilt = build_subgroup_graph(replace(
+        spec, subgroup_words=tuple(word for _label, word in generators), separate_words=()))
+    tester = MembershipTester(rebuilt.graph, table)
+    for i, word in enumerate(spec.subgroup_words, start=1):  # (b)
+        if not tester.contains(word):
+            faults.append(f"h{i} is not in the subgroup the decomposition generates")
+    if decomposition.free_rank != len(nontree):  # (d)
+        faults.append(f"free rank {decomposition.free_rank}, but delta's free basis "
+                      f"has {len(nontree)} words")
+    return faults
 
 
 __all__ = [
     "KuroshFactor",
     "KuroshDecomposition",
     "kurosh_decompose",
-    "project_loop",
-    "FactorCheck",
-    "IntersectionReport",
-    "verify_intersection",
+    "check_decomposition",
 ]

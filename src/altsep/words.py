@@ -10,14 +10,12 @@ Words denote elements of the free product of a free group (the x-letters)
 and a finite group (the y-letters).  ``flat_form`` reduces a word in one
 pass to a flat list: x-letters freely reduced, each maximal y-run
 multiplied out in the finite group's table to one element index, and
-identity y-runs dropped, so that no two element indices are adjacent.
-``normal_form`` groups that list into the alternating syllable form of
-the free product.
+identity y-runs dropped, so that no two element indices are adjacent:
+the alternating syllable form of the free product, its syllables laid
+end to end.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
 
 
 class Letter:
@@ -172,34 +170,3 @@ def flat_form(word, table) -> list:
             stack.append(step[identity])
     return stack
 
-
-def normal_form(word, table) -> tuple:
-    """Alternating syllable form of a word in the free product.
-
-    Returns a tuple of syllables ('x', letters) / ('y', element index),
-    with x-syllables freely reduced, y-syllables nonidentity elements of
-    the finite group, and no two adjacent syllables from the same factor:
-    ``flat_form``'s list, its x-letters grouped into runs.  The empty
-    tuple denotes the identity.  A y-letter that names no generator of
-    the table raises ValueError.
-    """
-    form = []
-    for kind, run in groupby(flat_form(word, table), type):
-        if kind is int:
-            (element,) = run  # indices are never adjacent
-            form.append(("y", element))
-        else:
-            form.append(("x", tuple(run)))
-    return tuple(form)
-
-
-def spell(form, table) -> Word:
-    """Spell a normal form back into a word, using geodesic spellings for
-    finite-factor syllables."""
-    letters = []
-    for tag, value in form:
-        if tag == "x":
-            letters.extend(value)
-        else:
-            letters.extend(table.element_word(value))
-    return tuple(letters)

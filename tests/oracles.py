@@ -6,7 +6,8 @@ folding by exhaustive or random fold-order search, connectivity and
 canonical forms of based graphs by one breadth-first numbering, subgroup
 membership by breadth-first enumeration over normal forms or by
 re-running the graph fixpoint on a glued query path, membership queries,
-normal forms and y-words element by element (a coset key as a min over
+normal forms and y-words element by element, geodesic spellings of
+finite-factor elements by breadth-first search (a coset key as a min over
 the loop subgroup, a y-letter as a table product), monochromatic
 components and spanning trees by plain breadth-first search, saturation
 defects by a set of the pairs' slots, eligibility verdicts by listing
@@ -16,7 +17,9 @@ round, the embedding of a y-component in its coset graph with cosets as
 element sets, kernel generating sets by the Schreier transversal
 construction, words by one regex match per term, the folded wedge
 through a canonical pair set, and the Kurosh decomposition through pair
-sets, set differences and union-find.
+sets, set differences and union-find, and a Kurosh decomposition's
+factor intersections on a ball: every conjugate of a short factor
+element tested for membership.
 
 Not oracles: ``make_graph`` and ``build_graph`` assemble a test graph
 from edge pairs, a ``RawGraph`` when they do not spell an adjacency,
@@ -33,6 +36,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from altsep import kurosh, permgroup
@@ -53,6 +57,7 @@ from altsep.graphs import (
 )
 from altsep.kurosh import KuroshDecomposition, KuroshFactor
 from altsep.subgroups import (
+    MembershipTester,
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
     VERDICT_TREES,
@@ -62,12 +67,11 @@ from altsep.subgroups import (
 )
 from altsep.words import (
     Letter,
-    normal_form,
-    spell,
     word_inverse,
     word_str,
     x_alphabet,
     x_letter,
+    y_alphabet,
     y_letter,
 )
 
@@ -514,12 +518,44 @@ def based_fixpoint_full_rescan(graph, table, tracked=()):
 # -- ambient group arithmetic ---------------------------------------------------
 
 
-def nf(word, table):
-    return normal_form(word, table)
+@cache
+def geodesic_words(table):
+    """Shortest generator word per element of a finite factor, by
+    breadth-first search with the fixed letter order y1, y1^-1, y2, ...;
+    ties break toward earlier letters."""
+    steps = [(letter, table.steps[letter]) for letter in y_alphabet(table.num_generators)]
+    words = {table.identity: ()}
+    queue = deque([table.identity])
+    while queue:
+        current = queue.popleft()
+        for letter, step in steps:
+            target = step[current]
+            if target not in words:
+                words[target] = words[current] + (letter,)
+                queue.append(target)
+    if len(words) != table.order:
+        raise AssertionError("generators do not generate the closed table")
+    return words
+
+
+def element_word(table, element):
+    return geodesic_words(table)[element]
+
+
+def spell(form, table):
+    """Spell a normal form back into a word, using geodesic spellings for
+    finite-factor syllables."""
+    letters = []
+    for tag, value in form:
+        if tag == "x":
+            letters.extend(value)
+        else:
+            letters.extend(element_word(table, value))
+    return tuple(letters)
 
 
 def nf_mul(a, b, table):
-    return normal_form(spell(a, table) + spell(b, table), table)
+    return normal_form_oracle(spell(a, table) + spell(b, table), table)
 
 
 def iter_reduced_x_words(rank, max_len):
@@ -548,7 +584,7 @@ def iter_ball(rank, table, max_len):
         x_by_len.setdefault(len(word), []).append(("x", word))
     y_by_len = {}
     for element in range(1, table.order):
-        length = len(table.element_word(element))
+        length = len(element_word(table, element))
         if length <= max_len:
             y_by_len.setdefault(length, []).append(("y", element))
 
@@ -581,8 +617,8 @@ def subgroup_ball(table, generator_words, max_len, hard_cap=60):
     """
     gens = []
     for word in generator_words:
-        gens.append(normal_form(word, table))
-        gens.append(normal_form(word_inverse(word), table))
+        gens.append(normal_form_oracle(word, table))
+        gens.append(normal_form_oracle(word_inverse(word), table))
     base = max([max_len] + [len(spell(g, table)) for g in gens])
     cap = base + 2
     previous = None
@@ -677,8 +713,12 @@ def word_element_oracle(table, word):
 
 
 def normal_form_oracle(word, table):
-    """``words.normal_form`` with each y-letter's element read by
-    ``letter_element`` and multiplied in by ``multiply``."""
+    """Alternating syllable form of a word in the free product: a tuple of
+    syllables ('x', letters) / ('y', element index), x-syllables freely
+    reduced, y-syllables nonidentity elements, no two adjacent syllables
+    from one factor; the empty tuple is the identity.  Each y-letter's
+    element is read by ``letter_element`` and multiplied in by
+    ``multiply``."""
     stack = []  # mutable entries ["x", [letters]] or ["y", element]
     for letter in word:
         if letter.factor == "x":
@@ -856,6 +896,33 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
         raise AssertionError("pruned graph must stay connected")
     free_rank = len(delta.pairs) - len(delta.vertices) + 1
     return KuroshDecomposition(tuple(factors), free_rank, delta)
+
+
+def intersection_ball_oracle(graph: LabeledGraph, table, rank, decomposition, radius):
+    """Counterexamples to each factor's intersection identity on a ball.
+
+    For every nontrivial u of the factor's group with letter length at
+    most ``radius`` (all of G for a finite-factor factor), the conjugate
+    g u g^-1 by the approach word g must lie in the subgroup exactly when
+    u is a loop label of the component.  Returns (conjugates checked,
+    conjugates on which membership disagrees)."""
+    tester = MembershipTester(graph, table)
+    checked = 0
+    counterexamples = []
+    for factor in decomposition.factors:
+        g, g_inv = factor.approach, word_inverse(factor.approach)
+        if factor.factor == "x":
+            candidates = ((u, trace(factor.component, factor.anchor, u).closed)
+                          for u in iter_reduced_x_words(rank, radius))
+        else:
+            candidates = ((element_word(table, element), element in factor.subgroup)
+                          for element in range(1, table.order))
+        for u, inside in candidates:
+            checked += 1
+            conjugate = g + u + g_inv
+            if tester.contains(conjugate) != inside:
+                counterexamples.append(conjugate)
+    return checked, counterexamples
 
 
 # -- recorded decompositions ------------------------------------------------------

@@ -16,14 +16,14 @@ from altsep import permgroup
 from altsep.cli import main, parse_problem, run_separate
 from altsep.covers import build_separating_cover
 from altsep.factors import enumerate_group
-from altsep.kurosh import kurosh_decompose, verify_intersection
+from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import (
     MembershipTester,
     based_fixpoint,
     build_subgroup_graph,
     hypothesis_check,
 )
-from altsep.words import spell, word_inverse, x_letter as x, y_letter as y
+from altsep.words import word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
@@ -34,12 +34,15 @@ from oracles import (
     exhaustive_closure,
     fixpoint_contains,
     fold_pairs,
+    intersection_ball_oracle,
     is_connected,
     iter_ball,
+    normal_form_oracle,
     random_fold,
     random_raw_word,
     reidemeister_schreier,
     saturation_defects,
+    spell,
     subgroup_ball,
     wedge_graph,
 )
@@ -265,11 +268,9 @@ def test_criterion_5_membership_oracle_equivalence():
             if tester.contains(spell(form, table)) != (form in ball):
                 discrepancies += 1
         # spot-check raw unreduced words against their reduced spellings
-        from altsep.words import normal_form
-
         for _ in range(150):
             raw = random_raw_word(rng, 2, table.num_generators, 6)
-            form = normal_form(raw, table)
+            form = normal_form_oracle(raw, table)
             if tester.contains(raw) != (form in ball):
                 discrepancies += 1
     report("5 (membership vs exhaustive enumeration, 10 fixtures, length 6)",
@@ -346,11 +347,12 @@ def test_criterion_6_kurosh_soundness():
         decomposition = kurosh_decompose(built.graph, spec.finite)
         delta = decomposition.delta
         ok = ok and decomposition.free_rank == len(delta.pairs) - len(delta.vertices) + 1
-        report_obj = verify_intersection(
+        _checked, counterexamples = intersection_ball_oracle(
             built.graph, spec.finite, spec.free.rank, decomposition, 6
         )
-        ok = ok and report_obj.ok
-    report("6 (intersection identities at length 6, rank formula)", ok)
+        ok = ok and not counterexamples
+        ok = ok and not check_decomposition(spec, built.graph, decomposition)
+    report("6 (intersection identities at length 6, rank formula, exact check)", ok)
 
 
 # -- 7: order oracle and recognition ----------------------------------------------------------

@@ -14,7 +14,6 @@ from altsep import cli, covers, graphs, permgroup
 from altsep.cli import (
     MAX_FREE_RANK,
     MAX_PROBLEM_LETTERS,
-    MAX_VERIFY_CHECKS,
     MAX_WORD_LENGTH,
     ProblemFormatError,
     export_dot,
@@ -826,8 +825,7 @@ def test_main_takes_a_sign_vector_that_starts_with_minus_one(tmp_path, capsys):
     assert json.loads(certificates[0])["degree"] > 0
 
 
-# one free factor of rank r in the decomposition: 2r(2r-1)^(l-1) words of
-# each length l <= 4 for --verify-level full
+# one free-factor factor in the decomposition, whatever the rank
 WIDE = """\
 [free] rank = {rank}
 [finite] degree = 3 ; gens = y1: (1 2 3); y2: (1 2)
@@ -836,27 +834,38 @@ WIDE = """\
 """
 
 
-def test_full_verification_is_bounded_before_it_starts(tmp_path, capsys, monkeypatch):
-    """Past MAX_VERIFY_CHECKS planned checks, --verify-level full exits 1
-    with one error line and nothing on stdout, before any check."""
-    def unchecked(*args):
-        raise AssertionError("a check ran past the verification bound")
+def test_full_verification_runs_at_every_rank(tmp_path, capsys):
+    """--verify-level full checks the decomposition exactly at every rank,
+    up to the largest a problem may have, each run in under 2 s; its
+    stderr line counts the factor, its one loop word and h1."""
+    for rank in (6, 14, 30, MAX_FREE_RANK):
+        path = write(tmp_path, f"wide{rank}.txt", WIDE.format(rank=rank))
+        started = time.monotonic()
+        assert main(["separate", path, "--verify-level", "full"]) == 0
+        assert time.monotonic() - started < 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["degree"] > 0
+        assert captured.err == "verify: factors=1 checks=2 counterexamples=0\n"
 
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "verify_intersection", unchecked)
-        for rank in (14, 30, MAX_FREE_RANK):
-            path = write(tmp_path, f"wide{rank}.txt", WIDE.format(rank=rank))
-            started = time.monotonic()
-            assert main(["separate", path, "--verify-level", "full"]) == 1
-            assert time.monotonic() - started < 2
-            captured = capsys.readouterr()
-            planned = sum(2 * rank * (2 * rank - 1) ** (length - 1) for length in range(1, 5))
-            assert planned > MAX_VERIFY_CHECKS and captured.out == ""
-            assert captured.err == (f"altsep: error: --verify-level full would make {planned} "
-                                    f"membership checks, more than {MAX_VERIFY_CHECKS}\n")
+
+def test_full_verification_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """A decomposition the exact check rejects exits 4, naming the first
+    fault, after the stderr line has counted the faults."""
+    real = cli.kurosh_decompose
+
+    def wrong_rank(graph, table):
+        decomposition = real(graph, table)
+        return dataclasses.replace(decomposition, free_rank=decomposition.free_rank + 1)
+
+    monkeypatch.setattr(cli, "kurosh_decompose", wrong_rank)
     path = write(tmp_path, "wide6.txt", WIDE.format(rank=6))
-    assert main(["separate", path, "--verify-level", "full"]) == 0
-    assert capsys.readouterr().err == "verify: factors=1 checks=17568 counterexamples=0\n"
+    assert main(["separate", path, "--verify-level", "full"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verify: factors=1 checks=2 counterexamples=1\n"
+        "altsep: internal error: Kurosh decomposition check failed: "
+        "free rank 1, but delta's free basis has 0 words\n")
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])

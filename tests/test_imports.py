@@ -1,9 +1,13 @@
-"""Every name a module of ``src/altsep`` imports is read in that module.
+"""Every name a module of ``src/altsep`` imports is read in that module,
+and every name a module exports in ``__all__`` is defined there.
 
-``__init__.py`` is skipped: it imports names to export them.
+``__init__.py`` is skipped by the first check: it imports names to export
+them.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "altsep"
@@ -46,3 +50,29 @@ def test_unused_import_check_catches_a_leftover():
                               "from .words import flat_form, x_alphabet")
     assert leftover != source and unused_imports(leftover) == ["x_alphabet"]
     assert unused_imports("import os.path as p\nimport sys\nsys.exit()\n") == ["p"]
+
+
+
+def undefined_exports(module):
+    """Names of the module's ``__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_every_exported_name_is_defined():
+    """``from altsep.<module> import *`` finds every name of ``__all__``;
+    ``altsep`` itself loads its command line names on first use."""
+    undefined = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module(
+            "altsep" if path.stem == "__init__" else f"altsep.{path.stem}")
+        if hasattr(module, "__all__"):
+            undefined[path.stem] = undefined_exports(module)
+    assert {"__init__", "factors", "kurosh"} <= set(undefined)
+    assert all(names == [] for names in undefined.values()), undefined
+
+
+def test_export_check_catches_a_leftover():
+    module = types.ModuleType("leftover")
+    module.kept = None
+    module.__all__ = ["kept", "removed"]
+    assert undefined_exports(module) == ["removed"]

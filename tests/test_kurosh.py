@@ -1,14 +1,15 @@
+import collections
 import copy
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
 from altsep.cli import parse_problem
-from altsep.factors import NotGBasedError
 from altsep import kurosh
-from altsep.graphs import _pair_key, trace
-from altsep.kurosh import kurosh_decompose, project_loop, verify_intersection
+from altsep.graphs import LabeledGraph, _pair_key, trace
+from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import build_subgroup_graph, hypothesis_check
 from altsep.words import word_str, x_letter as x, y_letter as y
 
@@ -16,7 +17,7 @@ from conftest import make_spec
 from oracles import (
     build_graph,
     canonical_pair,
-    component_subgraphs,
+    intersection_ball_oracle,
     iter_reduced_x_words,
     kurosh_oracle,
     random_raw_word,
@@ -203,58 +204,14 @@ def test_decompose_builds_no_pair_set_of_the_subgroup_graph(s3):
         assert_same_decomposition(decomposition, kurosh_oracle(graph, spec.finite))
 
 
-# -- loop projection ------------------------------------------------------------------
-
-
-def test_project_loop_fixed_point(z2):
-    graph, decomposition = decompose(make_spec(z2, subgroup_words=[(x(1), x(1))]))
-    component = decomposition.factors[0].component
-    word = (x(1), x(1))
-    assert project_loop(graph, z2, component, component.base, word) == word
-
-
-def test_project_loop_excises_closed_finite_subloop(z2):
-    # x1 (y1 y1) x1 at the base: the doubled y1 loop closes and drops out
-    spec = make_spec(z2, subgroup_words=[(x(1), y(1), y(1), x(1))])
-    built = build_subgroup_graph(spec)
-    graph = built.graph
-    xcomp = component_subgraphs(graph, "x")[0][0]
-    word = (x(1), y(1), y(1), x(1))
-    projected = project_loop(graph, z2, xcomp, graph.base, word)
-    assert projected == (x(1), x(1))
-    assert trace(xcomp, graph.base, projected).closed
-
-
-def test_project_loop_rejects_non_based_graph(z2):
-    # hand-built graph with an identity-labeled y-path that is not closed
-    graph = build_graph(
-        [0, 1, 2, 3],
-        [(0, 1, x(1)), (1, 2, y(1)), (2, 3, y(1)), (3, 0, x(1))],
-        0,
-    )
-    xcomp = component_subgraphs(graph, "x")[0][0]
-    word = (x(1), y(1), y(1), x(1))
-    with pytest.raises(NotGBasedError):
-        project_loop(graph, z2, xcomp, 0, word)
-
-
-def test_project_loop_rejects_wrong_factor_label(z2):
-    graph, decomposition = decompose(make_spec(z2, subgroup_words=[(x(1), x(1))]))
-    component = decomposition.factors[0].component
-    with pytest.raises(ValueError):
-        project_loop(graph, z2, component, component.base, ())
-    with pytest.raises(ValueError):
-        # x1 x1^-1 has identity label
-        project_loop(graph, z2, component, component.base, (x(1), x(1, -1)))
-
-
-# -- intersection verification -----------------------------------------------------------
+# -- the exact check --------------------------------------------------------------
 
 
 def test_verify_power_subgroup_and_ball(z2):
-    graph, decomposition = decompose(make_spec(z2, subgroup_words=[(x(1), x(1))]))
-    report = verify_intersection(graph, z2, 2, decomposition, 4)
-    assert report.ok
+    spec = make_spec(z2, subgroup_words=[(x(1), x(1))])
+    graph, decomposition = decompose(spec)
+    assert check_decomposition(spec, graph, decomposition) == []
+    assert intersection_ball_oracle(graph, z2, 2, decomposition, 4)[1] == []
     # the subgroup's trace inside the component picks exactly the even powers
     component = decomposition.factors[0].component
     members = {
@@ -266,15 +223,109 @@ def test_verify_power_subgroup_and_ball(z2):
 
 
 def test_verify_trivial_subgroup_empty_report(z2):
-    graph, decomposition = decompose(make_spec(z2))
-    report = verify_intersection(graph, z2, 2, decomposition, 3)
-    assert report.ok and report.checks == ()
+    spec = make_spec(z2)
+    graph, decomposition = decompose(spec)
+    assert check_decomposition(spec, graph, decomposition) == []
+    assert intersection_ball_oracle(graph, z2, 2, decomposition, 3) == (0, [])
 
 
 def test_verify_two_finite_factors(z2):
-    graph, decomposition = decompose(
-        make_spec(z2, subgroup_words=[(y(1),), (x(1), y(1), x(1, -1))])
-    )
-    report = verify_intersection(graph, z2, 2, decomposition, 4)
-    assert report.ok
-    assert all(check.checked >= 1 for check in report.checks)
+    spec = make_spec(z2, subgroup_words=[(y(1),), (x(1), y(1), x(1, -1))])
+    graph, decomposition = decompose(spec)
+    assert check_decomposition(spec, graph, decomposition) == []
+    checked, counterexamples = intersection_ball_oracle(graph, z2, 2, decomposition, 4)
+    assert checked == len(decomposition.factors) * (z2.order - 1) and counterexamples == []
+
+
+def mutants(graph, table, decomposition, rng):
+    """(kind, mutant) pairs of a decomposition, each wrong in one way:
+    one loop word dropped from an x-factor; an approach that ends off its
+    anchor, one letter longer or shorter; a finite-factor subgroup made
+    trivial where it is not; the free rank plus one.  A finite factor's
+    loop words can be redundant, so none is dropped."""
+    out = []
+    factors = list(decomposition.factors)
+    for index, factor in enumerate(factors):
+        def mutant(**changes):
+            changed = factors.copy()
+            changed[index] = dataclasses.replace(factor, **changes)
+            return dataclasses.replace(decomposition, factors=tuple(changed))
+
+        if factor.factor == "x":
+            words = list(factor.loop_words)
+            del words[rng.randrange(len(words))]
+            out.append(("loop word dropped", mutant(loop_words=tuple(words))))
+        elif len(factor.subgroup) > 1:
+            out.append(("subgroup trivial", mutant(subgroup=frozenset((table.identity,)))))
+        approaches = [factor.approach + (letter,) for letter in graph.out[factor.anchor]]
+        if factor.approach:
+            approaches.append(factor.approach[:-1])
+        approaches = [word for word in approaches
+                      if trace(graph, graph.base, word).vertex != factor.anchor]
+        if approaches:
+            out.append(("approach off the anchor", mutant(approach=rng.choice(approaches))))
+    out.append(("free rank plus one",
+                dataclasses.replace(decomposition, free_rank=decomposition.free_rank + 1)))
+    return out
+
+
+def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
+    """On 400 seeded subgroup graphs over Z/2, S_3, D_4 and A_4 and on the
+    problem files, separator paths included, the exact check and the ball
+    of radius 4 accept every decomposition, and the exact check rejects
+    every mutant of it."""
+    rng = random.Random(27)
+    specs = [parse_problem(path.read_text()) for path in PROBLEMS]
+    for table in (z2, s3, d4, a4):
+        for _ in range(100):
+            words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
+                     for _ in range(rng.randint(1, 4))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
+                          for _ in range(rng.randint(0, 2))]
+            specs.append(make_spec(table, words, separators))
+    kinds = collections.Counter()
+    for spec in specs:
+        graph, decomposition = decompose(spec)
+        assert check_decomposition(spec, graph, decomposition) == []
+        counterexamples = intersection_ball_oracle(
+            graph, spec.finite, spec.free.rank, decomposition, 4)[1]
+        assert counterexamples == []
+        for kind, mutant in mutants(graph, spec.finite, decomposition, rng):
+            assert check_decomposition(spec, graph, mutant), kind
+            kinds[kind] += 1
+    assert kinds["free rank plus one"] == len(specs) == 406
+    assert kinds["loop word dropped"] >= 150 and kinds["subgroup trivial"] >= 80
+    assert kinds["approach off the anchor"] >= 400
+
+
+def test_check_names_each_fault(z2):
+    """One fault per wrong part, each saying what is wrong."""
+    spec = make_spec(z2, [(y(1),), (x(1), y(1), x(1, -1)), (x(2), x(2))])
+    graph, decomposition = decompose(spec)
+    assert check_decomposition(spec, graph, decomposition) == []
+    first, second, third = decomposition.factors
+    assert (first.factor, second.factor, third.factor) == ("x", "y", "y")
+    assert third.anchor == 1
+    wrong = dataclasses.replace(
+        decomposition,
+        factors=(dataclasses.replace(first, loop_words=()),
+                 dataclasses.replace(second, subgroup=frozenset((z2.identity,))),
+                 dataclasses.replace(third, approach=(x(2),))),
+        free_rank=decomposition.free_rank + 1)
+    assert check_decomposition(spec, graph, wrong) == [
+        "factor 2: not the loop subgroup of the component",
+        "factor 3: the approach does not end at the anchor 1",
+        "factor 3 loop word 1 is not a closed path at the base",
+        "h2 is not in the subgroup the decomposition generates",
+        "h3 is not in the subgroup the decomposition generates",
+        "free rank 1, but delta's free basis has 0 words",
+    ]
+    # a component that is not the graph's, and a loop word that leaves it
+    stray = dataclasses.replace(first, component=LabeledGraph({first.anchor: {}}, first.anchor),
+                                loop_words=((x(2),),))
+    wrong = dataclasses.replace(decomposition, factors=(stray, second, third))
+    assert check_decomposition(spec, graph, wrong) == [
+        "factor 1: not the graph's x-component at the anchor",
+        "factor 1: loop word 1 does not close at the anchor",
+        "factor 1 loop word 1 is not a closed path at the base",
+    ]

@@ -5,7 +5,8 @@ a shared x86-64 host (S_5 0.1 s, S_6 1.5 s, degree 61 0.15 s), so that
 they catch a hang rather than a small slowdown.  While recognition built
 two full Schreier-Sims chains per certificate, the degree-61 run alone
 took over a minute.  The decompose-sized subgroup graph (about 950
-vertices, 0.05 s) has a bound of 5 s.  Membership on that graph reads a
+vertices, 0.05 s) has a bound of 5 s, and so has the exact check of its
+decomposition (0.02 s).  Membership on that graph reads a
 100,000-letter member in 0.011 s and ten 10,000-letter non-members in
 0.07 s; their bounds of 0.15 s and 1 s catch a reader that normalizes or
 slices the rest of a word once per letter.  With recognition stubbed,
@@ -23,7 +24,7 @@ import pytest
 from altsep import permgroup
 from altsep.cli import main
 from altsep.covers import build_separating_cover
-from altsep.kurosh import kurosh_decompose
+from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import MembershipTester, build_subgroup_graph, hypothesis_check
 from altsep.words import word_inverse, x_letter as x, y_letter as y
 
@@ -93,6 +94,20 @@ def test_decompose_sized_subgroup_within_time_bound(s3):
     assert verdict.kind
     assert decomposition.factors
     assert elapsed < 5, f"took {elapsed:.1f} s, bound 5 s"
+
+
+def test_decomposition_check_on_the_decompose_sized_subgroup_within_time_bound(s3):
+    """The exact check of the decompose-sized subgroup's decomposition:
+    its generators traced, their subgroup graph built and the six words
+    tested for membership in it."""
+    spec = make_spec(s3, decompose_sized_words(s3))
+    graph = build_subgroup_graph(spec).graph
+    decomposition = kurosh_decompose(graph, s3)
+    started = time.monotonic()
+    faults = check_decomposition(spec, graph, decomposition)
+    elapsed = time.monotonic() - started
+    assert faults == []
+    assert elapsed < 5, f"took {elapsed:.2f} s, bound 5 s"
 
 
 def test_membership_on_the_decompose_sized_subgroup_within_time_bound(s3):

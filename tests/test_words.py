@@ -6,8 +6,6 @@ from altsep import words
 from altsep.words import (
     Letter,
     flat_form,
-    normal_form,
-    spell,
     word_inverse,
     word_str,
     x_alphabet,
@@ -18,7 +16,7 @@ from altsep.words import (
 
 import pytest
 
-from oracles import free_reduce, normal_form_oracle, random_raw_word
+from oracles import free_reduce, normal_form_oracle, random_raw_word, spell
 
 
 def test_letter_inverse_is_an_involution():
@@ -121,23 +119,28 @@ def test_word_str_canonical_spelling():
     assert word_str((x(1, -1), x(1, -1), x(2))) == "x1^-2 x2"
 
 
+def laid_flat(form):
+    """A normal form's syllables laid end to end: the flat form."""
+    return [item for tag, value in form for item in (value if tag == "x" else (value,))]
+
+
 def test_normal_form_reduces_across_trivial_syllables(z2):
     # y1 (x1 x1^-1) y1 collapses completely over Z/2
     word = (y(1), x(1), x(1, -1), y(1))
-    assert normal_form(word, z2) == ()
+    assert flat_form(word, z2) == [] == laid_flat(normal_form_oracle(word, z2))
     # y1 x1 y1 y1 x1 stays mixed but drops the doubled y1
     word = (y(1), x(1), y(1), y(1), x(1))
-    form = normal_form(word, z2)
-    assert spell(form, z2) == (y(1), x(1), x(1))
+    assert flat_form(word, z2) == [z2.word_element((y(1),)), x(1), x(1)]
+    assert spell(normal_form_oracle(word, z2), z2) == (y(1), x(1), x(1))
 
 
 def test_normal_form_multiplies_y_letters(s3):
     word = (y(1), y(1), y(1))  # a 3-cycle cubed
-    assert normal_form(word, s3) == ()
+    assert flat_form(word, s3) == []
     word = (y(2), y(2))
-    assert normal_form(word, s3) == ()
-    form = normal_form((y(1), y(2)), s3)
-    assert len(form) == 1 and form[0][0] == "y"
+    assert flat_form(word, s3) == []
+    flat = flat_form((y(1), y(2)), s3)
+    assert flat == [s3.word_element((y(1), y(2)))] and flat[0] != s3.identity
 
 
 def test_normal_form_is_idempotent_under_spelling(s3):
@@ -147,23 +150,21 @@ def test_normal_form_is_idempotent_under_spelling(s3):
         (x(1), x(2, -1), x(2), x(1, -1), y(2)),
     ]
     for word in words:
-        form = normal_form(word, s3)
-        assert normal_form(spell(form, s3), s3) == form
+        form = normal_form_oracle(word, s3)
+        assert flat_form(spell(form, s3), s3) == flat_form(word, s3) == laid_flat(form)
 
 
 def test_normal_form_matches_the_element_by_element_oracle(z2, s3, d4, a4):
     """y-runs multiplied out through the step tables give the normal form
-    of multiplying each y-letter's element in by the group table, and the
-    flat form is that normal form with its syllables laid end to end."""
+    of multiplying each y-letter's element in by the group table: the flat
+    form is that normal form with its syllables laid end to end."""
     rng = random.Random(31)
     y_syllables = 0
     for table in (z2, s3, d4, a4):
         for _ in range(300):
             word = random_raw_word(rng, 2, table.num_generators, 24)
-            form = normal_form(word, table)
-            assert form == normal_form_oracle(word, table), word
-            assert flat_form(word, table) == [
-                item for tag, value in form for item in (value if tag == "x" else (value,))]
+            form = normal_form_oracle(word, table)
+            assert flat_form(word, table) == laid_flat(form), word
             y_syllables += sum(tag == "y" for tag, _ in form)
     assert y_syllables >= 1000
 
@@ -173,6 +174,6 @@ def test_normal_form_matches_the_element_by_element_oracle(z2, s3, d4, a4):
 ])
 def test_normal_form_rejects_an_unknown_y_generator(s3, word):
     with pytest.raises(ValueError, match="^no generator y3$"):
-        normal_form(word, s3)
+        flat_form(word, s3)
     with pytest.raises(ValueError, match="^no generator y3$"):
         normal_form_oracle(word, s3)
