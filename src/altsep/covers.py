@@ -15,11 +15,12 @@ The pipeline:
    first x-component (all are trees), else the bare base vertex;
 2. embed every y-component into the coset graph of its loop subgroup K:
    its vertices keep their ids on the cosets their keys lie in, and the
-   cosets it misses get fresh ids, so no vertex is merged; one coset
-   enumeration serves every y-component with the same K.  The cosets
-   each y-component misses give the cover's size before anything is
-   written, and a size past ``max_prime`` - 5 stops the run there.
-   Complete every other x-component in place;
+   cosets it misses get fresh ids, so no vertex is merged.  K's coset
+   table (``factors.coset_action``), which the group table enumerates
+   once per distinct K and keeps, gives each key's coset and the
+   cosets' moves.  The cosets each y-component misses give the cover's
+   size before anything is written, and a size past ``max_prime`` - 5
+   stops the run there.  Complete every other x-component in place;
 3. pick a prime p >= |V| + 5, bridge the host's missing connect-letter
    slots through a chain gadget of length p - |V| - 4 and a four-vertex
    mover gadget, and complete the host's x-structure: the bridges fill
@@ -245,11 +246,8 @@ def build_separating_cover(
     out = {v: dict(slots) for v, slots in graph.out.items()}
     offset = max(graph.vertices) + 1
     xs, ys = x_alphabet(rank)[::2], y_alphabet(table.num_generators)[::2]  # positive letters
-    actions = {}  # loop subgroup -> its coset action
     for subgroup, keys in cosets:
-        if subgroup not in actions:
-            actions[subgroup] = coset_action(table, subgroup)
-        element_to_coset, moves = actions[subgroup]
+        element_to_coset, _least, moves = coset_action(table, subgroup)
         if len(set(keys.values())) != len(keys):
             raise NotGBasedError(
                 "two vertices of the component land on the same coset; "

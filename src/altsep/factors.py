@@ -3,7 +3,7 @@
 G is always presented by permutation generators and closed by breadth-first
 enumeration into a multiplication table (element 0 is the identity).  The
 finite side numbers the right cosets Kg and moves each along Kg --y--> Kgy
-per generator.
+per generator, in one coset table per subgroup K that the table keeps.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class FiniteGroupTable:
             self.steps[y_letter(index, -1)] = permgroup.inverse(forward)
         # subgroup_closure's results, by seed set
         self._closures = {}
+        # coset_action's results, by subgroup
+        self._coset_tables = {}
 
     @property
     def order(self) -> int:
@@ -130,29 +132,38 @@ def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
     return closure
 
 
-def coset_action(table: FiniteGroupTable, subgroup):
-    """Right cosets Kg of a subgroup K, numbered breadth-first from
-    coset 0 = K over the generators in order.  Returns (element_to_coset,
-    moves): element_to_coset[e] is the coset of element e, and
-    moves[j - 1][c] the coset of coset c times y<j>.  The caller
-    guarantees that ``subgroup`` is a subgroup."""
+def coset_action(table: FiniteGroupTable, subgroup: frozenset):
+    """Coset table of a subgroup K: its right cosets Kg, numbered
+    breadth-first from coset 0 = K over the generators in order.  Returns
+    (element_to_coset, least, moves): element_to_coset[e] is the coset of
+    element e, least[e] the smallest element of that coset (its key), and
+    moves[j - 1][c] the coset of coset c times y<j>.  A table builds each
+    distinct K's coset table once, in O(|G| * generators) steps, and keeps
+    it.  The caller guarantees that ``subgroup`` is a subgroup."""
+    cosets = table._coset_tables.get(subgroup)
+    if cosets is not None:
+        return cosets
     element_to_coset = [None] * table.order
     for e in subgroup:
         element_to_coset[e] = 0
-    cosets = [list(subgroup)]
+    members_of = [list(subgroup)]
     steps = [table.steps[y_letter(j)] for j in range(1, table.num_generators + 1)]
     moves = [[] for _ in steps]
-    for members in cosets:  # grows while it is read: breadth-first order
+    for members in members_of:  # grows while it is read: breadth-first order
         for step, move in zip(steps, moves):
             image = [step[e] for e in members]
             target = element_to_coset[image[0]]
             if target is None:
-                target = len(cosets)
-                cosets.append(image)
+                target = len(members_of)
+                members_of.append(image)
                 for e in image:
                     element_to_coset[e] = target
             move.append(target)
-    return element_to_coset, moves
+    keys = [min(members) for members in members_of]
+    cosets = table._coset_tables[subgroup] = (
+        tuple(element_to_coset), tuple(keys[c] for c in element_to_coset),
+        tuple(map(tuple, moves)))
+    return cosets
 
 
 def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
@@ -166,19 +177,18 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     of it.  The pass records reach[w] = reach[v]*letter along first
     visits; each edge that closes a cycle adds the loop element
     reach[v]*letter*reach[w]^-1.  K is generated by the loop elements, and
-    the key of v is the smallest element of its coset K*reach[v], so
-    vertices sharing a key have a non-closed identity-label path between
-    them.  Another start vertex left-multiplies every reach by one
-    element g, which conjugates K by g and maps its cosets bijectively, so
-    the partition into keys does not depend on the start.  Vertices with
-    no y-edge belong to no component.
+    the key of v is the smallest element of its coset K*reach[v] (K's
+    ``coset_action``), so vertices sharing a key have a non-closed
+    identity-label path between them.  Another start vertex
+    left-multiplies every reach by one element g, which conjugates K by g
+    and maps its cosets bijectively, so the partition into keys does not
+    depend on the start.  Vertices with no y-edge belong to no component.
 
     Cost: O(|V| + |E|) steps along ``table.steps`` over the components
-    scanned, plus one subgroup closure and |K| products per vertex for
-    each component with a nontrivial loop subgroup.
+    scanned; each distinct seed set is closed, and each distinct
+    nontrivial K's coset table built, once per table.
     """
     out = graph.out
-    multiply = table.multiply
     identity = table.identity
     trivial = frozenset((identity,))
     steps = table.steps
@@ -206,14 +216,13 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
                     reach[w] = moved
                     members.append(w)
                 elif there != moved:
-                    loops.append(multiply(moved, table.inverse(there)))
+                    loops.append(table.multiply(moved, table.inverse(there)))
         if not slots:
             continue
         if loops:
             subgroup = subgroup_closure(table, loops)
-            keys = {
-                v: min(multiply(k, reach[v]) for k in subgroup) for v in members
-            }
+            _cosets, least, _moves = coset_action(table, subgroup)
+            keys = {v: least[reach[v]] for v in members}
         else:
             subgroup = trivial
             keys = {v: reach[v] for v in members}

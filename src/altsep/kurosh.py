@@ -157,7 +157,9 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
       at the anchor inside it, and its subgroup is the component's loop
       subgroup read from the anchor (``factors.component_cosets``) for a
       y-factor, None for an x-factor;
-    - (d) ``free_rank`` is the size of delta's free basis.
+    - (d) ``free_rank`` is the size of delta's free basis;
+    - (e) delta is the graph less one pair per loop word, so no loop word
+      is listed twice and no pair also counts toward the free rank.
 
     A based graph determines its subgroup, and the meet of H with a
     conjugate of a factor is read off the component at the end of the
@@ -166,8 +168,8 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     with ``graph``: open paths and the hairs of unreduced generators make
     the two differ when the decomposition is right.
 
-    Cost: O(|V| * r) for the walks and trees, then the subgroup graph of
-    S' and one membership query per h_i.
+    Cost: O(|V| * r) for the walks, trees and pair sets, then the
+    subgroup graph of S' and one membership query per h_i.
     """
     base, table = graph.base, spec.finite
     faults = []
@@ -220,6 +222,9 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     if decomposition.free_rank != len(nontree):  # (d)
         faults.append(f"free rank {decomposition.free_rank}, but delta's free basis "
                       f"has {len(nontree)} words")
+    loops = len(generators) - len(nontree)  # the factors' loop words
+    if not delta.pairs <= graph.pairs or len(graph.pairs) - len(delta.pairs) != loops:  # (e)
+        faults.append(f"delta is not the graph less one pair for each of {loops} loop words")
     return faults
 
 

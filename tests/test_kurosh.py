@@ -239,10 +239,12 @@ def test_verify_two_finite_factors(z2):
 
 def mutants(graph, table, decomposition, rng):
     """(kind, mutant) pairs of a decomposition, each wrong in one way:
-    one loop word dropped from an x-factor; an approach that ends off its
-    anchor, one letter longer or shorter; a finite-factor subgroup made
-    trivial where it is not; the free rank plus one.  A finite factor's
-    loop words can be redundant, so none is dropped."""
+    one loop word dropped from an x-factor; one loop word listed twice;
+    an approach that ends off its anchor, one letter longer or shorter; a
+    finite-factor subgroup made trivial where it is not; the free rank
+    plus one; a pair that the decomposition took out of delta put back,
+    with the free rank plus one to match.  A finite factor's loop words
+    can be redundant, so none is dropped."""
     out = []
     factors = list(decomposition.factors)
     for index, factor in enumerate(factors):
@@ -257,6 +259,9 @@ def mutants(graph, table, decomposition, rng):
             out.append(("loop word dropped", mutant(loop_words=tuple(words))))
         elif len(factor.subgroup) > 1:
             out.append(("subgroup trivial", mutant(subgroup=frozenset((table.identity,)))))
+        words = list(factor.loop_words)
+        words.insert(rng.randrange(len(words) + 1), rng.choice(words))
+        out.append(("loop word listed twice", mutant(loop_words=tuple(words))))
         approaches = [factor.approach + (letter,) for letter in graph.out[factor.anchor]]
         if factor.approach:
             approaches.append(factor.approach[:-1])
@@ -266,6 +271,15 @@ def mutants(graph, table, decomposition, rng):
             out.append(("approach off the anchor", mutant(approach=rng.choice(approaches))))
     out.append(("free rank plus one",
                 dataclasses.replace(decomposition, free_rank=decomposition.free_rank + 1)))
+    removed = sorted(graph.pairs - decomposition.delta.pairs, key=_pair_key)
+    if removed:
+        u, w, letter = rng.choice(removed)
+        delta = {v: dict(slots) for v, slots in decomposition.delta.out.items()}
+        delta[u][letter] = w
+        delta[w][letter.inverse()] = u
+        out.append(("pair put back in delta", dataclasses.replace(
+            decomposition, delta=LabeledGraph(delta, decomposition.delta.base),
+            free_rank=decomposition.free_rank + 1)))
     return out
 
 
@@ -273,7 +287,8 @@ def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
     """On 400 seeded subgroup graphs over Z/2, S_3, D_4 and A_4 and on the
     problem files, separator paths included, the exact check and the ball
     of radius 4 accept every decomposition, and the exact check rejects
-    every mutant of it."""
+    every mutant of it.  The ball accepts a loop word listed twice and a
+    pair put back in delta, since neither changes the subgroup."""
     rng = random.Random(27)
     specs = [parse_problem(path.read_text()) for path in PROBLEMS]
     for table in (z2, s3, d4, a4):
@@ -296,6 +311,7 @@ def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
     assert kinds["free rank plus one"] == len(specs) == 406
     assert kinds["loop word dropped"] >= 150 and kinds["subgroup trivial"] >= 80
     assert kinds["approach off the anchor"] >= 400
+    assert kinds["loop word listed twice"] >= 450 and kinds["pair put back in delta"] >= 300
 
 
 def test_check_names_each_fault(z2):
@@ -319,6 +335,7 @@ def test_check_names_each_fault(z2):
         "h2 is not in the subgroup the decomposition generates",
         "h3 is not in the subgroup the decomposition generates",
         "free rank 1, but delta's free basis has 0 words",
+        "delta is not the graph less one pair for each of 2 loop words",
     ]
     # a component that is not the graph's, and a loop word that leaves it
     stray = dataclasses.replace(first, component=LabeledGraph({first.anchor: {}}, first.anchor),

@@ -12,17 +12,25 @@ decomposition (0.02 s).  Membership on that graph reads a
 slices the rest of a word once per letter.  With recognition stubbed,
 the cover layer builds a degree-8,317 cover in 0.16 s (0.65 s while it
 re-checked the whole cover for foldedness at every stage), under a bound
-of 2 s.
+of 2 s.  160 y-components whose loop subgroup is all of S_8 get their
+subgroup graph in 0.08 s (bound 1.5 s) and certify in about 2 s in a
+child process under a 1 GB address-space limit (bound 25 s); while each
+key was the least of |K| products, these took 3.8-6.2 s and 14 s.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import altsep
 from altsep import permgroup
-from altsep.cli import main
+from altsep.cli import main, parse_problem
 from altsep.covers import build_separating_cover
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import MembershipTester, build_subgroup_graph, hypothesis_check
@@ -44,6 +52,22 @@ def symmetric_factor_problem(n):
         "            h3 = x1 y1 x1^-1\n"
         "[separate]  g1 = x2\n"
     )
+
+
+def s8_leaf_problem(n):
+    """Rank 200 over S_8 from an 8-cycle and a transposition; for the
+    first n pairs (a, b) in row-major order over 1..200, H has the words
+    x_a x_b y_j x_b^-1 x_a^-1 for j = 1, 2, so each leaf of an x-tree
+    carries one y-component whose loops generate all of S_8; x1^4 is
+    separated."""
+    pairs = [(a, b) for a in range(1, 201) for b in range(1, 201)][:n]
+    words = [f"x{a} x{b} y{j} x{b}^-1 x{a}^-1" for a, b in pairs for j in (1, 2)]
+    lines = ["[free]      rank = 200",
+             "[finite]    degree = 8 ; gens = y1: (1 2 3 4 5 6 7 8); y2: (1 2)"]
+    lines += [("[subgroup]  " if i == 1 else " " * 12) + f"h{i} = {word}"
+              for i, word in enumerate(words, start=1)]
+    lines.append("[separate]  g1 = x1 x1 x1 x1")
+    return "\n".join(lines) + "\n"
 
 
 # F_2 * S_3 with two seeded random subgroup words of length 18 over x1,
@@ -149,3 +173,36 @@ def test_cover_layer_at_degree_8317_within_time_bound(s3, monkeypatch):
     elapsed = time.monotonic() - started
     assert result.plan.degree == len(result.cover.vertices) == 8317
     assert elapsed < 2, f"took {elapsed:.2f} s, bound 2 s"
+
+
+UNDER_1GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from altsep.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_s8_leaves_within_time_and_memory_bounds(tmp_path):
+    """160 leaves whose y-components each have K = S_8: the subgroup
+    graph, then ``altsep separate`` in a child process under a 1 GB
+    address-space limit."""
+    text = s8_leaf_problem(160)
+    spec = parse_problem(text)
+    started = time.monotonic()
+    build_subgroup_graph(spec)
+    elapsed = time.monotonic() - started
+    assert elapsed < 1.5, f"subgroup graph took {elapsed:.2f} s, bound 1.5 s"
+    path = tmp_path / "leaves.txt"
+    path.write_text(text)
+    src = Path(altsep.__file__).resolve().parent.parent
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-c", UNDER_1GB, "separate", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    elapsed = time.monotonic() - started
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["separations"][0]["separated"]
+    assert elapsed < 25, f"took {elapsed:.1f} s, bound 25 s"
