@@ -15,12 +15,11 @@ The pipeline:
    first x-component (all are trees), else the bare base vertex;
 2. embed every y-component into the coset graph of its loop subgroup K:
    its vertices keep their ids on the cosets their keys lie in, and the
-   cosets it misses get fresh ids, so no vertex is merged.  K's coset
-   table (``factors.coset_action``), which the group table enumerates
-   once per distinct K and keeps, gives each key's coset and the
-   cosets' moves.  The cosets each y-component misses give the cover's
-   size before anything is written, and a size past ``max_prime`` - 5
-   stops the run there.  Complete every other x-component in place;
+   cosets it misses get fresh ids, so no vertex is merged.  The cosets
+   each y-component misses give the cover's size, and a size past
+   ``max_prime`` - 5 stops the run before K's cosets are enumerated (once
+   per K per table, ``factors.coset_action``).  Complete every other
+   x-component in place;
 3. pick a prime p >= |V| + 5, bridge the host's missing connect-letter
    slots through a chain gadget of length p - |V| - 4 and a four-vertex
    mover gadget, and complete the host's x-structure: the bridges fill
@@ -247,7 +246,7 @@ def build_separating_cover(
     offset = max(graph.vertices) + 1
     xs, ys = x_alphabet(rank)[::2], y_alphabet(table.num_generators)[::2]  # positive letters
     for subgroup, keys in cosets:
-        element_to_coset, _least, moves = coset_action(table, subgroup)
+        element_to_coset, moves = coset_action(table, subgroup)
         if len(set(keys.values())) != len(keys):
             raise NotGBasedError(
                 "two vertices of the component land on the same coset; "

@@ -2,8 +2,8 @@
 
 G is always presented by permutation generators and closed by breadth-first
 enumeration into a multiplication table (element 0 is the identity).  The
-finite side numbers the right cosets Kg and moves each along Kg --y--> Kgy
-per generator, in one coset table per subgroup K that the table keeps.
+finite side keys the right cosets Kg, numbers them and moves each along
+Kg --y--> Kgy per generator, once per subgroup K per table.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ class FiniteGroupTable:
             forward = tuple(self.multiply(a, element) for a in range(self.order))
             self.steps[y_letter(index)] = forward
             self.steps[y_letter(index, -1)] = permgroup.inverse(forward)
-        # subgroup_closure's results, by seed set
-        self._closures = {}
-        # coset_action's results, by subgroup
-        self._coset_tables = {}
+        # subgroup_closure's, coset_keys' and coset_action's results
+        self._closures, self._coset_keys, self._coset_actions = {}, {}, {}
 
     @property
     def order(self) -> int:
@@ -132,38 +130,51 @@ def subgroup_closure(table: FiniteGroupTable, seeds) -> frozenset:
     return closure
 
 
+class _CosetKeys(dict):
+    """Element e -> least element of its right coset K*e, filled a coset at a time."""
+
+    def __init__(self, table, subgroup):
+        self._table, self._subgroup = table, subgroup
+
+    def __missing__(self, element):
+        coset = [self._table.multiply(k, element) for k in self._subgroup]
+        self.update(dict.fromkeys(coset, min(coset)))
+        return self[element]
+
+
+def coset_keys(table: FiniteGroupTable, subgroup: frozenset) -> _CosetKeys:
+    """The element -> coset key table of a subgroup K, one per K per table:
+    a coset's first read fills it by |K| products; unread cosets cost nothing."""
+    return table._coset_keys.setdefault(subgroup, _CosetKeys(table, subgroup))
+
+
 def coset_action(table: FiniteGroupTable, subgroup: frozenset):
-    """Coset table of a subgroup K: its right cosets Kg, numbered
-    breadth-first from coset 0 = K over the generators in order.  Returns
-    (element_to_coset, least, moves): element_to_coset[e] is the coset of
-    element e, least[e] the smallest element of that coset (its key), and
-    moves[j - 1][c] the coset of coset c times y<j>.  A table builds each
-    distinct K's coset table once, in O(|G| * generators) steps, and keeps
-    it.  The caller guarantees that ``subgroup`` is a subgroup."""
-    cosets = table._coset_tables.get(subgroup)
-    if cosets is not None:
-        return cosets
+    """Right cosets Kg of a subgroup K, numbered breadth-first from coset
+    0 = K over the generators; the walk visits all of G, whatever |K|, so
+    the table keeps its result per K.  Returns (element_to_coset, moves):
+    element_to_coset[e] is the coset of e, and moves[j - 1][c] that of
+    coset c times y<j>.  The caller guarantees that K is a subgroup."""
+    action = table._coset_actions.get(subgroup)
+    if action is not None:
+        return action
     element_to_coset = [None] * table.order
     for e in subgroup:
         element_to_coset[e] = 0
-    members_of = [list(subgroup)]
+    cosets = [list(subgroup)]
     steps = [table.steps[y_letter(j)] for j in range(1, table.num_generators + 1)]
     moves = [[] for _ in steps]
-    for members in members_of:  # grows while it is read: breadth-first order
+    for members in cosets:  # grows while it is read: breadth-first order
         for step, move in zip(steps, moves):
             image = [step[e] for e in members]
             target = element_to_coset[image[0]]
             if target is None:
-                target = len(members_of)
-                members_of.append(image)
+                target = len(cosets)
+                cosets.append(image)
                 for e in image:
                     element_to_coset[e] = target
             move.append(target)
-    keys = [min(members) for members in members_of]
-    cosets = table._coset_tables[subgroup] = (
-        tuple(element_to_coset), tuple(keys[c] for c in element_to_coset),
-        tuple(map(tuple, moves)))
-    return cosets
+    action = table._coset_actions[subgroup] = (element_to_coset, moves)
+    return action
 
 
 def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
@@ -177,21 +188,20 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     of it.  The pass records reach[w] = reach[v]*letter along first
     visits; each edge that closes a cycle adds the loop element
     reach[v]*letter*reach[w]^-1.  K is generated by the loop elements, and
-    the key of v is the smallest element of its coset K*reach[v] (K's
-    ``coset_action``), so vertices sharing a key have a non-closed
+    the key of v is the smallest element of its coset K*reach[v] (read
+    from K's ``coset_keys``), so vertices sharing a key have a non-closed
     identity-label path between them.  Another start vertex
     left-multiplies every reach by one element g, which conjugates K by g
     and maps its cosets bijectively, so the partition into keys does not
     depend on the start.  Vertices with no y-edge belong to no component.
 
     Cost: O(|V| + |E|) steps along ``table.steps`` over the components
-    scanned; each distinct seed set is closed, and each distinct
-    nontrivial K's coset table built, once per table.
+    scanned, plus, once per table, one closure per distinct seed set and
+    |K| products per coset of a nontrivial K that a key falls in.
     """
     out = graph.out
-    identity = table.identity
-    trivial = frozenset((identity,))
     steps = table.steps
+    trivial = frozenset((table.identity,))
     if starts is None:
         starts = chain((graph.base,), out)
     reach = {}
@@ -199,7 +209,7 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
     for start in starts:
         if start in reach:
             continue
-        reach[start] = identity
+        reach[start] = table.identity
         members = [start]
         loops = []
         slots = 0
@@ -221,12 +231,10 @@ def component_cosets(table: FiniteGroupTable, graph: LabeledGraph, starts=None):
             continue
         if loops:
             subgroup = subgroup_closure(table, loops)
-            _cosets, least, _moves = coset_action(table, subgroup)
-            keys = {v: least[reach[v]] for v in members}
-        else:
-            subgroup = trivial
-            keys = {v: reach[v] for v in members}
-        result.append((subgroup, keys))
+            least = coset_keys(table, subgroup)
+            result.append((subgroup, {v: least[reach[v]] for v in members}))
+        else:  # the reach is the key, with no table
+            result.append((trivial, {v: reach[v] for v in members}))
     return result
 
 
@@ -235,6 +243,7 @@ __all__ = [
     "NotGBasedError",
     "enumerate_group",
     "subgroup_closure",
+    "coset_keys",
     "coset_action",
     "component_cosets",
 ]

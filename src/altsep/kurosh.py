@@ -158,8 +158,8 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
       subgroup read from the anchor (``factors.component_cosets``) for a
       y-factor, None for an x-factor;
     - (d) ``free_rank`` is the size of delta's free basis;
-    - (e) delta is the graph less one pair per loop word, so no loop word
-      is listed twice and no pair also counts toward the free rank.
+    - (e) delta's pairs are among the graph's, and the graph has one pair
+      more than delta for each loop word.
 
     A based graph determines its subgroup, and the meet of H with a
     conjugate of a factor is read off the component at the end of the

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .factors import FiniteGroupTable, component_cosets, coset_action
+from .factors import FiniteGroupTable, component_cosets, coset_keys
 from .graphs import LabeledGraph, _fold, _write_pairs, component_graph, components, fold
 from .words import flat_form
 
@@ -158,12 +158,10 @@ class MembershipTester:
     form's, laid end to end.  An x-letter follows an edge of the
     adjacency.  A y-syllable g moves a vertex on the coset K*a of its
     y-component, K the subgroup of the component's loops, to the vertex on
-    K*a*g.  When K is trivial the product a*g is itself the key of that
-    coset; otherwise the key is least[a*g], read from K's coset table
-    (``factors.coset_action``).  A missing edge or vertex means a
-    non-member.  The whole rest is reduced before the first step, because
-    a later letter can cancel any part of it: a y-run that multiplies to
-    1 joins the x-letters around it.  The reading
+    K*a*g, whose key K's ``factors.coset_keys`` table gives.  A missing
+    edge or vertex means a non-member.  The whole rest is reduced before
+    the first step, because a later letter can cancel any part of it: a
+    y-run that multiplies to 1 joins the x-letters around it.  The reading
     is exact:
 
     - a reading that closes spells, up to loops, a path labelled
@@ -188,18 +186,16 @@ class MembershipTester:
     @cached_property
     def _cosets(self):
         """Vertex with a y-edge -> (its coset key, key -> vertex of its
-        y-component, and the element -> key table of K's cosets when K is
-        nontrivial, else None); built by the first query that holds a
-        y-letter."""
+        y-component, K's coset keys); built by the first query that holds
+        a y-letter."""
         cosets = {}
         for subgroup, keys in component_cosets(self.table, self.graph):
             at_key = {key: v for v, key in keys.items()}
             if len(at_key) != len(keys):
                 raise ValueError("membership needs a based graph: two vertices "
                                  "of a y-component lie on one coset")
-            least = coset_action(self.table, subgroup)[1] if len(subgroup) > 1 else None
-            for v, key in keys.items():
-                cosets[v] = (key, at_key, least)
+            least = coset_keys(self.table, subgroup)
+            cosets.update((v, (key, at_key, least)) for v, key in keys.items())
         return cosets
 
     def contains(self, word) -> bool:
@@ -231,10 +227,7 @@ class MembershipTester:
                 if coset is None:
                     return False
                 key, at_key, least = coset
-                moved = multiply(key, item)
-                if least is not None:
-                    moved = least[moved]
-                current = at_key.get(moved)
+                current = at_key.get(least[multiply(key, item)])
                 if current is None:
                     return False
         return current == self.graph.base

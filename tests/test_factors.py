@@ -1,16 +1,16 @@
-import json
 import random
 from itertools import combinations
 
 import pytest
 
-from altsep import covers, factors, kurosh, subgroups
+from altsep import factors, kurosh, subgroups
 from altsep.cli import main, run_separate
 from altsep.factors import (
     MAX_GROUP_ORDER,
     NotGBasedError,
     component_cosets,
     coset_action,
+    coset_keys,
     enumerate_group,
     subgroup_closure,
 )
@@ -19,8 +19,7 @@ from altsep.graphs import LabeledGraph, breadth_first_tree, components, trace
 from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
-from conftest import make_spec
-from test_scale import s8_leaf_problem
+from conftest import make_spec, s8_leaf_problem, s8_transposition_problem
 from oracles import (
     RawGraph,
     build_graph,
@@ -154,13 +153,19 @@ def test_subgroup_closure_searches_once_per_seed_set(monkeypatch):
     assert len(table._closures[next(iter(searched))]) == 40_320
 
 
-def test_coset_keys_cost_one_coset_table_per_loop_subgroup(tmp_path, capsys, monkeypatch):
-    """On the S_8-leaf problems every leaf's y-component has K = S_8, so
-    a key read as the least of |K| products would cost 40,320 products
-    per vertex.  Read from one coset table per distinct K, a certifying
-    run's ``multiply`` calls grow by fewer than 5,000 from n = 40 to
-    n = 160 leaves (by about 14.5 million as a least over K), and each
-    distinct K gets exactly one coset table, whichever module asks."""
+@pytest.mark.parametrize("problem, exit_code", [(s8_leaf_problem, 0),
+                                                (s8_transposition_problem, 1)])
+def test_coset_keys_cost_one_table_per_loop_subgroup(problem, exit_code, tmp_path, capsys,
+                                                     monkeypatch):
+    """Two S_8 problems at n = 40 and n = 160, through ``cli.main``.  In
+    the leaf problem every y-component has K = S_8, so a key read as the
+    least of |K| products would cost 40,320 products per vertex (about
+    14.5 million more at n = 160).  In the transposition problem K has
+    order 2 and index 20,160, so enumerating its cosets would cost all of
+    G per K, although the run stops at the cover's size.  Either way
+    ``multiply`` calls grow by fewer than 5,000 from n = 40 to 160, and
+    every ask for one K's keys in one table gets one table.  A run that
+    the cover's size stops enumerates no coset action."""
     multiplied = [0]
     real_multiply = factors.FiniteGroupTable.multiply
 
@@ -171,28 +176,27 @@ def test_coset_keys_cost_one_coset_table_per_loop_subgroup(tmp_path, capsys, mon
     asked = []
 
     def recorded(table, subgroup):
-        cosets = coset_action(table, subgroup)
-        asked.append((table, subgroup, cosets))
-        return cosets
+        keys = coset_keys(table, subgroup)
+        asked.append((table, subgroup, keys))
+        return keys
 
     monkeypatch.setattr(factors.FiniteGroupTable, "multiply", counted)
-    for module in (factors, subgroups, covers):
-        monkeypatch.setattr(module, "coset_action", recorded)
+    for module in (factors, subgroups):
+        monkeypatch.setattr(module, "coset_keys", recorded)
     calls = {}
     for n in (40, 160):
-        path = tmp_path / f"leaves{n}.txt"
-        path.write_text(s8_leaf_problem(n))
+        path = tmp_path / f"problem{n}.txt"
+        path.write_text(problem(n))
         multiplied[0] = 0
-        assert main(["separate", str(path)]) == 0
+        assert main(["separate", str(path)]) == exit_code
         calls[n] = multiplied[0]
-        assert json.loads(capsys.readouterr().out)["separations"][0]["separated"]
+        capsys.readouterr()
     assert calls[160] - calls[40] < 5_000, calls
-    # each run parses its own group table, and its one K is all of S_8
-    made = {}
-    for table, subgroup, cosets in asked:
-        made.setdefault((id(table), subgroup), set()).add(id(cosets))
-    assert len(asked) > len(made) == 2
-    assert all(len(tables) == 1 for tables in made.values())
+    assert len(asked) > len({(table, subgroup) for table, subgroup, _ in asked})
+    assert all(keys is table._coset_keys[subgroup] for table, subgroup, keys in asked)
+    tables = list(dict.fromkeys(table for table, _, _ in asked))  # one per run
+    # the leaf problem's one K is all of S_8: one coset, enumerated for the cover
+    assert [len(table._coset_actions) for table in tables] == [1 - exit_code] * 2
 
 
 # -- coset graphs, spelled by coset actions -------------------------------------------
@@ -208,20 +212,20 @@ def coset_walk(moves, word, coset=0):
 
 
 def test_coset_graph_regular_cover(z2):
-    element_to_coset, _least, moves = coset_action(z2, frozenset([z2.identity]))
+    element_to_coset, moves = coset_action(z2, frozenset([z2.identity]))
     assert sorted(element_to_coset) == [0, 1]
     assert coset_walk(moves, (y(1),)) != 0
 
 
 def test_coset_graph_of_whole_group(z2):
-    element_to_coset, _least, moves = coset_action(z2, frozenset(range(z2.order)))
-    assert element_to_coset == (0, 0)
+    element_to_coset, moves = coset_action(z2, frozenset(range(z2.order)))
+    assert element_to_coset == [0, 0]
     assert coset_walk(moves, (y(1),)) == 0
 
 
 def test_coset_graph_index_three(s3):
     flip = subgroup_closure(s3, [generator_element(s3, 2)])
-    element_to_coset, _least, _moves = coset_action(s3, flip)
+    element_to_coset, _moves = coset_action(s3, flip)
     # brute-force coset partition agrees
     cosets = set()
     for element in range(s3.order):
@@ -242,7 +246,7 @@ def all_subgroups(table):
 
 def test_lagrange_on_every_subgroup_of_s3(s3):
     for subgroup in all_subgroups(s3):
-        element_to_coset, _least, moves = coset_action(s3, subgroup)
+        element_to_coset, moves = coset_action(s3, subgroup)
         index = len(set(element_to_coset))
         assert index * len(subgroup) == s3.order
         assert all(len(move) == index for move in moves)
@@ -250,7 +254,7 @@ def test_lagrange_on_every_subgroup_of_s3(s3):
 
 def test_loop_characterization(s3):
     subgroup = subgroup_closure(s3, [generator_element(s3, 2)])
-    _element_to_coset, _least, moves = coset_action(s3, subgroup)
+    _element_to_coset, moves = coset_action(s3, subgroup)
     words = [
         (y(2),), (y(1),), (y(1), y(1)), (y(1), y(1), y(1)),
         (y(2), y(1)), (y(1), y(2)), (y(2), y(2)), (y(1, -1), y(2), y(1)),
@@ -266,11 +270,11 @@ def test_coset_graph_is_saturated_and_folded(s3, d4, a4):
     the same numbering."""
     for table in (s3, d4, a4):
         for subgroup in all_subgroups(table):
-            element_to_coset, _least, moves = coset_action(table, subgroup)
+            element_to_coset, moves = coset_action(table, subgroup)
             graph, coset_of = coset_graph_oracle(table, subgroup)
             assert is_folded(graph.vertices, graph.pairs)
             assert saturation_defects(graph, y_alphabet(table.num_generators)) == []
-            assert element_to_coset == tuple(coset_of[e] for e in range(table.order))
+            assert element_to_coset == [coset_of[e] for e in range(table.order)]
             assert all(sorted(move) == sorted(graph.vertices) for move in moves)
             assert graph.pairs == {(c, d, y(j)) for j, move in enumerate(moves, start=1)
                                    for c, d in enumerate(move)}
@@ -279,15 +283,17 @@ def test_coset_graph_is_saturated_and_folded(s3, d4, a4):
 def test_coset_action_moves_every_element_with_its_coset(s3, d4):
     for table in (s3, d4):
         for subgroup in {subgroup_closure(table, [g]) for g in range(table.order)}:
-            element_to_coset, least, moves = coset_action(table, subgroup)
+            element_to_coset, moves = coset_action(table, subgroup)
             assert element_to_coset[table.identity] == 0
             assert len(set(element_to_coset)) == table.order // len(subgroup)
             for j, move in enumerate(moves, start=1):
                 for e in range(table.order):
                     image = table.multiply(e, generator_element(table, j))
                     assert element_to_coset[image] == move[element_to_coset[e]]
+            least = coset_keys(table, subgroup)
             for e in range(table.order):  # the key: least of the coset K*e
                 assert least[e] == min(table.multiply(k, e) for k in subgroup)
+            assert len(set(least.values())) == table.order // len(subgroup)
 
 
 # -- embedding y-components (the oracle that the gluing test compares against) ----------

@@ -13,9 +13,9 @@ slices the rest of a word once per letter.  With recognition stubbed,
 the cover layer builds a degree-8,317 cover in 0.16 s (0.65 s while it
 re-checked the whole cover for foldedness at every stage), under a bound
 of 2 s.  160 y-components whose loop subgroup is all of S_8 get their
-subgroup graph in 0.08 s (bound 1.5 s) and certify in about 2 s in a
+subgroup graph in 0.11 s (bound 1.5 s) and certify in about 2 s in a
 child process under a 1 GB address-space limit (bound 25 s); while each
-key was the least of |K| products, these took 3.8-6.2 s and 14 s.
+key was the least of |K| products, these took 4.7 s and 14 s.
 """
 
 import json
@@ -36,7 +36,7 @@ from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import MembershipTester, build_subgroup_graph, hypothesis_check
 from altsep.words import word_inverse, x_letter as x, y_letter as y
 
-from conftest import make_spec
+from conftest import make_spec, s8_leaf_problem
 from oracles import random_raw_word
 
 
@@ -52,22 +52,6 @@ def symmetric_factor_problem(n):
         "            h3 = x1 y1 x1^-1\n"
         "[separate]  g1 = x2\n"
     )
-
-
-def s8_leaf_problem(n):
-    """Rank 200 over S_8 from an 8-cycle and a transposition; for the
-    first n pairs (a, b) in row-major order over 1..200, H has the words
-    x_a x_b y_j x_b^-1 x_a^-1 for j = 1, 2, so each leaf of an x-tree
-    carries one y-component whose loops generate all of S_8; x1^4 is
-    separated."""
-    pairs = [(a, b) for a in range(1, 201) for b in range(1, 201)][:n]
-    words = [f"x{a} x{b} y{j} x{b}^-1 x{a}^-1" for a, b in pairs for j in (1, 2)]
-    lines = ["[free]      rank = 200",
-             "[finite]    degree = 8 ; gens = y1: (1 2 3 4 5 6 7 8); y2: (1 2)"]
-    lines += [("[subgroup]  " if i == 1 else " " * 12) + f"h{i} = {word}"
-              for i, word in enumerate(words, start=1)]
-    lines.append("[separate]  g1 = x1 x1 x1 x1")
-    return "\n".join(lines) + "\n"
 
 
 # F_2 * S_3 with two seeded random subgroup words of length 18 over x1,
