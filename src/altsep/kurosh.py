@@ -159,7 +159,13 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
       y-factor, None for an x-factor;
     - (d) ``free_rank`` is the size of delta's free basis;
     - (e) delta's pairs are among the graph's, and the graph has one pair
-      more than delta for each loop word.
+      more than delta for each loop word; delta keeps a spanning tree of
+      each factor's component, and each loop word crosses exactly one
+      pair of its component outside delta, once, and no other loop word
+      crosses that pair.  With the counts, the loop words and the pairs
+      taken out of delta then match one to one, so a loop word listed
+      twice, or a copy of another one in its place, is a fault even where
+      the factor's subgroup does not change.
 
     A based graph determines its subgroup, and the meet of H with a
     conjugate of a factor is read off the component at the end of the
@@ -172,9 +178,12 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     subgroup graph of S' and one membership query per h_i.
     """
     base, table = graph.base, spec.finite
+    delta = decomposition.delta
+    kept = delta.out
     faults = []
     generators = []
     members = {}  # factor -> vertex -> the vertices of its component
+    closed_by = {}  # pair outside delta -> the loop word that crosses it
     for index, factor in enumerate(decomposition.factors, start=1):
         name = f"factor {index}"
         anchor = factor.anchor
@@ -194,16 +203,26 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
         component = component_graph(graph, vertices, factor.factor, anchor)
         if factor.component != component:
             faults.append(f"{name}: not the graph's {factor.factor}-component at the anchor")
+        if not _keeps_spanning_tree(component, kept):  # (e)
+            faults.append(f"{name}: delta does not keep a spanning tree of the component")
         for j, word in enumerate(factor.loop_words, start=1):
-            if not trace(component, anchor, word).closed:
+            crossed = _crossings(component, word, kept)
+            if crossed is None:
                 faults.append(f"{name}: loop word {j} does not close at the anchor")
+            elif len(crossed) != 1:  # (e)
+                faults.append(f"{name}: loop word {j} crosses {len(crossed)} pairs "
+                              f"outside delta, not one")
+            elif crossed[0] in closed_by:
+                faults.append(f"{name}: loop word {j} crosses the pair outside delta "
+                              f"that {closed_by[crossed[0]]} crosses")
+            else:
+                closed_by[crossed[0]] = f"{name} loop word {j}"
         subgroup = None
         if factor.factor == "y":
             ((subgroup, _keys),) = component_cosets(table, graph, [anchor])
         if factor.subgroup != subgroup:
             faults.append(f"{name}: not the loop subgroup of the component")
 
-    delta = decomposition.delta
     letters = sorted(set().union(*delta.out.values()), key=lambda l: l.sort_key)
     parent, nontree = _component_walk(delta.out, delta.base, letters)
     for j, (u, w, letter) in enumerate(nontree, start=1):
@@ -226,6 +245,44 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     if not delta.pairs <= graph.pairs or len(graph.pairs) - len(delta.pairs) != loops:  # (e)
         faults.append(f"delta is not the graph less one pair for each of {loops} loop words")
     return faults
+
+
+def _crossings(component: LabeledGraph, word, kept):
+    """The pairs outside the adjacency ``kept`` that ``word`` crosses,
+    canonically named, once per crossing, on its walk from the
+    component's base inside it; None when the walk leaves the component
+    or ends off its base."""
+    out = component.out
+    current = component.base
+    crossed = []
+    for letter in word:
+        target = out[current].get(letter)
+        if target is None:
+            return None
+        if kept.get(current, {}).get(letter) != target:
+            crossed.append((current, target, letter) if letter.sign > 0
+                           else (target, current, letter.inverse()))
+        current = target
+    return crossed if current == component.base else None
+
+
+def _keeps_spanning_tree(component: LabeledGraph, kept) -> bool:
+    """Do the component's pairs that the adjacency ``kept`` holds form a
+    spanning tree of it: reach each vertex from the base, one pair fewer
+    than the vertices?"""
+    out = component.out
+    order = [component.base]
+    seen = {component.base}
+    slots = 0  # each pair fills two slots, a loop both at one vertex
+    for v in order:  # grows while it is read
+        held = kept.get(v, {})
+        for letter, w in out[v].items():
+            if held.get(letter) == w:
+                slots += 1
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+    return len(seen) == len(out) and slots == 2 * (len(out) - 1)
 
 
 __all__ = [

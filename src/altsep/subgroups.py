@@ -10,17 +10,23 @@ which decides membership.
 
 The quotient is computed as a fixed point: fold, group the vertices of a
 y-component that land on the same coset of the subgroup its loops
-generate, and fold again with those groups merged.  One breadth-first
-pass over the y-edges (``factors.component_cosets``) finds a round's
-groups: over the whole graph in the first round, and in a later round
-over only the y-components its merges touched.  Each such round strictly
-decreases the vertex count, so the loop terminates.
+generate, and fold again with those groups merged.  The wedge writes
+each maximal y-run of a word in G's Cayley graph, one vertex per prefix
+element of the run, so the first fold starts from a graph whose
+y-components away from the base and from the fold's merges have nothing
+left to merge.  One breadth-first pass over the y-edges
+(``factors.component_cosets``) finds a round's groups: in the first
+round over the y-components that hold the base or a survivor of the
+first fold, and in a later round over only the y-components its merges
+touched.  Each such round strictly decreases the vertex count, so the
+loop terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, count
 
 from .factors import FiniteGroupTable, component_cosets, coset_keys
 from .graphs import LabeledGraph, _fold, _write_pairs, component_graph, components, fold
@@ -44,8 +50,10 @@ class ProblemSpec:
     separate_words: tuple
 
     def __post_init__(self):
-        for word in list(self.subgroup_words) + list(self.separate_words):
-            self.check_word(word)
+        # each distinct letter once, in the order of first occurrence, so
+        # the first bad letter is the one a letter-by-letter check meets
+        self.check_word(dict.fromkeys(chain.from_iterable(
+            (*self.subgroup_words, *self.separate_words))))
 
     def check_word(self, word):
         """Raise ValueError for a letter outside the problem's alphabet."""
@@ -62,45 +70,95 @@ class SubgroupGraph:
     separator_ends: tuple
 
 
-def _wedge(base, words, open_words):
+def _wedge(base, words, open_words, table):
     """Wedge of loops (one per word) and open paths (one per open word) at
-    a common base vertex, written straight into an adjacency.  Its edges
-    go in word order, each oriented along its word, through
+    a common base vertex, written straight into an adjacency, each maximal
+    y-run of a word in G's Cayley graph.  Returns (adjacency, clashing
+    edges, end vertex of each open path): ``graphs._fold`` of the first two
+    folds the wedge.
+
+    Letter i of the words, counted over all of them in order, would end on
+    the fresh vertex base + i, a loop's last letter on the base, as in the
+    plain wedge of one vertex per letter.  A y-letter instead ends on the
+    vertex of its prefix element, counted in ``table`` from the start of
+    its y-run, when an earlier vertex of the run has that element; an
+    x-letter starts a run, with the identity at its end.  A loop's last
+    run ends on the base, which is the run's vertex of the run's whole
+    product; when that is the identity, the x-letter that starts the run
+    ends on the base too.  The ids of letters that end on an earlier
+    vertex are skipped, never written.  Two vertices of a run with one
+    element are joined by a y-path that spells the identity, which the
+    based graph closes, and the vertex kept is the least id of the two,
+    so the fixpoint reaches the graph, vertex ids included, that it
+    reaches from the plain wedge.
+
+    Its edges go in word order, each oriented along its word, through
     ``_write_pairs``, which leaves out the edges that clash with one
-    already written.  Returns (adjacency, clashing edges, end vertex of
-    each open path): ``graphs._fold`` of the first two folds the wedge."""
+    already written.  A run's vertices have distinct elements, so no two
+    of its own edges clash.  Raises ValueError for a y-letter that names
+    no generator of ``table``."""
+    steps = table.steps
+    identity = table.identity
+    span = table.order
     out = {base: {}}
     edges = []
+    write = edges.append
+    fresh = base  # the id of the last letter written
 
-    def path(word):
-        """Fresh vertices along ``word`` from the base; returns its end."""
+    def path(word, closes):
+        """The path of ``word`` from the base, closed at it when
+        ``closes``; returns its end.  The run that starts at id s keys its
+        vertex of element e as s * span + e, the first run's s being
+        ``fresh``."""
+        nonlocal fresh
+        run = fresh * span
+        at = {run + identity: base}  # key -> its vertex
+        if closes:
+            tail = len(word)  # the id of the loop's last run's start is fresh + tail
+            while tail and word[tail - 1].factor == "y":
+                tail -= 1
+            at[(fresh + tail) * span + table.word_element(word[tail:])] = base
+        element = identity
         current = base
-        for letter in word:
-            target = base + len(out)
-            out[target] = {}
-            edges.append((current, target, letter))
+        for target, letter in zip(count(fresh + 1), word):
+            step = steps.get(letter)
+            if step is not None:
+                element = step[element]
+            elif letter.factor == "x":
+                run, element = target * span, identity
+            else:
+                raise ValueError(f"no generator y{letter.index}")
+            known = at.setdefault(run + element, target)
+            if known == target:
+                out[target] = {}
+            else:
+                target = known
+            write((current, target, letter))
             current = target
+        fresh += len(word) - closes
         return current
 
     for word in words:
         if word:
-            edges.append((path(word[:-1]), base, word[-1]))
-    ends = [path(word) for word in open_words]
+            path(word, True)
+    ends = [path(word, False) for word in open_words]
     return out, _write_pairs(out, edges), tuple(ends)
 
 
-def based_fixpoint(graph, table, tracked=()):
+def based_fixpoint(graph, table, tracked=(), starts=None):
     """Merge each round's coset groups and fold, to a fixed point; returns
     the stable graph and the images of the tracked vertices.  A graph
     with no groups is returned as it is.
 
-    The first round scans every y-component for coset groups; a later one
-    scans only the y-components that hold a survivor of its merges.  A
-    y-component without one has the vertices and edges it had at its last
-    scan, which found no groups in it, and the groups of a component do
-    not depend on the vertex its scan starts from."""
+    The first round scans the y-components that hold a vertex of
+    ``starts``, every y-component when it is None; a later one scans only
+    the y-components that hold a survivor of its merges.  A y-component
+    without one has the vertices and edges it had at its last scan, which
+    found no groups in it, and the groups of a component do not depend on
+    the vertex its scan starts from.  A caller that passes ``starts``
+    vouches that the y-components it leaves out have no groups, as
+    ``build_subgroup_graph`` does for the pieces of single y-runs."""
     tracked = tuple(tracked)
-    starts = None
     while True:
         groups = []
         for _subgroup, keys in component_cosets(table, graph, starts):
@@ -117,16 +175,33 @@ def based_fixpoint(graph, table, tracked=()):
         tracked = tuple(vmap[v] for v in tracked)
         if len(graph.vertices) >= before:
             raise AssertionError("identification round failed to shrink the graph")
-        starts = {vmap[v] for v in vmap if vmap[v] != v}
+        starts = _survivors(vmap)
+
+
+def _survivors(vmap):
+    """The vertices a fold's vertex map merged others into."""
+    return {keep for v, keep in vmap.items() if keep != v}
 
 
 def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     """Canonical based graph for the subgroup, with one open path per
     separator word; returns the graph and each path's end vertex.  Every
-    generator loop must close at the base, read off the adjacency."""
-    out, clashes, ends = _wedge(0, spec.subgroup_words, spec.separate_words)
+    generator loop must close at the base, read off the adjacency.
+
+    The first coset round scans only the y-components that hold the base
+    or a survivor of the first fold.  Any other y-component is one y-run's
+    piece of the wedge, as ``_wedge`` wrote it: the runs of different
+    words meet only at the base, a run starts at the base or at the end of
+    an x-letter, which is a fresh vertex or the base, and the fold left
+    the component's vertices and edges alone, or one of them would have
+    survived a merge.  Its vertices have distinct prefix elements in G's
+    Cayley graph, so every cycle in it spells the identity, its loop
+    subgroup K is trivial, and it has no coset group."""
+    out, clashes, ends = _wedge(0, spec.subgroup_words, spec.separate_words, spec.finite)
     graph, vmap = _fold(out, clashes, out, 0, ())
-    graph, ends = based_fixpoint(graph, spec.finite, [vmap[v] for v in ends])
+    starts = _survivors(vmap)
+    starts.add(graph.base)
+    graph, ends = based_fixpoint(graph, spec.finite, [vmap[v] for v in ends], starts)
     out, base = graph.out, graph.base
     for word in spec.subgroup_words:
         end = base

@@ -16,7 +16,8 @@ based fixpoint one component subgraph at a time or by a full rescan each
 round, the embedding of a y-component in its coset graph with cosets as
 element sets, kernel generating sets by the Schreier transversal
 construction, words by one regex match per term, the folded wedge
-through a canonical pair set, and the Kurosh decomposition through pair
+through a canonical pair set, with or without each y-run's vertices of
+one prefix element merged, and the Kurosh decomposition through pair
 sets, set differences and union-find, and a Kurosh decomposition's
 factor intersections on a ball: every conjugate of a short factor
 element tested for membership.
@@ -475,6 +476,50 @@ def wedge_graph(base, words, open_words):
         ends.append(current)
     pairs = frozenset(canonical_pair(u, w, letter) for u, w, letter in pairs)
     graph, vmap = fold_pairs(RawGraph(frozenset(vertices), pairs, base))
+    return graph, tuple(vmap[v] for v in ends)
+
+
+def run_wedge_graph(base, words, open_words, table):
+    """The folded wedge of ``subgroups._wedge``: the plain wedge of
+    ``wedge_graph``, one vertex per letter, folded with each y-run's
+    vertices of one prefix element merged.  A run starts at the base or
+    at the end of an x-letter and takes each y-letter after it; its
+    prefix elements are permutations, composed from the identity with
+    ``permgroup.compose`` over ``table.elements``.  A loop's last vertex
+    is the base.  Returns (folded wedge, end vertex of each open path in
+    it)."""
+    identity = permgroup.identity_perm(table.degree)
+    vertices = {base}
+    pairs = []
+    groups = []
+    next_id = base + 1
+    ends = []
+    for word, closes in [(word, True) for word in words] + [(word, False) for word in open_words]:
+        current = base
+        run = {identity: [base]}  # prefix element -> the run's vertices with it
+        element = identity
+        for i, letter in enumerate(word):
+            if closes and i == len(word) - 1:
+                target = base
+            else:
+                target = next_id
+                next_id += 1
+            vertices.add(target)
+            pairs.append(canonical_pair(current, target, letter))
+            if letter.factor == "x":
+                groups.extend(run.values())
+                run, element = {}, identity
+            else:
+                perm = table.elements[generator_element(table, letter.index)]
+                element = permgroup.compose(
+                    element, perm if letter.sign > 0 else permgroup.inverse(perm))
+            run.setdefault(element, []).append(target)
+            current = target
+        groups.extend(run.values())
+        if not closes:
+            ends.append(current)
+    merge = [group for group in groups if len(group) > 1]
+    graph, vmap = fold_pairs(RawGraph(frozenset(vertices), frozenset(pairs), base), merge=merge)
     return graph, tuple(vmap[v] for v in ends)
 
 

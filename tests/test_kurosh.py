@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from altsep.cli import parse_problem
+from altsep.factors import subgroup_closure
 from altsep import kurosh
 from altsep.graphs import LabeledGraph, _pair_key, trace
 from altsep.kurosh import check_decomposition, kurosh_decompose
@@ -283,6 +284,20 @@ def mutants(graph, table, decomposition, rng):
     return out
 
 
+def checked_specs(rng, tables):
+    """The problem files, then 100 seeded subgroups over each table, with
+    up to two separator paths."""
+    specs = [parse_problem(path.read_text()) for path in PROBLEMS]
+    for table in tables:
+        for _ in range(100):
+            words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
+                     for _ in range(rng.randint(1, 4))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
+                          for _ in range(rng.randint(0, 2))]
+            specs.append(make_spec(table, words, separators))
+    return specs
+
+
 def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
     """On 400 seeded subgroup graphs over Z/2, S_3, D_4 and A_4 and on the
     problem files, separator paths included, the exact check and the ball
@@ -290,14 +305,7 @@ def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
     every mutant of it.  The ball accepts a loop word listed twice and a
     pair put back in delta, since neither changes the subgroup."""
     rng = random.Random(27)
-    specs = [parse_problem(path.read_text()) for path in PROBLEMS]
-    for table in (z2, s3, d4, a4):
-        for _ in range(100):
-            words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
-                     for _ in range(rng.randint(1, 4))]
-            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
-                          for _ in range(rng.randint(0, 2))]
-            specs.append(make_spec(table, words, separators))
+    specs = checked_specs(rng, (z2, s3, d4, a4))
     kinds = collections.Counter()
     for spec in specs:
         graph, decomposition = decompose(spec)
@@ -312,6 +320,63 @@ def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
     assert kinds["loop word dropped"] >= 150 and kinds["subgroup trivial"] >= 80
     assert kinds["approach off the anchor"] >= 400
     assert kinds["loop word listed twice"] >= 450 and kinds["pair put back in delta"] >= 300
+
+
+def test_check_rejects_a_loop_word_replaced_by_a_copy_of_the_first(z2, s3, d4, a4):
+    """On the problem files and the seeded subgroups of the mutant test,
+    every factor's loop word j > 1 replaced by a copy of its loop word 1
+    is rejected, also where the factor's subgroup stays as it was (a
+    finite factor's redundant loop word); the loop words and the pairs
+    outside delta no longer match one to one."""
+    specs = checked_specs(random.Random(27), (z2, s3, d4, a4))
+    copies = same_subgroup = 0
+    for spec in specs:
+        graph, decomposition = decompose(spec)
+        factors = list(decomposition.factors)
+        for index, factor in enumerate(factors):
+            for j in range(1, len(factor.loop_words)):
+                words = list(factor.loop_words)
+                words[j] = words[0]
+                changed = factors.copy()
+                changed[index] = dataclasses.replace(factor, loop_words=tuple(words))
+                mutant = dataclasses.replace(decomposition, factors=tuple(changed))
+                assert (f"factor {index + 1}: loop word {j + 1} crosses the pair outside "
+                        f"delta that factor {index + 1} loop word 1 crosses"
+                        in check_decomposition(spec, graph, mutant))
+                copies += 1
+                same_subgroup += factor.factor == "y" and subgroup_closure(
+                    spec.finite, [spec.finite.word_element(w) for w in words]) == factor.subgroup
+    assert copies >= 140 and same_subgroup >= 80
+
+
+def test_check_rejects_a_loop_word_dropped_with_its_pair_kept_in_delta(z2, s3, d4, a4):
+    """A loop word dropped, the pair it crosses put back in delta and the
+    free rank raised to match keeps every count of (d) and (e), and the
+    subgroup S' generates; the factor's component then keeps a cycle in
+    delta, which the check rejects."""
+    specs = checked_specs(random.Random(27), (z2, s3, d4, a4))
+    dropped = 0
+    for spec in specs:
+        graph, decomposition = decompose(spec)
+        factors = list(decomposition.factors)
+        for index, factor in enumerate(factors):
+            if len(factor.loop_words) < 2:
+                continue
+            changed = factors.copy()
+            changed[index] = dataclasses.replace(factor, loop_words=factor.loop_words[1:])
+            (u, w, letter), = kurosh._crossings(
+                factor.component, factor.loop_words[0], decomposition.delta.out)
+            delta = {v: dict(slots) for v, slots in decomposition.delta.out.items()}
+            delta[u][letter] = w
+            delta[w][letter.inverse()] = u
+            mutant = dataclasses.replace(
+                decomposition, factors=tuple(changed),
+                delta=LabeledGraph(delta, decomposition.delta.base),
+                free_rank=decomposition.free_rank + 1)
+            assert (f"factor {index + 1}: delta does not keep a spanning tree of the component"
+                    in check_decomposition(spec, graph, mutant))
+            dropped += 1
+    assert dropped >= 100
 
 
 def test_check_names_each_fault(z2):

@@ -6,7 +6,8 @@ they catch a hang rather than a small slowdown.  While recognition built
 two full Schreier-Sims chains per certificate, the degree-61 run alone
 took over a minute.  The decompose-sized subgroup graph (about 950
 vertices, 0.05 s) has a bound of 5 s, and so has the exact check of its
-decomposition (0.02 s).  Membership on that graph reads a
+decomposition (0.02 s); the first coset round of its fixpoint is pinned
+to the y-components the first fold touched.  Membership on that graph reads a
 100,000-letter member in 0.011 s and ten 10,000-letter non-members in
 0.07 s; their bounds of 0.15 s and 1 s catch a reader that normalizes or
 slices the rest of a word once per letter.  With recognition stubbed,
@@ -29,9 +30,10 @@ from pathlib import Path
 import pytest
 
 import altsep
-from altsep import permgroup
+from altsep import permgroup, subgroups
 from altsep.cli import main, parse_problem
 from altsep.covers import build_separating_cover
+from altsep.graphs import components
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import MembershipTester, build_subgroup_graph, hypothesis_check
 from altsep.words import word_inverse, x_letter as x, y_letter as y
@@ -102,6 +104,25 @@ def test_decompose_sized_subgroup_within_time_bound(s3):
     assert verdict.kind
     assert decomposition.factors
     assert elapsed < 5, f"took {elapsed:.1f} s, bound 5 s"
+
+
+def test_first_coset_round_on_the_decompose_sized_subgroup_scans_few_components(
+        s3, monkeypatch):
+    """The first coset round of the decompose-sized subgroup's fixpoint
+    scans the 55 y-components that hold the base or a survivor of the
+    first fold, of the 271 its folded wedge has; a full first scan, the
+    cost this scoping saves, fails the pin."""
+    scans = []
+    real = subgroups.component_cosets
+
+    def recording(table, graph, starts=None):
+        found = real(table, graph, starts)
+        scans.append((len(found), len(components(graph, "y"))))
+        return found
+
+    monkeypatch.setattr(subgroups, "component_cosets", recording)
+    build_subgroup_graph(make_spec(s3, decompose_sized_words(s3)))
+    assert scans[0] == (55, 271)
 
 
 def test_decomposition_check_on_the_decompose_sized_subgroup_within_time_bound(s3):

@@ -21,7 +21,7 @@ from altsep.subgroups import (
     hypothesis_check,
     membership,
 )
-from altsep.words import word_inverse, x_letter as x, y_letter as y
+from altsep.words import word_inverse, x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     normal_form_oracle,
     random_raw_word,
     reidemeister_schreier,
+    run_wedge_graph,
     spell,
     subgroup_ball,
     wedge_graph,
@@ -92,7 +93,9 @@ def test_every_y_component_embeds(s3):
 def test_wedge_folds_to_the_pair_set_wedge(z2, s3, d4):
     """_wedge's adjacency and clashes, folded by _fold, are the graph,
     vertex ids and path ends of the wedge's canonical pair set folded by
-    the oracle."""
+    the oracle with each y-run's vertices of one prefix element merged.
+    A y-letter that names no generator is refused, not read as an
+    x-letter."""
     rng = random.Random(31)
     clashed = 0
     for table in (z2, s3, d4):
@@ -101,13 +104,56 @@ def test_wedge_folds_to_the_pair_set_wedge(z2, s3, d4):
                      for _ in range(rng.randint(0, 3))]
             separators = [random_raw_word(rng, 2, table.num_generators, 6)
                           for _ in range(rng.randint(0, 2))]
-            out, clashes, ends = _wedge(0, words, separators)
+            out, clashes, ends = _wedge(0, words, separators, table)
             graph, vmap = _fold(out, clashes, out, 0, ())
-            expected, expected_ends = wedge_graph(0, words, separators)
+            expected, expected_ends = run_wedge_graph(0, words, separators, table)
             assert graph == expected and graph.vertices == expected.vertices
             assert tuple(vmap[v] for v in ends) == expected_ends
             clashed += bool(clashes)
     assert clashed >= 40
+    for words, separators in [([(x(1), y(2), x(1, -1))], []), ([(x(1), y(1), y(2))], []),
+                              ([], [(y(1), y(2, -1))])]:
+        with pytest.raises(ValueError, match="^no generator y2$"):
+            _wedge(0, words, separators, z2)
+
+
+def run_heavy_word(rng, table, runs):
+    """A word of 1 to ``runs`` y-runs of 0-12 letters each, one x-letter
+    of rank 2 between consecutive runs."""
+    word = []
+    for i in range(rng.randint(1, runs)):
+        if i:
+            word.append(rng.choice(x_alphabet(2)))
+        word.extend(rng.choice(y_alphabet(table.num_generators))
+                    for _ in range(rng.randint(0, 12)))
+    return tuple(word)
+
+
+def test_first_round_groups_lie_at_the_base_or_a_fold_survivor(z2, s3, d4, a4):
+    """On the folded wedge, a full scan finds coset groups only in
+    y-components that hold the base or a survivor of the first fold, the
+    starts that build_subgroup_graph gives the first round; the fixpoint
+    from those starts is the one from a full first scan."""
+    rng = random.Random(29)
+    grouped = left_out = 0
+    for table in (z2, s3, d4, a4):
+        for _ in range(50):
+            words = [run_heavy_word(rng, table, 4) for _ in range(rng.randint(1, 4))]
+            separators = [run_heavy_word(rng, table, 3) for _ in range(rng.randint(0, 2))]
+            out, clashes, ends = _wedge(0, words, separators, table)
+            graph, vmap = _fold(out, clashes, out, 0, ())
+            starts = {graph.base} | {vmap[v] for v in vmap if vmap[v] != v}
+            for _subgroup, keys in component_cosets(table, graph):
+                if len(set(keys.values())) < len(keys):
+                    assert starts & keys.keys()
+                    grouped += 1
+                else:
+                    left_out += not starts & keys.keys()
+            tracked = [vmap[v] for v in ends]
+            assert (based_fixpoint(graph, table, tracked, starts)
+                    == based_fixpoint(graph, table, tracked))
+    # many components had groups, and many more were left out of round 0
+    assert grouped >= 50 and left_out >= 200
 
 
 def test_fixpoint_is_stable(s3):
@@ -186,6 +232,14 @@ def test_letters_validated_against_declared_generators(z2):
         make_spec(z2, subgroup_words=[(y(2),)])
     with pytest.raises(ValueError):
         ProblemSpec(FreeFactor(1), z2, (), ())
+    # each distinct letter is checked once, and the first bad letter of
+    # the subgroup words, then the separators, is the one named
+    for words, separators, message in [
+            ([(x(1), y(2)), (x(3),)], [], "letter y2 names no generator"),
+            ([(x(1), x(1)), (y(1), x(3, -1), y(2))], [(x(4),)], "letter x3^-1 exceeds"),
+            ([(x(1),)], [(y(1), y(1)), (y(3), x(5))], "letter y3 names no generator")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make_spec(z2, words, separators)
 
 
 # -- membership ------------------------------------------------------------------------
