@@ -14,9 +14,8 @@ from importlib import import_module as _import_module
 from .words import Letter, Word, x_letter, y_letter, word_str
 from .graphs import (
     LabeledGraph,
-    TraceResult,
     fold,
-    trace,
+    walk,
     components,
 )
 from .factors import (

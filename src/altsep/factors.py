@@ -145,7 +145,10 @@ class _CosetKeys(dict):
 def coset_keys(table: FiniteGroupTable, subgroup: frozenset) -> _CosetKeys:
     """The element -> coset key table of a subgroup K, one per K per table:
     a coset's first read fills it by |K| products; unread cosets cost nothing."""
-    return table._coset_keys.setdefault(subgroup, _CosetKeys(table, subgroup))
+    keys = table._coset_keys.get(subgroup)
+    if keys is None:
+        keys = table._coset_keys[subgroup] = _CosetKeys(table, subgroup)
+    return keys
 
 
 def coset_action(table: FiniteGroupTable, subgroup: frozenset):

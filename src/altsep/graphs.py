@@ -11,14 +11,16 @@ vertex; ``_write_pairs`` writes the slots of one, and the graph's
 Graphs are immutable.  ``fold`` is the only operation that merges
 vertices; folding is confluent, so it picks its own order, and the test
 suite checks that against random fold orders.
+
+A graph is read in two ways besides its component sweep: ``walk``
+follows a word from a vertex, and ``_tree_walk`` grows a breadth-first
+spanning tree from a root and lists the pairs outside it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
-
-from .words import Letter
+from dataclasses import FrozenInstanceError
 
 
 def _pair_key(pair):
@@ -72,24 +74,9 @@ class LabeledGraph:
                 for letter, w in slots.items() if letter.sign > 0))
         return self._pairs
 
-    def step(self, vertex: int, letter: Letter):
-        """Unique out-neighbor along ``letter``, or None."""
-        return self.out[vertex].get(letter)
-
     def __repr__(self):
         return (f"LabeledGraph({len(self.vertices)} vertices, "
                 f"{len(self.pairs)} edge pairs, base={self.base})")
-
-
-@dataclass(frozen=True)
-class TraceResult:
-    status: str  # 'closed' | 'open' | 'stuck'
-    vertex: int
-    position: int | None = None  # 1-based index of the letter with no edge
-
-    @property
-    def closed(self) -> bool:
-        return self.status == "closed"
 
 
 def _write_pairs(out, pairs):
@@ -110,30 +97,6 @@ def _write_pairs(out, pairs):
             head[letter] = w
             tail[inverse] = u
     return clashes
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = dict(zip(items, items))
-
-    def find(self, item):
-        parent = self.parent
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a, b):
-        """Merge classes; the smaller id survives (deterministic) and is
-        returned, or None when a and b were in one class already."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return None
-        keep, drop = (a, b) if a < b else (b, a)
-        self.parent[drop] = keep
-        return keep
 
 
 def fold(graph: LabeledGraph, merge=()):
@@ -164,12 +127,19 @@ def _fold(start, clashes, vertices, base, merge):
     for the d slots resolved.  The rest of O(|V| + |E|) is whole-set
     copies (the adjacency's top level, the union-find map, the vertex
     set) with no Python step per vertex.  Every class is named by its
-    least vertex (``_UnionFind.union`` keeps the smaller id), so neither
-    the result nor the vertex map depends on the order of the groups and
-    clashes.
+    least vertex (a merge keeps the smaller id), so neither the result
+    nor the vertex map depends on the order of the groups and clashes.
     """
-    uf = _UnionFind(vertices)
-    find = uf.find
+    vmap = dict(zip(vertices, vertices))  # union-find parents; the vertex map at the end
+
+    def find(v):
+        root = v
+        while vmap[root] != root:
+            root = vmap[root]
+        while vmap[v] != root:
+            vmap[v], v = root, vmap[v]
+        return root
+
     work = deque()
     out = dict(start)
     owned = set()  # vertices whose slot dict is a copy: merge survivors
@@ -181,8 +151,8 @@ def _fold(start, clashes, vertices, base, merge):
         find() on their next visit."""
         a, b = find(a), find(b)
         if a != b:
-            keep = uf.union(a, b)
-            drop = b if keep == a else a
+            keep, drop = (a, b) if a < b else (b, a)
+            vmap[drop] = keep
             dropped.append(drop)
             if keep not in owned:
                 owned.add(keep)
@@ -211,7 +181,6 @@ def _fold(start, clashes, vertices, base, merge):
             identify(existing, target)
     for v in dropped:
         find(v)  # path compression points each at its class's least vertex
-    vmap = uf.parent
     # a stale target sits only at a merge survivor or at a neighbour of a
     # dropped vertex
     changed = set(owned)
@@ -223,17 +192,18 @@ def _fold(start, clashes, vertices, base, merge):
     return LabeledGraph(out, vmap[base]), vmap
 
 
-def trace(graph: LabeledGraph, start: int, word) -> TraceResult:
-    """Follow ``word`` letter by letter from ``start``."""
-    if start not in graph.vertices:
+def walk(out, start: int, word):
+    """End of the path that ``word`` spells from ``start`` in the
+    adjacency ``out``, or None when a letter has no edge.  Raises
+    ValueError for a start that is not a vertex."""
+    if start not in out:
         raise ValueError(f"unknown vertex {start!r}")
     current = start
-    for position, letter in enumerate(word, start=1):
-        target = graph.step(current, letter)
-        if target is None:
-            return TraceResult("stuck", current, position)
-        current = target
-    return TraceResult("closed" if current == start else "open", current)
+    for letter in word:
+        current = out[current].get(letter)
+        if current is None:
+            return None
+    return current
 
 
 def components(graph: LabeledGraph, factor: str):
@@ -292,29 +262,38 @@ def component_graph(graph: LabeledGraph, vertices, factor: str, base: int) -> La
                          for v in vertices}, base)
 
 
-def breadth_first_tree(graph: LabeledGraph, root: int, letters):
-    """Deterministic BFS that follows the edges labeled by ``letters``, in
-    that order.  Returns (discovery order, parent) where parent maps each
-    non-root reached vertex to (parent vertex, letter of the edge
-    parent->v).
-    """
-    out = graph.out
+def _tree_walk(out, root, letters):
+    """Breadth-first spanning tree of what the edges labeled by
+    ``letters`` reach from ``root`` in the adjacency ``out``, each vertex's
+    letters followed in the order given (list both signs of a letter to
+    cross its edges both ways).  Returns (discovery order, parent,
+    non-tree pairs): parent maps each reached vertex but the root to
+    (parent vertex, letter of the edge parent -> vertex), and the
+    non-tree pairs are the canonical pairs, among those followed, outside
+    the tree parent spells, in the order the walk met them.  Private, so
+    that a tracer records no span per component."""
     order = [root]
     parent = {}
-    seen = {root}
+    nontree = []
     for v in order:  # grows while it is read: breadth-first order
         slots = out[v]
         for letter in letters:
             w = slots.get(letter)
-            if w is not None and w not in seen:
-                seen.add(w)
+            if w is None:
+                continue
+            if w not in parent and w != root:
                 parent[w] = (v, letter)
                 order.append(w)
-    return order, parent
+            elif letter.sign > 0:
+                into = parent.get(v)  # a pair other than the tree edge into v?
+                if into is None or into[0] != w or into[1] is not letter.inverse():
+                    nontree.append((v, w, letter))
+    return order, parent, nontree
 
 
 def tree_path_word(parent, vertex):
-    """Word along BFS-tree edges from the root to ``vertex``."""
+    """Word along the tree edges of ``_tree_walk``'s parent map from the
+    root to ``vertex``."""
     letters = []
     while vertex in parent:
         vertex, letter = parent[vertex]

@@ -5,9 +5,11 @@ component's loop subgroup, conjugated by the label of a breadth-first
 approach path from the base point that meets the component only in its
 anchor.  Removing each such component's non-tree edges leaves a graph
 whose loop subgroup is free; its rank is the number of edge pairs outside
-a spanning tree.  ``check_decomposition`` checks a decomposition exactly:
-the generators it names generate the subgroup, and each factor is the
-component at the end of its approach path.
+a spanning tree.  Every tree, the approach paths' and each factor's, is
+grown by the one breadth-first walk ``graphs._tree_walk``, which lists
+the pairs outside it too.  ``check_decomposition`` checks a
+decomposition exactly: the generators it names generate the subgroup,
+and each factor is the component at the end of its approach path.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .factors import FiniteGroupTable, component_cosets, subgroup_closure
 from .graphs import (
     LabeledGraph,
     _pair_key,
-    breadth_first_tree,
+    _tree_walk,
     component_graph,
     components,
-    trace,
     tree_path_word,
+    walk,
 )
 from .subgroups import MembershipTester, build_subgroup_graph
 from .words import Word, word_inverse
@@ -57,20 +59,22 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     it, else the component vertex discovered first (which makes the
     approach path meet the component only at the anchor).
 
-    All is read off the adjacency.  Each component with a cycle (by
-    ``graphs.components``' pair counts) is ``graphs.component_graph``
-    based at its anchor, and one breadth-first pass from the anchor gives
-    its spanning tree and non-tree pairs.  ``delta`` is the adjacency less
-    the non-tree pairs' slots, a vertex's slots copied on their first
-    removal; a breadth-first pass over its slots checks that it is
-    connected, and its free rank is read off the slot counts.
+    All is read off the adjacency.  One ``graphs._tree_walk`` over the
+    whole graph gives the approach paths.  Each component with a cycle
+    (by ``graphs.components``' pair counts) is ``graphs.component_graph``
+    based at its anchor, and a ``_tree_walk`` from the anchor over the
+    factor's letters gives its spanning tree and non-tree pairs.
+    ``delta`` is the adjacency less the non-tree pairs' slots, a vertex's
+    slots copied on their first removal; a breadth-first pass over its
+    slots checks that it is connected, and its free rank is read off the
+    slot counts.
     """
     out = graph.out
     # each factor's letters present in the graph (both signs), in sort-key order
     letters = {"x": [], "y": []}
     for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
         letters[letter.factor].append(letter)
-    order, parent = breadth_first_tree(graph, graph.base, letters["x"] + letters["y"])
+    order, parent, _nontree = _tree_walk(out, graph.base, letters["x"] + letters["y"])
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
@@ -86,7 +90,7 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     copied = set()
     for anchor, members, factor in cyclic:
         approach = tree_path_word(parent, anchor)
-        cparent, nontree = _component_walk(out, anchor, letters[factor])
+        _order, cparent, nontree = _tree_walk(out, anchor, letters[factor])
         loop_words = []
         for u, w, letter in sorted(nontree, key=_pair_key):
             to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
@@ -115,31 +119,6 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     # rest count toward the rank; each pair fills two slots
     free_rank = sum(map(len, pruned.values())) // 2 - len(pruned) + 1
     return KuroshDecomposition(tuple(factors), free_rank, LabeledGraph(pruned, graph.base))
-
-
-def _component_walk(out, anchor, letters):
-    """One breadth-first pass over the monochromatic component at
-    ``anchor``, following only the component's ``letters`` (both signs,
-    in order) in the whole graph's adjacency.  Returns (parent, non-tree
-    pairs): parent as from ``graphs.breadth_first_tree``, and the
-    canonical pairs outside the spanning tree that parent spells, in the
-    order the pass met them."""
-    parent = {}
-    nontree = []
-    order = [anchor]
-    for v in order:  # grows while it is read: breadth-first order
-        slots = out[v]
-        for letter in letters:
-            w = slots.get(letter)
-            if w is None:
-                continue
-            if w not in parent and w != anchor:
-                parent[w] = (v, letter)
-                order.append(w)
-            elif letter.sign > 0 and parent.get(v) != (w, letter.inverse()):
-                # not the tree edge into v, read backwards
-                nontree.append((v, w, letter))
-    return parent, nontree
 
 
 def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecomposition) -> list:
@@ -190,8 +169,7 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
         approach, back = factor.approach, word_inverse(factor.approach)
         generators += [(f"{name} loop word {j}", approach + word + back)
                        for j, word in enumerate(factor.loop_words, start=1)]
-        end = trace(graph, base, approach)
-        if end.status == "stuck" or end.vertex != anchor:
+        if walk(graph.out, base, approach) != anchor:
             faults.append(f"{name}: the approach does not end at the anchor {anchor}")
         if factor.factor not in members:
             members[factor.factor] = {v: vertices for vertices, _pairs
@@ -224,13 +202,13 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
             faults.append(f"{name}: not the loop subgroup of the component")
 
     letters = sorted(set().union(*delta.out.values()), key=lambda l: l.sort_key)
-    parent, nontree = _component_walk(delta.out, delta.base, letters)
+    _order, parent, nontree = _tree_walk(delta.out, delta.base, letters)
     for j, (u, w, letter) in enumerate(nontree, start=1):
         word = tree_path_word(parent, u) + (letter,) + word_inverse(tree_path_word(parent, w))
         generators.append((f"delta basis word {j}", word))
 
     for label, word in generators:  # (a)
-        if not trace(graph, base, word).closed:
+        if walk(graph.out, base, word) != base:
             faults.append(f"{label} is not a closed path at the base")
     rebuilt = build_subgroup_graph(replace(
         spec, subgroup_words=tuple(word for _label, word in generators), separate_words=()))
@@ -268,21 +246,13 @@ def _crossings(component: LabeledGraph, word, kept):
 
 def _keeps_spanning_tree(component: LabeledGraph, kept) -> bool:
     """Do the component's pairs that the adjacency ``kept`` holds form a
-    spanning tree of it: reach each vertex from the base, one pair fewer
-    than the vertices?"""
-    out = component.out
-    order = [component.base]
-    seen = {component.base}
-    slots = 0  # each pair fills two slots, a loop both at one vertex
-    for v in order:  # grows while it is read
-        held = kept.get(v, {})
-        for letter, w in out[v].items():
-            if held.get(letter) == w:
-                slots += 1
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-    return len(seen) == len(out) and slots == 2 * (len(out) - 1)
+    spanning tree of it: does a breadth-first walk over them from the
+    base, its letters in any order, reach each vertex and meet no pair
+    outside its tree?"""
+    held = {v: {letter: w for letter, w in slots.items() if kept.get(v, {}).get(letter) == w}
+            for v, slots in component.out.items()}
+    order, _parent, nontree = _tree_walk(held, component.base, set().union(*held.values()))
+    return len(order) == len(held) and not nontree
 
 
 __all__ = [

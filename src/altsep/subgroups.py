@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain, count
 
 from .factors import FiniteGroupTable, component_cosets, coset_keys
-from .graphs import LabeledGraph, _fold, _write_pairs, component_graph, components, fold
+from .graphs import LabeledGraph, _fold, _write_pairs, component_graph, components, fold, walk
 from .words import flat_form
 
 
@@ -186,7 +186,7 @@ def _survivors(vmap):
 def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     """Canonical based graph for the subgroup, with one open path per
     separator word; returns the graph and each path's end vertex.  Every
-    generator loop must close at the base, read off the adjacency.
+    generator loop must close at the base (``graphs.walk``).
 
     The first coset round scans only the y-components that hold the base
     or a survivor of the first fold.  Any other y-component is one y-run's
@@ -202,14 +202,8 @@ def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     starts = _survivors(vmap)
     starts.add(graph.base)
     graph, ends = based_fixpoint(graph, spec.finite, [vmap[v] for v in ends], starts)
-    out, base = graph.out, graph.base
     for word in spec.subgroup_words:
-        end = base
-        for letter in word:
-            end = out[end].get(letter)
-            if end is None:
-                break
-        if end != base:
+        if walk(graph.out, graph.base, word) != graph.base:
             raise AssertionError("generator loop failed to close")
     return SubgroupGraph(graph, ends)
 

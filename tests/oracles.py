@@ -7,20 +7,21 @@ canonical forms of based graphs by one breadth-first numbering, subgroup
 membership by breadth-first enumeration over normal forms or by
 re-running the graph fixpoint on a glued query path, membership queries,
 normal forms and y-words element by element, geodesic spellings of
-finite-factor elements by breadth-first search (a coset key as a min over
-the loop subgroup, a y-letter as a table product), monochromatic
-components and spanning trees by plain breadth-first search, saturation
-defects by a set of the pairs' slots, eligibility verdicts by listing
-the defects of each component that is not a tree, coset keys and the
-based fixpoint one component subgraph at a time or by a full rescan each
-round, the embedding of a y-component in its coset graph with cosets as
-element sets, kernel generating sets by the Schreier transversal
-construction, words by one regex match per term, the folded wedge
-through a canonical pair set, with or without each y-run's vertices of
-one prefix element merged, and the Kurosh decomposition through pair
-sets, set differences and union-find, and a Kurosh decomposition's
-factor intersections on a ball: every conjugate of a short factor
-element tested for membership.
+finite-factor elements by breadth-first search (a coset key as a min
+over the loop subgroup, a y-letter as a table product), monochromatic
+components and spanning trees by plain breadth-first search with a queue
+over the canonical pairs, walks of a word by a map of the pairs' slots,
+saturation defects by a set of the pairs' slots, eligibility verdicts by
+listing the defects of each component that is not a tree, coset keys and
+the based fixpoint one component subgraph at a time or by a full rescan
+each round, the embedding of a y-component in its coset graph with
+cosets as element sets, kernel generating sets by the Schreier
+transversal construction, words by one regex match per term, the folded
+wedge through a canonical pair set, with or without each y-run's
+vertices of one prefix element merged, and the Kurosh decomposition
+through pair sets, set differences and that breadth-first search, and a
+Kurosh decomposition's factor intersections on a ball: every conjugate
+of a short factor element tested for membership.
 
 Not oracles: ``make_graph`` and ``build_graph`` assemble a test graph
 from edge pairs, a ``RawGraph`` when they do not spell an adjacency,
@@ -47,14 +48,10 @@ from altsep.graphs import (
     LabeledGraph,
     _fold,
     _pair_key,
-    _UnionFind,
     _write_pairs,
-    breadth_first_tree,
     component_graph,
     components,
     fold,
-    trace,
-    tree_path_word,
 )
 from altsep.kurosh import KuroshDecomposition, KuroshFactor
 from altsep.subgroups import (
@@ -184,8 +181,57 @@ def orbits_oracle(gens, degree):
     return orbits, len(orbits) == 1
 
 
+def slot_targets(graph: LabeledGraph):
+    """(vertex, letter) -> target, both orientations of each canonical
+    pair."""
+    targets = {}
+    for u, w, letter in graph.pairs:
+        targets[u, letter] = w
+        targets[w, letter.inverse()] = u
+    return targets
+
+
+def bfs_tree(graph: LabeledGraph, root, letters):
+    """Breadth-first tree at ``root`` with a queue, following the edges
+    labeled by ``letters`` in that order, read off the canonical pairs.
+    Returns (discovery order, parent): parent maps each reached vertex but
+    the root to (parent vertex, letter of the edge parent -> vertex)."""
+    targets = slot_targets(graph)
+    order, parent = [root], {}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for letter in letters:
+            w = targets.get((v, letter))
+            if w is not None and w != root and w not in parent:
+                parent[w] = (v, letter)
+                order.append(w)
+                queue.append(w)
+    return order, parent
+
+
+def tree_word(parent, vertex):
+    """Label of the path of ``bfs_tree``'s tree from its root to ``vertex``."""
+    word = ()
+    while vertex in parent:
+        vertex, letter = parent[vertex]
+        word = (letter,) + word
+    return word
+
+
+def walk_oracle(targets, start, word):
+    """End of the path ``word`` spells from ``start`` in a graph's
+    ``slot_targets``; None where a letter has no edge."""
+    current = start
+    for letter in word:
+        current = targets.get((current, letter))
+        if current is None:
+            return None
+    return current
+
+
 def is_connected(graph: LabeledGraph) -> bool:
-    order, _ = breadth_first_tree(graph, graph.base, sorted_letters(graph))
+    order, _ = bfs_tree(graph, graph.base, sorted_letters(graph))
     return len(order) == len(graph.vertices)
 
 
@@ -203,7 +249,7 @@ def canonical_form(graph: LabeledGraph):
     their canonical forms are equal (folded based graphs are rigid, so the
     letter-ordered BFS numbering is a complete invariant).
     """
-    order, _ = breadth_first_tree(graph, graph.base, sorted_letters(graph))
+    order, _ = bfs_tree(graph, graph.base, sorted_letters(graph))
     if len(order) != len(graph.vertices):
         raise ValueError("canonical_form requires a connected graph")
     number = {v: i for i, v in enumerate(order)}
@@ -373,10 +419,10 @@ def spanning_tree(graph: LabeledGraph):
     """Breadth-first spanning tree at the base point.
 
     Returns (discovery order, parent, tree pairs): order and parent as from
-    ``breadth_first_tree``, and the tree edges as canonical pairs.  Raises
+    ``bfs_tree``, and the tree edges as canonical pairs.  Raises
     ValueError when the graph is not connected.
     """
-    order, parent = breadth_first_tree(graph, graph.base, sorted_letters(graph))
+    order, parent = bfs_tree(graph, graph.base, sorted_letters(graph))
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
     tree = {canonical_pair(u, v, letter) for v, (u, letter) in parent.items()}
@@ -791,7 +837,7 @@ def normal_form_oracle(word, table):
 
 
 def contains_oracle(graph: LabeledGraph, table, word):
-    """``MembershipTester.contains`` by ``trace`` along each x-syllable
+    """``MembershipTester.contains`` by ``walk_oracle`` along each x-syllable
     and, for a y-syllable g at a vertex keyed a on the coset K*a, the new
     key min(k*a*g for k in K) looked up among its component's keys.
     Raises ValueError for a graph that is not based, at once rather than
@@ -804,11 +850,11 @@ def contains_oracle(graph: LabeledGraph, table, word):
                              "of a y-component lie on one coset")
         for v, key in keys.items():
             cosets[v] = (subgroup, key, at_key)
+    targets = slot_targets(graph)
     current = graph.base
     for tag, syllable in normal_form_oracle(word, table):
         if tag == "x":
-            result = trace(graph, current, syllable)
-            current = None if result.status == "stuck" else result.vertex
+            current = walk_oracle(targets, current, syllable)
         elif current in cosets:
             subgroup, key, at_key = cosets[current]
             moved = table.multiply(key, syllable)
@@ -903,11 +949,11 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
     ``component_graph`` with its own breadth-first spanning tree as a set
     of canonical pairs, its loop words from the set difference, and
     ``delta`` the graph's pairs less the removed ones, checked connected
-    by union-find over its pairs."""
+    by ``is_connected``."""
     letters = {"x": [], "y": []}
     for letter in sorted({pair[2] for pair in graph.pairs}, key=lambda l: l.sort_key):
         letters[letter.factor] += (letter, letter.inverse())
-    order, parent = breadth_first_tree(graph, graph.base, letters["x"] + letters["y"])
+    order, parent = bfs_tree(graph, graph.base, letters["x"] + letters["y"])
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
@@ -920,13 +966,13 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
     removed = set()
     for anchor, members, factor in cyclic:
         component = component_graph(graph, members, factor, anchor)
-        approach = tree_path_word(parent, anchor)
-        _order, cparent = breadth_first_tree(graph, anchor, letters[factor])
+        approach = tree_word(parent, anchor)
+        _order, cparent = bfs_tree(graph, anchor, letters[factor])
         ctree = {canonical_pair(u, v, letter) for v, (u, letter) in cparent.items()}
         loop_words = []
         for u, w, letter in sorted(component.pairs - ctree, key=_pair_key):
-            to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
-            loop_words.append(to_u + (letter,) + word_inverse(to_w))
+            loop_words.append(tree_word(cparent, u) + (letter,)
+                              + word_inverse(tree_word(cparent, w)))
             removed.add((u, w, letter))
         subgroup = None
         if factor == "y":
@@ -934,10 +980,7 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
         factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
 
     delta = make_graph(graph.vertices, graph.pairs - frozenset(removed), graph.base)
-    uf = _UnionFind(delta.vertices)
-    for u, w, _letter in delta.pairs:
-        uf.union(u, w)
-    if len({uf.find(v) for v in delta.vertices}) != 1:
+    if not is_connected(delta):
         raise AssertionError("pruned graph must stay connected")
     free_rank = len(delta.pairs) - len(delta.vertices) + 1
     return KuroshDecomposition(tuple(factors), free_rank, delta)
@@ -957,7 +1000,8 @@ def intersection_ball_oracle(graph: LabeledGraph, table, rank, decomposition, ra
     for factor in decomposition.factors:
         g, g_inv = factor.approach, word_inverse(factor.approach)
         if factor.factor == "x":
-            candidates = ((u, trace(factor.component, factor.anchor, u).closed)
+            targets = slot_targets(factor.component)
+            candidates = ((u, walk_oracle(targets, factor.anchor, u) == factor.anchor)
                           for u in iter_reduced_x_words(rank, radius))
         else:
             candidates = ((element_word(table, element), element in factor.subgroup)

@@ -60,7 +60,7 @@ def test_chain_non_connect_letters_fix_everything():
     g = chain_gadget(5, 3, 2)
     for i in (1, 3):
         for v in g.vertices:
-            assert g.step(v, x(i)) == v
+            assert g.out[v][x(i)] == v
 
 
 def test_mover_plus_minus_matches_picture():
@@ -77,7 +77,7 @@ def test_mover_plus_minus_matches_picture():
 
 def test_mover_plus_plus_double_transposition():
     g = mover_gadget((1, 1), 2, 1, 2)
-    images = {v: g.step(v, x(2)) for v in g.vertices}
+    images = {v: g.out[v][x(2)] for v in g.vertices}
     assert images == {0: 2, 2: 0, 1: 3, 3: 1}
 
 
@@ -87,7 +87,7 @@ def test_mover_defects_for_every_sign_vector():
         defects = saturation_defects(g, x_alphabet(3))
         assert {(d.vertex, str(d.missing)) for d in defects} == {(0, "x1^-1"), (1, "x1")}
         # the move letter permutes the four vertices nontrivially
-        assert any(g.step(v, x(2)) != v for v in g.vertices)
+        assert any(g.out[v][x(2)] != v for v in g.vertices)
 
 
 def test_gadgets_are_folded():
@@ -157,7 +157,7 @@ def test_generator_images_are_the_edge_action_on_the_cover(problem):
     order = sorted(cover.vertices)
     position = {v: i for i, v in enumerate(order)}
     letters = x_alphabet(spec.free.rank)[::2] + y_alphabet(spec.finite.num_generators)[::2]
-    action = {str(letter): permgroup.format_cycles([position[cover.step(v, letter)]
+    action = {str(letter): permgroup.format_cycles([position[cover.out[v][letter]]
                                                     for v in order])
               for letter in letters}
     assert outcome.document["generator_images"] == action

@@ -15,13 +15,14 @@ from altsep.factors import (
     subgroup_closure,
 )
 from altsep.covers import _complete, build_separating_cover
-from altsep.graphs import LabeledGraph, breadth_first_tree, components, trace
+from altsep.graphs import LabeledGraph, components, walk
 from altsep.subgroups import VERDICT_NOT_APPLICABLE, build_subgroup_graph, hypothesis_check
 from altsep.words import x_alphabet, x_letter as x, y_alphabet, y_letter as y
 
 from conftest import make_spec, s8_leaf_problem, s8_transposition_problem
 from oracles import (
     RawGraph,
+    bfs_tree,
     build_graph,
     component_cosets_oracle,
     component_subgraphs,
@@ -199,6 +200,24 @@ def test_coset_keys_cost_one_table_per_loop_subgroup(problem, exit_code, tmp_pat
     assert [len(table._coset_actions) for table in tables] == [1 - exit_code] * 2
 
 
+def test_coset_keys_constructs_one_table_per_loop_subgroup(monkeypatch):
+    """Two asks for one K's keys in a fresh table construct one table:
+    the second finds the first's and builds none to throw away."""
+    table = enumerate_group(3, [(1, 2, 0), (1, 0, 2)])
+    built = []
+    real_init = factors._CosetKeys.__init__
+
+    def counted(keys, table, subgroup):
+        built.append(subgroup)
+        real_init(keys, table, subgroup)
+
+    monkeypatch.setattr(factors._CosetKeys, "__init__", counted)
+    subgroup = subgroup_closure(table, [generator_element(table, 2)])
+    first = coset_keys(table, subgroup)
+    assert coset_keys(table, subgroup) is first
+    assert built == [subgroup]
+
+
 # -- coset graphs, spelled by coset actions -------------------------------------------
 
 
@@ -323,9 +342,9 @@ def test_embed_commutes_with_trace(s3):
     comp = build_graph([0, 1, 2], [(0, 1, y(1)), (1, 2, y(2))], 0)
     cover, embedding = embed_Y_component(s3, comp)
     for word in [(y(1),), (y(1), y(2)), ()]:
-        inside = trace(comp, 0, word)
-        outside = trace(cover, embedding[0], word)
-        assert embedding[inside.vertex] == outside.vertex
+        inside = walk(comp.out, 0, word)
+        outside = walk(cover.out, embedding[0], word)
+        assert embedding[inside] == outside
 
 
 def test_embed_detects_non_based_component(z2):
@@ -507,12 +526,11 @@ def test_gluing_a_component_cover_grows_by_the_difference(s3, d4):
             for component, anchor in component_subgraphs(graph, "y"):
                 cover, embedding = embed_Y_component(table, component)
                 # follow the cover's tree edges from the anchor's coset
-                order, parent = breadth_first_tree(cover, embedding[anchor],
-                                                   sorted_letters(cover))
+                order, parent = bfs_tree(cover, embedding[anchor], sorted_letters(cover))
                 place = {embedding[anchor]: anchor}
                 for c in order[1:]:
                     source, letter = parent[c]
-                    place[c] = glued.step(place[source], letter)
+                    place[c] = glued.out[place[source]][letter]
                 assert len(set(place.values())) == len(cover.vertices)
                 assert all(place[embedding[v]] == v for v in component.vertices)
                 for u, w, letter in cover.pairs:

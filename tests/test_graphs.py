@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,15 +9,17 @@ import pytest
 from altsep import graphs
 from altsep.cli import parse_problem, run_separate
 from altsep.kurosh import kurosh_decompose
-from altsep.subgroups import hypothesis_check
-from altsep.graphs import LabeledGraph, breadth_first_tree, components, fold, trace
+from altsep.subgroups import build_subgroup_graph, hypothesis_check
+from altsep.graphs import LabeledGraph, _tree_walk, components, fold, walk
 from altsep.words import x_alphabet, x_letter as x, y_letter as y
 
+from conftest import make_spec
 from oracles import (
     RawGraph,
     all_fold_results,
-    build_graph,
     bfs_components,
+    bfs_tree,
+    build_graph,
     canonical_form,
     canonical_pair,
     coset_graph_oracle,
@@ -27,9 +30,12 @@ from oracles import (
     make_graph,
     merge_vertices,
     random_fold,
+    random_raw_word,
     saturation_defects,
+    slot_targets,
     sorted_letters,
     spanning_tree,
+    walk_oracle,
 )
 
 
@@ -52,8 +58,8 @@ def test_build_closes_involution():
     g = build_graph([0, 1], [(0, 1, x(1))], 0)
     assert len(g.pairs) == 1
     # the same pair is reachable in both directions
-    assert g.step(0, x(1)) == 1
-    assert g.step(1, x(1, -1)) == 0
+    assert g.out[0][x(1)] == 1
+    assert g.out[1][x(1, -1)] == 0
 
 
 def test_build_w4_counts():
@@ -96,7 +102,6 @@ def test_fold_single_conflict():
     assert len(folded.vertices) == 2
     assert vmap[1] == vmap[2]
     assert folded.out == {0: {x(1): 1}, 1: {x(1, -1): 0}}
-    assert folded.step(0, x(1)) == 1 and folded.step(0, x(2)) is None
 
 
 def test_fold_wedge_of_equal_loops_unique_result():
@@ -123,39 +128,99 @@ def test_fold_preserves_involution_structure():
     folded, _ = fold_pairs(g)
     for u, w, letter in folded.pairs:
         assert letter.sign > 0
-        assert folded.step(u, letter) == w
-        assert folded.step(w, letter.inverse()) == u
+        assert folded.out[u][letter] == w
+        assert folded.out[w][letter.inverse()] == u
 
 
-# -- trace ------------------------------------------------------------------------
+# -- walks ------------------------------------------------------------------------
 
 
 def test_trace_loops_close():
     g = build_graph([0], [(0, 0, x(1)), (0, 0, x(2))], 0)
-    assert trace(g, 0, (x(1), x(2), x(1, -1))).closed
+    assert walk(g.out, 0, (x(1), x(2), x(1, -1))) == 0
 
 
-def test_trace_stuck_reports_first_missing_letter():
+def test_walk_is_none_at_a_missing_edge():
     g = build_graph([0, 1], [(0, 1, x(1))], 0)
-    result = trace(g, 0, (x(1), x(1)))
-    assert result.status == "stuck" and result.position == 2 and result.vertex == 1
+    assert walk(g.out, 0, (x(1),)) == 1
+    assert walk(g.out, 0, (x(1), x(1))) is None
+    assert walk(g.out, 1, (x(1, -1), x(2), x(1))) is None
 
 
 def test_trace_coset_graph_relation(z2):
     g, _coset_of = coset_graph_oracle(z2, frozenset([0]))
-    assert trace(g, 0, (y(1), y(1))).closed
+    assert walk(g.out, 0, (y(1), y(1))) == 0
 
 
 def test_trace_rejects_an_unknown_start_vertex():
     g = build_graph([0, 1], [(0, 1, x(1))], 0)
     with pytest.raises(ValueError, match="^unknown vertex 7$"):
-        trace(g, 7, (x(1),))
+        walk(g.out, 7, (x(1),))
+    with pytest.raises(ValueError, match="^unknown vertex 7$"):
+        walk(g.out, 7, ())
 
 
-def test_trace_deterministic():
-    g = wedge_w4()
-    first = trace(g, 0, (x(1), x(2), x(1)))
-    assert all(trace(g, 0, (x(1), x(2), x(1))) == first for _ in range(3))
+def random_subgroup_graphs(tables, count, seed):
+    """Subgroup graphs of ``count`` seeded subgroups over each table, with
+    up to two separator paths: folded, based, with cyclic components of
+    both factors."""
+    rng = random.Random(seed)
+    built = []
+    for table in tables:
+        for _ in range(count):
+            words = [random_raw_word(rng, 2, table.num_generators, 10, 1)
+                     for _ in range(rng.randint(1, 4))]
+            separators = [random_raw_word(rng, 2, table.num_generators, 6, 1)
+                          for _ in range(rng.randint(0, 2))]
+            built.append(build_subgroup_graph(make_spec(table, words, separators)).graph)
+    return built
+
+
+def test_walk_matches_the_oracle_walker(z2, s3, d4):
+    """From the first six vertices of seeded subgroup graphs, every word
+    of up to three letters over the graph's letters and x3, which no
+    graph has, ends where the oracle's walk over the pairs ends, None
+    included."""
+    ends = stuck = 0
+    for g in random_subgroup_graphs((z2, s3, d4), 4, 31):
+        targets = slot_targets(g)
+        alphabet = sorted_letters(g) + [x(3), x(3, -1)]
+        for v in sorted(g.vertices)[:6]:
+            for length in range(4):
+                for word in product(alphabet, repeat=length):
+                    end = walk(g.out, v, word)
+                    assert end == walk_oracle(targets, v, word)
+                    ends += end not in (None, v)
+                    stuck += end is None
+    assert ends >= 1000 and stuck >= 1000
+
+
+def test_tree_walk_is_a_spanning_tree_and_its_non_tree_pairs(z2, s3, d4):
+    """On seeded subgroup graphs over Z/2, S_3 and D_4, the walk from the
+    base over every letter and from each component's least vertex over
+    its factor's letters: order and parent are the oracle's tree, which
+    has one pair fewer than its vertices, and the tree pairs and the
+    non-tree pairs are the pairs of what it reached, each once."""
+    walks = cyclic = 0
+    for g in random_subgroup_graphs((z2, s3, d4), 20, 47):
+        letters = sorted_letters(g)
+        starts = [(g.base, letters, g.pairs)]
+        for factor in ("x", "y"):
+            own = [letter for letter in letters if letter.factor == factor]
+            for members, _pairs, _anchor in bfs_components(g, factor):
+                root = min(members)
+                starts.append((root, own, {pair for pair in g.pairs
+                                           if pair[2].factor == factor and pair[0] in members}))
+        for root, own, pairs in starts:
+            order, parent, nontree = _tree_walk(g.out, root, own)
+            assert (order, parent) == bfs_tree(g, root, own)
+            tree = [canonical_pair(u, v, letter) for v, (u, letter) in parent.items()]
+            assert len(tree) == len(order) - 1
+            assert sorted(tree + nontree, key=graphs._pair_key) == sorted(pairs, key=graphs._pair_key)
+            assert all(letter.sign > 0 for _u, _w, letter in nontree)
+            walks += 1
+            cyclic += bool(nontree)
+    assert walks >= 300 and cyclic >= 150
 
 
 # -- components ---------------------------------------------------------------------
@@ -493,7 +558,7 @@ def test_spanning_tree_on_random_connected_graphs():
     for _ in range(100):
         g, _vmap = fold_pairs(random_wedge(rng))
         order, parent, tree = spanning_tree(g)
-        assert (order, parent) == breadth_first_tree(g, g.base, sorted_letters(g))
+        assert (order, parent) == _tree_walk(g.out, g.base, sorted_letters(g))[:2]
         assert len(tree) == len(g.vertices) - 1
         assert tree <= g.pairs
         assert is_connected(make_graph(g.vertices, tree, g.base))

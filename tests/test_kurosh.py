@@ -9,7 +9,7 @@ import pytest
 from altsep.cli import parse_problem
 from altsep.factors import subgroup_closure
 from altsep import kurosh
-from altsep.graphs import LabeledGraph, _pair_key, trace
+from altsep.graphs import LabeledGraph, _pair_key, walk
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import build_subgroup_graph, hypothesis_check
 from altsep.words import word_str, x_letter as x, y_letter as y
@@ -101,7 +101,7 @@ def test_anchor_normalization_and_disjoint_approach(s3):
         path_vertices = [graph.base]
         current = graph.base
         for letter in factor.approach:
-            current = graph.step(current, letter)
+            current = graph.out[current][letter]
             path_vertices.append(current)
         assert current == factor.anchor
         for vertex in path_vertices[:-1]:
@@ -138,16 +138,16 @@ def test_kurosh_rejects_a_disconnected_graph(z2):
 def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
     """A component that misreports a tree edge as a non-tree edge makes the
     pruned graph fall apart; that is a broken invariant, not bad input."""
-    real = kurosh._component_walk
+    real = kurosh._tree_walk
 
-    def losing_one_tree_edge(out, anchor, letters):
-        parent, nontree = real(out, anchor, letters)
+    def losing_one_tree_edge(out, root, letters):
+        order, parent, nontree = real(out, root, letters)
         tree = [canonical_pair(u, v, letter) for v, (u, letter) in parent.items()]
         if tree:
             nontree = nontree + [min(tree, key=_pair_key)]
-        return parent, nontree
+        return order, parent, nontree
 
-    monkeypatch.setattr(kurosh, "_component_walk", losing_one_tree_edge)
+    monkeypatch.setattr(kurosh, "_tree_walk", losing_one_tree_edge)
     graph = build_graph([0, 1], [(0, 1, x(1)), (0, 1, x(2))], 0)
     with pytest.raises(AssertionError, match="pruned graph must stay connected"):
         kurosh_decompose(graph, z2)
@@ -218,7 +218,7 @@ def test_verify_power_subgroup_and_ball(z2):
     members = {
         word_str(u)
         for u in iter_reduced_x_words(2, 4)
-        if trace(component, component.base, u).closed
+        if walk(component.out, component.base, u) == component.base
     }
     assert members == {"x1^2", "x1^-2", "x1^4", "x1^-4"}
 
@@ -267,7 +267,7 @@ def mutants(graph, table, decomposition, rng):
         if factor.approach:
             approaches.append(factor.approach[:-1])
         approaches = [word for word in approaches
-                      if trace(graph, graph.base, word).vertex != factor.anchor]
+                      if walk(graph.out, graph.base, word) != factor.anchor]
         if approaches:
             out.append(("approach off the anchor", mutant(approach=rng.choice(approaches))))
     out.append(("free rank plus one",

@@ -7,7 +7,7 @@ import pytest
 from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
-from altsep.graphs import _fold, components, trace
+from altsep.graphs import _fold, components, walk
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -76,7 +76,7 @@ def test_conjugated_pair_example(s3):
     assert built.separator_ends[0] != built.graph.base
     # generator loops close at the base
     for word in spec.subgroup_words:
-        assert trace(built.graph, built.graph.base, word).closed
+        assert walk(built.graph.out, built.graph.base, word) == built.graph.base
 
 
 def test_every_y_component_embeds(s3):
@@ -316,7 +316,7 @@ def test_membership_y_syllable_onto_an_absent_coset(s3):
     # and it holds the cosets 1, y1, y1*y2 of the six
     spec = make_spec(s3, subgroup_words=[(x(1), y(1), y(2), x(2)), (x(1), y(1), x(1))])
     graph = build_subgroup_graph(spec).graph
-    a = graph.step(graph.base, x(1))
+    a = graph.out[graph.base][x(1)]
     [(members, pairs)] = [(m, p) for m, p in components(graph, "y") if a in m]
     assert len(members) == 3 and pairs == 2
     tester = MembershipTester(graph, s3)
@@ -441,8 +441,8 @@ def test_contains_rejects_an_unknown_y_generator(s3):
     graph = build_subgroup_graph(make_spec(s3, [(y(1), x(1)), (y(2), x(2))])).graph
     tester = MembershipTester(graph, s3)
     reads_through = (y(1), x(1), y(2), x(2))
-    assert trace(graph, graph.base, reads_through).closed
-    assert trace(graph, graph.base, (x(2),)).status == "stuck"
+    assert walk(graph.out, graph.base, reads_through) == graph.base
+    assert walk(graph.out, graph.base, (x(2),)) is None
     # y3 as the first letter, after the first missing edge (x2 at the
     # base), and last after a word that reads through
     for word in [(y(3),), (y(1), x(1, -1), y(3, -1)), (x(2), y(3)), reads_through + (y(3),)]:
