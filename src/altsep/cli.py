@@ -538,6 +538,8 @@ def main(argv=None) -> int:
             raise ValueError("nothing to separate: no [separate] words")
         if args.max_prime > DEFAULT_MAX_PRIME:
             raise ValueError(f"--max-prime above {DEFAULT_MAX_PRIME}")
+        if args.emit_dot == "":
+            raise ValueError("--emit-dot needs a directory name, got ''")
         signs = None if args.sign_vector is None else _parse_sign_vector(args.sign_vector)
         if signs is not None and len(signs) != spec.free.rank:
             raise ValueError(
@@ -563,7 +565,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 4
 
-    if args.emit_dot:
+    if args.emit_dot is not None:
         directory = Path(args.emit_dot)
         try:
             directory.mkdir(parents=True, exist_ok=True)

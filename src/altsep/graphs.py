@@ -14,7 +14,8 @@ suite checks that against random fold orders.
 
 A graph is read in two ways besides its component sweep: ``walk``
 follows a word from a vertex, and ``_tree_walk`` grows a breadth-first
-spanning tree from a root and lists the pairs outside it.
+spanning tree from a root and lists the pairs outside it;
+``_root_path`` reads a vertex's word off that tree.
 """
 
 from __future__ import annotations
@@ -257,9 +258,14 @@ def component_graph(graph: LabeledGraph, vertices, factor: str, base: int) -> La
     """The component of ``factor`` on ``vertices`` (those of an entry of
     ``components``) as a graph based at ``base``: their slots of that
     factor."""
-    out = graph.out
-    return LabeledGraph({v: {letter: w for letter, w in out[v].items() if letter.factor == factor}
-                         for v in vertices}, base)
+    return LabeledGraph(_factor_slots(graph.out, vertices, factor), base)
+
+
+def _factor_slots(out, vertices, factor: str):
+    """The adjacency ``component_graph`` builds a graph on: each of
+    ``vertices`` with its slots of ``factor`` in ``out``."""
+    return {v: {letter: w for letter, w in out[v].items() if letter.factor == factor}
+            for v in vertices}
 
 
 def _tree_walk(out, root, letters):
@@ -291,11 +297,21 @@ def _tree_walk(out, root, letters):
     return order, parent, nontree
 
 
-def tree_path_word(parent, vertex):
+def _root_path(parent, paths, vertex):
     """Word along the tree edges of ``_tree_walk``'s parent map from the
-    root to ``vertex``."""
-    letters = []
-    while vertex in parent:
-        vertex, letter = parent[vertex]
-        letters.append(letter)
-    return tuple(reversed(letters))
+    root to ``vertex``, kept in ``paths`` (vertex -> word, holding the
+    root's empty word).  The climb stops at the nearest vertex whose word
+    is kept, and only ``vertex``'s word is added, so a call costs
+    O(depth) and a word once kept costs one lookup: the root paths of a
+    long cycle are never all built.  Private, so that a tracer records no
+    span per call."""
+    path = paths.get(vertex)
+    if path is None:
+        letters = []
+        v = vertex
+        while v not in paths:
+            v, letter = parent[v]
+            letters.append(letter)
+        letters.reverse()
+        path = paths[vertex] = paths[v] + tuple(letters)
+    return path

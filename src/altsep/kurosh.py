@@ -7,23 +7,29 @@ anchor.  Removing each such component's non-tree edges leaves a graph
 whose loop subgroup is free; its rank is the number of edge pairs outside
 a spanning tree.  Every tree, the approach paths' and each factor's, is
 grown by the one breadth-first walk ``graphs._tree_walk``, which lists
-the pairs outside it too.  ``check_decomposition`` checks a
-decomposition exactly: the generators it names generate the subgroup,
-and each factor is the component at the end of its approach path.
+the pairs outside it too.  A cycle inside one component cannot lie in
+the spanning tree of the whole graph, so each component with a cycle
+holds a pair outside that tree: the whole-graph walk's own list of those
+pairs leads to every factor, and no component sweep runs.
+``check_decomposition`` checks a decomposition exactly: the generators
+it names generate the subgroup, and each factor is the component at the
+end of its approach path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .factors import FiniteGroupTable, component_cosets, subgroup_closure
 from .graphs import (
     LabeledGraph,
+    _factor_slots,
     _pair_key,
+    _root_path,
     _tree_walk,
     component_graph,
     components,
-    tree_path_word,
     walk,
 )
 from .subgroups import MembershipTester, build_subgroup_graph
@@ -33,14 +39,18 @@ from .words import Word, word_inverse
 @dataclass(frozen=True)
 class KuroshFactor:
     approach: Word
-    component: LabeledGraph  # based at its anchor
     factor: str  # 'x' or 'y'
     loop_words: tuple
     subgroup: frozenset | None  # element set, finite factor only
+    anchor: int
+    vertices: tuple  # the component's, breadth-first from the anchor
+    graph: LabeledGraph = field(repr=False, compare=False)  # the graph it is a component of
 
-    @property
-    def anchor(self) -> int:
-        return self.component.base
+    @cached_property
+    def component(self) -> LabeledGraph:
+        """The factor's component of ``graph``, based at its anchor: built
+        on its first read, once."""
+        return component_graph(self.graph, self.vertices, self.factor, self.anchor)
 
 
 @dataclass(frozen=True)
@@ -55,46 +65,73 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
 
     Deterministic choices: breadth-first approach paths and spanning trees
     with letters ordered x-first, ascending index, positive sign first;
-    the anchor of a component is the base point if the component contains
-    it, else the component vertex discovered first (which makes the
-    approach path meet the component only at the anchor).
+    the anchor of a component is the component vertex discovered first by
+    the whole-graph walk (the base point if the component holds it), which
+    makes the approach path meet the component only at the anchor.
+    Factors come in their anchors' discovery order, the x-factor first
+    where one vertex anchors two.
 
     All is read off the adjacency.  One ``graphs._tree_walk`` over the
-    whole graph gives the approach paths.  Each component with a cycle
-    (by ``graphs.components``' pair counts) is ``graphs.component_graph``
-    based at its anchor, and a ``_tree_walk`` from the anchor over the
-    factor's letters gives its spanning tree and non-tree pairs.
-    ``delta`` is the adjacency less the non-tree pairs' slots, a vertex's
-    slots copied on their first removal; a breadth-first pass over its
-    slots checks that it is connected, and its free rank is read off the
-    slot counts.
+    whole graph gives the approach paths and the pairs outside its tree.
+    A monochromatic component with a cycle cannot lie inside that
+    spanning tree, so it holds one of those pairs.  For each such pair
+    whose source no component of its factor walked so far holds, a
+    ``_tree_walk`` over the factor's letters gives the component's
+    vertices, and the component has a cycle when that walk meets a
+    non-tree pair.  The walk starts where the whole-graph tree's edges of
+    the factor lead from the source towards the root; that is most often
+    the anchor, and a component with a cycle whose walk started elsewhere
+    is walked again from its anchor, for the spanning tree its loop words
+    are read from.  A loop word is a non-tree pair between the root paths
+    of its ends (``graphs._root_path``, each kept once built, so a long
+    cycle costs its one loop word and not a path per vertex).  A factor
+    keeps its anchor and vertices and builds its component graph only
+    when read.  ``delta`` is the adjacency less the non-tree pairs' slots,
+    a vertex's slots copied on their first removal; a breadth-first pass
+    over its slots checks that it is connected, and its free rank is read
+    off the slot counts.
     """
     out = graph.out
     # each factor's letters present in the graph (both signs), in sort-key order
     letters = {"x": [], "y": []}
     for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
         letters[letter.factor].append(letter)
-    order, parent, _nontree = _tree_walk(out, graph.base, letters["x"] + letters["y"])
+    order, parent, nontree = _tree_walk(out, graph.base, letters["x"] + letters["y"])
     if len(order) != len(graph.vertices):
         raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
 
-    # (anchor, vertices, factor), in the anchors' discovery order
-    cyclic = [(min(members, key=discovery.__getitem__), members, factor)
-              for factor in ("x", "y") for members, pairs in components(graph, factor)
-              if pairs >= len(members)]
-    cyclic.sort(key=lambda item: discovery[item[0]])
+    # (anchor's discovery, factor, anchor, its walk) per component with a cycle
+    cyclic = []
+    walked = {"x": set(), "y": set()}  # the vertices of the components walked so far
+    for start, _target, letter in nontree:
+        factor = letter.factor
+        if start in walked[factor]:
+            continue
+        # the tree's edges of the factor stay in the component, and
+        # climbing them mostly ends at the anchor, so one walk serves
+        # (5,017 of the 5,026 cyclic components of decompose_problems(1..3))
+        while start in parent and parent[start][1].factor == factor:
+            start = parent[start][0]
+        tree = _tree_walk(out, start, letters[factor])
+        walked[factor].update(tree[0])
+        if tree[2]:  # a pair outside the component's tree: a cycle
+            anchor = min(tree[0], key=discovery.__getitem__)
+            if anchor != start:
+                tree = _tree_walk(out, anchor, letters[factor])
+            cyclic.append((discovery[anchor], factor, anchor, tree))
+    cyclic.sort(key=lambda item: item[:2])
 
     factors = []
     pruned = dict(out)
     copied = set()
-    for anchor, members, factor in cyclic:
-        approach = tree_path_word(parent, anchor)
-        _order, cparent, nontree = _tree_walk(out, anchor, letters[factor])
+    approaches = {graph.base: ()}
+    for _discovered, factor, anchor, (members, cparent, cnontree) in cyclic:
+        paths = {anchor: ()}
         loop_words = []
-        for u, w, letter in sorted(nontree, key=_pair_key):
-            to_u, to_w = tree_path_word(cparent, u), tree_path_word(cparent, w)
-            loop_words.append(to_u + (letter,) + word_inverse(to_w))
+        for u, w, letter in sorted(cnontree, key=_pair_key):
+            loop_words.append(_root_path(cparent, paths, u) + (letter,)
+                              + word_inverse(_root_path(cparent, paths, w)))
             for v, slot in ((u, letter), (w, letter.inverse())):
                 if v not in copied:
                     copied.add(v)
@@ -103,8 +140,8 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
-        component = component_graph(graph, members, factor, anchor)
-        factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
+        factors.append(KuroshFactor(_root_path(parent, approaches, anchor), factor,
+                                    tuple(loop_words), subgroup, anchor, tuple(members), graph))
 
     reached = [graph.base]
     seen = {graph.base}
@@ -132,7 +169,10 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     - (a) every element of S' traces a closed path at the base: <S'> <= H;
     - (b) every h_i is a member of ``build_subgroup_graph`` of S': H <= <S'>;
     - (c) each factor's approach ends at its anchor, its component is the
-      graph's component of its factor at the anchor, its loop words close
+      graph's component of its factor at the anchor (the factor's graph,
+      built on this read and based at the anchor, has the graph's slots
+      of the factor at the sweep's vertices; no second graph is built
+      unless it differs), its loop words close
       at the anchor inside it, and its subgroup is the component's loop
       subgroup read from the anchor (``factors.component_cosets``) for a
       y-factor, None for an x-factor;
@@ -178,9 +218,11 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
         if vertices is None:
             faults.append(f"{name}: no {factor.factor}-component of the graph holds the anchor")
             continue
-        component = component_graph(graph, vertices, factor.factor, anchor)
-        if factor.component != component:
+        slots = _factor_slots(graph.out, vertices, factor.factor)
+        component = factor.component  # built on its first read, once
+        if component.out != slots:
             faults.append(f"{name}: not the graph's {factor.factor}-component at the anchor")
+            component = LabeledGraph(slots, anchor)
         if not _keeps_spanning_tree(component, kept):  # (e)
             faults.append(f"{name}: delta does not keep a spanning tree of the component")
         for j, word in enumerate(factor.loop_words, start=1):
@@ -203,8 +245,10 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
 
     letters = sorted(set().union(*delta.out.values()), key=lambda l: l.sort_key)
     _order, parent, nontree = _tree_walk(delta.out, delta.base, letters)
+    paths = {delta.base: ()}
     for j, (u, w, letter) in enumerate(nontree, start=1):
-        word = tree_path_word(parent, u) + (letter,) + word_inverse(tree_path_word(parent, w))
+        word = (_root_path(parent, paths, u) + (letter,)
+                + word_inverse(_root_path(parent, paths, w)))
         generators.append((f"delta basis word {j}", word))
 
     for label, word in generators:  # (a)

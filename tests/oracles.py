@@ -977,13 +977,30 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
-        factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
+        factors.append(KuroshFactor(approach, factor, tuple(loop_words), subgroup,
+                                    anchor, members, graph))
 
     delta = make_graph(graph.vertices, graph.pairs - frozenset(removed), graph.base)
     if not is_connected(delta):
         raise AssertionError("pruned graph must stay connected")
     free_rank = len(delta.pairs) - len(delta.vertices) + 1
     return KuroshDecomposition(tuple(factors), free_rank, delta)
+
+
+def assert_same_decomposition(got, expected):
+    """Approach and loop words, each component's vertices, pairs and
+    base, the finite subgroups, the free rank, and delta's vertices and
+    pairs."""
+    assert len(got.factors) == len(expected.factors)
+    for mine, theirs in zip(got.factors, expected.factors):
+        assert (mine.approach, mine.loop_words) == (theirs.approach, theirs.loop_words)
+        assert (mine.factor, mine.subgroup) == (theirs.factor, theirs.subgroup)
+        assert mine.component.vertices == theirs.component.vertices
+        assert mine.component.pairs == theirs.component.pairs
+        assert mine.component.base == theirs.component.base
+    assert got.free_rank == expected.free_rank
+    assert got.delta.vertices == expected.delta.vertices
+    assert got.delta.pairs == expected.delta.pairs
 
 
 def intersection_ball_oracle(graph: LabeledGraph, table, rank, decomposition, radius):

@@ -810,6 +810,20 @@ def test_main_refuses_an_empty_sign_vector(tmp_path, capsys):
         assert captured.err == "altsep: error: bad sign '' (want +1 or -1)\n"
 
 
+def test_main_refuses_an_empty_dot_directory(tmp_path, capsys, monkeypatch):
+    """An empty --emit-dot directory name, in either spelling of the flag,
+    is bad input: one error line, nothing on stdout and no file written,
+    not a run that writes no DOT file and exits 0."""
+    path = write(tmp_path, "demo.txt", DEMO)
+    monkeypatch.chdir(tmp_path)
+    for flag in (["--emit-dot", ""], ["--emit-dot="]):
+        assert main(["separate", path, *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "altsep: error: --emit-dot needs a directory name, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.txt"]
+
+
 def test_main_takes_a_sign_vector_that_starts_with_minus_one(tmp_path, capsys):
     """argparse would read a separate "-1,+1" as an option; both spellings
     of the flag, and of its abbreviations, give the same certificate."""

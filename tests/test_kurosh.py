@@ -9,13 +9,14 @@ import pytest
 from altsep.cli import parse_problem
 from altsep.factors import subgroup_closure
 from altsep import kurosh
-from altsep.graphs import LabeledGraph, _pair_key, walk
+from altsep.graphs import LabeledGraph, _pair_key, components, walk
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import build_subgroup_graph, hypothesis_check
 from altsep.words import word_str, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
+    assert_same_decomposition,
     build_graph,
     canonical_pair,
     intersection_ball_oracle,
@@ -153,22 +154,6 @@ def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
         kurosh_decompose(graph, z2)
 
 
-def assert_same_decomposition(got, expected):
-    """Approach and loop words, each component's vertices, pairs and
-    base, the finite subgroups, the free rank, and delta's vertices and
-    pairs."""
-    assert len(got.factors) == len(expected.factors)
-    for mine, theirs in zip(got.factors, expected.factors):
-        assert (mine.approach, mine.loop_words) == (theirs.approach, theirs.loop_words)
-        assert (mine.factor, mine.subgroup) == (theirs.factor, theirs.subgroup)
-        assert mine.component.vertices == theirs.component.vertices
-        assert mine.component.pairs == theirs.component.pairs
-        assert mine.component.base == theirs.component.base
-    assert got.free_rank == expected.free_rank
-    assert got.delta.vertices == expected.delta.vertices
-    assert got.delta.pairs == expected.delta.pairs
-
-
 def test_decomposition_matches_the_pair_set_oracle(z2, s3, d4, a4):
     """On 220 seeded subgroup graphs the decomposition read off the
     adjacency is the one built through pair sets, and the graph's
@@ -203,6 +188,77 @@ def test_decompose_builds_no_pair_set_of_the_subgroup_graph(s3):
         decomposition = kurosh_decompose(graph, spec.finite)
         assert graph._pairs is None
         assert_same_decomposition(decomposition, kurosh_oracle(graph, spec.finite))
+
+
+def test_cyclic_components_come_from_the_whole_graph_walk(z2, s3, d4, a4):
+    """On 200 seeded subgroup graphs the factors' components are the
+    entries of ``components`` with at least as many pairs as vertices,
+    each once, though no component sweep runs; and the factors come in
+    the pair-set oracle's order: by the anchors' discovery, the x-factor
+    first where one vertex anchors two.  Ordering by discovery alone
+    puts a y-factor first wherever its pair outside the whole-graph tree
+    comes first, which fails here."""
+    rng = random.Random(31)
+    x_factors = nontrivial = shared = 0
+    for table in (z2, s3, d4, a4):
+        for _ in range(50):
+            words = [random_raw_word(rng, 2, table.num_generators, 12, 1)
+                     for _ in range(rng.randint(1, 4))]
+            graph = build_subgroup_graph(make_spec(table, words)).graph
+            decomposition = kurosh_decompose(graph, table)
+            found = [(f.factor, frozenset(f.vertices)) for f in decomposition.factors]
+            cyclic = {(factor, frozenset(members)) for factor in ("x", "y")
+                      for members, pairs in components(graph, factor) if pairs >= len(members)}
+            assert len(found) == len(set(found)) and set(found) == cyclic
+            assert ([(f.factor, f.anchor) for f in decomposition.factors]
+                    == [(f.factor, f.anchor) for f in kurosh_oracle(graph, table).factors])
+            x_factors += sum(f.factor == "x" for f in decomposition.factors)
+            nontrivial += sum(f.factor == "y" and len(f.subgroup) > 1
+                              for f in decomposition.factors)
+            anchored = collections.defaultdict(set)
+            for f in decomposition.factors:
+                anchored[f.anchor].add(f.factor)
+            shared += sum(kinds == {"x", "y"} for kinds in anchored.values())
+    assert x_factors >= 50 and nontrivial >= 30 and shared >= 20
+
+
+def test_factor_graphs_are_built_when_read(s3, monkeypatch):
+    """``kurosh_decompose`` builds no factor's graph: no ``component_graph``
+    call, and no ``LabeledGraph`` but delta.  ``check_decomposition``
+    builds each factor's graph once, on its first read, and a later read
+    gets that same graph back."""
+    built = []
+    graphs = []
+    real_component_graph, real_labeled_graph = kurosh.component_graph, kurosh.LabeledGraph
+
+    def counting_component_graph(graph, vertices, factor, base):
+        built.append((factor, base))
+        return real_component_graph(graph, vertices, factor, base)
+
+    def counting_labeled_graph(out, base):
+        graphs.append(base)
+        return real_labeled_graph(out, base)
+
+    specs = [parse_problem(path.read_text()) for path in PROBLEMS]
+    specs.append(make_spec(s3, decompose_sized_words(s3)))
+    factors = 0
+    for spec in specs:
+        graph = build_subgroup_graph(spec).graph
+        monkeypatch.setattr(kurosh, "component_graph", counting_component_graph)
+        monkeypatch.setattr(kurosh, "LabeledGraph", counting_labeled_graph)
+        decomposition = kurosh_decompose(graph, spec.finite)
+        monkeypatch.setattr(kurosh, "LabeledGraph", real_labeled_graph)
+        assert built == [] and graphs == [graph.base]
+        assert graph._pairs is None
+        assert check_decomposition(spec, graph, decomposition) == []
+        assert all(f.component is f.component for f in decomposition.factors)
+        named = [(f.factor, f.anchor) for f in decomposition.factors]
+        assert built == named
+        monkeypatch.setattr(kurosh, "component_graph", real_component_graph)
+        factors += len(named)
+        built.clear()
+        graphs.clear()
+    assert factors >= 50
 
 
 # -- the exact check --------------------------------------------------------------
@@ -403,8 +459,8 @@ def test_check_names_each_fault(z2):
         "delta is not the graph less one pair for each of 2 loop words",
     ]
     # a component that is not the graph's, and a loop word that leaves it
-    stray = dataclasses.replace(first, component=LabeledGraph({first.anchor: {}}, first.anchor),
-                                loop_words=((x(2),),))
+    stray = dataclasses.replace(first, graph=LabeledGraph({first.anchor: {}}, first.anchor),
+                                vertices=(first.anchor,), loop_words=((x(2),),))
     wrong = dataclasses.replace(decomposition, factors=(stray, second, third))
     assert check_decomposition(spec, graph, wrong) == [
         "factor 1: not the graph's x-component at the anchor",

@@ -7,10 +7,15 @@ two full Schreier-Sims chains per certificate, the degree-61 run alone
 took over a minute.  The decompose-sized subgroup graph (about 950
 vertices, 0.05 s) has a bound of 5 s, and so has the exact check of its
 decomposition (0.02 s); the first coset round of its fixpoint is pinned
-to the y-components the first fold touched.  Membership on that graph reads a
-100,000-letter member in 0.011 s and ten 10,000-letter non-members in
-0.07 s; their bounds of 0.15 s and 1 s catch a reader that normalizes or
-slices the rest of a word once per letter.  With recognition stubbed,
+to the y-components the first fold touched.  Membership on that graph
+reads a 100,000-letter member in 0.011 s and ten 10,000-letter
+non-members in 0.07 s; their bounds of 0.15 s and 1 s catch a reader
+that normalizes or slices the rest of a word once per letter.  The
+Kurosh rung, about 2,900 vertices with x-factors and nontrivial finite
+factors, decomposes in 0.005 s (bound 1 s); a 10,001-vertex x-cycle
+decomposes in 0.2 s (bound 3 s) and peaks at about 5 MB of traced
+memory (bound 40 MB), where a root path kept per vertex would take
+about 200 MB.  With recognition stubbed,
 the cover layer builds a degree-8,317 cover in 0.16 s (0.65 s while it
 re-checked the whole cover for foldedness at every stage), under a bound
 of 2 s.  160 y-components whose loop subgroup is all of S_8 get their
@@ -25,6 +30,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,7 +45,7 @@ from altsep.subgroups import MembershipTester, build_subgroup_graph, hypothesis_
 from altsep.words import word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec, s8_leaf_problem
-from oracles import random_raw_word
+from oracles import assert_same_decomposition, kurosh_oracle, random_raw_word
 
 
 def symmetric_factor_problem(n):
@@ -137,6 +143,58 @@ def test_decomposition_check_on_the_decompose_sized_subgroup_within_time_bound(s
     elapsed = time.monotonic() - started
     assert faults == []
     assert elapsed < 5, f"took {elapsed:.2f} s, bound 5 s"
+
+
+def kurosh_rung_words(s3):
+    """Sixty seeded conjugates a c a^-1 in F_2 * S_3, each a of 60 letters:
+    c is a random 3-8-letter x-word for odd i, whose cycle makes an
+    x-factor, and a generator of S_3 for even i, whose loop makes a
+    y-factor with K != 1."""
+    rng = random.Random(5)
+    words = []
+    for i in range(60):
+        a = random_raw_word(rng, 2, s3.num_generators, 60, 60)
+        c = random_raw_word(rng, 2, 0, 8, 3) if i % 2 else (y(rng.randint(1, 2)),)
+        words.append(a + c + word_inverse(a))
+    return words
+
+
+def test_kurosh_rung_with_x_factors_and_nontrivial_loop_subgroups(s3):
+    """A subgroup graph of about 2,900 vertices whose x-components have
+    cycles and whose y-components have nontrivial loop subgroups, which
+    the decompose-sized subgroup has none of: its decomposition is the
+    pair-set oracle's."""
+    graph = build_subgroup_graph(make_spec(s3, kurosh_rung_words(s3))).graph
+    started = time.monotonic()
+    decomposition = kurosh_decompose(graph, s3)
+    elapsed = time.monotonic() - started
+    assert len(graph.vertices) > 2500
+    assert sum(f.factor == "x" for f in decomposition.factors) >= 25
+    assert sum(f.factor == "y" and len(f.subgroup) > 1 for f in decomposition.factors) >= 25
+    assert_same_decomposition(decomposition, kurosh_oracle(graph, s3))
+    assert elapsed < 1, f"took {elapsed:.2f} s, bound 1 s"
+
+
+def test_loop_word_of_a_long_x_cycle_in_linear_memory(s3):
+    """x1^10000 x2 makes one x-cycle of 10,001 vertices and one loop word
+    of 10,001 letters.  Only the two ends of its one non-tree pair get a
+    root path, so the decomposition peaks at about 5 MB; a root path kept
+    for every vertex of the cycle would hold 25 million letters, over
+    200 MB."""
+    graph = build_subgroup_graph(make_spec(s3, [(x(1),) * 10000 + (x(2),)])).graph
+    tracemalloc.start()
+    try:
+        started = time.monotonic()
+        decomposition = kurosh_decompose(graph, s3)
+        elapsed = time.monotonic() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (factor,) = decomposition.factors
+    assert len(factor.loop_words) == 1 and len(factor.loop_words[0]) == 10001
+    assert_same_decomposition(decomposition, kurosh_oracle(graph, s3))
+    assert peak < 40 * 2 ** 20, f"peaked at {peak / 2 ** 20:.0f} MB, bound 40 MB"
+    assert elapsed < 3, f"took {elapsed:.2f} s, bound 3 s"
 
 
 def test_membership_on_the_decompose_sized_subgroup_within_time_bound(s3):
