@@ -258,14 +258,9 @@ def component_graph(graph: LabeledGraph, vertices, factor: str, base: int) -> La
     """The component of ``factor`` on ``vertices`` (those of an entry of
     ``components``) as a graph based at ``base``: their slots of that
     factor."""
-    return LabeledGraph(_factor_slots(graph.out, vertices, factor), base)
-
-
-def _factor_slots(out, vertices, factor: str):
-    """The adjacency ``component_graph`` builds a graph on: each of
-    ``vertices`` with its slots of ``factor`` in ``out``."""
-    return {v: {letter: w for letter, w in out[v].items() if letter.factor == factor}
-            for v in vertices}
+    out = graph.out
+    return LabeledGraph({v: {letter: w for letter, w in out[v].items() if letter.factor == factor}
+                         for v in vertices}, base)
 
 
 def _tree_walk(out, root, letters):

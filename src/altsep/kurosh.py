@@ -18,13 +18,11 @@ end of its approach path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 from .factors import FiniteGroupTable, component_cosets, subgroup_closure
 from .graphs import (
     LabeledGraph,
-    _factor_slots,
     _pair_key,
     _root_path,
     _tree_walk,
@@ -39,18 +37,14 @@ from .words import Word, word_inverse
 @dataclass(frozen=True)
 class KuroshFactor:
     approach: Word
+    component: LabeledGraph  # based at its anchor
     factor: str  # 'x' or 'y'
     loop_words: tuple
     subgroup: frozenset | None  # element set, finite factor only
-    anchor: int
-    vertices: tuple  # the component's, breadth-first from the anchor
-    graph: LabeledGraph = field(repr=False, compare=False)  # the graph it is a component of
 
-    @cached_property
-    def component(self) -> LabeledGraph:
-        """The factor's component of ``graph``, based at its anchor: built
-        on its first read, once."""
-        return component_graph(self.graph, self.vertices, self.factor, self.anchor)
+    @property
+    def anchor(self) -> int:
+        return self.component.base
 
 
 @dataclass(frozen=True)
@@ -84,12 +78,12 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     is walked again from its anchor, for the spanning tree its loop words
     are read from.  A loop word is a non-tree pair between the root paths
     of its ends (``graphs._root_path``, each kept once built, so a long
-    cycle costs its one loop word and not a path per vertex).  A factor
-    keeps its anchor and vertices and builds its component graph only
-    when read.  ``delta`` is the adjacency less the non-tree pairs' slots,
-    a vertex's slots copied on their first removal; a breadth-first pass
-    over its slots checks that it is connected, and its free rank is read
-    off the slot counts.
+    cycle costs its one loop word and not a path per vertex).  Each
+    factor's component is ``graphs.component_graph`` on the vertices of
+    its walk, based at its anchor.  ``delta`` is the adjacency less the
+    non-tree pairs' slots, a vertex's slots copied on their first
+    removal; a breadth-first pass over its slots checks that it is
+    connected, and its free rank is read off the slot counts.
     """
     out = graph.out
     # each factor's letters present in the graph (both signs), in sort-key order
@@ -140,8 +134,9 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
-        factors.append(KuroshFactor(_root_path(parent, approaches, anchor), factor,
-                                    tuple(loop_words), subgroup, anchor, tuple(members), graph))
+        component = component_graph(graph, members, factor, anchor)
+        factors.append(KuroshFactor(_root_path(parent, approaches, anchor), component, factor,
+                                    tuple(loop_words), subgroup))
 
     reached = [graph.base]
     seen = {graph.base}
@@ -169,10 +164,7 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     - (a) every element of S' traces a closed path at the base: <S'> <= H;
     - (b) every h_i is a member of ``build_subgroup_graph`` of S': H <= <S'>;
     - (c) each factor's approach ends at its anchor, its component is the
-      graph's component of its factor at the anchor (the factor's graph,
-      built on this read and based at the anchor, has the graph's slots
-      of the factor at the sweep's vertices; no second graph is built
-      unless it differs), its loop words close
+      graph's component of its factor at the anchor, its loop words close
       at the anchor inside it, and its subgroup is the component's loop
       subgroup read from the anchor (``factors.component_cosets``) for a
       y-factor, None for an x-factor;
@@ -218,11 +210,9 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
         if vertices is None:
             faults.append(f"{name}: no {factor.factor}-component of the graph holds the anchor")
             continue
-        slots = _factor_slots(graph.out, vertices, factor.factor)
-        component = factor.component  # built on its first read, once
-        if component.out != slots:
+        component = component_graph(graph, vertices, factor.factor, anchor)
+        if factor.component != component:
             faults.append(f"{name}: not the graph's {factor.factor}-component at the anchor")
-            component = LabeledGraph(slots, anchor)
         if not _keeps_spanning_tree(component, kept):  # (e)
             faults.append(f"{name}: delta does not keep a spanning tree of the component")
         for j, word in enumerate(factor.loop_words, start=1):

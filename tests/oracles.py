@@ -977,8 +977,7 @@ def kurosh_oracle(graph: LabeledGraph, table) -> KuroshDecomposition:
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
-        factors.append(KuroshFactor(approach, factor, tuple(loop_words), subgroup,
-                                    anchor, members, graph))
+        factors.append(KuroshFactor(approach, component, factor, tuple(loop_words), subgroup))
 
     delta = make_graph(graph.vertices, graph.pairs - frozenset(removed), graph.base)
     if not is_connected(delta):

@@ -206,7 +206,7 @@ def test_cyclic_components_come_from_the_whole_graph_walk(z2, s3, d4, a4):
                      for _ in range(rng.randint(1, 4))]
             graph = build_subgroup_graph(make_spec(table, words)).graph
             decomposition = kurosh_decompose(graph, table)
-            found = [(f.factor, frozenset(f.vertices)) for f in decomposition.factors]
+            found = [(f.factor, f.component.vertices) for f in decomposition.factors]
             cyclic = {(factor, frozenset(members)) for factor in ("x", "y")
                       for members, pairs in components(graph, factor) if pairs >= len(members)}
             assert len(found) == len(set(found)) and set(found) == cyclic
@@ -222,42 +222,30 @@ def test_cyclic_components_come_from_the_whole_graph_walk(z2, s3, d4, a4):
     assert x_factors >= 50 and nontrivial >= 30 and shared >= 20
 
 
-def test_factor_graphs_are_built_when_read(s3, monkeypatch):
-    """``kurosh_decompose`` builds no factor's graph: no ``component_graph``
-    call, and no ``LabeledGraph`` but delta.  ``check_decomposition``
-    builds each factor's graph once, on its first read, and a later read
-    gets that same graph back."""
+def test_one_component_graph_per_factor(s3, monkeypatch):
+    """``kurosh_decompose`` builds each factor's graph once, and
+    ``check_decomposition`` builds one more per factor to compare it
+    with."""
     built = []
-    graphs = []
-    real_component_graph, real_labeled_graph = kurosh.component_graph, kurosh.LabeledGraph
+    real_component_graph = kurosh.component_graph
 
     def counting_component_graph(graph, vertices, factor, base):
         built.append((factor, base))
         return real_component_graph(graph, vertices, factor, base)
 
-    def counting_labeled_graph(out, base):
-        graphs.append(base)
-        return real_labeled_graph(out, base)
-
+    monkeypatch.setattr(kurosh, "component_graph", counting_component_graph)
     specs = [parse_problem(path.read_text()) for path in PROBLEMS]
     specs.append(make_spec(s3, decompose_sized_words(s3)))
     factors = 0
     for spec in specs:
         graph = build_subgroup_graph(spec).graph
-        monkeypatch.setattr(kurosh, "component_graph", counting_component_graph)
-        monkeypatch.setattr(kurosh, "LabeledGraph", counting_labeled_graph)
         decomposition = kurosh_decompose(graph, spec.finite)
-        monkeypatch.setattr(kurosh, "LabeledGraph", real_labeled_graph)
-        assert built == [] and graphs == [graph.base]
-        assert graph._pairs is None
-        assert check_decomposition(spec, graph, decomposition) == []
-        assert all(f.component is f.component for f in decomposition.factors)
         named = [(f.factor, f.anchor) for f in decomposition.factors]
         assert built == named
-        monkeypatch.setattr(kurosh, "component_graph", real_component_graph)
+        assert check_decomposition(spec, graph, decomposition) == []
+        assert built == named + named
         factors += len(named)
         built.clear()
-        graphs.clear()
     assert factors >= 50
 
 
@@ -459,8 +447,8 @@ def test_check_names_each_fault(z2):
         "delta is not the graph less one pair for each of 2 loop words",
     ]
     # a component that is not the graph's, and a loop word that leaves it
-    stray = dataclasses.replace(first, graph=LabeledGraph({first.anchor: {}}, first.anchor),
-                                vertices=(first.anchor,), loop_words=((x(2),),))
+    stray = dataclasses.replace(first, component=LabeledGraph({first.anchor: {}}, first.anchor),
+                                loop_words=((x(2),),))
     wrong = dataclasses.replace(decomposition, factors=(stray, second, third))
     assert check_decomposition(spec, graph, wrong) == [
         "factor 1: not the graph's x-component at the anchor",
