@@ -223,7 +223,8 @@ def build_separating_cover(
     if len(signs) != rank:
         raise ValueError(f"sign vector must have length {rank}")
 
-    # Step 1: host component; the verdict's sweep is cached on the graph.
+    # Step 1: host component.  The sweep also lists the x-components that
+    # step 2 completes.
     xcomps = components(graph, "x")
     if verdict.kind == VERDICT_DEFICIENT:
         host_vertices = verdict.witness.vertices

@@ -16,12 +16,18 @@ A graph is read in two ways besides its component sweep: ``walk``
 follows a word from a vertex, and ``_tree_walk`` grows a breadth-first
 spanning tree from a root and lists the pairs outside it;
 ``_root_path`` reads a vertex's word off that tree.
+``whole_graph_walk`` runs ``_tree_walk`` over the whole graph and over
+each monochromatic component with a cycle, which the pairs outside the
+whole-graph tree lead to; the eligibility verdict and the Kurosh
+decomposition both read it.  A graph keeps, once read, its pairs, its
+component sweeps and its whole-graph walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError
+from typing import NamedTuple
 
 
 def _pair_key(pair):
@@ -38,7 +44,7 @@ class LabeledGraph:
     ``out`` as read-only too, since ``fold`` shares the slot dicts of
     unchanged vertices."""
 
-    __slots__ = ("out", "base", "vertices", "_pairs", "_components")
+    __slots__ = ("out", "base", "vertices", "_pairs", "_components", "_walk")
 
     def __init__(self, out, base):
         init = object.__setattr__  # one call per slot: a Kurosh pass builds a graph per factor
@@ -47,6 +53,7 @@ class LabeledGraph:
         init(self, "vertices", frozenset(out))
         init(self, "_pairs", None)
         init(self, "_components", {})
+        init(self, "_walk", None)
 
     def __setattr__(self, name, *value):
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -310,3 +317,106 @@ def _root_path(parent, paths, vertex):
         letters.reverse()
         path = paths[vertex] = paths[v] + tuple(letters)
     return path
+
+
+class CyclicComponent(NamedTuple):
+    """A monochromatic component with a cycle, as ``whole_graph_walk``
+    finds it: its factor, its anchor (the vertex of it that the
+    whole-graph walk discovered first), and ``_tree_walk`` over the
+    factor's letters from the anchor: its vertices in discovery order,
+    its spanning tree's parent map and its pairs outside that tree, at
+    least one.  It has len(vertices) - 1 + len(nontree) pairs."""
+
+    factor: str
+    anchor: int
+    vertices: list
+    parent: dict
+    nontree: list
+
+
+class WholeGraphWalk(NamedTuple):
+    """``whole_graph_walk``'s result: the walk's roots (the base, then
+    each vertex the earlier roots' walks did not reach, ascending; one
+    root exactly when the graph is connected), its spanning forest's
+    parent map, as ``_tree_walk`` gives it, and the monochromatic
+    components with a cycle in their anchors' discovery order, the
+    x-component first where one vertex anchors two."""
+
+    roots: tuple
+    parent: dict
+    cyclic: tuple
+
+
+def whole_graph_walk(graph: LabeledGraph) -> WholeGraphWalk:
+    """One breadth-first walk over every vertex and both factors'
+    letters, and the monochromatic components with a cycle that its
+    pairs outside the tree lead to.  Letters are followed x-first,
+    ascending index, positive sign first.
+
+    A component with a cycle cannot lie inside the walk's spanning
+    forest, so it holds one of the forest's non-tree pairs.  For each
+    such pair whose source no component of its factor walked so far
+    holds, a ``_tree_walk`` over the factor's letters gives the
+    component's vertices, and the component has a cycle when that walk
+    meets a non-tree pair.  The walk starts where the forest's edges of
+    the factor lead from the source towards the root; that is most often
+    the anchor, and a component with a cycle whose walk started elsewhere
+    is walked again from its anchor, so that its tree is grown from
+    there.  A component without a cycle is walked only when it holds a
+    pair outside the forest, and is not kept.
+
+    Cost: O(|V| * r) in all (a component is walked at most twice, and the
+    components of a factor are disjoint), on the first call for a graph;
+    the result is kept on the graph, so the eligibility verdict and the
+    Kurosh decomposition of one graph share one walk.  Read-only: callers
+    must not change what it holds."""
+    found = graph._walk
+    if found is None:
+        found = _walk_whole_graph(graph)
+        object.__setattr__(graph, "_walk", found)
+    return found
+
+
+def _walk_whole_graph(graph: LabeledGraph) -> WholeGraphWalk:
+    """The pass ``whole_graph_walk`` keeps on the graph."""
+    out = graph.out
+    # each factor's letters present in the graph (both signs), in sort-key order
+    letters = {"x": [], "y": []}
+    for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
+        letters[letter.factor].append(letter)
+    both = letters["x"] + letters["y"]
+    roots = [graph.base]
+    order, parent, nontree = _tree_walk(out, graph.base, both)
+    if len(order) < len(out):
+        reached = set(order)
+        for root in sorted(out):
+            if root not in reached:
+                more, more_parent, more_nontree = _tree_walk(out, root, both)
+                roots.append(root)
+                reached.update(more)
+                order += more
+                parent.update(more_parent)
+                nontree += more_nontree
+    discovery = {v: i for i, v in enumerate(order)}
+
+    cyclic = []  # (anchor's discovery, factor, anchor, its walk)
+    walked = {"x": set(), "y": set()}  # the vertices of the components walked so far
+    for start, _target, letter in nontree:
+        factor = letter.factor
+        if start in walked[factor]:
+            continue
+        # the forest's edges of the factor stay in the component, and
+        # climbing them mostly ends at the anchor, so one walk serves
+        # (5,017 of the 5,026 cyclic components of decompose_problems(1..3))
+        while start in parent and parent[start][1].factor == factor:
+            start = parent[start][0]
+        tree = _tree_walk(out, start, letters[factor])
+        walked[factor].update(tree[0])
+        if tree[2]:  # a pair outside the component's tree: a cycle
+            anchor = min(tree[0], key=discovery.__getitem__)
+            if anchor != start:
+                tree = _tree_walk(out, anchor, letters[factor])
+            cyclic.append((discovery[anchor], factor, anchor, tree))
+    cyclic.sort(key=lambda item: item[:2])
+    return WholeGraphWalk(tuple(roots), parent, tuple(
+        CyclicComponent(factor, anchor, *tree) for _discovered, factor, anchor, tree in cyclic))

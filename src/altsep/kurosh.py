@@ -5,12 +5,10 @@ component's loop subgroup, conjugated by the label of a breadth-first
 approach path from the base point that meets the component only in its
 anchor.  Removing each such component's non-tree edges leaves a graph
 whose loop subgroup is free; its rank is the number of edge pairs outside
-a spanning tree.  Every tree, the approach paths' and each factor's, is
-grown by the one breadth-first walk ``graphs._tree_walk``, which lists
-the pairs outside it too.  A cycle inside one component cannot lie in
-the spanning tree of the whole graph, so each component with a cycle
-holds a pair outside that tree: the whole-graph walk's own list of those
-pairs leads to every factor, and no component sweep runs.
+a spanning tree.  The approach paths' tree and the components with a
+cycle, each with its own tree, come from ``graphs.whole_graph_walk``,
+which the eligibility verdict reads too and the graph keeps, so the two
+share one walk and no component sweep runs.
 ``check_decomposition`` checks a decomposition exactly: the generators
 it names generate the subgroup, and each factor is the component at the
 end of its approach path.
@@ -29,6 +27,7 @@ from .graphs import (
     component_graph,
     components,
     walk,
+    whole_graph_walk,
 )
 from .subgroups import MembershipTester, build_subgroup_graph
 from .words import Word, word_inverse
@@ -65,62 +64,32 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     Factors come in their anchors' discovery order, the x-factor first
     where one vertex anchors two.
 
-    All is read off the adjacency.  One ``graphs._tree_walk`` over the
-    whole graph gives the approach paths and the pairs outside its tree.
-    A monochromatic component with a cycle cannot lie inside that
-    spanning tree, so it holds one of those pairs.  For each such pair
-    whose source no component of its factor walked so far holds, a
-    ``_tree_walk`` over the factor's letters gives the component's
-    vertices, and the component has a cycle when that walk meets a
-    non-tree pair.  The walk starts where the whole-graph tree's edges of
-    the factor lead from the source towards the root; that is most often
-    the anchor, and a component with a cycle whose walk started elsewhere
-    is walked again from its anchor, for the spanning tree its loop words
-    are read from.  A loop word is a non-tree pair between the root paths
-    of its ends (``graphs._root_path``, each kept once built, so a long
-    cycle costs its one loop word and not a path per vertex).  Each
-    factor's component is ``graphs.component_graph`` on the vertices of
-    its walk, based at its anchor.  ``delta`` is the adjacency less the
-    non-tree pairs' slots, a vertex's slots copied on their first
-    removal; a breadth-first pass over its slots checks that it is
-    connected, and its free rank is read off the slot counts.
+    All is read off the adjacency, through ``graphs.whole_graph_walk``:
+    its spanning tree gives the approach paths, and its components with a
+    cycle, each walked from its anchor, are the factors.  The walk is kept
+    on the graph, so after the eligibility verdict this reads it without
+    walking again.  A loop word is a non-tree pair of its component
+    between the root paths of its ends (``graphs._root_path``, each kept
+    once built, so a long cycle costs its one loop word and not a path per
+    vertex).  Each factor's component is ``graphs.component_graph`` on the
+    vertices of its walk, based at its anchor.  ``delta`` is the adjacency
+    less the components' non-tree pairs' slots, a vertex's slots copied on
+    their first removal.  When no pair removed is an edge of the
+    whole-graph tree, delta holds that tree and is connected; otherwise a
+    breadth-first pass over its slots checks that it is.  Its free rank is
+    read off the slot counts.
     """
-    out = graph.out
-    # each factor's letters present in the graph (both signs), in sort-key order
-    letters = {"x": [], "y": []}
-    for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
-        letters[letter.factor].append(letter)
-    order, parent, nontree = _tree_walk(out, graph.base, letters["x"] + letters["y"])
-    if len(order) != len(graph.vertices):
+    whole = whole_graph_walk(graph)
+    if len(whole.roots) > 1:
         raise ValueError("graph must be connected")
-    discovery = {v: i for i, v in enumerate(order)}
-
-    # (anchor's discovery, factor, anchor, its walk) per component with a cycle
-    cyclic = []
-    walked = {"x": set(), "y": set()}  # the vertices of the components walked so far
-    for start, _target, letter in nontree:
-        factor = letter.factor
-        if start in walked[factor]:
-            continue
-        # the tree's edges of the factor stay in the component, and
-        # climbing them mostly ends at the anchor, so one walk serves
-        # (5,017 of the 5,026 cyclic components of decompose_problems(1..3))
-        while start in parent and parent[start][1].factor == factor:
-            start = parent[start][0]
-        tree = _tree_walk(out, start, letters[factor])
-        walked[factor].update(tree[0])
-        if tree[2]:  # a pair outside the component's tree: a cycle
-            anchor = min(tree[0], key=discovery.__getitem__)
-            if anchor != start:
-                tree = _tree_walk(out, anchor, letters[factor])
-            cyclic.append((discovery[anchor], factor, anchor, tree))
-    cyclic.sort(key=lambda item: item[:2])
+    parent = whole.parent
 
     factors = []
-    pruned = dict(out)
+    pruned = dict(graph.out)
     copied = set()
     approaches = {graph.base: ()}
-    for _discovered, factor, anchor, (members, cparent, cnontree) in cyclic:
+    cuts_tree = False  # a pair removed is an edge of the whole-graph tree
+    for factor, anchor, members, cparent, cnontree in whole.cyclic:
         paths = {anchor: ()}
         loop_words = []
         for u, w, letter in sorted(cnontree, key=_pair_key):
@@ -131,6 +100,9 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
                     copied.add(v)
                     pruned[v] = dict(pruned[v])
                 del pruned[v][slot]
+            if not cuts_tree:
+                cuts_tree = (parent.get(w) == (u, letter)
+                             or parent.get(u) == (w, letter.inverse()))
         subgroup = None
         if factor == "y":
             subgroup = subgroup_closure(table, [table.word_element(w) for w in loop_words])
@@ -138,15 +110,16 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
         factors.append(KuroshFactor(_root_path(parent, approaches, anchor), component, factor,
                                     tuple(loop_words), subgroup))
 
-    reached = [graph.base]
-    seen = {graph.base}
-    for v in reached:  # grows while it is read
-        for w in pruned[v].values():
-            if w not in seen:
-                seen.add(w)
-                reached.append(w)
-    if len(seen) != len(pruned):
-        raise AssertionError("pruned graph must stay connected")
+    if cuts_tree:
+        reached = [graph.base]
+        seen = {graph.base}
+        for v in reached:  # grows while it is read
+            for w in pruned[v].values():
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        if len(seen) != len(pruned):
+            raise AssertionError("pruned graph must stay connected")
     # a spanning tree of the connected delta has |V| - 1 pairs, and the
     # rest count toward the rank; each pair fills two slots
     free_rank = sum(map(len, pruned.values())) // 2 - len(pruned) + 1

@@ -884,20 +884,30 @@ def test_full_verification_fault_is_an_internal_error(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_a_run_sweeps_the_x_components_once(level, monkeypatch, capsys):
-    """The verdict, the cover and the decomposition of every problem file
-    read the subgroup graph's x-components from one sweep."""
-    sweeps = []
-    real = graphs._sweep
+    """The cover and the exact Kurosh check of every problem file read the
+    subgroup graph's x-components from one sweep, and the verdict and the
+    decomposition read its components with a cycle from one whole-graph
+    walk.  The verdict sweeps nothing, so a run that stops at it (exit 2)
+    or before it (exit 3) sweeps no x-component."""
+    sweeps, walks = [], []
+    real_sweep, real_walk = graphs._sweep, graphs._walk_whole_graph
 
-    def counting(graph, factor):
+    def counting_sweep(graph, factor):
         sweeps.append((graph, factor))
-        return real(graph, factor)
+        return real_sweep(graph, factor)
 
-    monkeypatch.setattr(graphs, "_sweep", counting)
+    def counting_walk(graph):
+        walks.append(graph)
+        return real_walk(graph)
+
+    monkeypatch.setattr(graphs, "_sweep", counting_sweep)
+    monkeypatch.setattr(graphs, "_walk_whole_graph", counting_walk)
     for problem in sorted((GOLDEN.parent.parent / "problems").glob("*.txt")):
         sweeps.clear()
+        walks.clear()
         outcome = run_separate(parse_problem(problem.read_text()), verify_level=level)
         graph = outcome.stages["subgroup_graph"]
-        expected = [] if outcome.exit_code == 3 else ["x"]
+        expected = ["x"] if outcome.exit_code == 0 else []
         assert [factor for g, factor in sweeps if g is graph and factor == "x"] == expected
+        assert walks == ([] if outcome.exit_code == 3 else [graph])
     capsys.readouterr()

@@ -8,8 +8,8 @@ import pytest
 
 from altsep.cli import parse_problem
 from altsep.factors import subgroup_closure
-from altsep import kurosh
-from altsep.graphs import LabeledGraph, _pair_key, components, walk
+from altsep import graphs, kurosh
+from altsep.graphs import LabeledGraph, _pair_key, components, walk, whole_graph_walk
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import build_subgroup_graph, hypothesis_check
 from altsep.words import word_str, x_letter as x, y_letter as y
@@ -138,8 +138,11 @@ def test_kurosh_rejects_a_disconnected_graph(z2):
 
 def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
     """A component that misreports a tree edge as a non-tree edge makes the
-    pruned graph fall apart; that is a broken invariant, not bad input."""
-    real = kurosh._tree_walk
+    pruned graph fall apart; that is a broken invariant, not bad input.
+    The fault goes into ``graphs``, where the walks run.  The pair it adds
+    is an edge of the whole-graph tree too, so the breadth-first check of
+    delta runs and finds it."""
+    real = graphs._tree_walk
 
     def losing_one_tree_edge(out, root, letters):
         order, parent, nontree = real(out, root, letters)
@@ -148,10 +151,26 @@ def test_disconnected_pruned_graph_is_an_internal_error(z2, monkeypatch):
             nontree = nontree + [min(tree, key=_pair_key)]
         return order, parent, nontree
 
-    monkeypatch.setattr(kurosh, "_tree_walk", losing_one_tree_edge)
+    monkeypatch.setattr(graphs, "_tree_walk", losing_one_tree_edge)
     graph = build_graph([0, 1], [(0, 1, x(1)), (0, 1, x(2))], 0)
     with pytest.raises(AssertionError, match="pruned graph must stay connected"):
         kurosh_decompose(graph, z2)
+
+
+def test_delta_that_cuts_the_whole_graph_tree_stays_connected(s3):
+    """A hexagon of x1-edges on 1..6 whose vertices 1 and 4 hang off the
+    base by y-edges.  The whole-graph tree enters 5 from 4, but the
+    hexagon's own tree, grown from its anchor 1, leaves the pair 4 -> 5
+    out, so delta loses an edge of the whole-graph tree.  The
+    breadth-first check then runs and accepts delta, which is connected."""
+    hexagon = [(v, v % 6 + 1, x(1)) for v in range(1, 7)]
+    graph = build_graph(list(range(7)), [(0, 1, y(1)), (0, 4, y(2))] + hexagon, 0)
+    decomposition = kurosh_decompose(graph, s3)
+    assert graph.pairs - decomposition.delta.pairs == {(4, 5, x(1))}
+    assert whole_graph_walk(graph).parent[5] == (4, x(1))
+    assert [(f.factor, f.anchor) for f in decomposition.factors] == [("x", 1)]
+    assert decomposition.free_rank == 1
+    assert_same_decomposition(decomposition, kurosh_oracle(graph, s3))
 
 
 def test_decomposition_matches_the_pair_set_oracle(z2, s3, d4, a4):
@@ -176,16 +195,33 @@ def test_decomposition_matches_the_pair_set_oracle(z2, s3, d4, a4):
     assert factors >= 200 and pruned >= 150
 
 
-def test_decompose_builds_no_pair_set_of_the_subgroup_graph(s3):
+def test_decompose_builds_no_pair_set_of_the_subgroup_graph(s3, monkeypatch):
     """Subgroup graph, verdict and decomposition of every problem file and
     of the decompose-sized subgroup read the adjacency only: the graph's
-    pairs are never asked for."""
+    pairs are never asked for, and the verdict and then the decomposition
+    walk the whole graph once between them and sweep no component."""
+    walks, sweeps = [], []
+    real_walk, real_sweep = graphs._walk_whole_graph, graphs._sweep
+
+    def counting_walk(graph):
+        walks.append(graph)
+        return real_walk(graph)
+
+    def counting_sweep(graph, factor):
+        sweeps.append(factor)
+        return real_sweep(graph, factor)
+
+    monkeypatch.setattr(graphs, "_walk_whole_graph", counting_walk)
+    monkeypatch.setattr(graphs, "_sweep", counting_sweep)
     specs = [parse_problem(path.read_text()) for path in PROBLEMS]
     specs.append(make_spec(s3, decompose_sized_words(s3)))
     for spec in specs:
         graph = build_subgroup_graph(spec).graph
+        walks.clear()
+        sweeps.clear()
         hypothesis_check(graph, spec.free.rank)
         decomposition = kurosh_decompose(graph, spec.finite)
+        assert walks == [graph] and sweeps == []
         assert graph._pairs is None
         assert_same_decomposition(decomposition, kurosh_oracle(graph, spec.finite))
 

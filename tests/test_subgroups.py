@@ -36,6 +36,7 @@ from oracles import (
     fixpoint_contains,
     fold_pairs,
     hypothesis_oracle,
+    is_connected,
     is_folded,
     is_tree,
     iter_ball,
@@ -533,8 +534,10 @@ def test_verdict_matches_the_defect_rule_on_random_graphs():
     witness is that component, edges and all."""
     rng = random.Random(2031)
     kinds = []
+    disconnected = 0
     for _ in range(400):
         graph = random_graph_with_covers(rng)
+        disconnected += not is_connected(graph)
         verdict = hypothesis_check(graph, 2)
         kind, witness = hypothesis_oracle(graph, 2)
         assert verdict.kind == kind
@@ -547,3 +550,5 @@ def test_verdict_matches_the_defect_rule_on_random_graphs():
         kinds.append(kind)
     assert min(kinds.count(k) for k in (VERDICT_TREES, VERDICT_DEFICIENT,
                                          VERDICT_NOT_APPLICABLE)) >= 30
+    # the whole-graph walk's roots past the base are met here
+    assert disconnected == 175
