@@ -346,7 +346,10 @@ def run_separate(
     action; and ``_certificate`` checks the image order, the images of
     the base point and of the separators, read through the cover's point
     numbering, and with ``factors.component_cosets`` that every
-    y-component of the cover is a full coset graph."""
+    y-component of the cover is a full coset graph.  Raises ValueError
+    for a ``verify_level`` other than "fast" or "full"."""
+    if verify_level not in ("fast", "full"):
+        raise ValueError(f"verify_level must be 'fast' or 'full', got {verify_level!r}")
     if not spec.separate_words:
         raise ValueError("nothing to separate: no [separate] words")
     built = build_subgroup_graph(spec)
@@ -528,8 +531,8 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        text = Path(args.file).read_text()
-    except OSError as err:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
     try:

@@ -223,7 +223,7 @@ def build_separating_cover(
     if len(signs) != rank:
         raise ValueError(f"sign vector must have length {rank}")
 
-    # Step 1: host component.  The sweep also lists the x-components that
+    # Step 1: host component.  The component list also holds the x-components
     # step 2 completes.
     xcomps = components(graph, "x")
     if verdict.kind == VERDICT_DEFICIENT:

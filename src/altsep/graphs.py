@@ -12,15 +12,15 @@ Graphs are immutable.  ``fold`` is the only operation that merges
 vertices; folding is confluent, so it picks its own order, and the test
 suite checks that against random fold orders.
 
-A graph is read in two ways besides its component sweep: ``walk``
-follows a word from a vertex, and ``_tree_walk`` grows a breadth-first
-spanning tree from a root and lists the pairs outside it;
-``_root_path`` reads a vertex's word off that tree.
-``whole_graph_walk`` runs ``_tree_walk`` over the whole graph and over
-each monochromatic component with a cycle, which the pairs outside the
-whole-graph tree lead to; the eligibility verdict and the Kurosh
-decomposition both read it.  A graph keeps, once read, its pairs, its
-component sweeps and its whole-graph walk.
+A graph is read in two ways: ``walk`` follows a word from a vertex,
+and ``_tree_walk``, the module's one breadth-first walk, grows a
+spanning tree from a root and lists the pairs outside it; ``_root_path``
+reads a vertex's word off that tree.  ``components`` runs ``_tree_walk``
+from each vertex that no earlier walk reached, and ``whole_graph_walk``
+runs it over the whole graph and over each monochromatic component with
+a cycle, which the pairs outside the whole-graph tree lead to; the
+eligibility verdict and the Kurosh decomposition both read it.  A graph
+keeps, once read, its pairs and its whole-graph walk.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class LabeledGraph:
     ``out`` as read-only too, since ``fold`` shares the slot dicts of
     unchanged vertices."""
 
-    __slots__ = ("out", "base", "vertices", "_pairs", "_components", "_walk")
+    __slots__ = ("out", "base", "vertices", "_pairs", "_walk")
 
     def __init__(self, out, base):
         init = object.__setattr__  # one call per slot: a Kurosh pass builds a graph per factor
@@ -52,7 +52,6 @@ class LabeledGraph:
         init(self, "base", base)
         init(self, "vertices", frozenset(out))
         init(self, "_pairs", None)
-        init(self, "_components", {})
         init(self, "_walk", None)
 
     def __setattr__(self, name, *value):
@@ -218,46 +217,30 @@ def components(graph: LabeledGraph, factor: str):
     """Maximal connected monochromatic subgraphs of a graph for one
     factor, as (vertices, pair count) entries in order of least vertex.
 
-    A component's vertices are a tuple in breadth-first order from its
-    least vertex, each vertex's slots followed in their order; a vertex
-    with no edge of the factor belongs to no component.  A component has
-    a cycle when its pair count is at least its vertex count, and is
-    saturated for a factor of rank r (every vertex has all 2r slots)
-    when the count is r times its vertex count.  ``component_graph``
-    makes one a graph.
+    A component's vertices are a tuple in the discovery order of
+    ``_tree_walk`` from its least vertex over the factor's letters; a
+    vertex with no edge of the factor belongs to no component.  A
+    component has a cycle when its pair count is at least its vertex
+    count, and is saturated for a factor of rank r (every vertex has all
+    2r slots) when the count is r times its vertex count.
+    ``component_graph`` makes one a graph.
 
-    Cost: one breadth-first sweep over the adjacency, which reads every
-    slot of both factors once, and a sort of the vertices, on the first
-    call for a graph and factor; no subgraph is built.  The result is
-    kept on the graph, and later calls copy the list, so callers may
-    change the list they get.
+    Cost: one ``_tree_walk`` from each vertex no earlier walk reached,
+    which together read every slot of the factor once, and a sort of the
+    vertices; no subgraph is built.
     """
-    found = graph._components.get(factor)
-    if found is None:
-        found = graph._components[factor] = _sweep(graph, factor)
-    return list(found)
-
-
-def _sweep(graph: LabeledGraph, factor: str):
-    """The pass ``components`` keeps on the graph."""
     out = graph.out
-    seen = set()
+    letters = _letters(out)[factor]
+    reached = set()
     found = []
-    for start in sorted(graph.vertices):
-        if start in seen:
+    for start in sorted(out):
+        if start in reached:
             continue
-        seen.add(start)
-        members = [start]
-        slots = 0  # each pair fills two slots of the component, a loop both at one vertex
-        for v in members:  # grows while it is read: breadth-first order
-            for letter, w in out[v].items():
-                if letter.factor == factor:
-                    slots += 1
-                    if w not in seen:
-                        seen.add(w)
-                        members.append(w)
-        if slots:  # a tuple of ints, unlike a list, drops out of the collector's scans
-            found.append((tuple(members), slots // 2))
+        order, _parent, nontree = _tree_walk(out, start, letters)
+        reached.update(order)
+        pairs = len(order) - 1 + len(nontree)
+        if pairs:  # a tuple of ints, unlike a list, drops out of the collector's scans
+            found.append((tuple(order), pairs))
     return found
 
 
@@ -268,6 +251,16 @@ def component_graph(graph: LabeledGraph, vertices, factor: str, base: int) -> La
     out = graph.out
     return LabeledGraph({v: {letter: w for letter, w in out[v].items() if letter.factor == factor}
                          for v in vertices}, base)
+
+
+def _letters(out):
+    """Each factor's letters present in the adjacency ``out`` (both
+    signs), factor -> list in sort-key order: x-letters and y-letters
+    joined are every letter of ``out`` in that order."""
+    letters = {"x": [], "y": []}
+    for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
+        letters[letter.factor].append(letter)
+    return letters
 
 
 def _tree_walk(out, root, letters):
@@ -380,10 +373,7 @@ def whole_graph_walk(graph: LabeledGraph) -> WholeGraphWalk:
 def _walk_whole_graph(graph: LabeledGraph) -> WholeGraphWalk:
     """The pass ``whole_graph_walk`` keeps on the graph."""
     out = graph.out
-    # each factor's letters present in the graph (both signs), in sort-key order
-    letters = {"x": [], "y": []}
-    for letter in sorted(set().union(*out.values()), key=lambda l: l.sort_key):
-        letters[letter.factor].append(letter)
+    letters = _letters(out)
     both = letters["x"] + letters["y"]
     roots = [graph.base]
     order, parent, nontree = _tree_walk(out, graph.base, both)

@@ -8,7 +8,7 @@ whose loop subgroup is free; its rank is the number of edge pairs outside
 a spanning tree.  The approach paths' tree and the components with a
 cycle, each with its own tree, come from ``graphs.whole_graph_walk``,
 which the eligibility verdict reads too and the graph keeps, so the two
-share one walk and no component sweep runs.
+share one walk.
 ``check_decomposition`` checks a decomposition exactly: the generators
 it names generate the subgroup, and each factor is the component at the
 end of its approach path.
@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 from .factors import FiniteGroupTable, component_cosets, subgroup_closure
 from .graphs import (
     LabeledGraph,
+    _letters,
     _pair_key,
     _root_path,
     _tree_walk,
     component_graph,
-    components,
+    components,  # unused here; perfbench's tracer self-test checks this binding
     walk,
     whole_graph_walk,
 )
@@ -76,8 +77,8 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     less the components' non-tree pairs' slots, a vertex's slots copied on
     their first removal.  When no pair removed is an edge of the
     whole-graph tree, delta holds that tree and is connected; otherwise a
-    breadth-first pass over its slots checks that it is.  Its free rank is
-    read off the slot counts.
+    ``graphs._tree_walk`` over its slots checks that it is.  Its free rank
+    is read off the slot counts.
     """
     whole = whole_graph_walk(graph)
     if len(whole.roots) > 1:
@@ -111,14 +112,8 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
                                     tuple(loop_words), subgroup))
 
     if cuts_tree:
-        reached = [graph.base]
-        seen = {graph.base}
-        for v in reached:  # grows while it is read
-            for w in pruned[v].values():
-                if w not in seen:
-                    seen.add(w)
-                    reached.append(w)
-        if len(seen) != len(pruned):
+        letters = _letters(pruned)
+        if len(_tree_walk(pruned, graph.base, letters["x"] + letters["y"])[0]) != len(pruned):
             raise AssertionError("pruned graph must stay connected")
     # a spanning tree of the connected delta has |V| - 1 pairs, and the
     # rest count toward the rank; each pair fills two slots
@@ -136,11 +131,13 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
 
     - (a) every element of S' traces a closed path at the base: <S'> <= H;
     - (b) every h_i is a member of ``build_subgroup_graph`` of S': H <= <S'>;
-    - (c) each factor's approach ends at its anchor, its component is the
-      graph's component of its factor at the anchor, its loop words close
-      at the anchor inside it, and its subgroup is the component's loop
-      subgroup read from the anchor (``factors.component_cosets``) for a
-      y-factor, None for an x-factor;
+    - (c) each factor's approach ends at its anchor, which has an edge of
+      its factor; its component holds the anchor and has exactly the
+      graph's slots of its factor at its vertices, all leading to its
+      vertices (connected, as (e) requires, it is the graph's component
+      at the anchor); its loop words close at the anchor inside it, and
+      its subgroup is the component's loop subgroup read from the anchor
+      (``factors.component_cosets``) for a y-factor, None for an x-factor;
     - (d) ``free_rank`` is the size of delta's free basis;
     - (e) delta's pairs are among the graph's, and the graph has one pair
       more than delta for each loop word; delta keeps a spanning tree of
@@ -166,7 +163,6 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
     kept = delta.out
     faults = []
     generators = []
-    members = {}  # factor -> vertex -> the vertices of its component
     closed_by = {}  # pair outside delta -> the loop word that crosses it
     for index, factor in enumerate(decomposition.factors, start=1):
         name = f"factor {index}"
@@ -176,17 +172,13 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
                        for j, word in enumerate(factor.loop_words, start=1)]
         if walk(graph.out, base, approach) != anchor:
             faults.append(f"{name}: the approach does not end at the anchor {anchor}")
-        if factor.factor not in members:
-            members[factor.factor] = {v: vertices for vertices, _pairs
-                                      in components(graph, factor.factor) for v in vertices}
-        vertices = members[factor.factor].get(anchor)
-        if vertices is None:
-            faults.append(f"{name}: no {factor.factor}-component of the graph holds the anchor")
+        kind, component = factor.factor, factor.component
+        if not any(letter.factor == kind for letter in graph.out.get(anchor, ())):
+            faults.append(f"{name}: no {kind}-component of the graph holds the anchor")
             continue
-        component = component_graph(graph, vertices, factor.factor, anchor)
-        if factor.component != component:
-            faults.append(f"{name}: not the graph's {factor.factor}-component at the anchor")
-        if not _keeps_spanning_tree(component, kept):  # (e)
+        if not _is_component(graph.out, component, kind):
+            faults.append(f"{name}: not the graph's {kind}-component at the anchor")
+        elif not _keeps_spanning_tree(component, kept):  # (e)
             faults.append(f"{name}: delta does not keep a spanning tree of the component")
         for j, word in enumerate(factor.loop_words, start=1):
             crossed = _crossings(component, word, kept)
@@ -201,13 +193,13 @@ def check_decomposition(spec, graph: LabeledGraph, decomposition: KuroshDecompos
             else:
                 closed_by[crossed[0]] = f"{name} loop word {j}"
         subgroup = None
-        if factor.factor == "y":
+        if kind == "y":
             ((subgroup, _keys),) = component_cosets(table, graph, [anchor])
         if factor.subgroup != subgroup:
             faults.append(f"{name}: not the loop subgroup of the component")
 
-    letters = sorted(set().union(*delta.out.values()), key=lambda l: l.sort_key)
-    _order, parent, nontree = _tree_walk(delta.out, delta.base, letters)
+    letters = _letters(delta.out)
+    _order, parent, nontree = _tree_walk(delta.out, delta.base, letters["x"] + letters["y"])
     paths = {delta.base: ()}
     for j, (u, w, letter) in enumerate(nontree, start=1):
         word = (_root_path(parent, paths, u) + (letter,)
@@ -241,7 +233,7 @@ def _crossings(component: LabeledGraph, word, kept):
     current = component.base
     crossed = []
     for letter in word:
-        target = out[current].get(letter)
+        target = out.get(current, {}).get(letter)
         if target is None:
             return None
         if kept.get(current, {}).get(letter) != target:
@@ -249,6 +241,17 @@ def _crossings(component: LabeledGraph, word, kept):
                            else (target, current, letter.inverse()))
         current = target
     return crossed if current == component.base else None
+
+
+def _is_component(out, component: LabeledGraph, factor: str) -> bool:
+    """(c) read off the slots: does ``component`` hold its base and have
+    exactly ``out``'s slots of ``factor`` at its vertices, each leading to
+    one of them?  ``_keeps_spanning_tree`` checks that it is connected."""
+    own = component.out
+    return component.base in own and all(
+        v in out and slots == {letter: w for letter, w in out[v].items() if letter.factor == factor}
+        and all(w in own for w in slots.values())
+        for v, slots in own.items())
 
 
 def _keeps_spanning_tree(component: LabeledGraph, kept) -> bool:

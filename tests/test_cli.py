@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import altsep
-from altsep import cli, covers, graphs, permgroup
+from altsep import cli, covers, graphs, kurosh, permgroup, subgroups
 from altsep.cli import (
     MAX_FREE_RANK,
     MAX_PROBLEM_LETTERS,
@@ -238,6 +238,14 @@ def test_run_separate_requires_separators(z2):
         run_separate(make_spec(z2, subgroup_words=[(x(1),)]))
 
 
+@pytest.mark.parametrize("level", ["ful", "FULL", "", None])
+def test_run_separate_rejects_an_unknown_verify_level(level):
+    """Only "fast" and "full" name a verification level; any other raises
+    ValueError before the pipeline runs, so it cannot pass for "fast"."""
+    with pytest.raises(ValueError, match="verify_level must be 'fast' or 'full'"):
+        run_separate(parse_problem(DEMO), verify_level=level)
+
+
 # -- DOT export --------------------------------------------------------------------------
 
 
@@ -306,6 +314,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["separate", str(tmp_path / "missing.txt")]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+
+
+def test_main_rejects_a_problem_file_that_is_not_utf8(tmp_path, capsys):
+    """A file that does not decode as UTF-8 (here one with a UTF-16 byte
+    order mark) is an input error: one line on stderr, exit 1, no
+    traceback."""
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(DEMO.encode("utf-16"))
+    assert main(["separate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("altsep: error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                            "invalid start byte\n")
 
 
 def test_main_rejects_a_file_with_nothing_to_separate(tmp_path):
@@ -884,30 +905,31 @@ def test_full_verification_fault_is_an_internal_error(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_a_run_sweeps_the_x_components_once(level, monkeypatch, capsys):
-    """The cover and the exact Kurosh check of every problem file read the
-    subgroup graph's x-components from one sweep, and the verdict and the
-    decomposition read its components with a cycle from one whole-graph
-    walk.  The verdict sweeps nothing, so a run that stops at it (exit 2)
-    or before it (exit 3) sweeps no x-component."""
+    """A run on every problem file reads the subgroup graph's
+    x-components once, for the cover, through any module's binding of
+    ``components``; the exact Kurosh check reads none, and the verdict
+    and the decomposition read the components with a cycle from one
+    whole-graph walk.  The verdict reads no component list, so a run that
+    stops at it (exit 2) or before it (exit 3) reads none."""
     sweeps, walks = [], []
-    real_sweep, real_walk = graphs._sweep, graphs._walk_whole_graph
+    real_components, real_walk = graphs.components, graphs._walk_whole_graph
 
-    def counting_sweep(graph, factor):
+    def counting_components(graph, factor):
         sweeps.append((graph, factor))
-        return real_sweep(graph, factor)
+        return real_components(graph, factor)
 
     def counting_walk(graph):
         walks.append(graph)
         return real_walk(graph)
 
-    monkeypatch.setattr(graphs, "_sweep", counting_sweep)
+    for module in (graphs, covers, cli, kurosh, subgroups):
+        monkeypatch.setattr(module, "components", counting_components)
     monkeypatch.setattr(graphs, "_walk_whole_graph", counting_walk)
     for problem in sorted((GOLDEN.parent.parent / "problems").glob("*.txt")):
         sweeps.clear()
         walks.clear()
         outcome = run_separate(parse_problem(problem.read_text()), verify_level=level)
         graph = outcome.stages["subgroup_graph"]
-        expected = ["x"] if outcome.exit_code == 0 else []
-        assert [factor for g, factor in sweeps if g is graph and factor == "x"] == expected
+        assert sweeps == ([(graph, "x")] if outcome.exit_code == 0 else [])
         assert walks == ([] if outcome.exit_code == 3 else [graph])
     capsys.readouterr()

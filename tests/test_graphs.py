@@ -350,27 +350,6 @@ def test_components_match_bfs_oracle_on_random_graphs():
             assert all(m[0] == min(m) and len(set(m)) == len(m) for m, _p in comps)
 
 
-def test_components_are_computed_once_per_graph_and_factor():
-    """components keeps its result on the graph: a second call reads
-    nothing of the graph (here its adjacency is emptied after the first)
-    and returns an equal list that is a new object."""
-    rng = random.Random(2027)
-    for _ in range(50):
-        g = fold_pairs(random_graph(rng))[0]
-        expected = {factor: [(frozenset(members), len(pairs))
-                             for members, pairs, _anchor in bfs_components(g, factor)]
-                    for factor in ("x", "y")}
-        for factor in ("x", "y"):
-            components(g, factor)
-        object.__setattr__(g, "out", {})
-        for factor in ("x", "y"):
-            first, second = components(g, factor), components(g, factor)
-            assert first == second and first is not second
-            assert [(frozenset(m), p) for m, p in first] == expected[factor]
-            first.clear()  # a caller's list is its own
-            assert components(g, factor) == second
-
-
 def test_pair_counts_mark_the_components_with_a_cycle():
     """A component has a cycle exactly when its pair count is at least
     its vertex count: those are the oracle's components that are not

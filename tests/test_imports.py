@@ -17,6 +17,7 @@ KEPT = {
     # perfbench/test_perfbench.py:158-165 checks that the tracer patches
     # and restores these bindings
     ("cli", "components"),
+    ("kurosh", "components"),
     ("subgroups", "components"),
 }
 

@@ -8,7 +8,7 @@ import pytest
 
 from altsep.cli import parse_problem
 from altsep.factors import subgroup_closure
-from altsep import graphs, kurosh
+from altsep import graphs, kurosh, subgroups
 from altsep.graphs import LabeledGraph, _pair_key, components, walk, whole_graph_walk
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import build_subgroup_graph, hypothesis_check
@@ -199,20 +199,22 @@ def test_decompose_builds_no_pair_set_of_the_subgroup_graph(s3, monkeypatch):
     """Subgroup graph, verdict and decomposition of every problem file and
     of the decompose-sized subgroup read the adjacency only: the graph's
     pairs are never asked for, and the verdict and then the decomposition
-    walk the whole graph once between them and sweep no component."""
+    walk the whole graph once between them and read no component list
+    through any module's binding of ``components``."""
     walks, sweeps = [], []
-    real_walk, real_sweep = graphs._walk_whole_graph, graphs._sweep
+    real_walk, real_components = graphs._walk_whole_graph, graphs.components
 
     def counting_walk(graph):
         walks.append(graph)
         return real_walk(graph)
 
-    def counting_sweep(graph, factor):
+    def counting_components(graph, factor):
         sweeps.append(factor)
-        return real_sweep(graph, factor)
+        return real_components(graph, factor)
 
     monkeypatch.setattr(graphs, "_walk_whole_graph", counting_walk)
-    monkeypatch.setattr(graphs, "_sweep", counting_sweep)
+    for module in (graphs, subgroups, kurosh):
+        monkeypatch.setattr(module, "components", counting_components)
     specs = [parse_problem(path.read_text()) for path in PROBLEMS]
     specs.append(make_spec(s3, decompose_sized_words(s3)))
     for spec in specs:
@@ -260,8 +262,8 @@ def test_cyclic_components_come_from_the_whole_graph_walk(z2, s3, d4, a4):
 
 def test_one_component_graph_per_factor(s3, monkeypatch):
     """``kurosh_decompose`` builds each factor's graph once, and
-    ``check_decomposition`` builds one more per factor to compare it
-    with."""
+    ``check_decomposition`` builds none: it reads the factor's graph
+    against the subgroup graph's slots."""
     built = []
     real_component_graph = kurosh.component_graph
 
@@ -279,7 +281,7 @@ def test_one_component_graph_per_factor(s3, monkeypatch):
         named = [(f.factor, f.anchor) for f in decomposition.factors]
         assert built == named
         assert check_decomposition(spec, graph, decomposition) == []
-        assert built == named + named
+        assert built == named
         factors += len(named)
         built.clear()
     assert factors >= 50
@@ -322,10 +324,12 @@ def mutants(graph, table, decomposition, rng):
     """(kind, mutant) pairs of a decomposition, each wrong in one way:
     one loop word dropped from an x-factor; one loop word listed twice;
     an approach that ends off its anchor, one letter longer or shorter; a
-    finite-factor subgroup made trivial where it is not; the free rank
-    plus one; a pair that the decomposition took out of delta put back,
-    with the free rank plus one to match.  A finite factor's loop words
-    can be redundant, so none is dropped."""
+    finite-factor subgroup made trivial where it is not; a component less
+    one of its vertices (the anchor, too); a component joined with another
+    component of its factor, which has exactly the graph's slots but is
+    not connected; the free rank plus one; a pair that the decomposition
+    took out of delta put back, with the free rank plus one to match.  A
+    finite factor's loop words can be redundant, so none is dropped."""
     out = []
     factors = list(decomposition.factors)
     for index, factor in enumerate(factors):
@@ -350,6 +354,17 @@ def mutants(graph, table, decomposition, rng):
                       if walk(graph.out, graph.base, word) != factor.anchor]
         if approaches:
             out.append(("approach off the anchor", mutant(approach=rng.choice(approaches))))
+        gone = rng.choice(sorted(factor.component.vertices))
+        out.append(("component less one vertex", mutant(component=LabeledGraph(
+            {v: slots for v, slots in factor.component.out.items() if v != gone},
+            factor.anchor))))
+        others = [members for members, _pairs in components(graph, factor.factor)
+                  if factor.anchor not in members]
+        if others:
+            other = graphs.component_graph(graph, rng.choice(others), factor.factor, factor.anchor)
+            out.append(("component joined with another component of its factor",
+                        mutant(component=LabeledGraph({**factor.component.out, **other.out},
+                                                      factor.anchor))))
     out.append(("free rank plus one",
                 dataclasses.replace(decomposition, free_rank=decomposition.free_rank + 1)))
     removed = sorted(graph.pairs - decomposition.delta.pairs, key=_pair_key)
@@ -383,7 +398,13 @@ def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
     problem files, separator paths included, the exact check and the ball
     of radius 4 accept every decomposition, and the exact check rejects
     every mutant of it.  The ball accepts a loop word listed twice and a
-    pair put back in delta, since neither changes the subgroup."""
+    pair put back in delta, since neither changes the subgroup.  A
+    component less a vertex fails (c), which reads the graph's slots; one
+    joined with another component passes (c) and fails (e)'s spanning
+    tree, which is what makes the component connected."""
+    named = {"component less one vertex": "not the graph's",
+             "component joined with another component of its factor":
+             "delta does not keep a spanning tree of the component"}
     rng = random.Random(27)
     specs = checked_specs(rng, (z2, s3, d4, a4))
     kinds = collections.Counter()
@@ -394,12 +415,16 @@ def test_check_accepts_decompositions_and_rejects_their_mutants(z2, s3, d4, a4):
             graph, spec.finite, spec.free.rank, decomposition, 4)[1]
         assert counterexamples == []
         for kind, mutant in mutants(graph, spec.finite, decomposition, rng):
-            assert check_decomposition(spec, graph, mutant), kind
+            faults = check_decomposition(spec, graph, mutant)
+            assert faults, kind
+            assert kind not in named or any(named[kind] in fault for fault in faults), kind
             kinds[kind] += 1
     assert kinds["free rank plus one"] == len(specs) == 406
     assert kinds["loop word dropped"] >= 150 and kinds["subgroup trivial"] >= 80
     assert kinds["approach off the anchor"] >= 400
     assert kinds["loop word listed twice"] >= 450 and kinds["pair put back in delta"] >= 300
+    assert kinds["component less one vertex"] == kinds["loop word listed twice"]
+    assert kinds["component joined with another component of its factor"] >= 350
 
 
 def test_check_rejects_a_loop_word_replaced_by_a_copy_of_the_first(z2, s3, d4, a4):
