@@ -70,11 +70,18 @@ class ProblemFormatError(ValueError):
         self.column = column
 
 
-_WORD_TERM_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?$")
+# a number is ASCII digits: \d would take any Unicode decimal digit
+_WORD_TERM_RE = re.compile(r"([xy])([0-9]+)(?:\^(-?[0-9]+))?$")
 
 # Longest word a problem file may spell, counted after exponents expand;
 # checked before expanding, so "x1^1000000000" is refused up front.
 MAX_WORD_LENGTH = 100_000
+
+# Largest problem file, in bytes: the densest spelling of
+# MAX_PROBLEM_LETTERS letters, "x1000^-1 " per letter, is 1.8 MB.  Only
+# this many bytes and one more are read, so a larger file or pipe is
+# refused before any line is parsed.
+MAX_PROBLEM_BYTES = 4 * 1024 * 1024
 
 # Most letters all subgroup and separator words of a problem may spell
 # together; checked word by word, before any graph is built.
@@ -93,7 +100,7 @@ MAX_FREE_RANK = 1_000
 # digits).  Checked before the digits become an int, so a 5,000-digit
 # exponent is refused at its line and column.
 MAX_NUMBER_DIGITS = 100
-_LONG_NUMBER_RE = re.compile(r"\d{%d}" % (MAX_NUMBER_DIGITS + 1))
+_LONG_NUMBER_RE = re.compile(r"[0-9]{%d}" % (MAX_NUMBER_DIGITS + 1))
 
 
 def parse_word(text: str, rank: int, num_ygens: int, line: int) -> Word:
@@ -154,8 +161,8 @@ def _strip_comment(line: str) -> str:
 
 
 _SECTION_RE = re.compile(r"^\s*\[(\w+)\]\s*(.*)$")
-_KEYED_RE = re.compile(r"^([A-Za-z]+\d*)\s*=\s*(.*)$")
-_GENDEF_RE = re.compile(r"^y(\d+)\s*:\s*(.*)$")
+_KEYED_RE = re.compile(r"^([A-Za-z]+[0-9]*)\s*=\s*(.*)$")
+_GENDEF_RE = re.compile(r"^y([0-9]+)\s*:\s*(.*)$")
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -220,7 +227,7 @@ def parse_problem(text: str) -> ProblemSpec:
             else:
                 keyed = _KEYED_RE.match(chunk)
                 prefix = "h" if section == "subgroup" else "g"
-                if not keyed or not re.fullmatch(prefix + r"\d+", keyed.group(1)):
+                if not keyed or not re.fullmatch(prefix + r"[0-9]+", keyed.group(1)):
                     raise ProblemFormatError(
                         f"expected '{prefix}<i> = <word>', got {chunk!r}", lineno)
                 index = _parse_int(keyed.group(1)[1:], lineno)
@@ -298,14 +305,15 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def _parse_int(text: str, line: int) -> int:
+    """ASCII digits with an optional leading '-': int() alone would also
+    take other scripts' digits, underscores and a '+'."""
     text = text.strip()
     if len(text) > MAX_NUMBER_DIGITS:
         raise ProblemFormatError(
             f"expected an integer of at most {MAX_NUMBER_DIGITS} digits", line)
-    try:
-        return int(text)
-    except ValueError as err:
-        raise ProblemFormatError(f"expected an integer, got {text!r}", line) from err
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ProblemFormatError(f"expected an integer, got {text!r}", line)
+    return int(text)
 
 
 def export_dot(graph: LabeledGraph, name: str) -> str:
@@ -531,8 +539,12 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
+        with open(args.file, "rb") as stream:
+            data = stream.read(MAX_PROBLEM_BYTES + 1)
+        if len(data) > MAX_PROBLEM_BYTES:
+            raise ValueError(f"problem file larger than {MAX_PROBLEM_BYTES} bytes")
+        text = data.decode("utf-8-sig")  # a byte-order mark is not content
+    except (OSError, ValueError) as err:  # UnicodeDecodeError is a ValueError
         print(f"altsep: error: {err}", file=sys.stderr)
         return 1
     try:

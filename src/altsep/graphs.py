@@ -111,32 +111,24 @@ def fold(graph: LabeledGraph, merge=()):
     ``merge`` is one vertex and no vertex has two edges with one letter:
     merge the groups, then identify same-source same-letter edges until
     none remain.  Returns (quotient graph, total vertex map).  Raises
-    ValueError for a group naming an unknown vertex."""
-    return _fold(graph.out, (), graph.vertices, graph.base, merge)
+    ValueError for a group naming an unknown vertex.
 
+    Merging two classes is one step for a merge group and for two edges
+    that collide: union them and replay only the dropped class's slots
+    onto the survivor, in a shallow copy of the adjacency that copies a
+    vertex's slots when the vertex first survives a merge.  Only the
+    survivors and the neighbours of dropped vertices can hold a stale
+    target, so only their slots are resolved.  ``graph`` is never written.
 
-def _fold(start, clashes, vertices, base, merge):
-    """``fold`` from an adjacency ``start`` on ``vertices`` and the
-    edges ``_write_pairs`` returned as clashes when it wrote ``start``:
-    the one body of every fold, the subgroup graph's first included.
-
-    Each slot a clashing edge finds taken has its target identified with
-    the edge's own end there, as a merge group is.  Merging two classes is
-    one step for a merge group, a clash and two edges that collide later:
-    union them and replay only the dropped class's slots onto the
-    survivor, in a shallow copy of the adjacency that copies a vertex's
-    slots when the vertex first survives a merge.  Only the survivors and
-    the neighbours of dropped vertices can hold a stale target, so only
-    their slots are resolved.  ``start`` is never written.
-
-    Cost: the union-find work of the merges, the clashes and the folds
-    they cause, one replay per slot of each vertex merged away, and O(d)
-    for the d slots resolved.  The rest of O(|V| + |E|) is whole-set
-    copies (the adjacency's top level, the union-find map, the vertex
-    set) with no Python step per vertex.  Every class is named by its
-    least vertex (a merge keeps the smaller id), so neither the result
-    nor the vertex map depends on the order of the groups and clashes.
+    Cost: the union-find work of the merges and the folds they cause, one
+    replay per slot of each vertex merged away, and O(d) for the d slots
+    resolved.  The rest of O(|V| + |E|) is whole-set copies (the
+    adjacency's top level, the union-find map, the vertex set) with no
+    Python step per vertex.  Every class is named by its least vertex (a
+    merge keeps the smaller id), so neither the result nor the vertex map
+    depends on the order of the groups.
     """
+    start, vertices = graph.out, graph.vertices
     vmap = dict(zip(vertices, vertices))  # union-find parents; the vertex map at the end
 
     def find(v):
@@ -172,11 +164,6 @@ def _fold(start, clashes, vertices, base, merge):
             if v not in vertices:
                 raise ValueError(f"unknown vertex {v!r}")
             identify(group[0], v)
-    # each end of a clashing edge joins the target of its slot there; an
-    # empty slot yields the end itself, which identify leaves alone
-    for u, w, letter in clashes:
-        identify(start[u].get(letter, w), w)
-        identify(start[w].get(letter.inverse(), u), u)
     while work:
         source, target, letter = work.popleft()
         source, target = find(source), find(target)
@@ -196,7 +183,7 @@ def _fold(start, clashes, vertices, base, merge):
     for v in changed:
         if v in out:
             out[v] = {letter: vmap[target] for letter, target in out[v].items()}
-    return LabeledGraph(out, vmap[base]), vmap
+    return LabeledGraph(out, vmap[graph.base]), vmap
 
 
 def walk(out, start: int, word):

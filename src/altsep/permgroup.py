@@ -100,7 +100,11 @@ def parse_cycles(text: str, degree: int):
     images = list(range(degree))
     seen = set()
     for body in _CYCLE_RE.findall(stripped):
-        points = [int(tok) for tok in body.split()]
+        points = []
+        for tok in body.split():
+            if not re.fullmatch(r"[0-9]+", tok):  # int() also takes '+', '_', other digits
+                raise ValueError(f"expected a point number, got {tok!r}")
+            points.append(int(tok))
         if not points:
             continue
         for point in points:

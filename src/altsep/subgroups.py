@@ -31,7 +31,6 @@ from itertools import chain, count
 from .factors import FiniteGroupTable, component_cosets, coset_keys
 from .graphs import (
     LabeledGraph,
-    _fold,
     _write_pairs,
     component_graph,
     components,  # unused here; perfbench's tracer self-test checks this binding
@@ -82,9 +81,9 @@ class SubgroupGraph:
 def _wedge(base, words, open_words, table):
     """Wedge of loops (one per word) and open paths (one per open word) at
     a common base vertex, written straight into an adjacency, each maximal
-    y-run of a word in G's Cayley graph.  Returns (adjacency, clashing
-    edges, end vertex of each open path): ``graphs._fold`` of the first two
-    folds the wedge.
+    y-run of a word in G's Cayley graph.  Returns (adjacency, merge pairs,
+    end vertex of each open path): ``graphs.fold`` of the adjacency, based
+    at ``base``, with the merge pairs folds the wedge.
 
     Letter i of the words, counted over all of them in order, would end on
     the fresh vertex base + i, a loop's last letter on the base, as in the
@@ -103,9 +102,11 @@ def _wedge(base, words, open_words, table):
 
     Its edges go in word order, each oriented along its word, through
     ``_write_pairs``, which leaves out the edges that clash with one
-    already written.  A run's vertices have distinct elements, so no two
-    of its own edges clash.  Raises ValueError for a y-letter that names
-    no generator of ``table``."""
+    already written.  A clash u --a--> w yields two merge pairs: each end
+    with the target of its slot there, which is the end itself when the
+    slot is empty.  A run's vertices have distinct elements, so no two of
+    its own edges clash.  Raises ValueError for a y-letter that names no
+    generator of ``table``."""
     steps = table.steps
     identity = table.identity
     span = table.order
@@ -151,7 +152,10 @@ def _wedge(base, words, open_words, table):
         if word:
             path(word, True)
     ends = [path(word, False) for word in open_words]
-    return out, _write_pairs(out, edges), tuple(ends)
+    merge = []
+    for u, w, letter in _write_pairs(out, edges):
+        merge += (out[u].get(letter, w), w), (out[w].get(letter.inverse(), u), u)
+    return out, merge, tuple(ends)
 
 
 def based_fixpoint(graph, table, tracked=(), starts=None):
@@ -197,8 +201,9 @@ def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     separator word; returns the graph and each path's end vertex.  Every
     generator loop must close at the base (``graphs.walk``).
 
-    The first coset round scans only the y-components that hold the base
-    or a survivor of the first fold.  Any other y-component is one y-run's
+    The first fold is ``fold`` of ``_wedge``'s adjacency with its merge
+    pairs, and the first coset round scans only the y-components that
+    hold the base or a survivor of it.  Any other y-component is one y-run's
     piece of the wedge, as ``_wedge`` wrote it: the runs of different
     words meet only at the base, a run starts at the base or at the end of
     an x-letter, which is a fresh vertex or the base, and the fold left
@@ -206,8 +211,8 @@ def build_subgroup_graph(spec: ProblemSpec) -> SubgroupGraph:
     survived a merge.  Its vertices have distinct prefix elements in G's
     Cayley graph, so every cycle in it spells the identity, its loop
     subgroup K is trivial, and it has no coset group."""
-    out, clashes, ends = _wedge(0, spec.subgroup_words, spec.separate_words, spec.finite)
-    graph, vmap = _fold(out, clashes, out, 0, ())
+    out, merge, ends = _wedge(0, spec.subgroup_words, spec.separate_words, spec.finite)
+    graph, vmap = fold(LabeledGraph(out, 0), merge)
     starts = _survivors(vmap)
     starts.add(graph.base)
     graph, ends = based_fixpoint(graph, spec.finite, [vmap[v] for v in ends], starts)

@@ -46,7 +46,6 @@ from altsep.cli import MAX_NUMBER_DIGITS, MAX_WORD_LENGTH, ProblemFormatError
 from altsep.factors import NotGBasedError, component_cosets, subgroup_closure
 from altsep.graphs import (
     LabeledGraph,
-    _fold,
     _pair_key,
     _write_pairs,
     component_graph,
@@ -124,13 +123,17 @@ def make_graph(vertices, pairs, base):
 
 def fold_pairs(graph, merge=()):
     """``graphs.fold`` of a LabeledGraph or a RawGraph: a RawGraph's pairs
-    are written into empty slots by ``_write_pairs``, and ``graphs._fold``
-    folds the clashes it returns in, as it does the subgroup wedge's."""
+    are written into empty slots by ``_write_pairs``, and each clash it
+    returns becomes two merge pairs after ``merge``, as the subgroup
+    wedge's do: each end of the clashing edge with the target of its slot
+    there (the end itself when the slot is empty)."""
     if isinstance(graph, LabeledGraph):
         return fold(graph, merge)
     out = {v: {} for v in graph.vertices}
-    clashes = _write_pairs(out, graph.pairs)
-    return _fold(out, clashes, graph.vertices, graph.base, merge)
+    merge = list(merge)
+    for u, w, letter in _write_pairs(out, graph.pairs):
+        merge += (out[u].get(letter, w), w), (out[w].get(letter.inverse(), u), u)
+    return fold(LabeledGraph(out, graph.base), merge)
 
 
 def build_graph(vertices, edges, base):
@@ -906,7 +909,7 @@ def reidemeister_schreier(target, rank, num_ygens, x_images, y_images):
 
 # -- word grammar ---------------------------------------------------------------
 
-_WORD_TERM_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?$")
+_WORD_TERM_RE = re.compile(r"([xy])([0-9]+)(?:\^(-?[0-9]+))?$")  # ASCII digits, as cli's
 
 
 def parse_word_oracle(text: str, rank: int, num_ygens: int, line: int):

@@ -559,6 +559,59 @@ def test_main_locates_a_number_with_too_many_digits(tmp_path, capsys, old, new, 
     assert captured.err == f"altsep: error: {expected}\n"
 
 
+@pytest.mark.parametrize("old, new, expected", [
+    ("h2 = x1 x2", "h2 = x١ x2", "line 5, column 18: bad word term 'x١'"),
+    ("rank = 2", "rank = ٢", "line 2, column 1: expected an integer, got '٢'"),
+    ("rank = 2", "rank = 0_2", "line 2, column 1: expected an integer, got '0_2'"),
+    ("degree = 3", "degree = ３", "line 3, column 1: expected an integer, got '３'"),
+    ("y2: (1 2)", "y2: (1 0_2)", "line 3, column 1: expected a point number, got '0_2'"),
+], ids=["arabic-index", "arabic-rank", "underscore-rank", "fullwidth-degree",
+        "underscore-point"])
+def test_main_takes_only_ascii_digits(tmp_path, capsys, old, new, expected):
+    """A number is ASCII digits: int() and \\d alone would read each of
+    these spellings as a number."""
+    path = tmp_path / "digits.txt"
+    path.write_text(DEMO.replace(old, new), encoding="utf-8")
+    assert main(["separate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"altsep: error: {expected}\n"
+
+
+def test_main_refuses_a_file_past_the_byte_cap_unparsed(tmp_path, capsys):
+    """A file one byte over MAX_PROBLEM_BYTES is refused before any line
+    is parsed, whatever its lines hold; one at the cap is read in full."""
+    size = cli.MAX_PROBLEM_BYTES + 1
+    path = tmp_path / "big.txt"
+    path.write_bytes((b"h1 = x1 x2\n" * size)[:size])
+    started = time.monotonic()
+    assert main(["separate", str(path)]) == 1
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"altsep: error: problem file larger than {cli.MAX_PROBLEM_BYTES} bytes\n")
+    padding = cli.MAX_PROBLEM_BYTES - len(CLOSED.encode()) - 2
+    path.write_bytes(CLOSED.encode() + b"#" + b"-" * padding + b"\n")
+    assert path.stat().st_size == cli.MAX_PROBLEM_BYTES
+    assert main(["separate", str(path)]) == 3
+
+
+def test_main_refuses_a_pipe_past_the_byte_cap(tmp_path):
+    """The cap bounds what is read, not a size asked for beforehand, so it
+    holds for a pipe too."""
+    src = Path(altsep.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", "from altsep.cli import entry; entry()", "separate", "/dev/stdin"],
+        input=CLOSED.encode() + b"#" * cli.MAX_PROBLEM_BYTES, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == (
+        f"altsep: error: problem file larger than {cli.MAX_PROBLEM_BYTES} bytes\n").encode()
+
+
 def test_parse_problem_counts_both_sections_against_the_letter_cap():
     half, quarter = MAX_PROBLEM_LETTERS // 2, MAX_PROBLEM_LETTERS // 4
     text = ("[free] rank = 2\n[finite] degree = 2 ; gens = y1: (1 2)\n"

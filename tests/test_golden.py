@@ -39,6 +39,21 @@ def test_golden_certificate_and_dot_bytes(problem, tmp_path, capsysbinary):
     assert got == want
 
 
+RESAVED = {"bom": lambda data: b"\xef\xbb\xbf" + data,
+           "crlf": lambda data: data.replace(b"\n", b"\r\n")}
+
+
+@pytest.mark.parametrize("resave", RESAVED)
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
+def test_golden_stdout_of_a_resaved_problem_file(problem, resave, tmp_path, capsysbinary):
+    """A problem file saved with a UTF-8 byte-order mark, or with CRLF
+    line ends, is the same problem."""
+    path = tmp_path / problem.name
+    path.write_bytes(RESAVED[resave](problem.read_bytes()))
+    assert main(["separate", str(path)]) == EXIT_CODES.get(problem.stem, 0)
+    assert capsysbinary.readouterr().out == (GOLDEN / problem.stem / "stdout.json").read_bytes()
+
+
 # Letters hash by identity, so the iteration order of a set of letters or
 # pairs follows object addresses, which PYTHONHASHSEED does not control.
 # This child process moves the letters elsewhere in memory before it runs

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
-from altsep.graphs import _fold, components, walk
+from altsep.graphs import LabeledGraph, components, fold, walk
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -92,7 +93,7 @@ def test_every_y_component_embeds(s3):
 
 
 def test_wedge_folds_to_the_pair_set_wedge(z2, s3, d4):
-    """_wedge's adjacency and clashes, folded by _fold, are the graph,
+    """_wedge's adjacency and merge pairs, folded by fold, are the graph,
     vertex ids and path ends of the wedge's canonical pair set folded by
     the oracle with each y-run's vertices of one prefix element merged.
     A y-letter that names no generator is refused, not read as an
@@ -105,12 +106,12 @@ def test_wedge_folds_to_the_pair_set_wedge(z2, s3, d4):
                      for _ in range(rng.randint(0, 3))]
             separators = [random_raw_word(rng, 2, table.num_generators, 6)
                           for _ in range(rng.randint(0, 2))]
-            out, clashes, ends = _wedge(0, words, separators, table)
-            graph, vmap = _fold(out, clashes, out, 0, ())
+            out, merge, ends = _wedge(0, words, separators, table)
+            graph, vmap = fold(LabeledGraph(out, 0), merge)
             expected, expected_ends = run_wedge_graph(0, words, separators, table)
             assert graph == expected and graph.vertices == expected.vertices
             assert tuple(vmap[v] for v in ends) == expected_ends
-            clashed += bool(clashes)
+            clashed += bool(merge)
     assert clashed >= 40
     for words, separators in [([(x(1), y(2), x(1, -1))], []), ([(x(1), y(1), y(2))], []),
                               ([], [(y(1), y(2, -1))])]:
@@ -141,8 +142,8 @@ def test_first_round_groups_lie_at_the_base_or_a_fold_survivor(z2, s3, d4, a4):
         for _ in range(50):
             words = [run_heavy_word(rng, table, 4) for _ in range(rng.randint(1, 4))]
             separators = [run_heavy_word(rng, table, 3) for _ in range(rng.randint(0, 2))]
-            out, clashes, ends = _wedge(0, words, separators, table)
-            graph, vmap = _fold(out, clashes, out, 0, ())
+            out, merge, ends = _wedge(0, words, separators, table)
+            graph, vmap = fold(LabeledGraph(out, 0), merge)
             starts = {graph.base} | {vmap[v] for v in vmap if vmap[v] != v}
             for _subgroup, keys in component_cosets(table, graph):
                 if len(set(keys.values())) < len(keys):
@@ -224,6 +225,36 @@ def test_fixpoint_matches_a_full_rescan_each_round(s3, d4, a4, monkeypatch):
         check(spec.finite, spec.subgroup_words, spec.separate_words)
     # many later rounds ran, and some of them still found groups to merge
     assert len(partial) >= 150 and sum(partial) >= 10
+
+
+def test_the_first_fold_goes_through_fold(monkeypatch):
+    """build_subgroup_graph folds the wedge with ``fold``, so a tracer of
+    ``fold`` sees one call more than the folds of based_fixpoint's rounds:
+    its callers are build_subgroup_graph once, then based_fixpoint."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from problems import decompose_problems
+
+    callers = []
+    real = subgroups.fold
+
+    def recording(graph, merge=()):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(graph, merge)
+
+    monkeypatch.setattr(subgroups, "fold", recording)
+    texts = [path.read_text() for path in sorted((root / "problems").glob("*.txt"))]
+    texts += [problem.text() for problem in decompose_problems(1)[:3]]
+    rounds = 0
+    for text in texts:
+        callers.clear()
+        build_subgroup_graph(parse_problem(text))
+        assert callers[:1] == ["build_subgroup_graph"]
+        assert callers[1:] == ["based_fixpoint"] * (len(callers) - 1)
+        rounds += len(callers) - 1
+    # coset rounds folded too (one or two on each decompose graph), so the
+    # first fold is told apart from theirs
+    assert rounds >= 5
 
 
 def test_letters_validated_against_declared_generators(z2):
