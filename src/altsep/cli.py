@@ -198,6 +198,8 @@ def parse_problem(text: str) -> ProblemSpec:
                 if rank is not None:
                     raise ProblemFormatError("rank defined twice", lineno)
                 rank = _parse_int(keyed.group(2), lineno)
+                if rank < 2:
+                    raise ProblemFormatError(f"free rank must be at least 2, got {rank}", lineno)
                 if rank > MAX_FREE_RANK:
                     raise ProblemFormatError(f"free rank above {MAX_FREE_RANK}", lineno)
             elif section == "finite":
@@ -239,8 +241,6 @@ def parse_problem(text: str) -> ProblemSpec:
 
     if rank is None:
         raise ProblemFormatError("missing [free] section with a rank", 1)
-    if rank < 2:
-        raise ProblemFormatError(f"free rank must be at least 2, got {rank}", 1)
     if degree is None:
         raise ProblemFormatError("missing degree in [finite] section", 1)
     if not raw_gens:

@@ -17,10 +17,11 @@ and ``_tree_walk``, the module's one breadth-first walk, grows a
 spanning tree from a root and lists the pairs outside it; ``_root_path``
 reads a vertex's word off that tree.  ``components`` runs ``_tree_walk``
 from each vertex that no earlier walk reached, and ``whole_graph_walk``
-runs it over the whole graph and over each monochromatic component with
-a cycle, which the pairs outside the whole-graph tree lead to; the
-eligibility verdict and the Kurosh decomposition both read it.  A graph
-keeps, once read, its pairs and its whole-graph walk.
+runs it from the base over the whole graph, which must be connected,
+and over each monochromatic component with a cycle, which the pairs
+outside the whole-graph tree lead to; the eligibility verdict and the
+Kurosh decomposition both read it.  A graph keeps, once read, its pairs
+and its whole-graph walk.
 """
 
 from __future__ import annotations
@@ -315,35 +316,33 @@ class CyclicComponent(NamedTuple):
 
 
 class WholeGraphWalk(NamedTuple):
-    """``whole_graph_walk``'s result: the walk's roots (the base, then
-    each vertex the earlier roots' walks did not reach, ascending; one
-    root exactly when the graph is connected), its spanning forest's
-    parent map, as ``_tree_walk`` gives it, and the monochromatic
+    """``whole_graph_walk``'s result: the parent map of its spanning tree
+    from the base, as ``_tree_walk`` gives it, and the monochromatic
     components with a cycle in their anchors' discovery order, the
     x-component first where one vertex anchors two."""
 
-    roots: tuple
     parent: dict
     cyclic: tuple
 
 
 def whole_graph_walk(graph: LabeledGraph) -> WholeGraphWalk:
-    """One breadth-first walk over every vertex and both factors'
-    letters, and the monochromatic components with a cycle that its
-    pairs outside the tree lead to.  Letters are followed x-first,
-    ascending index, positive sign first.
+    """One breadth-first walk from the base over both factors' letters,
+    and the monochromatic components with a cycle that its pairs outside
+    the tree lead to.  Letters are followed x-first, ascending index,
+    positive sign first.  Raises ValueError when the walk misses a
+    vertex: a based graph of a subgroup is connected.
 
-    A component with a cycle cannot lie inside the walk's spanning
-    forest, so it holds one of the forest's non-tree pairs.  For each
-    such pair whose source no component of its factor walked so far
-    holds, a ``_tree_walk`` over the factor's letters gives the
-    component's vertices, and the component has a cycle when that walk
-    meets a non-tree pair.  The walk starts where the forest's edges of
-    the factor lead from the source towards the root; that is most often
-    the anchor, and a component with a cycle whose walk started elsewhere
-    is walked again from its anchor, so that its tree is grown from
-    there.  A component without a cycle is walked only when it holds a
-    pair outside the forest, and is not kept.
+    A component with a cycle cannot lie inside the walk's spanning tree,
+    so it holds one of the tree's non-tree pairs.  For each such pair
+    whose source no component of its factor walked so far holds, a
+    ``_tree_walk`` over the factor's letters gives the component's
+    vertices, and the component has a cycle when that walk meets a
+    non-tree pair.  The walk starts where the tree's edges of the factor
+    lead from the source towards the base; that is most often the
+    anchor, and a component with a cycle whose walk started elsewhere is
+    walked again from its anchor, so that its tree is grown from there.
+    A component without a cycle is walked only when it holds a pair
+    outside the tree, and is not kept.
 
     Cost: O(|V| * r) in all (a component is walked at most twice, and the
     components of a factor are disjoint), on the first call for a graph;
@@ -361,19 +360,9 @@ def _walk_whole_graph(graph: LabeledGraph) -> WholeGraphWalk:
     """The pass ``whole_graph_walk`` keeps on the graph."""
     out = graph.out
     letters = _letters(out)
-    both = letters["x"] + letters["y"]
-    roots = [graph.base]
-    order, parent, nontree = _tree_walk(out, graph.base, both)
+    order, parent, nontree = _tree_walk(out, graph.base, letters["x"] + letters["y"])
     if len(order) < len(out):
-        reached = set(order)
-        for root in sorted(out):
-            if root not in reached:
-                more, more_parent, more_nontree = _tree_walk(out, root, both)
-                roots.append(root)
-                reached.update(more)
-                order += more
-                parent.update(more_parent)
-                nontree += more_nontree
+        raise ValueError("graph must be connected")
     discovery = {v: i for i, v in enumerate(order)}
 
     cyclic = []  # (anchor's discovery, factor, anchor, its walk)
@@ -382,7 +371,7 @@ def _walk_whole_graph(graph: LabeledGraph) -> WholeGraphWalk:
         factor = letter.factor
         if start in walked[factor]:
             continue
-        # the forest's edges of the factor stay in the component, and
+        # the tree's edges of the factor stay in the component, and
         # climbing them mostly ends at the anchor, so one walk serves
         # (5,017 of the 5,026 cyclic components of decompose_problems(1..3))
         while start in parent and parent[start][1].factor == factor:
@@ -395,5 +384,5 @@ def _walk_whole_graph(graph: LabeledGraph) -> WholeGraphWalk:
                 tree = _tree_walk(out, anchor, letters[factor])
             cyclic.append((discovery[anchor], factor, anchor, tree))
     cyclic.sort(key=lambda item: item[:2])
-    return WholeGraphWalk(tuple(roots), parent, tuple(
+    return WholeGraphWalk(parent, tuple(
         CyclicComponent(factor, anchor, *tree) for _discovered, factor, anchor, tree in cyclic))

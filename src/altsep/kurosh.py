@@ -8,7 +8,7 @@ whose loop subgroup is free; its rank is the number of edge pairs outside
 a spanning tree.  The approach paths' tree and the components with a
 cycle, each with its own tree, come from ``graphs.whole_graph_walk``,
 which the eligibility verdict reads too and the graph keeps, so the two
-share one walk.
+share one walk, and both refuse a disconnected graph there.
 ``check_decomposition`` checks a decomposition exactly: the generators
 it names generate the subgroup, and each factor is the component at the
 end of its approach path.
@@ -55,7 +55,8 @@ class KuroshDecomposition:
 
 
 def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDecomposition:
-    """Factor list, free rank, and the pruned graph ``delta``.
+    """Factor list, free rank, and the pruned graph ``delta``.  Raises
+    ValueError, from ``graphs.whole_graph_walk``, for a disconnected graph.
 
     Deterministic choices: breadth-first approach paths and spanning trees
     with letters ordered x-first, ascending index, positive sign first;
@@ -80,17 +81,14 @@ def kurosh_decompose(graph: LabeledGraph, table: FiniteGroupTable) -> KuroshDeco
     ``graphs._tree_walk`` over its slots checks that it is.  Its free rank
     is read off the slot counts.
     """
-    whole = whole_graph_walk(graph)
-    if len(whole.roots) > 1:
-        raise ValueError("graph must be connected")
-    parent = whole.parent
+    parent, cyclic = whole_graph_walk(graph)
 
     factors = []
     pruned = dict(graph.out)
     copied = set()
     approaches = {graph.base: ()}
     cuts_tree = False  # a pair removed is an edge of the whole-graph tree
-    for factor, anchor, members, cparent, cnontree in whole.cyclic:
+    for factor, anchor, members, cparent, cnontree in cyclic:
         paths = {anchor: ()}
         loop_words = []
         for u, w, letter in sorted(cnontree, key=_pair_key):

@@ -353,7 +353,8 @@ def hypothesis_check(graph: LabeledGraph, rank: int) -> HypothesisVerdict:
     decomposition: one has |V| - 1 pairs in its tree and one for each of
     its non-tree pairs, and misses edges when that is less than r|V|.
     Only the witness is built as a graph: of the components that miss
-    edges, the one with the least vertex, based at that vertex.
+    edges, the one with the least vertex, based at that vertex.  Raises
+    ValueError, from the walk, for a disconnected graph.
     """
     cyclic = [c for c in whole_graph_walk(graph).cyclic if c.factor == "x"]
     if not cyclic:

@@ -14,16 +14,18 @@ import pytest
 
 from altsep import permgroup
 from altsep.cli import main, parse_problem, run_separate
-from altsep.covers import build_separating_cover
+from altsep.covers import build_separating_cover, word_action
 from altsep.factors import enumerate_group
 from altsep.kurosh import check_decomposition, kurosh_decompose
 from altsep.subgroups import (
+    VERDICT_NOT_APPLICABLE,
     MembershipTester,
     based_fixpoint,
     build_subgroup_graph,
     hypothesis_check,
+    membership,
 )
-from altsep.words import word_inverse, x_letter as x, y_letter as y
+from altsep.words import flat_form, word_inverse, x_letter as x, y_letter as y
 
 from conftest import make_spec
 from oracles import (
@@ -419,3 +421,116 @@ def test_criterion_9_determinism(tmp_path, capsys):
     ok = outputs[0] == outputs[1] and dot_contents[0] == dot_contents[1]
     ok = ok and json.loads(outputs[0]) == json.loads(outputs[1])
     report("9 (byte-identical certificates and DOT files)", ok)
+
+
+# -- 10 and 11: random problem files end to end ----------------------------------------------
+
+# (degree, generators' cycles) of Z2, S3, D4, A4 and S4
+FINITE_FACTORS = [
+    (2, ["(1 2)"]),
+    (3, ["(1 2 3)", "(1 2)"]),
+    (4, ["(1 2 3 4)", "(2 4)"]),
+    (4, ["(1 2 3)", "(2 3 4)"]),
+    (4, ["(1 2 3 4)", "(1 2)"]),
+]
+
+
+def random_word_text(rng, terms, max_terms, min_terms=0):
+    """A word of min_terms to max_terms terms, each drawn from ``terms``
+    with exponent 1, -1, 2 or -2; "1" when it has none."""
+    picked = [f"{rng.choice(terms)}^{rng.choice((1, -1, 2, -2))}"
+              for _ in range(rng.randint(min_terms, max_terms))]
+    return " ".join(picked) or "1"
+
+
+def letter_terms(rank, finite):
+    return [f"x{i}" for i in range(1, rank + 1)] + [f"y{j}" for j in range(1, len(finite[1]) + 1)]
+
+
+def problem_text(rank, finite, subgroup_words, separate_words):
+    degree, cycles = finite
+    gens = "; ".join(f"y{j}: {c}" for j, c in enumerate(cycles, 1))
+    return "\n".join([
+        f"[free] rank = {rank}",
+        f"[finite] degree = {degree} ; gens = {gens}",
+        "[subgroup] " + " ; ".join(f"h{i} = {w}" for i, w in enumerate(subgroup_words, 1)),
+        "[separate] " + " ; ".join(f"g{j} = {w}" for j, w in enumerate(separate_words, 1)),
+    ]) + "\n"
+
+
+def test_criterion_10_infinite_index_free_subgroups_are_separated():
+    """The paper's corollary: a finitely generated subgroup of infinite
+    index in F is A-or-S-separable in F * G.  An x-only subgroup whose
+    words avoid x_r lies in F_{r-1}, of infinite index in F_r; a
+    separator whose reduced form holds x_r or a nontrivial y-element lies
+    outside it.  Every such problem gets a certificate whose images move
+    the base point by every separator."""
+    rng = random.Random(2035)
+    ok = True
+    runs = 0
+    for rank in (2, 3):
+        inside = [f"x{i}" for i in range(1, rank)]
+        for finite in FINITE_FACTORS:
+            every = letter_terms(rank, finite)
+            for _ in range(10):
+                subgroup = [random_word_text(rng, inside, 4, 1) for _ in range(rng.randint(1, 3))]
+                separate = []
+                for _ in range(rng.randint(1, 2)):
+                    while True:
+                        text = random_word_text(rng, every, 4, 1)
+                        spec = parse_problem(problem_text(rank, finite, subgroup, [text]))
+                        if any(isinstance(term, int) or term.index == rank
+                               for term in flat_form(spec.separate_words[0], spec.finite)):
+                            break
+                    separate.append(text)
+                spec = parse_problem(problem_text(rank, finite, subgroup, separate))
+                outcome = run_separate(spec)
+                runs += 1
+                ok = ok and outcome.exit_code == 0
+                if outcome.exit_code == 0:
+                    doc = outcome.document
+                    images = {name: permgroup.parse_cycles(text, doc["degree"])
+                              for name, text in doc["generator_images"].items()}
+                    base = doc["base_point"] - 1
+                    ok = ok and all(word_action(images, word, base) != base
+                                    for word in spec.separate_words)
+    report(f"10 (infinite-index free subgroups separated, {runs} runs)", ok)
+
+
+def test_criterion_11_random_problems_under_full_verification(tmp_path, capsys):
+    """Seeded small problems through the command line with
+    ``--verify-level full``: the exit code is 0, 2 or 3, never an input
+    error (1) or an internal one (4), and each agrees with an independent
+    reading: exit 3 names the first separator that is a member, exit 0
+    means none is and the decomposition check found no counterexample,
+    and exit 2 means the eligibility verdict is "not applicable"."""
+    rng = random.Random(2036)
+    path = tmp_path / "problem.txt"
+    codes = []
+    ok = True
+    for _ in range(80):
+        rank = rng.choice((2, 3))
+        finite = rng.choice(FINITE_FACTORS + [(2, ["()"])])
+        terms = letter_terms(rank, finite)
+        text = problem_text(
+            rank, finite,
+            [random_word_text(rng, terms, 7) for _ in range(rng.randint(1, 3))],
+            [random_word_text(rng, terms, 7) for _ in range(rng.randint(1, 3))])
+        path.write_text(text)
+        code = main(["separate", str(path), "--verify-level", "full"])
+        captured = capsys.readouterr()
+        codes.append(code)
+        spec = parse_problem(text)
+        members = [j for j, word in enumerate(spec.separate_words, 1) if membership(spec, word)]
+        if code == 3:
+            ok = ok and json.loads(captured.out)["separator_index"] == members[0]
+        elif code == 0:
+            ok = ok and not members and "counterexamples=0" in captured.err
+        elif code == 2:
+            verdict = hypothesis_check(build_subgroup_graph(spec).graph, rank)
+            ok = ok and verdict.kind == VERDICT_NOT_APPLICABLE
+        else:
+            ok = False
+    counts = {code: codes.count(code) for code in sorted(set(codes))}
+    ok = ok and counts.get(0, 0) >= 30 and counts.get(3, 0) >= 20
+    report(f"11 (random problems under full verification, exit counts {counts})", ok)

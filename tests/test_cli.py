@@ -415,6 +415,8 @@ FINITE = "[finite] degree = 2 ; gens = y1: (1 2)\n"
 @pytest.mark.parametrize("text, message", [
     ("[free] rnk = 2\n" + FINITE + "[separate] g1 = x1\n",
      "line 1, column 1: expected 'rank = <int>', got 'rnk = 2'"),
+    ("[free]\nrank = 1\n" + FINITE + "[separate] g1 = x1\n",
+     "line 2, column 1: free rank must be at least 2, got 1"),
     ("[free] rank = 2\n[finite] degre = 2 ; gens = y1: (1 2)\n[separate] g1 = x1\n",
      "line 2, column 1: expected 'degree = <int>' or 'y<k>: <cycles>', got 'degre = 2'"),
     ("[free] rank = 2\n" + FINITE + "[subgroup] k1 = x1\n[separate] g1 = x1\n",
@@ -431,8 +433,8 @@ FINITE = "[finite] degree = 2 ; gens = y1: (1 2)\n"
      "[separate] g1 = x2\n", "line 3, column 26: h2 is empty; write 1 for the identity"),
     ("[free] rank = 2\n" + FINITE + "[subgroup] h1 = x1\n[separate]\n  g1 =\n",
      "line 5, column 7: g1 is empty; write 1 for the identity"),
-], ids=["rank", "finite", "word", "no-free", "no-degree", "no-generators", "cycle",
-        "empty-subgroup-word", "empty-separator"])
+], ids=["rank", "rank-below-two", "finite", "word", "no-free", "no-degree", "no-generators",
+        "cycle", "empty-subgroup-word", "empty-separator"])
 def test_main_rejects_a_malformed_problem(tmp_path, capsys, text, message):
     path = write(tmp_path, "bad.txt", text)
     assert main(["separate", path]) == 1

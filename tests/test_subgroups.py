@@ -9,6 +9,7 @@ from altsep import subgroups
 from altsep.cli import parse_problem
 from altsep.factors import component_cosets
 from altsep.graphs import LabeledGraph, components, fold, walk
+from altsep.kurosh import kurosh_decompose
 from altsep.subgroups import (
     VERDICT_DEFICIENT,
     VERDICT_NOT_APPLICABLE,
@@ -539,7 +540,8 @@ def random_graph_with_covers(rng):
     """Folded graph on a few vertex blocks: each block's x-edges are two
     random permutations of it, a saturated cover, less zero to two pairs,
     or, in a quarter of the graphs, a path; random y1-pairs join the
-    blocks."""
+    blocks, and a pair v --y<v+2>--> v+1 for each v, a letter used nowhere
+    else, makes the graph connected without a fold."""
     vertices, pairs = [], set()
     paths = rng.random() < 0.25
     for _ in range(rng.randint(1, 4)):
@@ -556,6 +558,7 @@ def random_graph_with_covers(rng):
         pairs.update(cover[rng.choice([0, 0, 1, 2]):])
     for _ in range(rng.randint(0, len(vertices))):
         pairs.add((rng.choice(vertices), rng.choice(vertices), y(1)))
+    pairs.update((v, v + 1, y(v + 2)) for v in vertices[:-1])
     return fold_pairs(build_graph(vertices, pairs, 0))[0]
 
 
@@ -581,5 +584,14 @@ def test_verdict_matches_the_defect_rule_on_random_graphs():
         kinds.append(kind)
     assert min(kinds.count(k) for k in (VERDICT_TREES, VERDICT_DEFICIENT,
                                          VERDICT_NOT_APPLICABLE)) >= 30
-    # the whole-graph walk's roots past the base are met here
-    assert disconnected == 175
+    assert disconnected == 0
+
+
+def test_verdict_and_kurosh_refuse_a_disconnected_graph(z2):
+    """The whole-graph walk from the base refuses a graph it does not
+    cover, so the verdict and the decomposition both refuse it."""
+    graph = build_graph([0, 1], [(1, 1, x(1))], 0)
+    with pytest.raises(ValueError, match="graph must be connected"):
+        hypothesis_check(graph, 2)
+    with pytest.raises(ValueError, match="graph must be connected"):
+        kurosh_decompose(graph, z2)
